@@ -259,15 +259,10 @@ def cmd_eval(args) -> int:
         path = os.path.join(labels_dir, f"filter_{mid}.jsonl")
         if not os.path.exists(path):
             continue
-        full = PseudoLabelSet.load(path)
-        clean = full.with_status("clean")
-        hits_all = sum(1 for r in full if r.label == int(truth[r.sample_id]))
-        hits_clean = sum(1 for r in clean if r.label == int(truth[r.sample_id]))
-        _emit({"metric": "clean_size", "direction": mid, "value": len(clean)})
-        _emit({"metric": "clean_precision", "direction": mid,
-               "value": (hits_clean / len(clean)) if len(clean) else None})
-        _emit({"metric": "clean_recall", "direction": mid,
-               "value": (hits_clean / hits_all) if hits_all else None})
+        size, precision, recall = PseudoLabelSet.load(path).clean_quality(truth)
+        _emit({"metric": "clean_size", "direction": mid, "value": size})
+        _emit({"metric": "clean_precision", "direction": mid, "value": precision})
+        _emit({"metric": "clean_recall", "direction": mid, "value": recall})
 
     logits_sum = None
     n_students = 0

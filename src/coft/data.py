@@ -14,8 +14,10 @@ On-disk layout for a dataset named ``foo``:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -99,6 +101,16 @@ class EmbeddingDataset:
         return self._embeddings.shape[1]
 
 
+def require_finite_floats(config) -> None:
+    """ConfigError naming the first float field of a config dataclass that is
+    NaN or infinite (every comparison with NaN is False, so range checks
+    alone let it through)."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass
 class SyntheticSpec:
     """Knobs of the synthetic cluster benchmark.
@@ -121,6 +133,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self):
+        require_finite_floats(self)
         if self.classes < 2:
             raise ConfigError("need at least 2 classes")
         if self.per_class < 1:
@@ -406,20 +419,31 @@ def ingest_templates(path, provider) -> TemplateSet:
 # ---------------------------------------------------------------------------
 
 class MetricsWriter:
-    """Append-only line-delimited metric records."""
+    """Append-only line-delimited metric records.
+
+    The file is opened once, truncated so a rerun starts clean, and
+    line-buffered, so every record is on disk as soon as ``write`` returns.
+    ``close`` (or leaving a ``with`` block) releases it.
+    """
 
     def __init__(self, path):
         self.path = path
         d = os.path.dirname(str(path))
         if d:
             os.makedirs(d, exist_ok=True)
-        # truncate on open so a rerun starts clean
-        with open(self.path, "w", encoding="utf-8"):
-            pass
+        self._file = open(self.path, "w", encoding="utf-8", buffering=1)
 
     def write(self, **record) -> None:
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+        self._file.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     @staticmethod
     def read(path):

@@ -1,5 +1,13 @@
 """Pseudo-label bookkeeping: zero-shot inference, argmax assignment,
-per-class top-K selection, and the record set shared by both training phases.
+per-class top-K selection, and the label table shared by both training phases.
+
+A ``PseudoLabelSet`` is one table of parallel numpy arrays, one row per
+sample: ``sample_id`` and ``label`` (int64), ``confidence`` (float64), the
+generator and status as int8 codes into ``GENERATORS`` and ``STATUSES``, and
+an evaluation-only ground truth (int64, ``-1`` where none is attached). Every
+operation on the table (selection, subsetting, bulk status changes, accuracy
+counts, export) works on whole columns; ``get`` and iteration hand out
+``PseudoLabelRecord`` copies for callers that want one row at a time.
 
 Ground-truth labels may be attached for evaluation, but every training-facing
 accessor (``training_view``) excludes them by construction; no training or
@@ -10,7 +18,8 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -39,6 +48,15 @@ _TRANSITIONS = {
     "clean": set(),
     "noise": set(),
 }
+# _LEGAL[old code, new code] is True iff _TRANSITIONS allows old -> new
+_LEGAL = np.array([[new in _TRANSITIONS[old] for new in STATUSES] for old in STATUSES])
+_CANDIDATE = STATUSES.index("candidate")
+_CLEAN = STATUSES.index("clean")
+_NO_TRUTH = -1
+
+# json.dumps of each name, for the export
+_GENERATOR_JSON = np.array([json.dumps(g) for g in GENERATORS], dtype=object)
+_STATUS_JSON = np.array([json.dumps(s) for s in STATUSES], dtype=object)
 
 _NORM_TOL = 1e-9
 
@@ -53,116 +71,232 @@ class PseudoLabelRecord:
     ground_truth: int | None = None  # evaluation only
 
 
-class PseudoLabelSet:
-    """Ordered set of pseudo-label records, one per sample."""
+def _codes(names, vocabulary, kind: str) -> np.ndarray:
+    """int8 codes of a name or a sequence of names from ``vocabulary``."""
+    names = np.asarray(names)
+    codes = np.full(names.shape, -1, dtype=np.int8)
+    for code, name in enumerate(vocabulary):
+        codes[names == name] = code
+    unknown = codes < 0
+    if np.any(unknown):
+        raise ContractError(f"unknown {kind} {names[unknown].tolist()[0]!r}")
+    return codes
 
-    def __init__(self, records):
-        self._records: dict[int, PseudoLabelRecord] = {}
-        for r in records:
-            if r.generator not in GENERATORS:
-                raise ContractError(f"unknown generator {r.generator!r}")
-            if r.status not in STATUSES:
-                raise ContractError(f"unknown status {r.status!r}")
-            if r.sample_id in self._records:
-                raise ContractError(f"duplicate sample_id {r.sample_id}")
-            self._records[r.sample_id] = r
+
+def _truth_column(truth, n: int) -> np.ndarray:
+    """Evaluation-only ground truth as int64; ``_NO_TRUTH`` where it is None
+    (the whole column or an entry)."""
+    if truth is None:
+        return np.full(n, _NO_TRUTH, dtype=np.int64)
+    given = truth if isinstance(truth, np.ndarray) else [t for t in truth if t is not None]
+    if np.any(np.asarray(given) < 0):
+        raise ContractError("ground truth must be a class index >= 0")
+    if isinstance(truth, np.ndarray):
+        return truth.astype(np.int64)
+    return np.array([_NO_TRUTH if t is None else t for t in truth], dtype=np.int64)
+
+
+def _check_distinct(ids: np.ndarray) -> None:
+    """ContractError naming the first entry of ``ids`` equal to an earlier one."""
+    first = np.unique(ids, return_index=True)[1]
+    if first.size != ids.size:
+        repeated = np.ones(ids.size, dtype=bool)
+        repeated[first] = False
+        raise ContractError(f"duplicate sample_id {ids[np.argmax(repeated)]}")
+
+
+class PseudoLabelSet:
+    """Ordered table of pseudo-labels, one row per sample (see the module
+    docstring for the columns). Sample ids are unique; rows keep the order
+    they were built in."""
+
+    def __init__(self, records=()):
+        cols = [(r.sample_id, r.label, r.confidence, r.generator, r.status, r.ground_truth)
+                for r in records]
+        ids, labels, conf, gen, status, truth = zip(*cols) if cols else ((),) * 6
+        self._fill(ids, labels, conf, gen, status, truth)
+
+    @classmethod
+    def _from_columns(cls, sample_id, label, confidence, generator,
+                     status="candidate", ground_truth=None) -> "PseudoLabelSet":
+        """A validated table of copies of whole columns; ``generator`` and
+        ``status`` are one name for every row or one name per row,
+        ``ground_truth`` is None or one class index (or None) per row."""
+        table = cls.__new__(cls)
+        table._fill(sample_id, label, confidence, generator, status, ground_truth)
+        return table
+
+    def _fill(self, sample_id, label, confidence, generator, status, ground_truth):
+        ids = np.array(sample_id, dtype=np.int64)
+        if ids.ndim != 1:
+            raise ContractError(f"sample_id must be one-dimensional, got shape {ids.shape}")
+        _check_distinct(ids)
+        n = ids.size
+        cols = {"label": np.array(label, dtype=np.int64),
+                "confidence": np.array(confidence, dtype=np.float64),
+                "ground_truth": _truth_column(ground_truth, n)}
+        for name, col in cols.items():
+            if col.shape != (n,):
+                raise ContractError(f"{name} has shape {col.shape}, expected ({n},)")
+        gen = np.broadcast_to(_codes(generator, GENERATORS, "generator"), (n,)).copy()
+        stat = np.broadcast_to(_codes(status, STATUSES, "status"), (n,)).copy()
+        self._set(ids, cols["label"], cols["confidence"], gen, stat, cols["ground_truth"])
+
+    def _set(self, ids, labels, conf, gen, status, truth):
+        self._ids, self._labels, self._conf = ids, labels, conf
+        self._gen, self._status, self._truth = gen, status, truth
+
+    def _take(self, rows, confidence=None) -> "PseudoLabelSet":
+        """A new table of the given rows (fancy indexing copies every column)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        table = PseudoLabelSet.__new__(PseudoLabelSet)
+        conf = self._conf[rows] if confidence is None else confidence
+        table._set(self._ids[rows], self._labels[rows], conf, self._gen[rows],
+                   self._status[rows], self._truth[rows])
+        return table
+
+    def _rows(self, sample_ids) -> np.ndarray:
+        """Row index of each of ``sample_ids``; KeyError names the first unknown."""
+        want = np.asarray(sample_ids, dtype=np.int64).reshape(-1)
+        if want.size == 0 or len(self) == 0:
+            missing = np.ones(want.size, dtype=bool)
+            rows = want
+        else:
+            order = np.argsort(self._ids, kind="stable")
+            rows = order[np.minimum(np.searchsorted(self._ids, want, sorter=order),
+                                    order.size - 1)]
+            missing = self._ids[rows] != want
+        if np.any(missing):
+            raise KeyError(f"unknown sample_id {want[np.argmax(missing)]}")
+        return rows
+
+    def _distinct_rows(self, sample_ids) -> np.ndarray:
+        rows = self._rows(sample_ids)
+        _check_distinct(self._ids[rows])
+        return rows
 
     def __len__(self):
-        return len(self._records)
+        return self._ids.size
 
     def __iter__(self):
-        return iter(self._records.values())
+        truth = [None if t == _NO_TRUTH else t for t in self._truth.tolist()]
+        for sid, lab, conf, gen, status, t in zip(
+                self._ids.tolist(), self._labels.tolist(), self._conf.tolist(),
+                self._gen.tolist(), self._status.tolist(), truth):
+            yield PseudoLabelRecord(sid, lab, conf, GENERATORS[gen], STATUSES[status], t)
 
     def __contains__(self, sample_id):
-        return sample_id in self._records
+        return bool(np.any(self._ids == sample_id))
 
     def get(self, sample_id: int) -> PseudoLabelRecord:
-        try:
-            return self._records[sample_id]
-        except KeyError:
-            raise KeyError(f"unknown sample_id {sample_id}") from None
+        """A copy of one row; changing it does not change the table."""
+        return next(iter(self._take(self._rows([sample_id]))))
 
     def sample_ids(self) -> np.ndarray:
-        return np.array([r.sample_id for r in self], dtype=np.int64)
+        return self._ids.copy()
 
     def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self], dtype=np.int64)
+        return self._labels.copy()
 
     def training_view(self):
         """(sample_ids, labels, confidences) — ground truth is not reachable here."""
-        ids = self.sample_ids()
-        labels = self.labels()
-        conf = np.array([r.confidence for r in self], dtype=np.float64)
-        return ids, labels, conf
+        return self._ids.copy(), self._labels.copy(), self._conf.copy()
 
     def mark(self, sample_id: int, new_status: str) -> None:
-        r = self.get(sample_id)
-        if new_status not in _TRANSITIONS.get(r.status, set()):
+        self.mark_many([sample_id], new_status)
+
+    def mark_many(self, sample_ids, new_status) -> None:
+        """Move each of ``sample_ids`` (distinct) to ``new_status``, one name
+        for all or one per id, as one change: if any move is illegal, nothing
+        changes and the error names the first offending sample."""
+        rows = self._distinct_rows(sample_ids)
+        new = np.broadcast_to(_codes(new_status, STATUSES, "status"), rows.shape)
+        old = self._status[rows]
+        illegal = ~_LEGAL[old, new]
+        if np.any(illegal):
+            i = np.argmax(illegal)
             raise ContractError(
-                f"illegal status transition {r.status!r} -> {new_status!r} "
-                f"for sample {sample_id}"
+                f"illegal status transition {STATUSES[old[i]]!r} -> {STATUSES[new[i]]!r} "
+                f"for sample {self._ids[rows[i]]}"
             )
-        r.status = new_status
+        self._status[rows] = new
 
     def subset(self, sample_ids) -> "PseudoLabelSet":
-        return PseudoLabelSet([replace(self.get(i)) for i in sample_ids])
+        """Copies of the rows of ``sample_ids`` (distinct), in that order."""
+        return self._take(self._distinct_rows(sample_ids))
 
     def with_status(self, status: str) -> "PseudoLabelSet":
-        return PseudoLabelSet([replace(r) for r in self if r.status == status])
+        return self._take(np.flatnonzero(self._status == _codes(status, STATUSES, "status")))
 
     def attach_ground_truth(self, truth) -> None:
         """Evaluation only: record the true label of every known sample."""
-        truth = np.asarray(truth)
-        for r in self:
-            r.ground_truth = int(truth[r.sample_id])
+        self._truth = _truth_column(np.asarray(truth)[self._ids], len(self))
+
+    def _correct(self, truth) -> np.ndarray:
+        """Per row: does the label equal the ground truth (given, else attached)?"""
+        if truth is not None:
+            return self._labels == np.asarray(truth)[self._ids]
+        if np.any(self._truth == _NO_TRUTH):
+            raise ContractError("ground truth not attached")
+        return self._labels == self._truth
 
     def accuracy(self, truth=None) -> float:
         """Fraction of records whose label matches ground truth (NaN if empty)."""
         if len(self) == 0:
             return float("nan")
-        if truth is not None:
-            hits = sum(1 for r in self if r.label == int(truth[r.sample_id]))
-        else:
-            if any(r.ground_truth is None for r in self):
-                raise ContractError("ground truth not attached")
-            hits = sum(1 for r in self if r.label == r.ground_truth)
-        return hits / len(self)
+        return np.count_nonzero(self._correct(truth)) / len(self)
+
+    def clean_quality(self, truth=None) -> tuple:
+        """(clean size, clean precision, clean recall) against ground truth.
+
+        Precision is the share of correct labels among the rows marked clean,
+        recall the share of correct labels that were marked clean; each is
+        None when its denominator is 0.
+        """
+        correct = self._correct(truth)
+        clean = self._status == _CLEAN
+        size = int(np.count_nonzero(clean))
+        hits_clean = np.count_nonzero(correct & clean)
+        hits_all = np.count_nonzero(correct)
+        return (size, hits_clean / size if size else None,
+                hits_clean / hits_all if hits_all else None)
 
     def save(self, path, with_truth: bool = False) -> None:
-        """Line-delimited records; ground truth withheld unless ``with_truth``."""
+        """Line-delimited records; ground truth withheld unless ``with_truth``.
+
+        Each line is byte for byte ``json.dumps(record, sort_keys=True)`` of
+        the row's record, non-finite confidences in json's spelling included.
+        """
+        conf = self._conf.tolist()
+        if not np.all(np.isfinite(self._conf)):
+            conf = [json.dumps(c) for c in conf]
+        truth = repeat("")
+        if with_truth:
+            truth = ['"ground_truth": null, ' if t == _NO_TRUTH else f'"ground_truth": {t}, '
+                     for t in self._truth.tolist()]
+        text = "".join(
+            f'{{"confidence": {c}, "generator": {g}, {t}"label": {lab}, '
+            f'"sample_id": {sid}, "status": {s}}}\n'
+            for c, g, t, lab, sid, s in zip(
+                conf, _GENERATOR_JSON[self._gen].tolist(), truth, self._labels.tolist(),
+                self._ids.tolist(), _STATUS_JSON[self._status].tolist()))
         with open(path, "w", encoding="utf-8") as f:
-            for r in self:
-                rec = {
-                    "sample_id": r.sample_id,
-                    "label": r.label,
-                    "confidence": r.confidence,
-                    "generator": r.generator,
-                    "status": r.status,
-                }
-                if with_truth:
-                    rec["ground_truth"] = r.ground_truth
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
+            f.write(text)
 
     @classmethod
     def load(cls, path) -> "PseudoLabelSet":
-        records = []
+        keys = ("sample_id", "label", "confidence", "generator", "status")
+        cols = {k: [] for k in keys + ("ground_truth",)}
         with open(path, "r", encoding="utf-8") as f:
             for line in f:
                 line = line.strip()
                 if not line:
                     continue
                 d = json.loads(line)
-                records.append(
-                    PseudoLabelRecord(
-                        sample_id=int(d["sample_id"]),
-                        label=int(d["label"]),
-                        confidence=float(d["confidence"]),
-                        generator=d["generator"],
-                        status=d["status"],
-                        ground_truth=d.get("ground_truth"),
-                    )
-                )
-        return cls(records)
+                for k in keys:
+                    cols[k].append(d[k])
+                cols["ground_truth"].append(d.get("ground_truth"))
+        return cls._from_columns(**cols)
 
 
 def class_probabilities(embeddings, text_embeddings, tau: float) -> np.ndarray:
@@ -205,17 +339,7 @@ def assign_pseudo_labels(probs, sample_ids=None, generator: str = "zeroshot",
         sample_ids = np.arange(p.shape[0])
     labels = np.argmax(p, axis=1)  # np.argmax already breaks ties low
     conf = p[np.arange(p.shape[0]), labels]
-    return PseudoLabelSet(
-        [
-            PseudoLabelRecord(
-                sample_id=int(sid),
-                label=int(lab),
-                confidence=float(cf),
-                generator=generator,
-            )
-            for sid, lab, cf in zip(sample_ids, labels, conf)
-        ]
-    )
+    return PseudoLabelSet._from_columns(sample_ids, labels, conf, generator)
 
 
 def centroid_confidences(labels: PseudoLabelSet, embeddings, tau: float) -> PseudoLabelSet:
@@ -235,7 +359,7 @@ def centroid_confidences(labels: PseudoLabelSet, embeddings, tau: float) -> Pseu
     sums = np.zeros((present.size, emb.shape[1]))
     np.add.at(sums, col, emb)
     conf = class_probabilities(emb, normalize_rows(sums), tau)[np.arange(ids.size), col]
-    return PseudoLabelSet([replace(r, confidence=float(c)) for r, c in zip(labels, conf)])
+    return labels._take(np.arange(ids.size), confidence=conf)
 
 
 def select_top_k(labels: PseudoLabelSet, k: int, num_classes: int) -> PseudoLabelSet:
@@ -247,17 +371,16 @@ def select_top_k(labels: PseudoLabelSet, k: int, num_classes: int) -> PseudoLabe
     """
     if k < 1:
         raise DomainError(f"K must be >= 1, got {k}")
-    by_class: dict[int, list[PseudoLabelRecord]] = {c: [] for c in range(num_classes)}
-    for r in labels:
-        if r.status != "candidate":
-            continue
-        if not 0 <= r.label < num_classes:
-            raise ContractError(f"label {r.label} out of range for {num_classes} classes")
-        by_class[r.label].append(r)
-    selected = []
-    for c in range(num_classes):
-        group = sorted(by_class[c], key=lambda r: (-r.confidence, r.sample_id))
-        if not group:
-            warnings.warn(f"class {c} has no pseudo-label candidates; top-K skips it")
-        selected.extend(replace(r) for r in group[:k])
-    return PseudoLabelSet(selected)
+    rows = np.flatnonzero(labels._status == _CANDIDATE)
+    lab = labels._labels[rows]
+    out_of_range = (lab < 0) | (lab >= num_classes)
+    if np.any(out_of_range):
+        raise ContractError(
+            f"label {lab[np.argmax(out_of_range)]} out of range for {num_classes} classes")
+    order = np.lexsort((labels._ids[rows], -labels._conf[rows], lab))
+    rows, lab = rows[order], lab[order]
+    counts = np.bincount(lab, minlength=num_classes)
+    rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[lab]
+    for c in np.flatnonzero(counts == 0):
+        warnings.warn(f"class {c} has no pseudo-label candidates; top-K skips it")
+    return labels._take(rows[rank < k])

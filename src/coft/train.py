@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SeededRng, as_f64, normalize_rows, softmax_rows
-from .data import MetricsWriter
+from .data import MetricsWriter, require_finite_floats
 from .encoders import (
     FFTEncoder,
     FrozenProvider,
@@ -133,6 +133,7 @@ class TrainConfig:
     aug_dropout: float = 0.1
 
     def validate(self):
+        require_finite_floats(self)
         if self.tau <= 0 or self.tau_prime <= 0:
             raise ConfigError("temperatures must be positive")
         if self.k_per_class < 1:
@@ -153,6 +154,12 @@ class TrainConfig:
             raise ConfigError("adapter_rank, hidden_mult must be >= 1")
         if not 0.0 <= self.aug_dropout < 1.0:
             raise ConfigError("aug_dropout must lie in [0, 1)")
+        if self.lr_peft <= 0 or self.lr_fft <= 0:
+            raise ConfigError(f"learning rates must be positive, got lr_peft={self.lr_peft}, "
+                              f"lr_fft={self.lr_fft}")
+        if self.init_sigma < 0 or self.aug_noise < 0:
+            raise ConfigError(f"init_sigma and aug_noise must be nonnegative, got "
+                              f"init_sigma={self.init_sigma}, aug_noise={self.aug_noise}")
 
 
 @dataclass
@@ -497,8 +504,7 @@ def collaborative_filter(generator: AdaptedModel, validator: AdaptedModel,
     sim_neg = np.sum(visual * texts_n[labels], axis=1)
     keep = sim_pos > sim_neg
 
-    for sid, ok in zip(ids, keep):
-        labelset.mark(int(sid), "clean" if ok else "noise")
+    labelset.mark_many(ids, np.where(keep, "clean", "noise"))
     return FilterResult(
         generator_id=generator.model_id,
         validator_id=validator.model_id,
@@ -978,76 +984,75 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
     ckpt_dir = os.path.join(out_dir, "checkpoints")
     os.makedirs(labels_dir, exist_ok=True)
     os.makedirs(ckpt_dir, exist_ok=True)
-    metrics = MetricsWriter(os.path.join(out_dir, "metrics.jsonl"))
+    with MetricsWriter(os.path.join(out_dir, "metrics.jsonl")) as metrics:
+        zero_texts = provider.class_anchors
+        if templates_path:
+            zero_texts = ingest_templates(templates_path, provider).anchors
 
-    zero_texts = provider.class_anchors
-    if templates_path:
-        zero_texts = ingest_templates(templates_path, provider).anchors
+        eff = cfg if mode == "coft-plus" else dataclasses.replace(cfg, rounds=1, gamma=0.0)
 
-    eff = cfg if mode == "coft-plus" else dataclasses.replace(cfg, rounds=1, gamma=0.0)
-
-    model1, model2, rounds_log = iterate_peft(
-        provider, eff, root, zero_texts, metrics=metrics, truth=truth
-    )
-    rounds_log[0]["generated"]["model1"].save(os.path.join(labels_dir, "zeroshot.jsonl"))
-    for entry in rounds_log:
-        r = entry["round"]
-        for mid in ("model1", "model2"):
-            entry["generated"][mid].save(
-                os.path.join(labels_dir, f"round{r}_{mid}.jsonl"))
-            entry["selected"][mid].save(
-                os.path.join(labels_dir, f"round{r}_{mid}_selected.jsonl"))
-    save_model_checkpoint(os.path.join(ckpt_dir, "phase1_model1"), model1)
-    save_model_checkpoint(os.path.join(ckpt_dir, "phase1_model2"), model2)
-
-    both = collaborative_filter_both(model1, model2)
-    summary = {
-        "mode": mode,
-        "seed": seed,
-        "num_samples": provider.num_samples,
-        "num_classes": provider.num_classes,
-        "clean_sizes": {},
-        "checkpoints": {
-            "model1": os.path.join(ckpt_dir, "phase1_model1"),
-            "model2": os.path.join(ckpt_dir, "phase1_model2"),
-        },
-    }
-    for mid, student_id in (("model1", "student1"), ("model2", "student2")):
-        result = both[mid]
-        result.labels.save(os.path.join(labels_dir, f"filter_{mid}.jsonl"))
-        clean = result.clean_set()
-        summary["clean_sizes"][mid] = len(clean)
-        record = dict(phase=2, event="filter", direction=mid,
-                      clean_size=len(clean),
-                      noise_size=int(result.noise_ids.size))
-        if truth is not None:
-            gen_hits = result.labels.accuracy(truth)
-            record["generated_accuracy"] = gen_hits
-            record["clean_precision"] = clean.accuracy(truth)
-        metrics.write(**record)
-
-        student = init_fft_encoder(
-            provider.dim, provider.num_classes, eff.hidden_mult * provider.dim,
-            root.stream(f"phase2/{student_id}"), name_prefix=f"{student_id}/",
+        model1, model2, rounds_log = iterate_peft(
+            provider, eff, root, zero_texts, metrics=metrics, truth=truth
         )
-        train_phase2_plus(student, clean, provider, eff, root,
-                          f"phase2/{student_id}", metrics=metrics)
-        stem = os.path.join(ckpt_dir, f"phase2_{student_id}")
-        save_student_checkpoint(stem, student)
-        summary["checkpoints"][student_id] = stem
+        rounds_log[0]["generated"]["model1"].save(os.path.join(labels_dir, "zeroshot.jsonl"))
+        for entry in rounds_log:
+            r = entry["round"]
+            for mid in ("model1", "model2"):
+                entry["generated"][mid].save(
+                    os.path.join(labels_dir, f"round{r}_{mid}.jsonl"))
+                entry["selected"][mid].save(
+                    os.path.join(labels_dir, f"round{r}_{mid}_selected.jsonl"))
+        save_model_checkpoint(os.path.join(ckpt_dir, "phase1_model1"), model1)
+        save_model_checkpoint(os.path.join(ckpt_dir, "phase1_model2"), model2)
 
-        logits, _ = logits_batch(student, provider.image_embeddings)
-        summary.setdefault("_logits", {})[student_id] = logits
+        both = collaborative_filter_both(model1, model2)
+        summary = {
+            "mode": mode,
+            "seed": seed,
+            "num_samples": provider.num_samples,
+            "num_classes": provider.num_classes,
+            "clean_sizes": {},
+            "checkpoints": {
+                "model1": os.path.join(ckpt_dir, "phase1_model1"),
+                "model2": os.path.join(ckpt_dir, "phase1_model2"),
+            },
+        }
+        for mid, student_id in (("model1", "student1"), ("model2", "student2")):
+            result = both[mid]
+            result.labels.save(os.path.join(labels_dir, f"filter_{mid}.jsonl"))
+            clean = result.clean_set()
+            summary["clean_sizes"][mid] = len(clean)
+            record = dict(phase=2, event="filter", direction=mid,
+                          clean_size=len(clean),
+                          noise_size=int(result.noise_ids.size))
+            if truth is not None:
+                record["generated_accuracy"] = result.labels.accuracy(truth)
+                _, record["clean_precision"], record["clean_recall"] = (
+                    result.labels.clean_quality(truth))
+            metrics.write(**record)
 
-    logits1 = summary["_logits"]["student1"]
-    logits2 = summary["_logits"]["student2"]
-    ensemble = np.argmax((logits1 + logits2) / 2.0, axis=1)
-    summary["ensemble_predictions"] = ensemble
-    if truth is not None:
-        summary["ensemble_accuracy"] = float(np.mean(ensemble == truth))
-        summary["zero_shot_accuracy"] = rounds_log[0]["generated"]["model1"].accuracy(truth)
-        metrics.write(phase=2, event="final",
-                      ensemble_accuracy=summary["ensemble_accuracy"],
-                      zero_shot_accuracy=summary["zero_shot_accuracy"])
-    del summary["_logits"]
-    return summary
+            student = init_fft_encoder(
+                provider.dim, provider.num_classes, eff.hidden_mult * provider.dim,
+                root.stream(f"phase2/{student_id}"), name_prefix=f"{student_id}/",
+            )
+            train_phase2_plus(student, clean, provider, eff, root,
+                              f"phase2/{student_id}", metrics=metrics)
+            stem = os.path.join(ckpt_dir, f"phase2_{student_id}")
+            save_student_checkpoint(stem, student)
+            summary["checkpoints"][student_id] = stem
+
+            logits, _ = logits_batch(student, provider.image_embeddings)
+            summary.setdefault("_logits", {})[student_id] = logits
+
+        logits1 = summary["_logits"]["student1"]
+        logits2 = summary["_logits"]["student2"]
+        ensemble = np.argmax((logits1 + logits2) / 2.0, axis=1)
+        summary["ensemble_predictions"] = ensemble
+        if truth is not None:
+            summary["ensemble_accuracy"] = float(np.mean(ensemble == truth))
+            summary["zero_shot_accuracy"] = rounds_log[0]["generated"]["model1"].accuracy(truth)
+            metrics.write(phase=2, event="final",
+                          ensemble_accuracy=summary["ensemble_accuracy"],
+                          zero_shot_accuracy=summary["zero_shot_accuracy"])
+        del summary["_logits"]
+        return summary

@@ -49,6 +49,10 @@ class TestSynth:
         second = capsys.readouterr().out.splitlines()[-1]
         assert first == second  # "checksum <hex>" lines match
 
+    def test_non_finite_sigma_exits_2(self, tmp_path, capsys):
+        assert run_cli("synth", "--sigma", "nan", "--out", str(tmp_path)) == 2
+        assert "noise_sigma must be finite" in capsys.readouterr().err
+
     def test_infeasible_geometry_exits_2(self, tmp_path):
         code = run_cli("synth", "--classes", "10", "--dim", "2",
                        "--out", str(tmp_path))
@@ -145,6 +149,31 @@ class TestRun:
         cfgfile.write_text("train.nonsense = 5\n")
         assert run_cli("run", "--dataset", manifest, "--config", str(cfgfile),
                        "--out", str(tmp_path / "r")) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--lam", "nan"), ("--tau", "inf"),
+                                             ("--gamma", "nan")])
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys, flag, value):
+        manifest = make_dataset(tmp_path)
+        capsys.readouterr()
+        assert run_cli("run", "--dataset", manifest, flag, value,
+                       "--out", str(tmp_path / "r"), *FAST_TRAIN) == 2
+        assert f"{flag[2:]} must be finite, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "checkpoints").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_metrics_file_closed_when_the_run_fails(self, tmp_path, monkeypatch):
+        from coft.data import MetricsWriter
+
+        closed = []
+        real_close = MetricsWriter.close
+        monkeypatch.setattr(MetricsWriter, "close",
+                            lambda self: closed.append(self.path) or real_close(self))
+        manifest = make_dataset(tmp_path)
+        cfgfile = tmp_path / "hot.cfg"
+        cfgfile.write_text("train.lr_peft = 1e308\ntrain.phase1_epochs = 3\n")
+        assert run_cli("run", "--dataset", manifest, "--config", str(cfgfile),
+                       "--out", str(tmp_path / "r"), "--k", "8") == 3
+        assert closed == [os.path.join(str(tmp_path / "r"), "metrics.jsonl")]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_training_blowup_exits_3(self, tmp_path):

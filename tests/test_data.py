@@ -99,6 +99,12 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             generate_synthetic(spec(classes=10, dim=2))
 
+    @pytest.mark.parametrize("name", ["separation", "noise_sigma", "anchor_alignment"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_field_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            generate_synthetic(spec(**{name: value}))
+
     def test_rows_normalized(self):
         ds, _ = generate_synthetic(spec())
         np.testing.assert_allclose(np.linalg.norm(ds.embeddings, axis=1), 1.0, atol=1e-12)
@@ -276,6 +282,15 @@ class TestMetricsWriter:
             {"epoch": 0, "loss": 1.5, "phase": 1},
             {"epoch": 1, "extra": "x", "loss": 1.2, "phase": 1},
         ]
+
+    def test_truncates_on_open_and_closes_in_with(self, tmp_path):
+        p = tmp_path / "metrics.jsonl"
+        p.write_text('{"stale": 1}\n')
+        with MetricsWriter(p) as w:
+            w.write(step=0)
+        assert MetricsWriter.read(p) == [{"step": 0}]
+        with pytest.raises(ValueError):
+            w.write(step=1)
 
 
 class TestLoadSaveIdentity:

@@ -1,12 +1,18 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coft.core import SeededRng, normalize_rows
+from coft.core import normalize_rows
 from coft.encoders import FrozenProvider
 from coft.errors import ContractError, DomainError
 from coft.pseudo import (
+    GENERATORS,
+    STATUSES,
     PseudoLabelRecord,
     PseudoLabelSet,
     assign_pseudo_labels,
@@ -305,3 +311,174 @@ class TestSelectionBeatsCandidates:
             candidates = assign_pseudo_labels(probs)
             selected = select_top_k(candidates, 12, ds.num_classes)
             assert selected.accuracy(truth) >= candidates.accuracy(truth)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the label table against per-record oracles
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+SPECIAL_FLOATS = st.sampled_from([0.1, 1.0, 5e-324, 1e-300, 0.0, -0.0, 1 / 3, 0.5])
+FINITE = st.one_of(SPECIAL_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+ANY_FLOAT = st.one_of(FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def record_lists(draw, confidences=FINITE, labels=st.integers(-3, 10**12),
+                 statuses=st.sampled_from(STATUSES), max_size=25):
+    n = draw(st.integers(0, max_size))
+    ids = draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n, unique=True))
+    return [
+        PseudoLabelRecord(sid, draw(labels), draw(confidences),
+                          draw(st.sampled_from(GENERATORS)), draw(statuses),
+                          draw(st.one_of(st.none(), st.integers(0, 10**6))))
+        for sid in ids
+    ]
+
+
+def json_oracle(records, with_truth):
+    """The export format: one json.dumps(record, sort_keys=True) per line."""
+    lines = []
+    for r in records:
+        rec = {"sample_id": r.sample_id, "label": r.label, "confidence": r.confidence,
+               "generator": r.generator, "status": r.status}
+        if with_truth:
+            rec["ground_truth"] = r.ground_truth
+        lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def marked_one_by_one(records, ids, statuses):
+    """(records after one mark per sample, message of the first refused mark)."""
+    table = PseudoLabelSet(records)
+    for sid, status in zip(ids, statuses):
+        try:
+            table.mark(sid, status)
+        except ContractError as e:
+            return list(table), str(e)
+    return list(table), None
+
+
+class TestLabelTableProperties:
+    @PROPERTY
+    @given(record_lists(confidences=ANY_FLOAT), st.booleans())
+    def test_save_bytes_equal_json_oracle(self, tmp_path_factory, records, with_truth):
+        path = tmp_path_factory.mktemp("save") / "labels.jsonl"
+        PseudoLabelSet(records).save(path, with_truth=with_truth)
+        assert path.read_bytes() == json_oracle(records, with_truth).encode("utf-8")
+
+    def test_save_of_a_table_without_truth(self, tmp_path):
+        ps = assign_pseudo_labels(np.array([[0.1, 0.9], [0.6, 0.4]]), generator="model2")
+        path = tmp_path / "labels.jsonl"
+        ps.save(path, with_truth=True)
+        assert path.read_text() == json_oracle(list(ps), True)
+        assert path.read_text().count('"ground_truth": null') == 2
+
+    @PROPERTY
+    @given(record_lists(confidences=ANY_FLOAT), st.booleans())
+    def test_load_of_save_round_trips(self, tmp_path_factory, records, with_truth):
+        path = tmp_path_factory.mktemp("load") / "labels.jsonl"
+        table = PseudoLabelSet(records)
+        table.save(path, with_truth=with_truth)
+        back = PseudoLabelSet.load(path)
+        assert len(back) == len(records)
+        for r, b in zip(records, back):
+            assert (b.sample_id, b.label, b.generator, b.status) == (
+                r.sample_id, r.label, r.generator, r.status)
+            assert b.ground_truth == (r.ground_truth if with_truth else None)
+            assert b.confidence == r.confidence or (math.isnan(b.confidence)
+                                                    and math.isnan(r.confidence))
+            assert math.copysign(1.0, b.confidence) == math.copysign(1.0, r.confidence)
+
+    @PROPERTY
+    @given(record_lists(confidences=st.one_of(SPECIAL_FLOATS, st.sampled_from([0.25, 0.75])),
+                        labels=st.integers(0, 5), max_size=40),
+           st.integers(1, 6), st.integers(1, 8))
+    def test_select_top_k_equals_sort_oracle(self, records, k, num_classes):
+        records = [r for r in records if r.label < num_classes]
+        want, empty = [], []
+        for c in range(num_classes):
+            group = sorted((r for r in records if r.status == "candidate" and r.label == c),
+                           key=lambda r: (-r.confidence, r.sample_id))
+            if not group:
+                empty.append(f"class {c} has no pseudo-label candidates; top-K skips it")
+            want.extend(group[:k])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = select_top_k(PseudoLabelSet(records), k, num_classes)
+        assert list(got) == want
+        assert [str(w.message) for w in caught] == empty
+
+    def test_select_top_k_names_the_first_out_of_range_label(self):
+        ps = _records([(0, 1, 0.5), (1, 7, 0.5), (2, 9, 0.5)])
+        with pytest.raises(ContractError, match="label 7 out of range"):
+            select_top_k(ps, 2, num_classes=3)
+
+    @PROPERTY
+    @given(record_lists(), st.data())
+    def test_bulk_marking_equals_one_mark_per_sample(self, records, data):
+        ids = data.draw(st.permutations([r.sample_id for r in records]))
+        ids = ids[:data.draw(st.integers(0, len(ids)))]
+        statuses = data.draw(st.lists(st.sampled_from(STATUSES),
+                                      min_size=len(ids), max_size=len(ids)))
+        want, refused = marked_one_by_one(records, ids, statuses)
+        table = PseudoLabelSet(records)
+        if refused is None:
+            table.mark_many(ids, statuses)
+            assert list(table) == want
+        else:
+            with pytest.raises(ContractError) as e:
+                table.mark_many(ids, statuses)
+            assert str(e.value) == refused
+            assert list(table) == records  # a refused bulk change changes nothing
+
+    def test_bulk_marking_rejects_unknown_and_repeated_ids(self):
+        ps = _records([(0, 1, 0.5), (1, 0, 0.6)])
+        with pytest.raises(KeyError, match="unknown sample_id 5"):
+            ps.mark_many([1, 5], "clean")
+        with pytest.raises(ContractError, match="duplicate sample_id 1"):
+            ps.mark_many([1, 0, 1], ["clean", "noise", "noise"])
+        with pytest.raises(ContractError, match="unknown status 'kept'"):
+            ps.mark_many([0], "kept")
+        assert [r.status for r in ps] == ["candidate", "candidate"]
+
+    @PROPERTY
+    @given(record_lists(), st.data())
+    def test_subset_and_with_status_keep_row_order(self, records, data):
+        table = PseudoLabelSet(records)
+        ids = data.draw(st.permutations([r.sample_id for r in records]))
+        ids = ids[:data.draw(st.integers(0, len(ids)))]
+        by_id = {r.sample_id: r for r in records}
+        assert list(table.subset(ids)) == [by_id[i] for i in ids]
+        for status in STATUSES:
+            assert list(table.with_status(status)) == [r for r in records
+                                                       if r.status == status]
+
+    def test_subset_rejects_unknown_and_repeated_ids(self):
+        ps = _records([(0, 1, 0.5), (1, 0, 0.6)])
+        with pytest.raises(KeyError, match="unknown sample_id 2"):
+            ps.subset([0, 2])
+        with pytest.raises(ContractError, match="duplicate sample_id 0"):
+            ps.subset([0, 1, 0])
+
+    def test_copies_do_not_share_status(self):
+        ps = _records([(0, 1, 0.5), (1, 0, 0.6)])
+        part = ps.subset([1, 0])
+        part.mark(0, "clean")
+        ps.get(0).status = "noise"  # a record is a copy of its row
+        assert [r.status for r in ps] == ["candidate", "candidate"]
+        assert part.get(0).status == "clean"
+
+    @PROPERTY
+    @given(record_lists(labels=st.integers(0, 3)), st.data())
+    def test_clean_quality_equals_record_count(self, records, data):
+        truth = np.array(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=8)))
+        records = [PseudoLabelRecord(i, r.label, r.confidence, r.generator, r.status)
+                   for i, r in enumerate(records[:truth.size])]
+        clean = [r for r in records if r.status == "clean"]
+        hits_clean = sum(1 for r in clean if r.label == truth[r.sample_id])
+        hits_all = sum(1 for r in records if r.label == truth[r.sample_id])
+        assert PseudoLabelSet(records).clean_quality(truth) == (
+            len(clean), hits_clean / len(clean) if clean else None,
+            hits_clean / hits_all if hits_all else None)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,28 @@ def small_cfg(**kw):
                 adapter_rank=2, rounds=1, queue_capacity=32)
     base.update(kw)
     return TrainConfig(**base)
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)
+                if isinstance(getattr(TrainConfig(), f.name), float)]
+
+
+class TestTrainConfig:
+    def test_float_field_list_covers_every_float_knob(self):
+        assert {"lr_peft", "lr_fft", "init_sigma", "aug_noise", "adapter_scale",
+                "lam", "gamma", "tau"} <= set(FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_field_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name, value", [("lr_peft", 0.0), ("lr_fft", -1e-3),
+                                             ("init_sigma", -0.1), ("aug_noise", -0.1)])
+    def test_out_of_range_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name}={value}"):
+            TrainConfig(**{name: value}).validate()
 
 
 class TestTrainPhase1:
