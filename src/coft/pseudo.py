@@ -5,8 +5,9 @@ A ``PseudoLabelSet`` is one table of parallel numpy arrays, one row per
 sample: ``sample_id`` and ``label`` (int64), ``confidence`` (float64), the
 generator and status as int8 codes into ``GENERATORS`` and ``STATUSES``, and
 an evaluation-only ground truth (int64, ``-1`` where none is attached). Every
-operation on the table (selection, subsetting, bulk status changes, accuracy
-counts, export) works on whole columns; ``get`` and iteration hand out
+operation on the table (selection, subsetting, accuracy counts, export)
+works on whole columns. ``mark`` changes one row's status
+through an id-to-row map built on first use; ``get`` and iteration hand out
 ``PseudoLabelRecord`` copies for callers that want one row at a time.
 
 Ground-truth labels may be attached for evaluation, but every training-facing
@@ -48,8 +49,6 @@ _TRANSITIONS = {
     "clean": set(),
     "noise": set(),
 }
-# _LEGAL[old code, new code] is True iff _TRANSITIONS allows old -> new
-_LEGAL = np.array([[new in _TRANSITIONS[old] for new in STATUSES] for old in STATUSES])
 _CANDIDATE = STATUSES.index("candidate")
 _CLEAN = STATUSES.index("clean")
 _NO_TRUTH = -1
@@ -145,6 +144,7 @@ class PseudoLabelSet:
     def _set(self, ids, labels, conf, gen, status, truth):
         self._ids, self._labels, self._conf = ids, labels, conf
         self._gen, self._status, self._truth = gen, status, truth
+        self._row_of = None  # sample_id -> row, built by _row on first use
 
     def _take(self, rows, confidence=None) -> "PseudoLabelSet":
         """A new table of the given rows (fancy indexing copies every column)."""
@@ -154,6 +154,15 @@ class PseudoLabelSet:
         table._set(self._ids[rows], self._labels[rows], conf, self._gen[rows],
                    self._status[rows], self._truth[rows])
         return table
+
+    def _row(self, sample_id) -> int:
+        """Row index of one sample id; KeyError if unknown."""
+        if self._row_of is None:
+            self._row_of = dict(zip(self._ids.tolist(), range(len(self))))
+        try:
+            return self._row_of[sample_id]
+        except KeyError:
+            raise KeyError(f"unknown sample_id {sample_id}") from None
 
     def _rows(self, sample_ids) -> np.ndarray:
         """Row index of each of ``sample_ids``; KeyError names the first unknown."""
@@ -170,11 +179,6 @@ class PseudoLabelSet:
             raise KeyError(f"unknown sample_id {want[np.argmax(missing)]}")
         return rows
 
-    def _distinct_rows(self, sample_ids) -> np.ndarray:
-        rows = self._rows(sample_ids)
-        _check_distinct(self._ids[rows])
-        return rows
-
     def __len__(self):
         return self._ids.size
 
@@ -186,11 +190,15 @@ class PseudoLabelSet:
             yield PseudoLabelRecord(sid, lab, conf, GENERATORS[gen], STATUSES[status], t)
 
     def __contains__(self, sample_id):
-        return bool(np.any(self._ids == sample_id))
+        try:
+            self._row(sample_id)
+        except KeyError:
+            return False
+        return True
 
     def get(self, sample_id: int) -> PseudoLabelRecord:
         """A copy of one row; changing it does not change the table."""
-        return next(iter(self._take(self._rows([sample_id]))))
+        return next(iter(self._take([self._row(sample_id)])))
 
     def sample_ids(self) -> np.ndarray:
         return self._ids.copy()
@@ -203,27 +211,20 @@ class PseudoLabelSet:
         return self._ids.copy(), self._labels.copy(), self._conf.copy()
 
     def mark(self, sample_id: int, new_status: str) -> None:
-        self.mark_many([sample_id], new_status)
-
-    def mark_many(self, sample_ids, new_status) -> None:
-        """Move each of ``sample_ids`` (distinct) to ``new_status``, one name
-        for all or one per id, as one change: if any move is illegal, nothing
-        changes and the error names the first offending sample."""
-        rows = self._distinct_rows(sample_ids)
-        new = np.broadcast_to(_codes(new_status, STATUSES, "status"), rows.shape)
-        old = self._status[rows]
-        illegal = ~_LEGAL[old, new]
-        if np.any(illegal):
-            i = np.argmax(illegal)
+        row = self._row(sample_id)
+        old = STATUSES[self._status[row]]
+        if new_status not in _TRANSITIONS[old]:
             raise ContractError(
-                f"illegal status transition {STATUSES[old[i]]!r} -> {STATUSES[new[i]]!r} "
-                f"for sample {self._ids[rows[i]]}"
+                f"illegal status transition {old!r} -> {new_status!r} "
+                f"for sample {sample_id}"
             )
-        self._status[rows] = new
+        self._status[row] = STATUSES.index(new_status)
 
     def subset(self, sample_ids) -> "PseudoLabelSet":
         """Copies of the rows of ``sample_ids`` (distinct), in that order."""
-        return self._take(self._distinct_rows(sample_ids))
+        rows = self._rows(sample_ids)
+        _check_distinct(self._ids[rows])
+        return self._take(rows)
 
     def with_status(self, status: str) -> "PseudoLabelSet":
         return self._take(np.flatnonzero(self._status == _codes(status, STATUSES, "status")))

@@ -504,7 +504,8 @@ def collaborative_filter(generator: AdaptedModel, validator: AdaptedModel,
     sim_neg = np.sum(visual * texts_n[labels], axis=1)
     keep = sim_pos > sim_neg
 
-    labelset.mark_many(ids, np.where(keep, "clean", "noise"))
+    for sid, ok in zip(ids.tolist(), keep.tolist()):
+        labelset.mark(sid, "clean" if ok else "noise")
     return FilterResult(
         generator_id=generator.model_id,
         validator_id=validator.model_id,
@@ -1027,8 +1028,8 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
                           noise_size=int(result.noise_ids.size))
             if truth is not None:
                 record["generated_accuracy"] = result.labels.accuracy(truth)
-                _, record["clean_precision"], record["clean_recall"] = (
-                    result.labels.clean_quality(truth))
+                size, precision, _ = result.labels.clean_quality(truth)
+                record["clean_precision"] = precision if size else float("nan")
             metrics.write(**record)
 
             student = init_fft_encoder(

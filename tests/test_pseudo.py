@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -349,15 +350,7 @@ def json_oracle(records, with_truth):
     return "".join(lines)
 
 
-def marked_one_by_one(records, ids, statuses):
-    """(records after one mark per sample, message of the first refused mark)."""
-    table = PseudoLabelSet(records)
-    for sid, status in zip(ids, statuses):
-        try:
-            table.mark(sid, status)
-        except ContractError as e:
-            return list(table), str(e)
-    return list(table), None
+LEGAL_MOVES = {("unassigned", "candidate"), ("candidate", "clean"), ("candidate", "noise")}
 
 
 class TestLabelTableProperties:
@@ -417,31 +410,34 @@ class TestLabelTableProperties:
 
     @PROPERTY
     @given(record_lists(), st.data())
-    def test_bulk_marking_equals_one_mark_per_sample(self, records, data):
-        ids = data.draw(st.permutations([r.sample_id for r in records]))
-        ids = ids[:data.draw(st.integers(0, len(ids)))]
-        statuses = data.draw(st.lists(st.sampled_from(STATUSES),
-                                      min_size=len(ids), max_size=len(ids)))
-        want, refused = marked_one_by_one(records, ids, statuses)
+    def test_marking_follows_the_legal_moves(self, records, data):
         table = PseudoLabelSet(records)
-        if refused is None:
-            table.mark_many(ids, statuses)
-            assert list(table) == want
-        else:
-            with pytest.raises(ContractError) as e:
-                table.mark_many(ids, statuses)
-            assert str(e.value) == refused
-            assert list(table) == records  # a refused bulk change changes nothing
+        want = [dataclasses.replace(r) for r in records]
+        by_id = {r.sample_id: r for r in want}
+        moves = data.draw(st.lists(st.tuples(st.sampled_from(sorted(by_id)),
+                                             st.sampled_from(STATUSES)),
+                                   max_size=30)) if by_id else []
+        for sid, status in moves:
+            r = by_id[sid]
+            if (r.status, status) in LEGAL_MOVES:
+                table.mark(sid, status)
+                r.status = status
+            else:
+                with pytest.raises(ContractError) as e:
+                    table.mark(sid, status)
+                assert str(e.value) == (f"illegal status transition {r.status!r} -> "
+                                        f"{status!r} for sample {sid}")
+        assert list(table) == want
 
-    def test_bulk_marking_rejects_unknown_and_repeated_ids(self):
+    def test_marking_rejects_unknown_ids_and_statuses(self):
         ps = _records([(0, 1, 0.5), (1, 0, 0.6)])
         with pytest.raises(KeyError, match="unknown sample_id 5"):
-            ps.mark_many([1, 5], "clean")
-        with pytest.raises(ContractError, match="duplicate sample_id 1"):
-            ps.mark_many([1, 0, 1], ["clean", "noise", "noise"])
-        with pytest.raises(ContractError, match="unknown status 'kept'"):
-            ps.mark_many([0], "kept")
+            ps.mark(5, "clean")
+        with pytest.raises(ContractError, match="'candidate' -> 'kept'"):
+            ps.mark(0, "kept")
         assert [r.status for r in ps] == ["candidate", "candidate"]
+        ps.mark(np.int64(1), "noise")
+        assert [r.status for r in ps] == ["candidate", "noise"]
 
     @PROPERTY
     @given(record_lists(), st.data())
