@@ -384,8 +384,8 @@ def encode_batch(enc: FFTEncoder, x):
     return encoded, _EncodeCache(enc=enc, x=x, hidden=hidden, encoded=encoded)
 
 
-def encode_batch_backward(cache: _EncodeCache, d_encoded, need_dx: bool = False):
-    """Accumulate encoder grads; optionally return d(loss)/d(input)."""
+def encode_batch_backward(cache: _EncodeCache, d_encoded) -> None:
+    """Accumulate encoder grads."""
     g = as_f64(d_encoded)
     enc = cache.enc
     accumulate_grad(enc.w2, g.T @ cache.hidden)
@@ -394,9 +394,6 @@ def encode_batch_backward(cache: _EncodeCache, d_encoded, need_dx: bool = False)
     d_pre = d_hidden * (1.0 - cache.hidden**2)
     accumulate_grad(enc.w1, d_pre.T @ cache.x)
     accumulate_grad(enc.b1, d_pre.sum(axis=0))
-    if need_dx:
-        return g + d_pre @ enc.w1.value
-    return None
 
 
 @dataclass

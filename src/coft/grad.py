@@ -1,4 +1,4 @@
-"""Parameter registry, first-order optimizers, a finite-difference gradient
+"""Parameter registry, the Adam optimizer, a finite-difference gradient
 verifier, and the checkpoint file format.
 
 Gradients in this package are hand-derived per loss; the verifier here is the
@@ -9,20 +9,20 @@ independent check that keeps them honest. Losses accumulate into
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import as_f64
-from .errors import ContractError, DomainError, ShapeError, TrainingError
+from .errors import ContractError, DomainError, FormatError, ShapeError, TrainingError
 
 __all__ = [
     "ParamTensor",
     "param",
     "accumulate_grad",
     "zero_grads",
-    "SgdMomentum",
     "Adam",
     "step",
     "GradCheckReport",
@@ -69,50 +69,16 @@ def zero_grads(params) -> None:
         p.zero_grad()
 
 
-class SgdMomentum:
-    """SGD with classical momentum: buf = m*buf + g; value -= lr*buf."""
-
-    kind = "sgd-momentum"
-
-    def __init__(self, learning_rate: float, momentum: float = 0.0):
-        if learning_rate < 0:
-            raise DomainError("learning rate must be nonnegative")
-        self.learning_rate = float(learning_rate)
-        self.momentum = float(momentum)
-        self.step_count = 0
-        self._buf: dict[str, np.ndarray] = {}
-
-    def _update(self, p: ParamTensor):
-        buf = self._buf.get(p.name)
-        if buf is None:
-            buf = np.zeros_like(p.value)
-            self._buf[p.name] = buf
-        elif buf.shape != p.value.shape:
-            raise ShapeError(f"optimizer state for {p.name!r} has stale shape {buf.shape}")
-        buf *= self.momentum
-        buf += p.grad
-        p.value -= self.learning_rate * buf
-
-    def hyper(self) -> dict:
-        return {"learning_rate": self.learning_rate, "momentum": self.momentum}
-
-    def state_entries(self):
-        return [(f"buf/{name}", arr) for name, arr in sorted(self._buf.items())]
-
-    def load_state(self, entries: dict[str, np.ndarray]):
-        self._buf = {name[len("buf/"):]: arr for name, arr in entries.items()}
-
-    @classmethod
-    def from_hyper(cls, hyper: dict, step_count: int):
-        opt = cls(hyper["learning_rate"], hyper["momentum"])
-        opt.step_count = step_count
-        return opt
-
-
 class Adam:
-    """Adam with bias correction; one shared step counter for all params."""
+    """Adam with bias correction; one shared step counter for all params.
 
-    kind = "adam"
+    The first ``step`` binds the optimizer to its param list: it copies the
+    values and grads into one flat value buffer and one flat grad buffer, in
+    param order, and rebinds each tensor's ``value`` and ``grad`` to a view of
+    them. Every later step is one elementwise pass over the buffers, so
+    in-place writes to a bound tensor reach the optimizer; assigning a new
+    array to ``value`` or ``grad`` does not.
+    """
 
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -123,24 +89,36 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._params: tuple | None = None
 
-    def _update(self, p: ParamTensor):
-        m = self._m.get(p.name)
-        if m is None:
-            m = np.zeros_like(p.value)
-            v = np.zeros_like(p.value)
-            self._m[p.name], self._v[p.name] = m, v
-        else:
-            v = self._v[p.name]
-            if m.shape != p.value.shape:
-                raise ShapeError(f"optimizer state for {p.name!r} has stale shape {m.shape}")
-        t = self.step_count  # incremented by step() before updates
+    def _bind(self, params) -> None:
+        if self._params is not None:
+            if len(params) != len(self._params) or any(
+                    p is not q for p, q in zip(params, self._params)):
+                raise ContractError(
+                    "optimizer is bound to the tensors of its first step; "
+                    "pass the same tensors in the same order")
+            return
+        params = tuple(params)
+        total = sum(p.value.size for p in params)
+        self._value, self._grad = np.empty(total), np.empty(total)
+        offset = 0
+        for p in params:
+            end = offset + p.value.size
+            self._value[offset:end] = p.value.reshape(-1)
+            self._grad[offset:end] = p.grad.reshape(-1)
+            p.value = self._value[offset:end].reshape(p.value.shape)
+            p.grad = self._grad[offset:end].reshape(p.grad.shape)
+            offset = end
+        self._m, self._v, self._tmp = np.zeros(total), np.zeros(total), np.empty(total)
+        self._params = params
+
+    def _update(self) -> None:
+        t = self.step_count  # incremented by step() before the update
+        g, m, v, tmp = self._grad, self._m, self._v, self._tmp
         # in place, in the operation order of
         # value -= lr * m_hat / (sqrt(v_hat) + eps), so results are unchanged
-        g = p.grad
-        tmp = g * g
+        np.multiply(g, g, out=tmp)
         tmp *= 1.0 - self.beta2
         v *= self.beta2
         v += tmp
@@ -150,55 +128,33 @@ class Adam:
         np.divide(v, 1.0 - self.beta2**t, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += self.eps
-        update = m / (1.0 - self.beta1**t)
-        update *= self.learning_rate
-        update /= tmp
-        p.value -= update
-
-    def hyper(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-        }
-
-    def state_entries(self):
-        out = [(f"m/{name}", arr) for name, arr in sorted(self._m.items())]
-        out += [(f"v/{name}", arr) for name, arr in sorted(self._v.items())]
-        return out
-
-    def load_state(self, entries: dict[str, np.ndarray]):
-        self._m = {n[len("m/"):]: a for n, a in entries.items() if n.startswith("m/")}
-        self._v = {n[len("v/"):]: a for n, a in entries.items() if n.startswith("v/")}
-
-    @classmethod
-    def from_hyper(cls, hyper: dict, step_count: int):
-        opt = cls(hyper["learning_rate"], hyper["beta1"], hyper["beta2"], hyper["eps"])
-        opt.step_count = step_count
-        return opt
+        # the grads are spent: the grad buffer holds the update until step() zeroes it
+        np.divide(m, 1.0 - self.beta1**t, out=g)
+        g *= self.learning_rate
+        g /= tmp
+        self._value -= g
 
 
-_OPTIMIZER_KINDS = {SgdMomentum.kind: SgdMomentum, Adam.kind: Adam}
-
-
-def step(opt, params) -> None:
+def step(opt: Adam, params) -> None:
     """Apply one optimizer step to every param, then zero all grads.
 
-    Raises TrainingError (naming the parameter) on any non-finite gradient
-    before the update, or non-finite value after it.
+    ``params`` must hold the same tensors, in the same order, on every call
+    with one optimizer (ContractError otherwise). Raises TrainingError
+    (naming the first offending parameter) on any non-finite gradient before
+    the update, or non-finite value after it.
     """
-    for p in params:
-        if not np.isfinite(p.grad).all():
-            raise TrainingError(f"non-finite gradient in {p.name!r}", param_name=p.name)
+    opt._bind(params)
+    if not np.isfinite(opt._grad).all():
+        bad = next(p for p in params if not np.isfinite(p.grad).all())
+        raise TrainingError(f"non-finite gradient in {bad.name!r}", param_name=bad.name)
     opt.step_count += 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for p in params:
-            opt._update(p)
-            if not np.isfinite(p.value).all():
-                raise TrainingError(f"non-finite value in {p.name!r} after step",
-                                    param_name=p.name)
-            p.zero_grad()
+        opt._update()
+    opt._grad.fill(0.0)
+    if not np.isfinite(opt._value).all():
+        bad = next(p for p in params if not np.isfinite(p.value).all())
+        raise TrainingError(f"non-finite value in {bad.name!r} after step",
+                            param_name=bad.name)
 
 
 @dataclass
@@ -273,8 +229,8 @@ def check_gradients(loss_fn, params, eps: float = 1e-5, tol: float = 1e-4,
 
 # ---------------------------------------------------------------------------
 # Checkpoints: a JSON manifest listing (name, shape, byte offset) per tensor
-# plus one flat little-endian float64 payload. Optimizer state lives in the
-# same payload under a distinct manifest section.
+# plus one flat little-endian float64 payload. The manifest's "optimizer"
+# field is always null: no optimizer state is saved.
 # ---------------------------------------------------------------------------
 
 _CKPT_FORMAT = "coft-checkpoint-v1"
@@ -284,7 +240,7 @@ def _paths(stem: str):
     return stem + ".json", stem + ".f64le"
 
 
-def save_checkpoint(stem: str, params, optimizer=None) -> str:
+def save_checkpoint(stem: str, params) -> str:
     """Write ``<stem>.json`` + ``<stem>.f64le``; returns the manifest path."""
     manifest_path, payload_path = _paths(stem)
     chunks = []
@@ -295,21 +251,7 @@ def save_checkpoint(stem: str, params, optimizer=None) -> str:
         entries.append({"name": p.name, "shape": list(p.value.shape), "offset": offset})
         chunks.append(raw)
         offset += len(raw)
-    opt_section = None
-    if optimizer is not None:
-        state = []
-        for name, arr in optimizer.state_entries():
-            raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            state.append({"name": name, "shape": list(arr.shape), "offset": offset})
-            chunks.append(raw)
-            offset += len(raw)
-        opt_section = {
-            "kind": optimizer.kind,
-            "step": optimizer.step_count,
-            "hyper": optimizer.hyper(),
-            "state": state,
-        }
-    manifest = {"format": _CKPT_FORMAT, "params": entries, "optimizer": opt_section}
+    manifest = {"format": _CKPT_FORMAT, "params": entries, "optimizer": None}
     with open(payload_path, "wb") as f:
         f.write(b"".join(chunks))
     with open(manifest_path, "w", encoding="utf-8") as f:
@@ -318,31 +260,48 @@ def save_checkpoint(stem: str, params, optimizer=None) -> str:
     return manifest_path
 
 
-def _read_slice(payload: bytes, entry: dict) -> np.ndarray:
-    shape = tuple(entry["shape"])
-    count = int(np.prod(shape)) if shape else 1
-    start = entry["offset"]
-    arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-    return arr.astype(np.float64).reshape(shape)
+def _tensor_entries(manifest_path: str, manifest) -> list:
+    """(name, shape, offset) per listed tensor; the offsets must be consecutive."""
+    if not isinstance(manifest, dict) or manifest.get("format") != _CKPT_FORMAT:
+        raise FormatError(f"{manifest_path}: unrecognized checkpoint format")
+    if manifest.get("optimizer") is not None:
+        raise FormatError(f"{manifest_path}: the 'optimizer' field must be null")
+    out = []
+    offset = 0
+    try:
+        for e in manifest["params"]:
+            name, shape = str(e["name"]), tuple(int(n) for n in e["shape"])
+            if e["offset"] != offset or min(shape, default=0) < 0:
+                raise ValueError(e)
+            out.append((name, shape, offset))
+            offset += 8 * math.prod(shape)
+    except (KeyError, TypeError, ValueError):
+        raise FormatError(f"{manifest_path}: malformed tensor list") from None
+    return out
 
 
-def load_checkpoint(stem: str):
-    """Read a checkpoint pair; returns (params, optimizer-or-None)."""
+def load_checkpoint(stem: str) -> list:
+    """Read a checkpoint pair; returns its params in manifest order.
+
+    Raises FormatError, naming the file, when the manifest is malformed or
+    the payload size differs from the sum of the listed tensors.
+    """
     manifest_path, payload_path = _paths(stem)
     with open(manifest_path, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
-    if manifest.get("format") != _CKPT_FORMAT:
-        raise ContractError(f"unrecognized checkpoint format in {manifest_path}")
+        try:
+            manifest = json.load(f)
+        except ValueError as e:
+            raise FormatError(f"{manifest_path}: not a JSON manifest ({e})") from None
+    entries = _tensor_entries(manifest_path, manifest)
     with open(payload_path, "rb") as f:
         payload = f.read()
-    params = [param(e["name"], _read_slice(payload, e)) for e in manifest["params"]]
-    optimizer = None
-    section = manifest.get("optimizer")
-    if section is not None:
-        cls = _OPTIMIZER_KINDS[section["kind"]]
-        optimizer = cls.from_hyper(section["hyper"], section["step"])
-        optimizer.load_state({e["name"]: _read_slice(payload, e) for e in section["state"]})
-    return params, optimizer
+    expected = sum(8 * math.prod(shape) for _, shape, _ in entries)
+    if len(payload) != expected:
+        raise FormatError(f"{payload_path}: payload holds {len(payload)} bytes, "
+                          f"the manifest lists {expected}")
+    return [param(name, np.frombuffer(payload, dtype="<f8", count=math.prod(shape),
+                                      offset=offset).reshape(shape))
+            for name, shape, offset in entries]
 
 
 def checkpoint_files_equal(stem_a: str, stem_b: str) -> bool:

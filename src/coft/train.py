@@ -25,7 +25,6 @@ differences.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -585,7 +584,12 @@ def train_fft(student: FFTEncoder, clean: PseudoLabelSet, provider: FrozenProvid
 # ---------------------------------------------------------------------------
 
 class MomentumState:
-    """EMA twin of the student encoder plus a FIFO queue of key embeddings."""
+    """EMA twin of the student encoder plus a FIFO queue of key embeddings.
+
+    The queue is a preallocated ``(2 * capacity, dim)`` buffer in which every
+    key is written twice, ``capacity`` rows apart, so the held keys, oldest
+    first, are always one contiguous slice of it.
+    """
 
     def __init__(self, encoder: FFTEncoder, mu: float, tau_prime: float,
                  capacity: int):
@@ -599,12 +603,35 @@ class MomentumState:
         self.mu = float(mu)
         self.tau_prime = float(tau_prime)
         self.capacity = int(capacity)
-        self.queue: deque = deque(maxlen=capacity)
+        self._ring = np.zeros((2 * self.capacity, self.momentum.dim))
+        self._next = 0  # ring row the next key goes to, in [0, capacity)
+        self._size = 0
+
+    def enqueue(self, keys) -> None:
+        """Append the rows of ``keys`` (n, dim), evicting the oldest past capacity."""
+        keys = as_f64(keys)
+        if keys.ndim != 2 or keys.shape[1] != self._ring.shape[1]:
+            raise ShapeError(f"keys must have shape (n, {self._ring.shape[1]}), "
+                             f"got {keys.shape}")
+        keys = keys[-self.capacity:]
+        cap, start = self.capacity, self._next
+        end = start + keys.shape[0]
+        self._ring[start:end] = keys
+        if end <= cap:
+            self._ring[start + cap:end + cap] = keys
+        else:
+            self._ring[start + cap:] = keys[:cap - start]
+            self._ring[:end - cap] = keys[cap - start:]
+        self._next = end % cap
+        self._size = min(self._size + keys.shape[0], cap)
+
+    def _held(self) -> np.ndarray:
+        """The held keys, oldest first, as a view of the ring buffer."""
+        start = (self._next - self._size) % self.capacity
+        return self._ring[start:start + self._size]
 
     def queue_array(self) -> np.ndarray:
-        if not self.queue:
-            return np.zeros((0, self.momentum.dim))
-        return np.array(list(self.queue))
+        return self._held().copy()
 
 
 def momentum_update(state: MomentumState, primary: FFTEncoder) -> MomentumState:
@@ -661,7 +688,7 @@ def loss_contrastive(primary: FFTEncoder, state: MomentumState, views_q, views_k
         raise DomainError("query embedding collapsed to zero norm")
     q_hat = q_raw / q_norms
 
-    negatives = state.queue_array()
+    negatives = state._held()
     pos = np.sum(q_hat * keys, axis=1)
     logits = np.concatenate([pos[:, None], q_hat @ negatives.T], axis=1)
     logits = logits / state.tau_prime
@@ -680,8 +707,7 @@ def loss_contrastive(primary: FFTEncoder, state: MomentumState, views_q, views_k
     encode_batch_backward(qcache, d_q_raw)
 
     if update_queue:
-        for row in keys:
-            state.queue.append(row.copy())
+        state.enqueue(keys)
     return loss
 
 
@@ -882,7 +908,7 @@ def gradient_check_suite(instances: int = 20, seed: int = 0, eps: float = 1e-5,
         for p in state.momentum.params():
             p.value[:] = rng.normal(size=p.shape) * 0.4
         for _ in range(int(rng.integers(0, 9))):
-            state.queue.append(normalize_rows(rng.normal(size=(1, provider.dim)))[0])
+            state.enqueue(normalize_rows(rng.normal(size=(1, provider.dim))))
         views_q = normalize_rows(rng.normal(size=(batch, provider.dim)))
         views_k = normalize_rows(rng.normal(size=(batch, provider.dim)))
         results.append((
@@ -913,7 +939,7 @@ def save_model_checkpoint(stem: str, model: AdaptedModel) -> str:
 
 def load_model_checkpoint(stem: str, provider: FrozenProvider, cfg: TrainConfig,
                           model_id: str) -> AdaptedModel:
-    params, _ = load_checkpoint(stem)
+    params = load_checkpoint(stem)
     by_suffix = {p.name.split("/", 1)[-1]: p for p in params}
     try:
         bank = PromptBank(pos_context=by_suffix["pos_context"],
@@ -939,7 +965,7 @@ def save_student_checkpoint(stem: str, student: FFTEncoder) -> str:
 
 
 def load_student_checkpoint(stem: str) -> FFTEncoder:
-    params, _ = load_checkpoint(stem)
+    params = load_checkpoint(stem)
     by_suffix = {p.name.split("/", 1)[-1]: p for p in params}
     try:
         return FFTEncoder(

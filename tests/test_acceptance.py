@@ -162,12 +162,12 @@ class TestCriterion2:
             for p in state.momentum.params():
                 p.value[:] = rng.normal(size=p.shape) * 0.4
             for _ in range(int(rng.integers(0, 9))):
-                state.queue.append(normalize_rows(rng.normal(size=(1, provider.dim)))[0])
+                state.enqueue(normalize_rows(rng.normal(size=(1, provider.dim))))
             vq = normalize_rows(rng.normal(size=(b, provider.dim)))
             vk = normalize_rows(rng.normal(size=(b, provider.dim)))
             got = loss_contrastive(student, state, vq, vk, update_queue=False)
             want = oracle_contrastive(student, state.momentum,
-                                      [r.tolist() for r in state.queue],
+                                      state.queue_array().tolist(),
                                       vq, vk, state.tau_prime)
             assert abs(got - want) <= 1e-12
             checked["contrastive"] += 1

@@ -263,6 +263,16 @@ class TestEval:
         assert {"zero_shot_accuracy", "phase1_model_accuracy", "student_accuracy",
                 "ensemble_accuracy"} <= metrics
 
+    @pytest.mark.parametrize("resize", ["half", "plus8"])
+    def test_corrupt_student_payload_exits_2(self, tmp_path, capsys, resize):
+        _, out = self.finished_run(tmp_path)
+        payload = out / "checkpoints" / "phase2_student1.f64le"
+        raw = payload.read_bytes()
+        payload.write_bytes(raw[:len(raw) // 2] if resize == "half" else raw + bytes(8))
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "phase2_student1.f64le" in err and "payload" in err
 
     def test_with_truth_export(self, tmp_path, capsys):
         manifest, out = self.finished_run(tmp_path)

@@ -432,7 +432,7 @@ class TestLossContrastive:
         for p in state.momentum.params():
             p.value[:] = rng.normal(size=p.shape) * 0.4
         for _ in range(queue_len):
-            state.queue.append(normalize_rows(rng.normal(size=(1, d)))[0])
+            state.enqueue(normalize_rows(rng.normal(size=(1, d))))
         vq = normalize_rows(rng.normal(size=(batch, d)))
         vk = normalize_rows(rng.normal(size=(batch, d)))
         return primary, state, vq, vk
@@ -447,7 +447,7 @@ class TestLossContrastive:
         primary = init_fft_encoder(d, 2, 6, SeededRng(2))  # exact identity encoder
         state = MomentumState(primary, mu=0.9, tau_prime=0.2, capacity=4)
         e0 = np.eye(d)[0]
-        state.queue.append(e0.copy())  # negative identical to the positive key
+        state.enqueue(e0[None, :])  # negative identical to the positive key
         loss = loss_contrastive(primary, state, e0[None, :], e0[None, :],
                                 update_queue=False)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
@@ -457,7 +457,7 @@ class TestLossContrastive:
             primary, state, vq, vk = self._fixture(100 + seed)
             got = loss_contrastive(primary, state, vq, vk, update_queue=False)
             want = oracle_contrastive(primary, state.momentum,
-                                      [r.tolist() for r in state.queue],
+                                      state.queue_array().tolist(),
                                       vq, vk, state.tau_prime)
             assert abs(got - want) <= 1e-12
 

@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coft.core import SeededRng, normalize_rows
 from coft.data import SyntheticSpec, generate_synthetic
 from coft.encoders import FrozenProvider, encode_batch, init_fft_encoder
-from coft.errors import ConfigError, ContractError, PipelineError, TrainingError
+from coft.errors import ConfigError, ContractError, PipelineError, ShapeError, TrainingError
 from coft.grad import Adam, step
 from coft.pseudo import (
     assign_pseudo_labels,
@@ -375,6 +377,41 @@ class TestMomentum:
         got = state.queue_array()
         want = np.array(expected_keys[-capacity:])
         np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6), st.lists(st.integers(0, 14), max_size=12))
+    def test_queue_keeps_the_last_capacity_rows(self, capacity, batch_sizes):
+        d = 3
+        state = MomentumState(init_fft_encoder(d, 2, 4, SeededRng(7)), mu=0.5,
+                              tau_prime=0.2, capacity=capacity)
+        pushed = np.zeros((0, d))
+        for n in batch_sizes:  # batches up to more than twice the capacity
+            keys = (pushed.size + np.arange(n * d, dtype=np.float64)).reshape(n, d)
+            state.enqueue(keys)
+            pushed = np.concatenate([pushed, keys])
+            got = state.queue_array()
+            assert got.shape == (min(pushed.shape[0], capacity), d)
+            assert got.tobytes() == pushed[pushed.shape[0] - got.shape[0]:].tobytes()
+
+    def test_queue_array_is_a_copy(self):
+        state = MomentumState(init_fft_encoder(2, 2, 4, SeededRng(8)), mu=0.5,
+                              tau_prime=0.2, capacity=3)
+        state.enqueue([[1.0, 2.0], [3.0, 4.0]])
+        snapshot = state.queue_array()
+        state.enqueue([[5.0, 6.0], [7.0, 8.0]])
+        np.testing.assert_array_equal(snapshot, [[1.0, 2.0], [3.0, 4.0]])
+        snapshot[0] = -1.0
+        np.testing.assert_array_equal(state.queue_array(),
+                                      [[3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+
+    def test_enqueue_rejects_wrong_key_width(self):
+        state = MomentumState(init_fft_encoder(2, 2, 4, SeededRng(9)), mu=0.5,
+                              tau_prime=0.2, capacity=3)
+        with pytest.raises(ShapeError):
+            state.enqueue(np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            state.enqueue(np.zeros(2))
+        assert state.queue_array().shape == (0, 2)
 
 
 class TestPhase2Plus:
