@@ -51,12 +51,12 @@ class AdamReference:
 
     def step(self, g):
         g = np.asarray(g, dtype=np.float64)
-        b1, b2, o = self.opt.beta1, self.opt.beta2, self.opt
+        opt, b1, b2 = self.opt, self.opt.beta1, self.opt.beta2
         self.t += 1
         self.m = self.m * b1 + (1.0 - b1) * g
         self.v = self.v * b2 + (1.0 - b2) * g**2
-        self.value = self.value - o.learning_rate * (self.m / (1.0 - b1**self.t)) / (
-            np.sqrt(self.v / (1.0 - b2**self.t)) + o.eps)
+        self.value = self.value - opt.learning_rate * (self.m / (1.0 - b1**self.t)) / (
+            np.sqrt(self.v / (1.0 - b2**self.t)) + opt.eps)
 
 
 class TestStep:
