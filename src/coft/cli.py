@@ -25,7 +25,6 @@ import typing
 
 import numpy as np
 
-from .core import SeededRng
 from .data import (
     SyntheticSpec,
     generate_synthetic,
@@ -234,7 +233,7 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
 
-    provider = FrozenProvider.build(ds.embeddings, ds.class_anchors, SeededRng(rc.seed))
+    provider = FrozenProvider(ds.embeddings, ds.class_anchors)
     zero_texts = provider.class_anchors
     if rc.templates:
         if not os.path.exists(rc.templates):

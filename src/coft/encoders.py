@@ -1,12 +1,11 @@
 """Frozen embedding provider plus every learnable adaptation piece.
 
-The frozen backbone is a precomputed table: L2-normalized image embeddings,
-one normalized anchor per class, and a fixed random linear mixer that maps
-learnable context vectors into embedding space. On top of it live:
+The frozen backbone is a precomputed table: L2-normalized image embeddings
+and one normalized anchor per class. On top of it live:
 
   * PromptBank    - class-specific positive/negative contexts composed into
-                    per-class text embeddings (context row k -> mixer ->
-                    + anchor k -> renormalize)
+                    per-class text embeddings (anchor k + context row k ->
+                    renormalize)
   * VisualAdapter - low-rank residual over a frozen image embedding,
                     renormalized; exact identity while its up-projection is 0
   * FFTEncoder    - residual two-layer MLP over raw embeddings plus a linear
@@ -61,18 +60,15 @@ class FrozenProvider:
     norm are rejected as corrupt rather than silently fixed.
     """
 
-    def __init__(self, image_embeddings, class_anchors, mixer):
+    def __init__(self, image_embeddings, class_anchors):
         emb = as_f64(image_embeddings)
         anchors = as_f64(class_anchors)
-        mixer = as_f64(mixer)
         if emb.ndim != 2 or anchors.ndim != 2:
             raise ShapeError("embeddings and anchors must be 2-D tables")
         if emb.shape[1] != anchors.shape[1]:
             raise ShapeError(
                 f"embedding dim {emb.shape[1]} != anchor dim {anchors.shape[1]}"
             )
-        if mixer.ndim != 2 or mixer.shape[0] != emb.shape[1]:
-            raise ShapeError("mixer must map ctx_dim -> embedding dim")
         for name, table in (("image embedding", emb), ("class anchor", anchors)):
             norms = np.linalg.norm(table, axis=1)
             if np.any(np.abs(norms - 1.0) > _NORM_TOL):
@@ -80,17 +76,8 @@ class FrozenProvider:
                 raise DomainError(f"{name} row {worst} is not unit-norm (|v|={norms[worst]!r})")
         self._embeddings = normalize_rows(emb)
         self._anchors = normalize_rows(anchors)
-        self._mixer = mixer.copy()
-        for arr in (self._embeddings, self._anchors, self._mixer):
+        for arr in (self._embeddings, self._anchors):
             arr.setflags(write=False)
-
-    @classmethod
-    def build(cls, image_embeddings, class_anchors, rng: SeededRng, ctx_dim=None):
-        """Construct with a mixer drawn from the run's ``provider/mixer`` stream."""
-        dim = np.asarray(image_embeddings).shape[1]
-        ctx_dim = dim if ctx_dim is None else int(ctx_dim)
-        mixer = rng.stream("provider/mixer").normal((dim, ctx_dim), scale=1.0 / np.sqrt(ctx_dim))
-        return cls(image_embeddings, class_anchors, mixer)
 
     @property
     def image_embeddings(self) -> np.ndarray:
@@ -99,10 +86,6 @@ class FrozenProvider:
     @property
     def class_anchors(self) -> np.ndarray:
         return self._anchors
-
-    @property
-    def mixer(self) -> np.ndarray:
-        return self._mixer
 
     @property
     def num_samples(self) -> int:
@@ -115,10 +98,6 @@ class FrozenProvider:
     @property
     def dim(self) -> int:
         return self._embeddings.shape[1]
-
-    @property
-    def ctx_dim(self) -> int:
-        return self._mixer.shape[1]
 
     def embedding(self, sample_id: int) -> np.ndarray:
         if not 0 <= sample_id < self.num_samples:
@@ -133,7 +112,7 @@ class FrozenProvider:
 @dataclass
 class PromptBank:
     """Learnable class-specific positive and negative contexts, shape
-    (C, ctx_dim) each: row k shifts class k's anchor (CoOp's class-specific
+    (C, d) each: row k shifts class k's anchor (CoOp's class-specific
     context variant), so each class's text can move on its own.
 
     The per-class anchors are read from the shared provider; only the two
@@ -157,7 +136,7 @@ class PromptBank:
 def init_prompt_bank(provider: FrozenProvider, rng: SeededRng, sigma: float = 0.02,
                      name_prefix: str = "") -> PromptBank:
     """Fresh bank with Gaussian contexts from distinct pos/neg streams."""
-    shape = (provider.num_classes, provider.ctx_dim)
+    shape = (provider.num_classes, provider.dim)
     pos = rng.stream("pos_context").normal(shape, scale=sigma)
     neg = rng.stream("neg_context").normal(shape, scale=sigma)
     return PromptBank(
@@ -169,19 +148,18 @@ def init_prompt_bank(provider: FrozenProvider, rng: SeededRng, sigma: float = 0.
 @dataclass
 class _ComposeCache:
     context: ParamTensor
-    mixer: np.ndarray
     texts: np.ndarray   # (C, d) normalized
     norms: np.ndarray   # (C,) pre-normalization row norms
 
 
 def compose_texts(bank: PromptBank, provider: FrozenProvider, polarity: str):
-    """Text embeddings for every class: normalize(anchor_k + mixer @ ctx_k).
+    """Text embeddings for every class: normalize(anchor_k + ctx_k).
 
     Returns (texts (C, d), cache for the backward pass).
     """
     ctx = bank._context(polarity)
     with np.errstate(over="ignore", invalid="ignore"):
-        pre = provider.class_anchors + ctx.value @ provider.mixer.T
+        pre = provider.class_anchors + ctx.value
         norms = np.linalg.norm(pre, axis=1)
     if not np.all(np.isfinite(norms)):
         raise TrainingError(f"composed {polarity} text embedding is non-finite: "
@@ -189,19 +167,17 @@ def compose_texts(bank: PromptBank, provider: FrozenProvider, polarity: str):
     if np.any(norms == 0.0):
         raise DomainError("composed text embedding collapsed to zero norm")
     texts = pre / norms[:, None]
-    return texts, _ComposeCache(context=ctx, mixer=provider.mixer, texts=texts, norms=norms)
+    return texts, _ComposeCache(context=ctx, texts=texts, norms=norms)
 
 
-def compose_texts_backward(cache: _ComposeCache, d_texts) -> np.ndarray:
-    """Accumulate d(loss)/d(context) given d(loss)/d(texts); returns the contribution."""
+def compose_texts_backward(cache: _ComposeCache, d_texts) -> None:
+    """Accumulate d(loss)/d(context) given d(loss)/d(texts)."""
     d_texts = as_f64(d_texts)
     t = cache.texts
     # back through row-wise normalize: (g - (g.t) t) / |pre|
     proj = np.sum(d_texts * t, axis=1, keepdims=True)
     d_pre = (d_texts - proj * t) / cache.norms[:, None]
-    contribution = d_pre @ cache.mixer
-    accumulate_grad(cache.context, contribution)
-    return contribution
+    accumulate_grad(cache.context, d_pre)
 
 
 def compose_text(bank: PromptBank, provider: FrozenProvider, polarity: str,

@@ -233,7 +233,10 @@ def check_gradients(loss_fn, params, eps: float = 1e-5, tol: float = 1e-4,
 # field is always null: no optimizer state is saved.
 # ---------------------------------------------------------------------------
 
-_CKPT_FORMAT = "coft-checkpoint-v1"
+# v2: prompt contexts add to the class anchors directly. v1 contexts went
+# through a random mixer first, so they load with the right shape but mean
+# something else; v1 files are rejected as an unrecognized format.
+_CKPT_FORMAT = "coft-checkpoint-v2"
 
 
 def _paths(stem: str):

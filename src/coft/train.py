@@ -839,7 +839,7 @@ def _random_small_model(rng: np.random.Generator, seed_base: int):
     n = int(rng.integers(6, 17))
     emb = normalize_rows(rng.normal(size=(n, d)))
     anchors = normalize_rows(rng.normal(size=(c, d)))
-    provider = FrozenProvider.build(emb, anchors, SeededRng(seed_base))
+    provider = FrozenProvider(emb, anchors)
     cfg = TrainConfig(adapter_rank=2, tau=float(rng.uniform(0.07, 0.5)))
     model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(seed_base + 1))
     model.tau_pos = float(rng.uniform(0.07, 3.0))
@@ -937,23 +937,27 @@ def save_model_checkpoint(stem: str, model: AdaptedModel) -> str:
     return save_checkpoint(stem, model.params())
 
 
+def _checkpoint_tensors(stem: str, names) -> dict:
+    """A checkpoint's tensors keyed by name without the owner prefix; a
+    missing one is a FormatError naming the manifest."""
+    by_suffix = {p.name.split("/", 1)[-1]: p for p in load_checkpoint(stem)}
+    for name in names:
+        if name not in by_suffix:
+            raise FormatError(f"{stem}.json: checkpoint lacks tensor {name!r}")
+    return by_suffix
+
+
 def load_model_checkpoint(stem: str, provider: FrozenProvider, cfg: TrainConfig,
                           model_id: str) -> AdaptedModel:
-    params = load_checkpoint(stem)
-    by_suffix = {p.name.split("/", 1)[-1]: p for p in params}
-    try:
-        bank = PromptBank(pos_context=by_suffix["pos_context"],
-                          neg_context=by_suffix["neg_context"])
-        adapter = VisualAdapter(down=by_suffix["adapter_down"],
-                                up=by_suffix["adapter_up"],
-                                scale=cfg.adapter_scale)
-    except KeyError as e:
-        raise ContractError(f"checkpoint {stem!r} lacks tensor {e.args[0]!r}") from None
-    want = (provider.num_classes, provider.ctx_dim)
+    t = _checkpoint_tensors(stem, ("pos_context", "neg_context", "adapter_down", "adapter_up"))
+    bank = PromptBank(pos_context=t["pos_context"], neg_context=t["neg_context"])
+    adapter = VisualAdapter(down=t["adapter_down"], up=t["adapter_up"],
+                            scale=cfg.adapter_scale)
+    want = (provider.num_classes, provider.dim)
     for ctx in bank.params():
         if ctx.shape != want:
-            raise ContractError(
-                f"checkpoint {stem!r}: {ctx.name!r} has shape {ctx.shape}, expected "
+            raise FormatError(
+                f"{stem}.json: {ctx.name!r} has shape {ctx.shape}, expected "
                 f"{want} (one class-specific context row per class)")
     return AdaptedModel(model_id=model_id, provider=provider, bank=bank,
                         adapter=adapter, tau=cfg.tau, tau_pos=TAU_POS,
@@ -964,17 +968,12 @@ def save_student_checkpoint(stem: str, student: FFTEncoder) -> str:
     return save_checkpoint(stem, student.params())
 
 
+_STUDENT_TENSORS = ("fft_w1", "fft_b1", "fft_w2", "fft_b2", "fft_w_fc", "fft_b_fc")
+
+
 def load_student_checkpoint(stem: str) -> FFTEncoder:
-    params = load_checkpoint(stem)
-    by_suffix = {p.name.split("/", 1)[-1]: p for p in params}
-    try:
-        return FFTEncoder(
-            w1=by_suffix["fft_w1"], b1=by_suffix["fft_b1"],
-            w2=by_suffix["fft_w2"], b2=by_suffix["fft_b2"],
-            w_fc=by_suffix["fft_w_fc"], b_fc=by_suffix["fft_b_fc"],
-        )
-    except KeyError as e:
-        raise ContractError(f"checkpoint {stem!r} lacks tensor {e.args[0]!r}") from None
+    t = _checkpoint_tensors(stem, _STUDENT_TENSORS)
+    return FFTEncoder(*(t[name] for name in _STUDENT_TENSORS))
 
 # ---------------------------------------------------------------------------
 # End-to-end pipeline
@@ -1005,7 +1004,7 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
         truth = None  # evaluation extras only; the run itself never needs truth
 
     root = SeededRng(seed)
-    provider = FrozenProvider.build(ds.embeddings, ds.class_anchors, root)
+    provider = FrozenProvider(ds.embeddings, ds.class_anchors)
 
     labels_dir = os.path.join(out_dir, "labels")
     ckpt_dir = os.path.join(out_dir, "checkpoints")
@@ -1025,8 +1024,9 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
         for entry in rounds_log:
             r = entry["round"]
             for mid in ("model1", "model2"):
-                entry["generated"][mid].save(
-                    os.path.join(labels_dir, f"round{r}_{mid}.jsonl"))
+                if r > 1:  # round 1 generated the zero-shot table saved above
+                    entry["generated"][mid].save(
+                        os.path.join(labels_dir, f"round{r}_{mid}.jsonl"))
                 entry["selected"][mid].save(
                     os.path.join(labels_dir, f"round{r}_{mid}_selected.jsonl"))
         save_model_checkpoint(os.path.join(ckpt_dir, "phase1_model1"), model1)

@@ -76,7 +76,7 @@ def random_fixture_model(rng, trained=True):
     n = int(rng.integers(8, 21))
     emb = normalize_rows(rng.normal(size=(n, d)))
     anchors = normalize_rows(rng.normal(size=(c, d)))
-    provider = FrozenProvider.build(emb, anchors, SeededRng(int(rng.integers(0, 2**31))))
+    provider = FrozenProvider(emb, anchors)
     cfg = TrainConfig(adapter_rank=2, tau=float(rng.uniform(0.07, 0.5)))
     tau_pos = float(rng.uniform(0.07, 3.0))
     model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(int(rng.integers(0, 2**31))))
@@ -118,7 +118,7 @@ class TestCriterion2:
             d = int(rng.integers(3, 11))
             emb = normalize_rows(rng.normal(size=(1, d)))
             texts = normalize_rows(rng.normal(size=(c, d)))
-            provider = FrozenProvider(emb, texts, np.eye(d))
+            provider = FrozenProvider(emb, texts)
             tau = float(rng.uniform(0.05, 1.5))
             got = zero_shot_probs(provider, 0, tau, texts)
             want = zero_shot_oracle(emb[0], texts, tau)
@@ -206,9 +206,9 @@ class TestCriterion2:
             result = collaborative_filter(gen, val)
             gp = oracle_model_pieces(gen)
             vp = oracle_model_pieces(val)
-            texts_g = oracle_compose(gp["pos"], gp["mixer"], gp["anchors"])
-            texts_vp = oracle_compose(vp["pos"], vp["mixer"], vp["anchors"])
-            texts_vn = oracle_compose(vp["neg"], vp["mixer"], vp["anchors"])
+            texts_g = oracle_compose(gp["pos"], gp["anchors"])
+            texts_vp = oracle_compose(vp["pos"], vp["anchors"])
+            texts_vn = oracle_compose(vp["neg"], vp["anchors"])
             want_clean = set()
             want_noise = set()
             for sid in range(provider.num_samples):
@@ -386,10 +386,9 @@ class TestCriterion7:
 
         # frozen tables byte-identical before and after each phase
         root = SeededRng(seed)
-        provider = FrozenProvider.build(ds.embeddings, ds.class_anchors, root)
+        provider = FrozenProvider(ds.embeddings, ds.class_anchors)
         emb0 = provider.image_embeddings.tobytes()
         anchors0 = provider.class_anchors.tobytes()
-        mixer0 = provider.mixer.tobytes()
         frozen_ok = True
 
         m1, m2, _ = iterate_peft(provider, cfg, root, provider.class_anchors)
@@ -406,7 +405,6 @@ class TestCriterion7:
                           root, "phase2/student1")
         frozen_ok &= provider.image_embeddings.tobytes() == emb0
         frozen_ok &= provider.class_anchors.tobytes() == anchors0
-        frozen_ok &= provider.mixer.tobytes() == mixer0
 
         ok = identical and bool(frozen_ok)
         assert report(7, "determinism and frozenness", ok,

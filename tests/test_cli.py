@@ -6,7 +6,7 @@ import pytest
 
 from coft.cli import main
 from coft.data import load_dataset, load_ground_truth
-from coft.grad import checkpoint_files_equal
+from coft.grad import checkpoint_files_equal, load_checkpoint, param, save_checkpoint
 from coft.pseudo import PseudoLabelSet
 
 
@@ -87,6 +87,21 @@ class TestRun:
                 str(tmp_path / "plain" / "checkpoints" / stem),
                 str(tmp_path / "degenerate" / "checkpoints" / stem),
             ), stem
+
+    def test_zero_shot_table_exported_once(self, tmp_path):
+        # round 1 generates from the zero-shot table for both models, so only
+        # zeroshot.jsonl holds it; later rounds export their own generations
+        manifest = make_dataset(tmp_path)
+        out = tmp_path / "plus"
+        assert run_cli("run", "--dataset", manifest, "--mode", "coft-plus", "--rounds", "2",
+                       "--seed", "5", "--out", str(out), *FAST_TRAIN) == 0
+        assert sorted(os.listdir(out / "labels")) == [
+            "filter_model1.jsonl", "filter_model2.jsonl",
+            "round1_model1_selected.jsonl", "round1_model2_selected.jsonl",
+            "round2_model1.jsonl", "round2_model1_selected.jsonl",
+            "round2_model2.jsonl", "round2_model2_selected.jsonl",
+            "zeroshot.jsonl",
+        ]
 
     def test_missing_dataset_exits_2(self, tmp_path):
         assert run_cli("run", "--dataset", str(tmp_path / "nope.json"),
@@ -273,6 +288,45 @@ class TestEval:
         assert run_cli("eval", "--run", str(out)) == 2
         err = capsys.readouterr().err
         assert "phase2_student1.f64le" in err and "payload" in err
+
+    @pytest.mark.parametrize("stem,tensor", [("phase1_model1", "pos_context"),
+                                             ("phase2_student2", "fft_w1")])
+    def test_missing_tensor_exits_2(self, tmp_path, capsys, stem, tensor):
+        _, out = self.finished_run(tmp_path)
+        path = out / "checkpoints" / f"{stem}.json"
+        manifest = json.loads(path.read_text())
+        for e in manifest["params"]:
+            if e["name"].endswith("/" + tensor):
+                e["name"] += "_renamed"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{stem}.json" in err and repr(tensor) in err
+
+    def test_wrong_context_shape_exits_2(self, tmp_path, capsys):
+        _, out = self.finished_run(tmp_path)
+        stem = str(out / "checkpoints" / "phase1_model2")
+        params = [param(p.name, p.value[:2]) if p.name.endswith("/neg_context") else p
+                  for p in load_checkpoint(stem)]
+        save_checkpoint(stem, params)
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "phase1_model2.json" in err and "neg_context" in err and "(2, 16)" in err
+
+    def test_checkpoint_from_before_v2_exits_2(self, tmp_path, capsys):
+        # v1 contexts went through a mixer: same shape, different meaning
+        _, out = self.finished_run(tmp_path)
+        path = out / "checkpoints" / "phase1_model1.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["format"] == "coft-checkpoint-v2"
+        manifest["format"] = "coft-checkpoint-v1"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "phase1_model1.json" in err and "unrecognized checkpoint format" in err
 
     def test_with_truth_export(self, tmp_path, capsys):
         manifest, out = self.finished_run(tmp_path)

@@ -192,7 +192,7 @@ class TestTemplates:
         rng = np.random.default_rng(seed)
         emb = normalize_rows(rng.normal(size=(4, d)))
         anchors = normalize_rows(rng.normal(size=(c, d)))
-        return FrozenProvider(emb, anchors, np.eye(d))
+        return FrozenProvider(emb, anchors)
 
     def test_single_template_identity(self, tmp_path):
         provider = self.make_provider()

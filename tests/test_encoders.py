@@ -22,12 +22,11 @@ from coft.errors import DomainError, ShapeError
 from coft.grad import check_gradients, param
 
 
-def make_provider(n=6, c=3, d=5, seed=0, identity_mixer=False):
+def make_provider(n=6, c=3, d=5, seed=0):
     rng = np.random.default_rng(seed)
     emb = normalize_rows(rng.normal(size=(n, d)))
     anchors = normalize_rows(rng.normal(size=(c, d)))
-    mixer = np.eye(d) if identity_mixer else rng.normal(size=(d, d)) / np.sqrt(d)
-    return FrozenProvider(emb, anchors, mixer)
+    return FrozenProvider(emb, anchors)
 
 
 class TestFrozenProvider:
@@ -35,7 +34,7 @@ class TestFrozenProvider:
         emb = np.array([[1.0, 0.0], [2.0, 0.0]])
         anchors = np.eye(2)
         with pytest.raises(DomainError):
-            FrozenProvider(emb, anchors, np.eye(2))
+            FrozenProvider(emb, anchors)
 
     def test_immutable(self):
         p = make_provider()
@@ -49,12 +48,18 @@ class TestFrozenProvider:
         with pytest.raises(KeyError):
             p.embedding(4)
 
-    def test_build_mixer_deterministic(self):
+    def test_tables_are_private_copies(self):
+        # the provider is the two tables and nothing else: later writes to
+        # the caller's arrays do not reach it
         emb = normalize_rows(np.random.default_rng(1).normal(size=(3, 4)))
-        anchors = np.eye(4)[:2]
-        p1 = FrozenProvider.build(emb, anchors, SeededRng(5))
-        p2 = FrozenProvider.build(emb, anchors, SeededRng(5))
-        assert p1.mixer.tobytes() == p2.mixer.tobytes()
+        anchors = np.eye(4)[:2].copy()
+        p = FrozenProvider(emb, anchors)
+        emb0, anchors0 = p.image_embeddings.tobytes(), p.class_anchors.tobytes()
+        emb[:] = 0.0
+        anchors[:] = 0.0
+        assert p.image_embeddings.tobytes() == emb0
+        assert p.class_anchors.tobytes() == anchors0
+        assert (p.num_samples, p.num_classes, p.dim) == (3, 2, 4)
 
 
 class TestComposeText:
@@ -75,11 +80,11 @@ class TestComposeText:
         tn, _ = compose_texts(bank, p, "negative")
         np.testing.assert_array_equal(tp, tn)
 
-    def test_one_token_identity_mixer_hand_case(self):
+    def test_one_token_hand_case(self):
         d = 4
         emb = np.eye(d)[:2]
         anchors = np.eye(d)[:2]  # anchor of class 1 = e2
-        p = FrozenProvider(emb, anchors, np.eye(d))
+        p = FrozenProvider(emb, anchors)
         bank = init_prompt_bank(p, SeededRng(3))
         bank.pos_context.value[:] = 0.0
         bank.pos_context.value[1, 0] = 1.0  # class 1's context token e1
@@ -92,13 +97,13 @@ class TestComposeText:
         # row k of a context table moves class k's text and no other
         p = make_provider(c=4, seed=5)
         bank = init_prompt_bank(p, SeededRng(12).stream("m1"), sigma=0.3)
-        assert bank.pos_context.shape == (p.num_classes, p.ctx_dim)
+        assert bank.pos_context.shape == (p.num_classes, p.dim)
         before, _ = compose_texts(bank, p, "positive")
         bank.pos_context.value[2] += 0.5
         after, _ = compose_texts(bank, p, "positive")
         changed = np.any(before != after, axis=1)
         assert changed.tolist() == [False, False, True, False]
-        want = p.class_anchors[2] + p.mixer @ bank.pos_context.value[2]
+        want = p.class_anchors[2] + bank.pos_context.value[2]
         np.testing.assert_allclose(after[2], want / np.linalg.norm(want), atol=1e-12)
 
     def test_overflowed_context_names_the_parameter(self):

@@ -39,11 +39,10 @@ def _norm(a):
     return math.sqrt(_dot(a, a))
 
 
-def oracle_compose(context_rows, mixer, anchors):
+def oracle_compose(context_rows, anchors):
     texts = []
     for a, ctx in zip(anchors, context_rows):
-        shift = [_dot(mixer_row, ctx) for mixer_row in mixer]
-        pre = [a[i] + shift[i] for i in range(len(a))]
+        pre = [a[i] + ctx[i] for i in range(len(a))]
         n = _norm(pre)
         texts.append([x / n for x in pre])
     return texts
@@ -59,7 +58,6 @@ def oracle_adapt(down, up, scale, e):
 def oracle_model_pieces(model):
     p = model.provider
     return {
-        "mixer": p.mixer.tolist(),
         "anchors": p.class_anchors.tolist(),
         "pos": model.bank.pos_context.value.tolist(),
         "neg": model.bank.neg_context.value.tolist(),
@@ -73,7 +71,7 @@ def oracle_model_pieces(model):
 
 def oracle_l1(model, emb, labels):
     mp = oracle_model_pieces(model)
-    texts = oracle_compose(mp["pos"], mp["mixer"], mp["anchors"])
+    texts = oracle_compose(mp["pos"], mp["anchors"])
     total = 0.0
     for e, y in zip(emb.tolist(), labels):
         exps = [math.exp(_dot(e, t) / mp["tau_pos"]) for t in texts]
@@ -83,8 +81,8 @@ def oracle_l1(model, emb, labels):
 
 def oracle_p_clean(model, e, label):
     mp = oracle_model_pieces(model)
-    tp = oracle_compose(mp["pos"], mp["mixer"], mp["anchors"])[label]
-    tn = oracle_compose(mp["neg"], mp["mixer"], mp["anchors"])[label]
+    tp = oracle_compose(mp["pos"], mp["anchors"])[label]
+    tn = oracle_compose(mp["neg"], mp["anchors"])[label]
     v = oracle_adapt(mp["down"], mp["up"], mp["scale"], list(e))
     ep = math.exp(_dot(v, tp) / mp["tau"])
     en = math.exp(_dot(v, tn) / mp["tau"])
@@ -143,7 +141,7 @@ def random_model(seed, c=None, d=None, tau=None, identity_adapter=False):
     n = 20
     emb = normalize_rows(rng.normal(size=(n, d)))
     anchors = normalize_rows(rng.normal(size=(c, d)))
-    provider = FrozenProvider.build(emb, anchors, SeededRng(seed))
+    provider = FrozenProvider(emb, anchors)
     cfg = TrainConfig(adapter_rank=2, tau=tau or float(rng.uniform(0.07, 0.5)))
     tau_pos = float(rng.uniform(0.07, 3.0))
     model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(seed + 1))
@@ -157,7 +155,7 @@ def random_model(seed, c=None, d=None, tau=None, identity_adapter=False):
 def aligned_fixture(c=3, d=4):
     anchors = np.eye(d)[:c]
     emb = anchors.copy()
-    provider = FrozenProvider(emb, anchors, np.eye(d))
+    provider = FrozenProvider(emb, anchors)
     cfg = TrainConfig(adapter_rank=2, tau=0.07)
     model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(3))
     model.tau_pos = 0.07
@@ -178,7 +176,7 @@ class TestLossPositive:
         d, c = 5, 3
         anchors = np.eye(d)[:c]
         emb = np.eye(d)[c][None, :]  # orthogonal to every anchor
-        provider = FrozenProvider(emb, anchors, np.eye(d))
+        provider = FrozenProvider(emb, anchors)
         cfg = TrainConfig(adapter_rank=2, tau=0.07)
         model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(4))
         model.bank.pos_context.value[:] = 0.0
@@ -226,7 +224,7 @@ class TestCleanProbability:
         d = 4
         anchors = np.eye(d)[:2]
         emb = np.eye(d)[:1]
-        provider = FrozenProvider(emb, anchors, np.eye(d))
+        provider = FrozenProvider(emb, anchors)
         cfg = TrainConfig(adapter_rank=2, tau=0.07)
         model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(5))
         model.bank.pos_context.value[:] = 0.0
@@ -279,7 +277,7 @@ class TestLossNegative:
         anchors = np.eye(d)[2:4]  # class 0 anchor e2, class 1 anchor e3
         v = np.zeros(d)
         v[2] = v[3] = 1 / np.sqrt(2)
-        provider = FrozenProvider(v[None, :], anchors, np.eye(d))
+        provider = FrozenProvider(v[None, :], anchors)
         cfg = TrainConfig(adapter_rank=2, tau=0.01)
         model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(8))
         model.adapter.up.value[:] = 0.0

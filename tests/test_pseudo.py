@@ -42,7 +42,7 @@ def make_provider(n=8, c=4, d=6, seed=0):
     rng = np.random.default_rng(seed)
     emb = normalize_rows(rng.normal(size=(n, d)))
     anchors = normalize_rows(rng.normal(size=(c, d)))
-    return FrozenProvider(emb, anchors, np.eye(d))
+    return FrozenProvider(emb, anchors)
 
 
 class TestZeroShotProbs:
@@ -50,7 +50,7 @@ class TestZeroShotProbs:
         d = 5
         anchors = np.eye(d)[:3]
         emb = np.eye(d)[2][None, :]  # equals anchor of class 2
-        provider = FrozenProvider(emb, anchors, np.eye(d))
+        provider = FrozenProvider(emb, anchors)
         p = zero_shot_probs(provider, 0, 0.07, anchors)
         assert np.argmax(p) == 2
         assert p[2] > 0.99
@@ -77,7 +77,7 @@ class TestZeroShotProbs:
             d = int(rng.integers(2, 10))
             emb = normalize_rows(rng.normal(size=(1, d)))
             texts = normalize_rows(rng.normal(size=(c, d)))
-            provider = FrozenProvider(emb, texts, np.eye(d))
+            provider = FrozenProvider(emb, texts)
             tau = float(rng.uniform(0.05, 2.0))
             got = zero_shot_probs(provider, 0, tau, texts)
             want = zero_shot_oracle(emb[0], texts, tau)
@@ -306,7 +306,7 @@ class TestSelectionBeatsCandidates:
             spec = SyntheticSpec(classes=5, per_class=40, dim=32, noise_sigma=0.4,
                                  anchor_alignment=0.6, seed=seed)
             ds, truth = generate_synthetic(spec)
-            provider = FrozenProvider(ds.embeddings, ds.class_anchors, np.eye(ds.dim))
+            provider = FrozenProvider(ds.embeddings, ds.class_anchors)
             probs = class_probabilities(provider.image_embeddings,
                                         provider.class_anchors, 0.07)
             candidates = assign_pseudo_labels(probs)

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from coft.core import SeededRng, normalize_rows
 from coft.data import SyntheticSpec, generate_synthetic
 from coft.encoders import FrozenProvider, encode_batch, init_fft_encoder
-from coft.errors import ConfigError, ContractError, PipelineError, ShapeError, TrainingError
+from coft.errors import (
+    ConfigError,
+    ContractError,
+    FormatError,
+    PipelineError,
+    ShapeError,
+    TrainingError,
+)
 from coft.grad import Adam, step
 from coft.pseudo import (
     assign_pseudo_labels,
@@ -39,11 +46,11 @@ from test_losses import oracle_adapt, oracle_compose, oracle_model_pieces
 
 
 def synthetic_provider(seed=0, classes=3, per_class=20, dim=8, sigma=0.05,
-                       alignment=1.0, run_seed=99):
+                       alignment=1.0):
     spec = SyntheticSpec(classes=classes, per_class=per_class, dim=dim,
                          noise_sigma=sigma, anchor_alignment=alignment, seed=seed)
     ds, truth = generate_synthetic(spec)
-    provider = FrozenProvider.build(ds.embeddings, ds.class_anchors, SeededRng(run_seed))
+    provider = FrozenProvider(ds.embeddings, ds.class_anchors)
     return provider, truth
 
 
@@ -203,7 +210,7 @@ class TestCollaborativeFilter:
         d = 4
         anchors = np.eye(d)[:2]
         emb = np.vstack([np.eye(d)[0], np.eye(d)[2]])  # a aligns with class 0, b with nothing
-        provider = FrozenProvider(emb, anchors, np.eye(d))
+        provider = FrozenProvider(emb, anchors)
         cfg = small_cfg()
         gen = init_adapted_model(provider, "model1", 1, cfg, SeededRng(3))
         val = init_adapted_model(provider, "model2", 1, cfg, SeededRng(4))
@@ -231,9 +238,9 @@ class TestCollaborativeFilter:
         # brute-force straight-line recomputation per sample
         gp = oracle_model_pieces(m1)
         vp = oracle_model_pieces(m2)
-        texts_g = oracle_compose(gp["pos"], gp["mixer"], gp["anchors"])
-        texts_vp = oracle_compose(vp["pos"], vp["mixer"], vp["anchors"])
-        texts_vn = oracle_compose(vp["neg"], vp["mixer"], vp["anchors"])
+        texts_g = oracle_compose(gp["pos"], gp["anchors"])
+        texts_vp = oracle_compose(vp["pos"], vp["anchors"])
+        texts_vn = oracle_compose(vp["neg"], vp["anchors"])
         for sid in ids:
             e = provider.image_embeddings[sid].tolist()
             sims = [sum(a * b for a, b in zip(e, t)) for t in texts_g]
@@ -263,6 +270,37 @@ class TestCollaborativeFilter:
         assert both["model2"].generator_id == "model2"
         for r in both.values():
             assert r.clean_ids.size + r.noise_ids.size == provider.num_samples
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(2, 5), d=st.integers(3, 8),
+           n=st.integers(1, 12), data=st.data())
+    def test_partition_property(self, seed, c, d, n, data):
+        # random small models on a random subset; the validator's negative
+        # context equals its positive one on the "tied" classes, so every
+        # sample labelled with such a class has sim_pos == sim_neg exactly
+        rng = np.random.default_rng(seed)
+        provider = FrozenProvider(normalize_rows(rng.normal(size=(n, d))),
+                                  normalize_rows(rng.normal(size=(c, d))))
+        gen, val = (init_adapted_model(provider, mid, 1, small_cfg(), SeededRng(seed))
+                    for mid in ("model1", "model2"))
+        for m in (gen, val):
+            for p in m.params():
+                p.value[:] = rng.normal(size=p.shape) * 0.3
+            m.trained = True
+        tied = np.array(data.draw(st.lists(st.booleans(), min_size=c, max_size=c)))
+        val.bank.neg_context.value[tied] = val.bank.pos_context.value[tied]
+        subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+
+        result = collaborative_filter(gen, val, sample_ids=subset)
+        clean = set(result.clean_ids.tolist())
+        noise = set(result.noise_ids.tolist())
+        assert clean.isdisjoint(noise)
+        assert clean | noise == set(subset)
+        assert len(result.labels) == len(subset)
+        for rec in result.labels:
+            assert rec.status == ("clean" if rec.sample_id in clean else "noise")
+            if tied[rec.label]:
+                assert rec.status == "noise"
 
     def test_untrained_models_warn(self):
         provider, _ = synthetic_provider()
@@ -523,7 +561,7 @@ class TestIteratedSelectionQuality:
                                  anchor_alignment=0.5, seed=seed)
             ds, truth = generate_synthetic(spec)
             root = SeededRng(seed)
-            provider = FrozenProvider.build(ds.embeddings, ds.class_anchors, root)
+            provider = FrozenProvider(ds.embeddings, ds.class_anchors)
             cfg = TrainConfig(rounds=3, k_per_class=12, phase1_epochs=40,
                               adapter_rank=8)
             _, _, log = iterate_peft(provider, cfg, root, provider.class_anchors)
@@ -550,8 +588,8 @@ class TestModelCheckpoint:
         assert np.array_equal(generate_labels(back).labels(), generate_labels(model).labels())
 
         # a checkpoint holding one shared (context_len, d) stack per polarity
-        stale = [param(p.name, np.zeros((4, provider.ctx_dim))) if "context" in p.name else p
+        stale = [param(p.name, np.zeros((4, provider.dim))) if "context" in p.name else p
                  for p in model.params()]
         save_checkpoint(str(tmp_path / "old"), stale)
-        with pytest.raises(ContractError, match="class-specific"):
+        with pytest.raises(FormatError, match="old.json.*class-specific"):
             load_model_checkpoint(str(tmp_path / "old"), provider, cfg, "model1")
