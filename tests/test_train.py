@@ -502,6 +502,97 @@ class TestPhase2Plus:
                               SeededRng(11), "phase2/s1")
 
 
+class TestLoopFailureRules:
+    """The epoch loop's failure rules (divergence, the forward-pass guard)
+    and its per-epoch phase-2 records, for both trainers."""
+
+    @staticmethod
+    def scripted_loss(batches_per_epoch, after_first_epoch):
+        # 1.0 for every batch of epoch 0, then ``after_first_epoch()``
+        calls = []
+
+        def loss(*args, **kwargs):
+            calls.append(None)
+            return 1.0 if len(calls) <= batches_per_epoch else after_first_epoch()
+
+        return loss
+
+    def phase1_fixture(self):
+        provider, _ = synthetic_provider()
+        cfg = small_cfg(phase1_epochs=6)
+        selected = zero_shot_selection(provider, cfg)
+        model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(31))
+        return model, selected, cfg, -(-len(selected) // cfg.batch_size)
+
+    def train_student(self, gamma, metrics=None, epochs=6):
+        provider, _ = synthetic_provider(per_class=15)
+        cfg = small_cfg(phase2_epochs=epochs, gamma=gamma)
+        labelset = assign_pseudo_labels(class_probabilities(
+            provider.image_embeddings, provider.class_anchors, cfg.tau))
+        student = init_fft_encoder(provider.dim, provider.num_classes,
+                                   cfg.hidden_mult * provider.dim, SeededRng(32))
+        return train_phase2_plus(student, labelset, provider, cfg, SeededRng(32),
+                                 "phase2/s1", metrics=metrics)
+
+    def test_phase1_divergence(self, monkeypatch):
+        import coft.train
+
+        model, selected, cfg, per_epoch = self.phase1_fixture()
+        monkeypatch.setattr(coft.train, "loss_phase1",
+                            self.scripted_loss(per_epoch, lambda: 20.0))
+        with pytest.raises(TrainingError, match="training diverged at epoch 3"):
+            train_phase1(model, selected, cfg, SeededRng(31))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_student_divergence(self, monkeypatch, gamma):
+        import coft.train
+
+        # 45 clean samples in batches of 16
+        monkeypatch.setattr(coft.train, "loss_fft", self.scripted_loss(3, lambda: 20.0))
+        with pytest.raises(TrainingError, match="training diverged at epoch 3"):
+            self.train_student(gamma)
+
+    def test_phase1_forward_pass_guard(self, monkeypatch):
+        import coft.train
+
+        def blowup():
+            raise ValueError("overflow in the forward pass")
+
+        model, selected, cfg, _ = self.phase1_fixture()
+        monkeypatch.setattr(coft.train, "loss_phase1", self.scripted_loss(0, blowup))
+        with pytest.raises(TrainingError,
+                           match="non-finite forward pass in phase-1 epoch 0: overflow"):
+            train_phase1(model, selected, cfg, SeededRng(31))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_student_forward_pass_guard(self, monkeypatch, gamma):
+        import coft.train
+
+        def blowup():
+            raise ValueError("overflow in the forward pass")
+
+        monkeypatch.setattr(coft.train, "loss_fft", self.scripted_loss(0, blowup))
+        with pytest.raises(TrainingError,
+                           match="non-finite forward pass in phase-2 epoch 0: overflow"):
+            self.train_student(gamma)
+
+    @pytest.mark.parametrize("gamma, fields", [
+        (0.0, {"loss_supervised"}),
+        (0.5, {"loss_supervised", "loss_contrastive"}),
+    ])
+    def test_student_records_one_per_epoch(self, tmp_path, gamma, fields):
+        from coft.data import MetricsWriter
+
+        with MetricsWriter(tmp_path / "m.jsonl") as metrics:
+            self.train_student(gamma, metrics=metrics, epochs=5)
+        records = MetricsWriter.read(tmp_path / "m.jsonl")
+        assert [r["epoch"] for r in records] == list(range(5))
+        for r in records:
+            assert set(r) == {"phase", "stream", "epoch"} | fields
+            assert (r["phase"], r["stream"]) == (2, "phase2/s1")
+            assert all(np.isfinite(r[f]) for f in fields)
+
+
 class TestIteratePeft:
     def test_single_round_matches_manual_phase1(self):
         provider, _ = synthetic_provider()
