@@ -10,11 +10,16 @@ confidence of the labels it starts from, model2 by their image-side
 confidence (similarity to the class centroids of the same labels), so they
 train on different samples and make different mistakes. Phase 2 has each
 model label the full unlabeled set, the other model validate via its own
-positive/negative similarity comparison, and a
-trainable encoder + classifier head fit the surviving labels, optionally
-joined by momentum-contrastive learning over all samples. The iterated
-variant repeats phase 1 with re-initialized models on each round's fresh
-top-K selection.
+positive/negative similarity comparison, and a trainable encoder +
+classifier head (a student) fit the surviving labels. coft-plus trains its
+students with the same trainer, ``train_fft``, adding a weighted
+momentum-contrastive term over all samples. The iterated variant repeats
+phase 1 with re-initialized models on each round's fresh top-K selection.
+
+Both phases train through one epoch loop, ``_train_epochs``: it owns the
+optimizer, the batch walk, the failure rules (a non-finite forward pass, or
+an epoch loss above 10x the first epoch's for 3 consecutive epochs, raises
+TrainingError) and the per-epoch metrics record.
 
 Losses return their scalar value and accumulate hand-derived gradients into
 the owning parameters (scaled by their composite weight where applicable);
@@ -24,6 +29,7 @@ differences.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -87,7 +93,6 @@ __all__ = [
     "momentum_update",
     "augment_two_views",
     "loss_contrastive",
-    "train_phase2_plus",
     "iterate_peft",
     "gradient_check_suite",
     "run_pipeline",
@@ -360,13 +365,8 @@ def _phase1_terms(model, embeddings, labels, complements, w_pos, w_neg, name):
 
 
 # ---------------------------------------------------------------------------
-# Phase-1 training
+# The epoch loop and phase-1 training
 # ---------------------------------------------------------------------------
-
-def _batches(order: np.ndarray, batch_size: int):
-    for start in range(0, order.shape[0], batch_size):
-        yield order[start:start + batch_size]
-
 
 def _check_divergence(history, initial, epoch):
     if initial <= 0:
@@ -381,21 +381,48 @@ def _check_divergence(history, initial, epoch):
         )
 
 
-class _numeric_guard:
-    """Convert numeric blowup inside a training step into TrainingError."""
+def _train_epochs(params, lr, epochs, batch_size, plan, terms, metrics, tags,
+                  after_step=None):
+    """The epoch loop of every trainer: one Adam over ``params``.
 
-    def __init__(self, where):
-        self.where = where
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is None or isinstance(exc, (TrainingError, ShapeError)):
-            return False
-        if isinstance(exc, (ValueError, DomainError)):
-            raise TrainingError(f"non-finite forward pass in {self.where}: {exc}") from exc
-        return False
+    ``plan(epoch)`` returns the epoch's shuffle order and a batch function
+    ``losses(start, batch)`` that runs the forward and backward passes of the
+    batch at offset ``start`` of the order and returns one loss value per
+    entry of ``terms`` (record field -> weight). One optimizer step and then
+    ``after_step`` follow every batch. Each epoch records the batch-size
+    weighted means under ``tags``; their ``terms``-weighted sum is the loss
+    the divergence rule watches. A ValueError in a forward pass (other than a
+    ShapeError) becomes a TrainingError naming the phase and epoch.
+    """
+    opt = Adam(lr)
+    initial = None
+    history = []
+    for epoch in range(epochs):
+        order, losses = plan(epoch)
+        n = order.shape[0]
+        totals = [0.0] * len(terms)
+        for start in range(0, n, batch_size):
+            batch = order[start:start + batch_size]
+            try:
+                values = losses(start, batch)
+            except ShapeError:
+                raise
+            except ValueError as exc:
+                raise TrainingError(f"non-finite forward pass in phase-{tags['phase']} "
+                                    f"epoch {epoch}: {exc}") from exc
+            step(opt, params)
+            if after_step is not None:
+                after_step()
+            for i, value in enumerate(values):
+                totals[i] += value * batch.shape[0]
+        means = dict(zip(terms, (total / n for total in totals)))
+        epoch_loss = sum(weight * means[name] for name, weight in terms.items())
+        if initial is None:
+            initial = epoch_loss
+        history.append(epoch_loss)
+        _check_divergence(history, initial, epoch)
+        if metrics is not None:
+            metrics.write(**tags, epoch=epoch, **means)
 
 
 def train_phase1(model: AdaptedModel, selected: PseudoLabelSet, cfg: TrainConfig,
@@ -409,36 +436,23 @@ def train_phase1(model: AdaptedModel, selected: PseudoLabelSet, cfg: TrainConfig
     cfg.validate()
     ids, labels, _ = selected.training_view()
     emb_all = model.provider.image_embeddings[ids]
-    n = ids.shape[0]
     num_classes = model.provider.num_classes
-    opt = Adam(cfg.lr_peft)
-    params = model.params()
-    initial = None
-    history = []
-    for epoch in range(cfg.phase1_epochs):
-        order = root_rng.stream(
-            f"{model.stream_label}/epoch{epoch}/shuffle").permutation(n)
-        comp = draw_complements(
-            labels, num_classes,
-            root_rng.stream(f"{model.stream_label}/epoch{epoch}/complement"),
-        ) if cfg.lam > 0 else None
-        total = 0.0
-        for batch in _batches(order, cfg.batch_size):
-            emb = emb_all[batch]
-            batch_labels = labels[batch]
-            with _numeric_guard(f"phase-1 epoch {epoch}"):
-                value = loss_phase1(model, emb, batch_labels,
-                                    None if comp is None else comp[batch], cfg.lam)
-            step(opt, params)
-            total += value * batch.shape[0]
-        epoch_loss = total / n
-        if initial is None:
-            initial = epoch_loss
-        history.append(epoch_loss)
-        _check_divergence(history, initial, epoch)
-        if metrics is not None:
-            metrics.write(phase=1, round=round_idx, model=model.model_id,
-                          epoch=epoch, loss=epoch_loss)
+
+    def plan(epoch):
+        prefix = f"{model.stream_label}/epoch{epoch}"
+        order = root_rng.stream(f"{prefix}/shuffle").permutation(ids.shape[0])
+        comp = None
+        if cfg.lam > 0:
+            comp = draw_complements(labels, num_classes, root_rng.stream(f"{prefix}/complement"))
+
+        def losses(start, batch):
+            return (loss_phase1(model, emb_all[batch], labels[batch],
+                                None if comp is None else comp[batch], cfg.lam),)
+
+        return order, losses
+
+    _train_epochs(model.params(), cfg.lr_peft, cfg.phase1_epochs, cfg.batch_size, plan,
+                  {"loss": 1.0}, metrics, dict(phase=1, round=round_idx, model=model.model_id))
     model.trained = True
     return model
 
@@ -524,7 +538,7 @@ def collaborative_filter_both(model1: AdaptedModel, model2: AdaptedModel,
 
 
 # ---------------------------------------------------------------------------
-# Phase-2 supervised loss and training
+# Phase-2 supervised loss
 # ---------------------------------------------------------------------------
 
 def loss_fft(student: FFTEncoder, embeddings, labels, weight: float = 1.0) -> float:
@@ -544,43 +558,8 @@ def loss_fft(student: FFTEncoder, embeddings, labels, weight: float = 1.0) -> fl
     return loss
 
 
-def train_fft(student: FFTEncoder, clean: PseudoLabelSet, provider: FrozenProvider,
-              cfg: TrainConfig, root_rng: SeededRng, stream_label: str,
-              metrics: MetricsWriter | None = None) -> FFTEncoder:
-    """Supervised fine-tuning of the encoder + head on the filtered labels."""
-    if len(clean) == 0:
-        raise PipelineError(
-            "empty clean set: raise k_per_class or train phase 1 longer"
-        )
-    cfg.validate()
-    ids, labels, _ = clean.training_view()
-    emb_all = provider.image_embeddings[ids]
-    n = ids.shape[0]
-    opt = Adam(cfg.lr_fft)
-    params = student.params()
-    initial = None
-    history = []
-    for epoch in range(cfg.phase2_epochs):
-        order = root_rng.stream(f"{stream_label}/epoch{epoch}/shuffle").permutation(n)
-        total = 0.0
-        for batch in _batches(order, cfg.batch_size):
-            with _numeric_guard(f"phase-2 epoch {epoch}"):
-                value = loss_fft(student, emb_all[batch], labels[batch])
-            step(opt, params)
-            total += value * batch.shape[0]
-        epoch_loss = total / n
-        if initial is None:
-            initial = epoch_loss
-        history.append(epoch_loss)
-        _check_divergence(history, initial, epoch)
-        if metrics is not None:
-            metrics.write(phase=2, stream=stream_label, epoch=epoch,
-                          loss_supervised=epoch_loss)
-    return student
-
-
 # ---------------------------------------------------------------------------
-# Momentum contrast
+# Momentum contrast and the student trainer
 # ---------------------------------------------------------------------------
 
 class MomentumState:
@@ -711,65 +690,52 @@ def loss_contrastive(primary: FFTEncoder, state: MomentumState, views_q, views_k
     return loss
 
 
-def train_phase2_plus(student: FFTEncoder, clean: PseudoLabelSet,
-                      provider: FrozenProvider, cfg: TrainConfig,
-                      root_rng: SeededRng, stream_label: str,
-                      metrics: MetricsWriter | None = None) -> FFTEncoder:
-    """Joint supervised + momentum-contrastive fine-tuning.
+def train_fft(student: FFTEncoder, clean: PseudoLabelSet, provider: FrozenProvider,
+              cfg: TrainConfig, root_rng: SeededRng, stream_label: str,
+              metrics: MetricsWriter | None = None) -> FFTEncoder:
+    """Fine-tune the encoder + head on the filtered labels.
 
-    With gamma == 0 this is exactly ``train_fft`` (same streams, bit-identical
-    trajectory); otherwise every optimizer step adds weighted contrastive
-    gradients from augmented views over the full sample table and the momentum
-    twin is EMA-updated after the step.
+    The loss is the supervised cross-entropy, plus, when gamma > 0 (coft-plus),
+    gamma times a momentum-contrastive term over augmented views of the full
+    sample table, with the momentum twin EMA-updated after every step. With
+    gamma == 0 no momentum state is built and no contrastive or augment stream
+    is drawn.
     """
-    cfg.validate()
-    if cfg.gamma == 0.0:
-        return train_fft(student, clean, provider, cfg, root_rng, stream_label,
-                         metrics=metrics)
     if len(clean) == 0:
-        raise PipelineError("empty clean set: the supervised term is required")
+        raise PipelineError(
+            "empty clean set: raise k_per_class or train phase 1 longer"
+        )
+    cfg.validate()
     ids, labels, _ = clean.training_view()
     emb_clean = provider.image_embeddings[ids]
-    n = ids.shape[0]
     n_all = provider.num_samples
-    state = MomentumState(student, cfg.mu, cfg.tau_prime, cfg.queue_capacity)
-    opt = Adam(cfg.lr_fft)
-    params = student.params()
-    initial = None
-    history = []
-    for epoch in range(cfg.phase2_epochs):
-        order = root_rng.stream(f"{stream_label}/epoch{epoch}/shuffle").permutation(n)
-        cont_order = root_rng.stream(
-            f"{stream_label}/epoch{epoch}/contrastive").permutation(n_all)
-        aug_rng = root_rng.stream(f"{stream_label}/epoch{epoch}/augment")
-        total_sup = 0.0
-        total_cont = 0.0
-        cursor = 0
-        for batch in _batches(order, cfg.batch_size):
-            take = cont_order[(cursor + np.arange(batch.shape[0])) % n_all]
-            cursor += batch.shape[0]
-            with _numeric_guard(f"phase-2 epoch {epoch}"):
-                sup = loss_fft(student, emb_clean[batch], labels[batch])
-                views_q, views_k = augment_two_views(
-                    provider.image_embeddings[take], aug_rng, cfg.aug_noise,
-                    cfg.aug_dropout
-                )
-                cont = loss_contrastive(student, state, views_q, views_k,
-                                        weight=cfg.gamma)
-            step(opt, params)
-            momentum_update(state, student)
-            total_sup += sup * batch.shape[0]
-            total_cont += cont * batch.shape[0]
-        sup_loss = total_sup / n
-        cont_loss = total_cont / n
-        epoch_loss = sup_loss + cfg.gamma * cont_loss
-        if initial is None:
-            initial = epoch_loss
-        history.append(epoch_loss)
-        _check_divergence(history, initial, epoch)
-        if metrics is not None:
-            metrics.write(phase=2, stream=stream_label, epoch=epoch,
-                          loss_supervised=sup_loss, loss_contrastive=cont_loss)
+    terms = {"loss_supervised": 1.0}
+    state = after_step = None
+    if cfg.gamma > 0:
+        state = MomentumState(student, cfg.mu, cfg.tau_prime, cfg.queue_capacity)
+        terms["loss_contrastive"] = cfg.gamma
+        after_step = functools.partial(momentum_update, state, student)
+
+    def plan(epoch):
+        prefix = f"{stream_label}/epoch{epoch}"
+        order = root_rng.stream(f"{prefix}/shuffle").permutation(ids.shape[0])
+        if state is None:
+            return order, lambda start, batch: (
+                loss_fft(student, emb_clean[batch], labels[batch]),)
+        cont_order = root_rng.stream(f"{prefix}/contrastive").permutation(n_all)
+        aug_rng = root_rng.stream(f"{prefix}/augment")
+
+        def losses(start, batch):
+            sup = loss_fft(student, emb_clean[batch], labels[batch])
+            take = cont_order[(start + np.arange(batch.shape[0])) % n_all]
+            views_q, views_k = augment_two_views(
+                provider.image_embeddings[take], aug_rng, cfg.aug_noise, cfg.aug_dropout)
+            return sup, loss_contrastive(student, state, views_q, views_k, weight=cfg.gamma)
+
+        return order, losses
+
+    _train_epochs(student.params(), cfg.lr_fft, cfg.phase2_epochs, cfg.batch_size, plan,
+                  terms, metrics, dict(phase=2, stream=stream_label), after_step)
     return student
 
 
@@ -1044,6 +1010,7 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
                 "model2": os.path.join(ckpt_dir, "phase1_model2"),
             },
         }
+        logits = {}
         for mid, student_id in (("model1", "student1"), ("model2", "student2")):
             result = both[mid]
             result.labels.save(os.path.join(labels_dir, f"filter_{mid}.jsonl"))
@@ -1062,18 +1029,14 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
                 provider.dim, provider.num_classes, eff.hidden_mult * provider.dim,
                 root.stream(f"phase2/{student_id}"), name_prefix=f"{student_id}/",
             )
-            train_phase2_plus(student, clean, provider, eff, root,
-                              f"phase2/{student_id}", metrics=metrics)
+            train_fft(student, clean, provider, eff, root, f"phase2/{student_id}",
+                      metrics=metrics)
             stem = os.path.join(ckpt_dir, f"phase2_{student_id}")
             save_student_checkpoint(stem, student)
             summary["checkpoints"][student_id] = stem
+            logits[student_id], _ = logits_batch(student, provider.image_embeddings)
 
-            logits, _ = logits_batch(student, provider.image_embeddings)
-            summary.setdefault("_logits", {})[student_id] = logits
-
-        logits1 = summary["_logits"]["student1"]
-        logits2 = summary["_logits"]["student2"]
-        ensemble = np.argmax((logits1 + logits2) / 2.0, axis=1)
+        ensemble = np.argmax((logits["student1"] + logits["student2"]) / 2.0, axis=1)
         summary["ensemble_predictions"] = ensemble
         if truth is not None:
             summary["ensemble_accuracy"] = float(np.mean(ensemble == truth))
@@ -1081,5 +1044,4 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
             metrics.write(phase=2, event="final",
                           ensemble_accuracy=summary["ensemble_accuracy"],
                           zero_shot_accuracy=summary["zero_shot_accuracy"])
-        del summary["_logits"]
         return summary

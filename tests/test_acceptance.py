@@ -38,7 +38,7 @@ from coft.train import (
     loss_positive,
     momentum_update,
     run_pipeline,
-    train_phase2_plus,
+    train_fft,
 )
 
 from test_losses import (
@@ -401,8 +401,8 @@ class TestCriterion7:
         student = init_fft_encoder(provider.dim, provider.num_classes,
                                    cfg.hidden_mult * provider.dim,
                                    root.stream("phase2/student1"))
-        train_phase2_plus(student, both["model1"].clean_set(), provider, cfg,
-                          root, "phase2/student1")
+        train_fft(student, both["model1"].clean_set(), provider, cfg, root,
+                  "phase2/student1")
         frozen_ok &= provider.image_embeddings.tobytes() == emb0
         frozen_ok &= provider.class_anchors.tobytes() == anchors0
 

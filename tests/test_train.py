@@ -27,6 +27,7 @@ from coft.train import (
     AdaptedModel,
     MomentumState,
     TrainConfig,
+    augment_two_views,
     clean_probability,
     collaborative_filter,
     collaborative_filter_both,
@@ -39,7 +40,6 @@ from coft.train import (
     momentum_update,
     train_fft,
     train_phase1,
-    train_phase2_plus,
 )
 
 from test_losses import oracle_adapt, oracle_compose, oracle_model_pieces
@@ -314,21 +314,21 @@ class TestCollaborativeFilter:
 class TestTrainFFT:
     def test_single_sample_memorization(self):
         provider, _ = synthetic_provider()
-        cfg = small_cfg(phase2_epochs=60)
+        cfg = small_cfg(phase2_epochs=60, gamma=0.0)
         probs = class_probabilities(provider.image_embeddings[:1],
                                     provider.class_anchors, cfg.tau)
         single = assign_pseudo_labels(probs, sample_ids=np.array([0]))
         student = init_fft_encoder(provider.dim, provider.num_classes,
                                    cfg.hidden_mult * provider.dim, SeededRng(1))
         train_fft(student, single, provider, cfg, SeededRng(1), "phase2/student1")
-        from coft.encoders import fft_logits
+        from coft.encoders import logits_batch
 
-        label = single.get(0).label
-        assert int(np.argmax(fft_logits(student, provider.image_embeddings[0]))) == label
+        logits, _ = logits_batch(student, provider.image_embeddings[:1])
+        assert int(np.argmax(logits[0])) == single.get(0).label
 
     def test_separable_clusters_reach_full_accuracy(self):
         provider, truth = synthetic_provider(per_class=25)
-        cfg = small_cfg(phase2_epochs=60)
+        cfg = small_cfg(phase2_epochs=60, gamma=0.0)
         # perfectly filtered labels: the truth itself on every sample
         probs = np.eye(provider.num_classes)[truth]
         eps = 1e-9  # softmax rows must sum to one; one-hot rows already do
@@ -345,7 +345,7 @@ class TestTrainFFT:
         from coft.pseudo import PseudoLabelSet
 
         provider, _ = synthetic_provider()
-        cfg = small_cfg()
+        cfg = small_cfg(gamma=0.0)
         student = init_fft_encoder(provider.dim, provider.num_classes, 16, SeededRng(3))
         with pytest.raises(PipelineError):
             train_fft(student, PseudoLabelSet([]), provider, cfg, SeededRng(3), "s")
@@ -461,34 +461,74 @@ class TestPhase2Plus:
         labelset = assign_pseudo_labels(probs)
         return provider, cfg, labelset
 
-    def test_gamma_zero_bit_identical_to_fft(self):
+    def test_gamma_zero_matches_reference_loop(self):
+        # gamma == 0 is plain supervised fine-tuning: the shuffle stream,
+        # batches in order, then loss_fft and a step of one Adam per batch
         provider, cfg, labelset = self.clean_fixture()
-        results = []
-        for train_fn, gamma in ((train_phase2_plus, 0.0), (train_fft, None)):
-            student = init_fft_encoder(provider.dim, provider.num_classes,
-                                       cfg.hidden_mult * provider.dim, SeededRng(9))
-            if gamma is None:
-                train_fft(student, labelset, provider, cfg, SeededRng(9), "phase2/s1")
-            else:
-                import dataclasses
+        cfg = dataclasses.replace(cfg, gamma=0.0)
+        student, twin, pristine = (
+            init_fft_encoder(provider.dim, provider.num_classes,
+                             cfg.hidden_mult * provider.dim, SeededRng(9))
+            for _ in range(3))
+        train_fft(student, labelset, provider, cfg, SeededRng(9), "phase2/s1")
 
-                cfg0 = dataclasses.replace(cfg, gamma=0.0)
-                train_phase2_plus(student, labelset, provider, cfg0, SeededRng(9),
-                                  "phase2/s1")
-            results.append([p.value.tobytes() for p in student.params()])
-        assert results[0] == results[1]
+        ids, labels, _ = labelset.training_view()
+        emb = provider.image_embeddings[ids]
+        opt = Adam(cfg.lr_fft)
+        root = SeededRng(9)
+        for epoch in range(cfg.phase2_epochs):
+            order = root.stream(f"phase2/s1/epoch{epoch}/shuffle").permutation(ids.size)
+            for start in range(0, ids.size, cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                loss_fft(twin, emb[batch], labels[batch])
+                step(opt, twin.params())
+        for got, want, init in zip(student.params(), twin.params(), pristine.params()):
+            assert got.value.tobytes() == want.value.tobytes()
+        assert any(w.value.tobytes() != i.value.tobytes()
+                   for w, i in zip(twin.params(), pristine.params()))
+
+    def test_gamma_positive_matches_reference_loop(self):
+        # coft-plus: per batch the supervised loss, then the contrastive loss
+        # on two views of the batch's slice of the epoch's contrastive order,
+        # a step of one Adam, then the momentum EMA
+        provider, cfg, labelset = self.clean_fixture()
+        assert cfg.gamma > 0
+        student, twin = (init_fft_encoder(provider.dim, provider.num_classes,
+                                          cfg.hidden_mult * provider.dim, SeededRng(12))
+                         for _ in range(2))
+        train_fft(student, labelset, provider, cfg, SeededRng(12), "phase2/s1")
+
+        ids, labels, _ = labelset.training_view()
+        emb = provider.image_embeddings[ids]
+        n_all = provider.num_samples
+        state = MomentumState(twin, cfg.mu, cfg.tau_prime, cfg.queue_capacity)
+        opt = Adam(cfg.lr_fft)
+        root = SeededRng(12)
+        for epoch in range(cfg.phase2_epochs):
+            prefix = f"phase2/s1/epoch{epoch}"
+            order = root.stream(f"{prefix}/shuffle").permutation(ids.size)
+            cont_order = root.stream(f"{prefix}/contrastive").permutation(n_all)
+            aug = root.stream(f"{prefix}/augment")
+            for start in range(0, ids.size, cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                loss_fft(twin, emb[batch], labels[batch])
+                take = cont_order[(start + np.arange(batch.size)) % n_all]
+                views = augment_two_views(provider.image_embeddings[take], aug,
+                                          cfg.aug_noise, cfg.aug_dropout)
+                loss_contrastive(twin, state, *views, weight=cfg.gamma)
+                step(opt, twin.params())
+                momentum_update(state, twin)
+        for got, want in zip(student.params(), twin.params()):
+            assert got.value.tobytes() == want.value.tobytes()
 
     def test_gamma_positive_changes_trajectory_but_trains(self):
         provider, cfg, labelset = self.clean_fixture()
-        import dataclasses
-
         outs = []
         for gamma in (0.0, 0.5):
             cfgx = dataclasses.replace(cfg, gamma=gamma)
             student = init_fft_encoder(provider.dim, provider.num_classes,
                                        cfg.hidden_mult * provider.dim, SeededRng(10))
-            train_phase2_plus(student, labelset, provider, cfgx, SeededRng(10),
-                              "phase2/s1")
+            train_fft(student, labelset, provider, cfgx, SeededRng(10), "phase2/s1")
             outs.append([p.value.tobytes() for p in student.params()])
         assert outs[0] != outs[1]
 
@@ -498,8 +538,8 @@ class TestPhase2Plus:
         provider, cfg, _ = self.clean_fixture()
         student = init_fft_encoder(provider.dim, provider.num_classes, 16, SeededRng(11))
         with pytest.raises(PipelineError):
-            train_phase2_plus(student, PseudoLabelSet([]), provider, cfg,
-                              SeededRng(11), "phase2/s1")
+            train_fft(student, PseudoLabelSet([]), provider, cfg, SeededRng(11),
+                      "phase2/s1")
 
 
 class TestLoopFailureRules:
@@ -531,8 +571,8 @@ class TestLoopFailureRules:
             provider.image_embeddings, provider.class_anchors, cfg.tau))
         student = init_fft_encoder(provider.dim, provider.num_classes,
                                    cfg.hidden_mult * provider.dim, SeededRng(32))
-        return train_phase2_plus(student, labelset, provider, cfg, SeededRng(32),
-                                 "phase2/s1", metrics=metrics)
+        return train_fft(student, labelset, provider, cfg, SeededRng(32), "phase2/s1",
+                         metrics=metrics)
 
     def test_phase1_divergence(self, monkeypatch):
         import coft.train
