@@ -80,13 +80,6 @@ _TOP_FIELDS = {"mode": str, "seed": int, "dataset": str, "templates": str, "out"
 
 
 def _coerce(raw: str, typ):
-    if typ is bool:
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"cannot parse boolean from {raw!r}")
     try:
         return typ(raw)
     except ValueError:

@@ -31,12 +31,10 @@ __all__ = [
     "FrozenProvider",
     "PromptBank",
     "init_prompt_bank",
-    "compose_text",
     "compose_texts",
     "compose_texts_backward",
     "VisualAdapter",
     "init_visual_adapter",
-    "adapt_visual",
     "adapt_batch",
     "adapt_batch_backward",
     "FFTEncoder",
@@ -44,7 +42,6 @@ __all__ = [
     "clone_encoder_values",
     "encode_batch",
     "encode_batch_backward",
-    "fft_logits",
     "logits_batch",
     "logits_batch_backward",
 ]
@@ -99,10 +96,6 @@ class FrozenProvider:
     def dim(self) -> int:
         return self._embeddings.shape[1]
 
-    def embedding(self, sample_id: int) -> np.ndarray:
-        if not 0 <= sample_id < self.num_samples:
-            raise KeyError(f"unknown sample_id {sample_id}")
-        return self._embeddings[sample_id]
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +173,6 @@ def compose_texts_backward(cache: _ComposeCache, d_texts) -> None:
     accumulate_grad(cache.context, d_pre)
 
 
-def compose_text(bank: PromptBank, provider: FrozenProvider, polarity: str,
-                 class_id: int) -> np.ndarray:
-    """Single-class text embedding (differentiable w.r.t. the context rows)."""
-    if not 0 <= class_id < provider.num_classes:
-        raise IndexError(f"class_id {class_id} out of range [0, {provider.num_classes})")
-    texts, _ = compose_texts(bank, provider, polarity)
-    return texts[class_id]
-
-
 # ---------------------------------------------------------------------------
 # Visual adapter
 # ---------------------------------------------------------------------------
@@ -204,10 +188,6 @@ class VisualAdapter:
     down: ParamTensor  # (rank, d)
     up: ParamTensor    # (d, rank)
     scale: float
-
-    @property
-    def rank(self) -> int:
-        return self.down.value.shape[0]
 
     def params(self):
         return [self.down, self.up]
@@ -276,15 +256,6 @@ def adapt_batch_backward(cache: _AdaptCache, d_adapted):
     return d_down, d_up
 
 
-def adapt_visual(adapter: VisualAdapter, base) -> np.ndarray:
-    """Single-vector adaptation."""
-    v = as_f64(base)
-    if v.ndim != 1:
-        raise ShapeError(f"expected a vector, got shape {v.shape}")
-    adapted, _ = adapt_batch(adapter, v[None, :])
-    return adapted[0]
-
-
 # ---------------------------------------------------------------------------
 # Trainable encoder + classifier head for the full fine-tuning phase
 # ---------------------------------------------------------------------------
@@ -317,9 +288,6 @@ class FFTEncoder:
 
     def params(self):
         return [self.w1, self.b1, self.w2, self.b2, self.w_fc, self.b_fc]
-
-    def encoder_params(self):
-        return [self.w1, self.b1, self.w2, self.b2]
 
 
 def init_fft_encoder(dim: int, num_classes: int, hidden: int, rng: SeededRng,
@@ -393,11 +361,3 @@ def logits_batch_backward(cache: _LogitsCache, d_logits) -> None:
     d_encoded = g @ enc.w_fc.value
     encode_batch_backward(cache.encode_cache, d_encoded)
 
-
-def fft_logits(enc: FFTEncoder, base) -> np.ndarray:
-    """Single-vector logits."""
-    v = as_f64(base)
-    if v.ndim != 1:
-        raise ShapeError(f"expected a vector, got shape {v.shape}")
-    logits, _ = logits_batch(enc, v[None, :])
-    return logits[0]

@@ -26,7 +26,6 @@ import numpy as np
 
 from .core import as_f64, normalize_rows, softmax_rows
 from .errors import ContractError, DomainError, ShapeError
-from .encoders import FrozenProvider
 
 __all__ = [
     "GENERATORS",
@@ -34,7 +33,6 @@ __all__ = [
     "PseudoLabelRecord",
     "PseudoLabelSet",
     "class_probabilities",
-    "zero_shot_probs",
     "assign_pseudo_labels",
     "centroid_confidences",
     "select_top_k",
@@ -315,13 +313,6 @@ def class_probabilities(embeddings, text_embeddings, tau: float) -> np.ndarray:
     if np.any(np.abs(np.linalg.norm(texts, axis=1) - 1.0) > _NORM_TOL):
         raise DomainError("text embeddings must be unit-norm")
     return softmax_rows(emb @ texts.T, tau)
-
-
-def zero_shot_probs(provider: FrozenProvider, sample_id: int, tau: float,
-                    text_embeddings) -> np.ndarray:
-    """Class distribution of one sample against the given text embeddings."""
-    emb = provider.embedding(sample_id)
-    return class_probabilities(emb[None, :], text_embeddings, tau)[0]
 
 
 def assign_pseudo_labels(probs, sample_ids=None, generator: str = "zeroshot",

@@ -20,7 +20,6 @@ from coft.pseudo import (
     assign_pseudo_labels,
     class_probabilities,
     select_top_k,
-    zero_shot_probs,
 )
 from coft.train import (
     MomentumState,
@@ -118,9 +117,8 @@ class TestCriterion2:
             d = int(rng.integers(3, 11))
             emb = normalize_rows(rng.normal(size=(1, d)))
             texts = normalize_rows(rng.normal(size=(c, d)))
-            provider = FrozenProvider(emb, texts)
             tau = float(rng.uniform(0.05, 1.5))
-            got = zero_shot_probs(provider, 0, tau, texts)
+            got = class_probabilities(emb, texts, tau)[0]
             want = zero_shot_oracle(emb[0], texts, tau)
             assert np.max(np.abs(got - np.array(want))) <= 1e-12
             checked["zero_shot"] += 1

@@ -1,10 +1,21 @@
+import dataclasses
 import json
 import os
+import tempfile
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coft.cli import main
+from coft.cli import (
+    RESOLVED_CONFIG_NAME,
+    RunConfig,
+    load_run_config,
+    main,
+    resolved_config_text,
+)
 from coft.data import load_dataset, load_ground_truth
 from coft.grad import checkpoint_files_equal, load_checkpoint, param, save_checkpoint
 from coft.pseudo import PseudoLabelSet
@@ -212,6 +223,40 @@ class TestRun:
         a = (out_plain / "labels" / "zeroshot.jsonl").read_text()
         b = (out_templ / "labels" / "zeroshot.jsonl").read_text()
         assert a != b  # template-conditioned anchors change the initial labels
+
+
+# a config value fills the rest of one line and is stripped when read back
+_LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters="\n\r")).filter(
+    lambda text: text == text.strip())
+_FIELD_VALUES = {int: st.integers(), float: st.floats(), str: _LINE_TEXT}
+
+
+def _configs(cls):
+    """Every field of the config dataclass ``cls`` drawn, sections recursively;
+    a field of any other type is a TypeError."""
+    hints = typing.get_type_hints(cls)
+    return st.builds(cls, **{
+        f.name: _FIELD_VALUES[hints[f.name]] if hints[f.name] in _FIELD_VALUES
+        else _configs(hints[f.name])
+        for f in dataclasses.fields(cls)
+    })
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rc=_configs(RunConfig))
+    def test_resolved_text_round_trips(self, rc):
+        """Every field survives resolved_config_text, load_run_config and
+        resolved_config_text again. Strings are drawn without line breaks and
+        without surrounding whitespace: one ``key = value`` line, stripped on
+        reading, cannot carry them."""
+        text = resolved_config_text(rc)
+        with tempfile.TemporaryDirectory() as run_dir:
+            with open(os.path.join(run_dir, RESOLVED_CONFIG_NAME), "w",
+                      encoding="utf-8") as f:
+                f.write(text)
+            assert resolved_config_text(load_run_config(run_dir)) == text
 
 
 class TestEval:

@@ -20,7 +20,6 @@ from coft.pseudo import (
     centroid_confidences,
     class_probabilities,
     select_top_k,
-    zero_shot_probs,
 )
 
 
@@ -46,12 +45,13 @@ def make_provider(n=8, c=4, d=6, seed=0):
 
 
 class TestZeroShotProbs:
+    """Zero-shot distributions: ``class_probabilities`` against class texts."""
+
     def test_anchor_aligned_sample(self):
         d = 5
         anchors = np.eye(d)[:3]
         emb = np.eye(d)[2][None, :]  # equals anchor of class 2
-        provider = FrozenProvider(emb, anchors)
-        p = zero_shot_probs(provider, 0, 0.07, anchors)
+        p = class_probabilities(emb, anchors, 0.07)[0]
         assert np.argmax(p) == 2
         assert p[2] > 0.99
 
@@ -59,16 +59,15 @@ class TestZeroShotProbs:
         provider = make_provider()
         t = provider.class_anchors[0]
         texts = np.tile(t, (3, 1))
-        p = zero_shot_probs(provider, 0, 0.07, texts)
+        p = class_probabilities(provider.image_embeddings[:1], texts, 0.07)[0]
         np.testing.assert_allclose(p, np.full(3, 1 / 3), atol=1e-12)
 
     def test_temperature_monotonicity(self):
         provider = make_provider(seed=1)
-        for sid in range(provider.num_samples):
-            p1 = zero_shot_probs(provider, sid, 0.07, provider.class_anchors)
-            p2 = zero_shot_probs(provider, sid, 0.14, provider.class_anchors)
-            assert np.argmax(p1) == np.argmax(p2)
-            assert p2.max() < p1.max()
+        p1 = class_probabilities(provider.image_embeddings, provider.class_anchors, 0.07)
+        p2 = class_probabilities(provider.image_embeddings, provider.class_anchors, 0.14)
+        assert np.array_equal(np.argmax(p1, axis=1), np.argmax(p2, axis=1))
+        assert np.all(p2.max(axis=1) < p1.max(axis=1))
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(2)
@@ -77,21 +76,15 @@ class TestZeroShotProbs:
             d = int(rng.integers(2, 10))
             emb = normalize_rows(rng.normal(size=(1, d)))
             texts = normalize_rows(rng.normal(size=(c, d)))
-            provider = FrozenProvider(emb, texts)
             tau = float(rng.uniform(0.05, 2.0))
-            got = zero_shot_probs(provider, 0, tau, texts)
+            got = class_probabilities(emb, texts, tau)[0]
             want = zero_shot_oracle(emb[0], texts, tau)
             assert np.max(np.abs(got - np.array(want))) <= 1e-12
-
-    def test_unknown_sample(self):
-        provider = make_provider(n=3)
-        with pytest.raises(KeyError):
-            zero_shot_probs(provider, 3, 0.07, provider.class_anchors)
 
     def test_unnormalized_texts_rejected(self):
         provider = make_provider()
         with pytest.raises(DomainError):
-            zero_shot_probs(provider, 0, 0.07, 2.0 * provider.class_anchors)
+            class_probabilities(provider.image_embeddings, 2.0 * provider.class_anchors, 0.07)
 
 
 class TestAssignPseudoLabels:
@@ -289,8 +282,9 @@ class TestPseudoLabelSet:
         provider = make_provider(seed=7)
         all_p = class_probabilities(provider.image_embeddings, provider.class_anchors, 0.2)
         for sid in range(provider.num_samples):
+            one = provider.image_embeddings[sid:sid + 1]
             np.testing.assert_allclose(
-                all_p[sid], zero_shot_probs(provider, sid, 0.2, provider.class_anchors),
+                all_p[sid], class_probabilities(one, provider.class_anchors, 0.2)[0],
                 atol=1e-15,
             )
 
