@@ -557,6 +557,10 @@ class TestLoopFailureRules:
 
         return loss
 
+    @staticmethod
+    def blowup():
+        raise ValueError("overflow in the forward pass")
+
     def phase1_fixture(self):
         provider, _ = synthetic_provider()
         cfg = small_cfg(phase1_epochs=6)
@@ -595,11 +599,8 @@ class TestLoopFailureRules:
     def test_phase1_forward_pass_guard(self, monkeypatch):
         import coft.train
 
-        def blowup():
-            raise ValueError("overflow in the forward pass")
-
         model, selected, cfg, _ = self.phase1_fixture()
-        monkeypatch.setattr(coft.train, "loss_phase1", self.scripted_loss(0, blowup))
+        monkeypatch.setattr(coft.train, "loss_phase1", self.scripted_loss(0, self.blowup))
         with pytest.raises(TrainingError,
                            match="non-finite forward pass in phase-1 epoch 0: overflow"):
             train_phase1(model, selected, cfg, SeededRng(31))
@@ -608,10 +609,7 @@ class TestLoopFailureRules:
     def test_student_forward_pass_guard(self, monkeypatch, gamma):
         import coft.train
 
-        def blowup():
-            raise ValueError("overflow in the forward pass")
-
-        monkeypatch.setattr(coft.train, "loss_fft", self.scripted_loss(0, blowup))
+        monkeypatch.setattr(coft.train, "loss_fft", self.scripted_loss(0, self.blowup))
         with pytest.raises(TrainingError,
                            match="non-finite forward pass in phase-2 epoch 0: overflow"):
             self.train_student(gamma)
