@@ -25,6 +25,7 @@ import typing
 
 import numpy as np
 
+from .core import map_row_blocks
 from .data import (
     SyntheticSpec,
     generate_synthetic,
@@ -233,8 +234,9 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"template file not found: {rc.templates}")
         zero_texts = ingest_templates(rc.templates, provider).anchors
 
-    probs = class_probabilities(provider.image_embeddings, zero_texts, rc.train.tau)
-    zs_pred = np.argmax(probs, axis=1)
+    zs_pred = map_row_blocks(
+        lambda x: np.argmax(class_probabilities(x, zero_texts, rc.train.tau), axis=1),
+        provider.image_embeddings)
     _emit({"metric": "zero_shot_accuracy",
            "value": float(np.mean(zs_pred == truth))})
 
@@ -263,7 +265,8 @@ def cmd_eval(args) -> int:
         if not os.path.exists(stem + ".json"):
             continue
         student = load_student_checkpoint(stem)
-        logits, _ = logits_batch(student, provider.image_embeddings)
+        logits = map_row_blocks(lambda x: logits_batch(student, x)[0],
+                                provider.image_embeddings)
         acc = float(np.mean(np.argmax(logits, axis=1) == truth))
         _emit({"metric": "student_accuracy", "student": sid, "value": acc})
         logits_sum = logits if logits_sum is None else logits_sum + logits

@@ -22,7 +22,16 @@ __all__ = [
     "normalize_rows",
     "stable_hash64",
     "SeededRng",
+    "BLOCK_ROWS",
+    "row_blocks",
+    "map_row_blocks",
 ]
+
+# Rows per block of a pass over a whole sample table. Never fewer: a matrix
+# product over a few dozen rows may take BLAS's small-matrix path and round
+# differently from the same rows inside the whole-table product, while from
+# 128 rows up a block's rows come out bit for bit as in the whole table.
+BLOCK_ROWS = 1024
 
 
 def as_f64(x) -> np.ndarray:
@@ -102,6 +111,28 @@ def normalize_rows(m) -> np.ndarray:
     if np.any(norms == 0.0):
         raise DomainError("cannot normalize a zero row")
     return m / norms
+
+
+def row_blocks(n: int) -> list:
+    """Consecutive, nearly equal slices partitioning ``range(n)``, each of at
+    least ``BLOCK_ROWS`` rows; fewer than ``2 * BLOCK_ROWS`` rows (0 included)
+    give one slice."""
+    count = max(1, n // BLOCK_ROWS)
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def map_row_blocks(fn, table) -> np.ndarray:
+    """``fn`` applied to the row blocks of ``table`` (see ``row_blocks``), its
+    results written in row order into one array allocated at the first block."""
+    n = table.shape[0]
+    out = None
+    for rows in row_blocks(n):
+        part = fn(table[rows])
+        if out is None:
+            out = np.empty((n,) + part.shape[1:], dtype=part.dtype)
+        out[rows] = part
+    return out
 
 
 def stable_hash64(text: str) -> int:

@@ -305,14 +305,15 @@ def load_dataset(manifest_path) -> EmbeddingDataset:
     if _checksum(raw) != manifest.checksum:
         raise IntegrityError(f"payload checksum mismatch for {payload_path}")
     expected = (manifest.num_samples + manifest.num_classes) * manifest.dim
-    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    flat = np.frombuffer(raw, dtype="<f8")
     if flat.size != expected:
         raise FormatError(
             f"payload holds {flat.size} floats, manifest implies {expected}"
         )
     table = flat.reshape(manifest.num_samples + manifest.num_classes, manifest.dim)
-    emb = table[: manifest.num_samples].copy()
-    anchors = table[manifest.num_samples:].copy()
+    # one copy per table, in native byte order
+    emb = table[: manifest.num_samples].astype(np.float64)
+    anchors = table[manifest.num_samples:].astype(np.float64)
     for label, block in (("embedding", emb), ("anchor", anchors)):
         norms = np.linalg.norm(block, axis=1)
         if np.any(norms == 0.0):

@@ -6,9 +6,10 @@ sample: ``sample_id`` and ``label`` (int64), ``confidence`` (float64), the
 generator and status as int8 codes into ``GENERATORS`` and ``STATUSES``, and
 an evaluation-only ground truth (int64, ``-1`` where none is attached). Every
 operation on the table (selection, subsetting, accuracy counts, export)
-works on whole columns. ``mark`` changes one row's status
-through an id-to-row map built on first use; ``get`` and iteration hand out
-``PseudoLabelRecord`` copies for callers that want one row at a time.
+works on whole columns; export builds its text one row block at a time.
+``mark`` changes one row's status through an id-to-row map built on first
+use; ``get`` and iteration hand out ``PseudoLabelRecord`` copies for callers
+that want one row at a time.
 
 Ground-truth labels may be attached for evaluation, but every training-facing
 accessor (``training_view``) excludes them by construction; no training or
@@ -24,7 +25,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import as_f64, normalize_rows, softmax_rows
+from .core import as_f64, normalize_rows, row_blocks, softmax_rows
 from .errors import ContractError, DomainError, ShapeError
 
 __all__ = [
@@ -138,6 +139,17 @@ class PseudoLabelSet:
         gen = np.broadcast_to(_codes(generator, GENERATORS, "generator"), (n,)).copy()
         stat = np.broadcast_to(_codes(status, STATUSES, "status"), (n,)).copy()
         self._set(ids, cols["label"], cols["confidence"], gen, stat, cols["ground_truth"])
+
+    @classmethod
+    def concat(cls, tables) -> "PseudoLabelSet":
+        """One table of the rows of ``tables`` (at least one), in order; no
+        sample id may appear twice."""
+        table = cls.__new__(cls)
+        cols = [np.concatenate([getattr(t, name) for t in tables])
+                for name in ("_ids", "_labels", "_conf", "_gen", "_status", "_truth")]
+        _check_distinct(cols[0])
+        table._set(*cols)
+        return table
 
     def _set(self, ids, labels, conf, gen, status, truth):
         self._ids, self._labels, self._conf = ids, labels, conf
@@ -265,22 +277,24 @@ class PseudoLabelSet:
 
         Each line is byte for byte ``json.dumps(record, sort_keys=True)`` of
         the row's record, non-finite confidences in json's spelling included.
+        The text is built and written one row block at a time.
         """
-        conf = self._conf.tolist()
-        if not np.all(np.isfinite(self._conf)):
-            conf = [json.dumps(c) for c in conf]
-        truth = repeat("")
-        if with_truth:
-            truth = ['"ground_truth": null, ' if t == _NO_TRUTH else f'"ground_truth": {t}, '
-                     for t in self._truth.tolist()]
-        text = "".join(
-            f'{{"confidence": {c}, "generator": {g}, {t}"label": {lab}, '
-            f'"sample_id": {sid}, "status": {s}}}\n'
-            for c, g, t, lab, sid, s in zip(
-                conf, _GENERATOR_JSON[self._gen].tolist(), truth, self._labels.tolist(),
-                self._ids.tolist(), _STATUS_JSON[self._status].tolist()))
         with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+            for rows in row_blocks(len(self)):
+                conf = self._conf[rows]
+                conf = (conf.tolist() if np.all(np.isfinite(conf))
+                        else [json.dumps(c) for c in conf.tolist()])
+                truth = repeat("")
+                if with_truth:
+                    truth = ['"ground_truth": null, ' if t == _NO_TRUTH
+                             else f'"ground_truth": {t}, ' for t in self._truth[rows].tolist()]
+                f.write("".join(
+                    f'{{"confidence": {c}, "generator": {g}, {t}"label": {lab}, '
+                    f'"sample_id": {sid}, "status": {s}}}\n'
+                    for c, g, t, lab, sid, s in zip(
+                        conf, _GENERATOR_JSON[self._gen[rows]].tolist(), truth,
+                        self._labels[rows].tolist(), self._ids[rows].tolist(),
+                        _STATUS_JSON[self._status[rows]].tolist())))
 
     @classmethod
     def load(cls, path) -> "PseudoLabelSet":
@@ -346,11 +360,17 @@ def centroid_confidences(labels: PseudoLabelSet, embeddings, tau: float) -> Pseu
     if len(labels) == 0:
         return PseudoLabelSet([])
     ids, lab, _ = labels.training_view()
-    emb = as_f64(embeddings)[ids]
+    emb = as_f64(embeddings)
     present, col = np.unique(lab, return_inverse=True)
+    blocks = row_blocks(ids.size)
     sums = np.zeros((present.size, emb.shape[1]))
-    np.add.at(sums, col, emb)
-    conf = class_probabilities(emb, normalize_rows(sums), tau)[np.arange(ids.size), col]
+    for rows in blocks:  # in row order, so the sums add up as over the whole table
+        np.add.at(sums, col[rows], emb[ids[rows]])
+    centroids = normalize_rows(sums)
+    conf = np.empty(ids.size)
+    for rows in blocks:
+        probs = class_probabilities(emb[ids[rows]], centroids, tau)
+        conf[rows] = probs[np.arange(probs.shape[0]), col[rows]]
     return labels._take(np.arange(ids.size), confidence=conf)
 
 

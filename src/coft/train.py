@@ -35,7 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng, as_f64, normalize_rows, softmax_rows
+from .core import (
+    SeededRng,
+    as_f64,
+    map_row_blocks,
+    normalize_rows,
+    row_blocks,
+    softmax_rows,
+)
 from .data import MetricsWriter, require_finite_floats
 from .encoders import (
     FFTEncoder,
@@ -285,20 +292,17 @@ def _negative_terms(visual, texts_p, texts_n, labels, comp, tau, weight):
     """Negative-prompt value and its weighted gradients w.r.t. the adapted
     embeddings and both text tables."""
     n = visual.shape[0]
-    sp_y = np.sum(visual * texts_p[labels], axis=1)
-    sn_y = np.sum(visual * texts_n[labels], axis=1)
-    sp_h = np.sum(visual * texts_p[comp], axis=1)
-    sn_h = np.sum(visual * texts_n[comp], axis=1)
+    p_y, n_y, p_h, n_h = texts_p[labels], texts_n[labels], texts_p[comp], texts_n[comp]
+    sp_y = np.sum(visual * p_y, axis=1)
+    sn_y = np.sum(visual * n_y, axis=1)
+    sp_h = np.sum(visual * p_h, axis=1)
+    sn_h = np.sum(visual * n_h, axis=1)
     terms, d_sp_y, d_sn_y, d_sp_h, d_sn_h = _pair_margin_terms(sp_y, sn_y, sp_h, sn_h, tau)
     scale = weight / n
     d_sp_y, d_sn_y, d_sp_h, d_sn_h = (g * scale for g in (d_sp_y, d_sn_y, d_sp_h, d_sn_h))
 
-    d_visual = (
-        d_sp_y[:, None] * texts_p[labels]
-        + d_sn_y[:, None] * texts_n[labels]
-        + d_sp_h[:, None] * texts_p[comp]
-        + d_sn_h[:, None] * texts_n[comp]
-    )
+    d_visual = (d_sp_y[:, None] * p_y + d_sn_y[:, None] * n_y
+                + d_sp_h[:, None] * p_h + d_sn_h[:, None] * n_h)
     eye = np.eye(texts_p.shape[0])
     on_y, on_h = eye[labels].T, eye[comp].T  # (C, n) scatter matrices
     d_texts_p = on_y @ (d_sp_y[:, None] * visual) + on_h @ (d_sp_h[:, None] * visual)
@@ -464,14 +468,17 @@ def train_phase1(model: AdaptedModel, selected: PseudoLabelSet, cfg: TrainConfig
 def generate_labels(model: AdaptedModel, sample_ids=None) -> PseudoLabelSet:
     """The model's own pseudo-labels over the given samples (default: all):
     its positive texts against the frozen embeddings, with softmax-at-tau_pos
-    confidences."""
+    confidences, one row block at a time."""
     provider = model.provider
     if sample_ids is None:
         sample_ids = np.arange(provider.num_samples)
     sample_ids = np.asarray(sample_ids, dtype=np.int64)
     texts, _ = compose_texts(model.bank, provider, "positive")
-    probs = softmax_rows(provider.image_embeddings[sample_ids] @ texts.T, model.tau_pos)
-    return assign_pseudo_labels(probs, sample_ids=sample_ids, generator=model.model_id)
+    emb = provider.image_embeddings
+    return PseudoLabelSet.concat([
+        assign_pseudo_labels(softmax_rows(emb[sample_ids[rows]] @ texts.T, model.tau_pos),
+                             sample_ids=sample_ids[rows], generator=model.model_id)
+        for rows in row_blocks(sample_ids.size)])
 
 
 @dataclass
@@ -512,10 +519,12 @@ def collaborative_filter(generator: AdaptedModel, validator: AdaptedModel,
 
     texts_p, _ = compose_texts(validator.bank, provider, "positive")
     texts_n, _ = compose_texts(validator.bank, provider, "negative")
-    visual, _ = adapt_batch(validator.adapter, provider.image_embeddings[ids])
-    sim_pos = np.sum(visual * texts_p[labels], axis=1)
-    sim_neg = np.sum(visual * texts_n[labels], axis=1)
-    keep = sim_pos > sim_neg
+    keep = np.empty(ids.size, dtype=bool)
+    for rows in row_blocks(ids.size):
+        visual, _ = adapt_batch(validator.adapter, provider.image_embeddings[ids[rows]])
+        sim_pos = np.sum(visual * texts_p[labels[rows]], axis=1)
+        sim_neg = np.sum(visual * texts_n[labels[rows]], axis=1)
+        keep[rows] = sim_pos > sim_neg
 
     for sid, ok in zip(ids.tolist(), keep.tolist()):
         labelset.mark(sid, "clean" if ok else "noise")
@@ -551,7 +560,7 @@ def loss_fft(student: FFTEncoder, embeddings, labels, weight: float = 1.0) -> fl
     logits, cache = logits_batch(student, emb)
     probs = softmax_rows(logits, 1.0)
     loss = float(-np.mean(np.log(probs[np.arange(n), labels])))
-    d_logits = probs.copy()
+    d_logits = probs
     d_logits[np.arange(n), labels] -= 1.0
     d_logits *= weight / n
     logits_batch_backward(cache, d_logits)
@@ -767,8 +776,12 @@ def iterate_peft(provider: FrozenProvider, cfg: TrainConfig, root_rng: SeededRng
         if r == 1:
             # round 0 state is the pristine frozen model: zero-shot inference,
             # shared by both models
-            probs = class_probabilities(provider.image_embeddings, zero_shot_texts, cfg.tau)
-            shared = assign_pseudo_labels(probs, generator="zeroshot")
+            emb = provider.image_embeddings
+            shared = PseudoLabelSet.concat([
+                assign_pseudo_labels(class_probabilities(emb[rows], zero_shot_texts, cfg.tau),
+                                     sample_ids=np.arange(rows.start, rows.stop),
+                                     generator="zeroshot")
+                for rows in row_blocks(provider.num_samples)])
             generations["model1"] = shared
             generations["model2"] = shared
         else:
@@ -971,6 +984,7 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
 
     root = SeededRng(seed)
     provider = FrozenProvider(ds.embeddings, ds.class_anchors)
+    del ds  # the provider holds its own normalized copy
 
     labels_dir = os.path.join(out_dir, "labels")
     ckpt_dir = os.path.join(out_dir, "checkpoints")
@@ -1034,7 +1048,8 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
             stem = os.path.join(ckpt_dir, f"phase2_{student_id}")
             save_student_checkpoint(stem, student)
             summary["checkpoints"][student_id] = stem
-            logits[student_id], _ = logits_batch(student, provider.image_embeddings)
+            logits[student_id] = map_row_blocks(lambda x: logits_batch(student, x)[0],
+                                                provider.image_embeddings)
 
         ensemble = np.argmax((logits["student1"] + logits["student2"]) / 2.0, axis=1)
         summary["ensemble_predictions"] = ensemble

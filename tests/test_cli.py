@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coft import core
 from coft.cli import (
     RESOLVED_CONFIG_NAME,
     RunConfig,
@@ -322,6 +323,18 @@ class TestEval:
         metrics = {r["metric"] for r in records}
         assert {"zero_shot_accuracy", "phase1_model_accuracy", "student_accuracy",
                 "ensemble_accuracy"} <= metrics
+
+    def test_ensemble_accuracy_equals_run_final_record(self, tmp_path, capsys, monkeypatch):
+        # 500 rows in two blocks of 250, for the run's passes and eval's alike
+        monkeypatch.setattr(core, "BLOCK_ROWS", 200)
+        _, out = self.finished_run(tmp_path, **{"per-class": 125})
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 0
+        ens = next(r["value"] for r in read_records(capsys)
+                   if r["metric"] == "ensemble_accuracy")
+        with open(out / "metrics.jsonl", encoding="utf-8") as f:
+            final = next(r for r in map(json.loads, f) if r.get("event") == "final")
+        assert ens == final["ensemble_accuracy"]
 
     @pytest.mark.parametrize("resize", ["half", "plus8"])
     def test_corrupt_student_payload_exits_2(self, tmp_path, capsys, resize):

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coft import core
 from coft.core import (
+    BLOCK_ROWS,
     SeededRng,
     cosine_sim,
     l2_normalize,
+    map_row_blocks,
     normalize_rows,
+    row_blocks,
     softmax_rows,
     softmax_temp,
 )
@@ -169,3 +175,28 @@ class TestSeededRng:
             SeededRng(-1)
         with pytest.raises(DomainError):
             SeededRng(2**64)
+
+
+class TestRowBlocks:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.integers(0, 3 * BLOCK_ROWS), st.integers(0, 200 * BLOCK_ROWS)))
+    def test_partition_of_long_blocks(self, n):
+        blocks = row_blocks(n)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        for prev, nxt in zip(blocks, blocks[1:]):
+            assert prev.stop == nxt.start
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(b.step is None for b in blocks)
+        assert max(sizes) - min(sizes) <= 1
+        if n >= BLOCK_ROWS:
+            assert min(sizes) >= BLOCK_ROWS
+        if n < 2 * BLOCK_ROWS:
+            assert blocks == [slice(0, n)]
+
+    def test_map_row_blocks_stacks_in_row_order(self, monkeypatch):
+        monkeypatch.setattr(core, "BLOCK_ROWS", 3)
+        table = np.arange(20.0).reshape(10, 2)
+        assert len(row_blocks(10)) == 3
+        assert np.array_equal(map_row_blocks(lambda x: x * 2.0, table), table * 2.0)
+        sums = map_row_blocks(lambda x: x.sum(axis=1).astype(np.int64), table)
+        assert sums.dtype == np.int64 and sums.tolist() == table.sum(axis=1).tolist()
