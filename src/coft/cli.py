@@ -34,7 +34,7 @@ from .data import (
     load_ground_truth,
     save_dataset,
 )
-from .encoders import FrozenProvider, logits_batch
+from .encoders import logits_batch
 from .errors import (
     CoftError,
     ConfigError,
@@ -219,7 +219,7 @@ def cmd_eval(args) -> int:
     manifest = args.dataset or rc.dataset
     if not manifest or not os.path.exists(manifest):
         raise ConfigError(f"dataset manifest not found: {manifest!r}")
-    ds = load_dataset(manifest)
+    provider = load_dataset(manifest)
     try:
         truth = load_ground_truth(manifest)
     except (FileNotFoundError, FormatError) as e:
@@ -227,7 +227,6 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
 
-    provider = FrozenProvider(ds.embeddings, ds.class_anchors)
     zero_texts = provider.class_anchors
     if rc.templates:
         if not os.path.exists(rc.templates):
@@ -269,10 +268,14 @@ def cmd_eval(args) -> int:
                                 provider.image_embeddings)
         acc = float(np.mean(np.argmax(logits, axis=1) == truth))
         _emit({"metric": "student_accuracy", "student": sid, "value": acc})
-        logits_sum = logits if logits_sum is None else logits_sum + logits
+        if logits_sum is None:
+            logits_sum = logits
+        else:
+            logits_sum += logits
         n_students += 1
     if n_students:
-        ens = np.argmax(logits_sum / n_students, axis=1)
+        logits_sum /= n_students
+        ens = np.argmax(logits_sum, axis=1)
         _emit({"metric": "ensemble_accuracy",
                "value": float(np.mean(ens == truth))})
 

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng, as_f64, normalize_rows, stable_hash64
+from .core import SeededRng, as_f64, map_row_blocks, normalize_rows, stable_hash64
+from .encoders import FrozenProvider
 from .errors import ConfigError, DomainError, FormatError, IntegrityError
 
 __all__ = [
     "DatasetManifest",
-    "EmbeddingDataset",
     "SyntheticSpec",
     "generate_synthetic",
     "save_dataset",
@@ -67,38 +67,10 @@ class DatasetManifest:
             raise FormatError("class_names must be unique")
         if self.num_samples <= 0:
             raise FormatError("num_samples must be positive")
-
-
-class EmbeddingDataset:
-    """Immutable table of unit-norm embeddings plus per-class anchors."""
-
-    def __init__(self, name, class_names, embeddings, class_anchors):
-        self.name = name
-        self.class_names = tuple(class_names)
-        self._embeddings = as_f64(embeddings).copy()
-        self._anchors = as_f64(class_anchors).copy()
-        self._embeddings.setflags(write=False)
-        self._anchors.setflags(write=False)
-
-    @property
-    def embeddings(self) -> np.ndarray:
-        return self._embeddings
-
-    @property
-    def class_anchors(self) -> np.ndarray:
-        return self._anchors
-
-    @property
-    def num_samples(self) -> int:
-        return self._embeddings.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self._anchors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self._embeddings.shape[1]
+        if self.num_classes <= 0:
+            raise FormatError("num_classes must be positive")
+        if not isinstance(self.payload_path, str):
+            raise FormatError("payload_path must be a string")
 
 
 def require_finite_floats(config) -> None:
@@ -183,7 +155,7 @@ def _blended_centers(c: int, d: int, target_cos: float, rng: SeededRng) -> np.nd
 
 
 def generate_synthetic(spec: SyntheticSpec):
-    """Build a synthetic dataset; returns (EmbeddingDataset, ground_truth).
+    """Build a synthetic dataset; returns (FrozenProvider, ground_truth).
 
     Per class: unit-norm center, ``per_class`` samples at
     normalize(center + sigma * gauss), and an anchor at
@@ -220,24 +192,21 @@ def generate_synthetic(spec: SyntheticSpec):
             raise DomainError("anchor collapsed to zero norm; re-seed")
         anchors[c] = raw / n
 
-    class_names = tuple(f"class_{c:02d}" for c in range(spec.classes))
-    ds = EmbeddingDataset(
+    ds = FrozenProvider(
+        np.vstack(rows), anchors,
         name=f"synth-c{spec.classes}-n{spec.per_class}-d{spec.dim}-s{spec.seed}",
-        class_names=class_names,
-        embeddings=np.vstack(rows),
-        class_anchors=anchors,
     )
     return ds, np.array(truth, dtype=np.int64)
 
 
-def save_dataset(ds: EmbeddingDataset, directory, truth=None, name=None) -> str:
+def save_dataset(ds: FrozenProvider, directory, truth=None, name=None) -> str:
     """Write manifest + payload (+ truth sidecar); returns the manifest path."""
     os.makedirs(directory, exist_ok=True)
     name = name or ds.name
     payload_rel = name + _PAYLOAD_SUFFIX
     payload_path = os.path.join(directory, payload_rel)
     raw = np.ascontiguousarray(
-        np.vstack([ds.embeddings, ds.class_anchors]), dtype="<f8"
+        np.vstack([ds.image_embeddings, ds.class_anchors]), dtype="<f8"
     ).tobytes()
     with open(payload_path, "wb") as f:
         f.write(raw)
@@ -253,20 +222,7 @@ def save_dataset(ds: EmbeddingDataset, directory, truth=None, name=None) -> str:
     )
     manifest_path = os.path.join(directory, name + ".json")
     with open(manifest_path, "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "name": manifest.name,
-                "num_samples": manifest.num_samples,
-                "num_classes": manifest.num_classes,
-                "dim": manifest.dim,
-                "class_names": list(manifest.class_names),
-                "payload_path": manifest.payload_path,
-                "checksum": manifest.checksum,
-                "has_ground_truth": manifest.has_ground_truth,
-            },
-            f,
-            indent=1,
-        )
+        json.dump(dataclasses.asdict(manifest), f, indent=1)  # fields in declared order
         f.write("\n")
     if truth is not None:
         truth = np.asarray(truth, dtype=np.int64)
@@ -278,9 +234,11 @@ def save_dataset(ds: EmbeddingDataset, directory, truth=None, name=None) -> str:
 
 
 def _read_manifest(manifest_path) -> DatasetManifest:
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        d = json.load(f)
+    """Parse a dataset manifest. FormatError, naming the file, when it is not
+    JSON or a field is missing, of the wrong type or inconsistent."""
     try:
+        with open(manifest_path, "r", encoding="utf-8") as f:
+            d = json.load(f)
         return DatasetManifest(
             name=d["name"],
             num_samples=int(d["num_samples"]),
@@ -292,11 +250,31 @@ def _read_manifest(manifest_path) -> DatasetManifest:
             has_ground_truth=bool(d["has_ground_truth"]),
         )
     except KeyError as e:
-        raise FormatError(f"manifest missing field {e.args[0]!r}") from None
+        raise FormatError(f"{manifest_path}: manifest missing field {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:  # not JSON, a wrong type, or a field check
+        raise FormatError(f"{manifest_path}: malformed manifest ({e})") from None
 
 
-def load_dataset(manifest_path) -> EmbeddingDataset:
-    """Load and verify a dataset. Never reads the ground-truth sidecar."""
+def _normalized(rows, label, payload_path) -> np.ndarray:
+    """``rows`` with each row L2-normalized, block by block."""
+    norms = map_row_blocks(lambda block: np.linalg.norm(block, axis=1), rows)
+    if np.any(norms == 0.0):
+        raise FormatError(f"{payload_path}: zero-norm {label} row in payload")
+    off = np.abs(norms - 1.0)
+    if np.any(off > 1e-6):
+        warnings.warn(f"{label} rows off unit norm by up to {off.max():.2e}; re-normalizing")
+    return map_row_blocks(normalize_rows, rows)
+
+
+def load_dataset(manifest_path) -> FrozenProvider:
+    """Load and verify a dataset as the frozen provider a run reads.
+
+    Every row of both tables is L2-normalized here, once, and that is the
+    table the run uses; rows further than 1e-6 from unit norm draw a warning
+    first. Never reads the ground-truth sidecar. A malformed manifest or
+    payload raises FormatError naming the file; a checksum mismatch raises
+    IntegrityError.
+    """
     manifest = _read_manifest(manifest_path)
     payload_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)),
                                 manifest.payload_path)
@@ -304,30 +282,16 @@ def load_dataset(manifest_path) -> EmbeddingDataset:
         raw = f.read()
     if _checksum(raw) != manifest.checksum:
         raise IntegrityError(f"payload checksum mismatch for {payload_path}")
-    expected = (manifest.num_samples + manifest.num_classes) * manifest.dim
-    flat = np.frombuffer(raw, dtype="<f8")
-    if flat.size != expected:
-        raise FormatError(
-            f"payload holds {flat.size} floats, manifest implies {expected}"
-        )
-    table = flat.reshape(manifest.num_samples + manifest.num_classes, manifest.dim)
-    # one copy per table, in native byte order
-    emb = table[: manifest.num_samples].astype(np.float64)
-    anchors = table[manifest.num_samples:].astype(np.float64)
-    for label, block in (("embedding", emb), ("anchor", anchors)):
-        norms = np.linalg.norm(block, axis=1)
-        if np.any(norms == 0.0):
-            raise FormatError(f"zero-norm {label} row in payload")
-        off = np.abs(norms - 1.0)
-        if np.any(off > 1e-6):
-            warnings.warn(
-                f"{label} rows off unit norm by up to {off.max():.2e}; re-normalizing"
-            )
-        # leave exactly-stored unit rows untouched so round-trips stay bit-identical
-        bad = off > 1e-12
-        if np.any(bad):
-            block[bad] = block[bad] / norms[bad, None]
-    return EmbeddingDataset(manifest.name, manifest.class_names, emb, anchors)
+    n = manifest.num_samples
+    shape = (n + manifest.num_classes, manifest.dim)
+    if len(raw) != 8 * shape[0] * shape[1]:
+        raise FormatError(f"{payload_path}: payload holds {len(raw)} bytes, "
+                          f"the manifest implies {8 * shape[0] * shape[1]}")
+    table = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    emb = _normalized(table[:n], "embedding", payload_path)
+    anchors = _normalized(table[n:], "anchor", payload_path)
+    del raw, table  # the provider copies the normalized tables
+    return FrozenProvider(emb, anchors, manifest.class_names, manifest.name)
 
 
 def load_ground_truth(manifest_path) -> np.ndarray:

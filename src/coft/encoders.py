@@ -1,7 +1,10 @@
 """Frozen embedding provider plus every learnable adaptation piece.
 
-The frozen backbone is a precomputed table: L2-normalized image embeddings
-and one normalized anchor per class. On top of it live:
+The frozen backbone is the run's dataset, held by one FrozenProvider: named
+unit-norm image embeddings and one unit-norm anchor per class.
+``data.load_dataset`` builds it from a payload, L2-normalizing every row once;
+``data.generate_synthetic`` builds it from the tables it draws. On top of it
+live:
 
   * PromptBank    - class-specific positive/negative contexts composed into
                     per-class text embeddings (anchor k + context row k ->
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng, as_f64, normalize_rows
+from .core import SeededRng, as_f64, map_row_blocks
 from .errors import DomainError, ShapeError, TrainingError
 from .grad import ParamTensor, accumulate_grad, param
 
@@ -50,14 +53,16 @@ _NORM_TOL = 1e-9
 
 
 class FrozenProvider:
-    """Immutable frozen-backbone stand-in shared by every model in a run.
+    """Immutable frozen backbone shared by every model in a run: the image
+    embeddings and one anchor per class, with the dataset's name and class
+    names (``class_00``, ``class_01``, ... when none are given).
 
-    Rows of both tables are re-normalized at construction so downstream code
-    can rely on exactly unit-norm inputs; inputs further than 1e-9 from unit
-    norm are rejected as corrupt rather than silently fixed.
+    The tables are held as given, in private read-only copies; nothing here
+    normalizes. A row further than 1e-9 from unit norm (or not finite) is
+    rejected as corrupt, naming the row.
     """
 
-    def __init__(self, image_embeddings, class_anchors):
+    def __init__(self, image_embeddings, class_anchors, class_names=None, name="dataset"):
         emb = as_f64(image_embeddings)
         anchors = as_f64(class_anchors)
         if emb.ndim != 2 or anchors.ndim != 2:
@@ -66,15 +71,20 @@ class FrozenProvider:
             raise ShapeError(
                 f"embedding dim {emb.shape[1]} != anchor dim {anchors.shape[1]}"
             )
-        for name, table in (("image embedding", emb), ("class anchor", anchors)):
-            norms = np.linalg.norm(table, axis=1)
-            if np.any(np.abs(norms - 1.0) > _NORM_TOL):
-                worst = int(np.argmax(np.abs(norms - 1.0)))
-                raise DomainError(f"{name} row {worst} is not unit-norm (|v|={norms[worst]!r})")
-        self._embeddings = normalize_rows(emb)
-        self._anchors = normalize_rows(anchors)
-        for arr in (self._embeddings, self._anchors):
-            arr.setflags(write=False)
+        if class_names is None:
+            class_names = (f"class_{c:02d}" for c in range(anchors.shape[0]))
+        self.name = name
+        self.class_names = tuple(class_names)
+        self._embeddings = emb.copy()
+        self._anchors = anchors.copy()
+        for label, table in (("image embedding", self._embeddings),
+                             ("class anchor", self._anchors)):
+            table.setflags(write=False)
+            norms = map_row_blocks(lambda rows: np.linalg.norm(rows, axis=1), table)
+            bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOL))
+            if bad.size:
+                raise DomainError(
+                    f"{label} row {bad[0]} is not unit-norm (|v|={float(norms[bad[0]])!r})")
 
     @property
     def image_embeddings(self) -> np.ndarray:

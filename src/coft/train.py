@@ -716,7 +716,7 @@ def train_fft(student: FFTEncoder, clean: PseudoLabelSet, provider: FrozenProvid
         )
     cfg.validate()
     ids, labels, _ = clean.training_view()
-    emb_clean = provider.image_embeddings[ids]
+    emb = provider.image_embeddings
     n_all = provider.num_samples
     terms = {"loss_supervised": 1.0}
     state = after_step = None
@@ -730,15 +730,15 @@ def train_fft(student: FFTEncoder, clean: PseudoLabelSet, provider: FrozenProvid
         order = root_rng.stream(f"{prefix}/shuffle").permutation(ids.shape[0])
         if state is None:
             return order, lambda start, batch: (
-                loss_fft(student, emb_clean[batch], labels[batch]),)
+                loss_fft(student, emb[ids[batch]], labels[batch]),)
         cont_order = root_rng.stream(f"{prefix}/contrastive").permutation(n_all)
         aug_rng = root_rng.stream(f"{prefix}/augment")
 
         def losses(start, batch):
-            sup = loss_fft(student, emb_clean[batch], labels[batch])
+            sup = loss_fft(student, emb[ids[batch]], labels[batch])
             take = cont_order[(start + np.arange(batch.shape[0])) % n_all]
             views_q, views_k = augment_two_views(
-                provider.image_embeddings[take], aug_rng, cfg.aug_noise, cfg.aug_dropout)
+                emb[take], aug_rng, cfg.aug_noise, cfg.aug_dropout)
             return sup, loss_contrastive(student, state, views_q, views_k, weight=cfg.gamma)
 
         return order, losses
@@ -976,15 +976,13 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
     if mode not in ("coft", "coft-plus"):
         raise ConfigError(f"unknown mode {mode!r}")
     cfg.validate()
-    ds = load_dataset(manifest_path)
+    provider = load_dataset(manifest_path)
     try:
         truth = load_ground_truth(manifest_path)
     except (FileNotFoundError, FormatError):
         truth = None  # evaluation extras only; the run itself never needs truth
 
     root = SeededRng(seed)
-    provider = FrozenProvider(ds.embeddings, ds.class_anchors)
-    del ds  # the provider holds its own normalized copy
 
     labels_dir = os.path.join(out_dir, "labels")
     ckpt_dir = os.path.join(out_dir, "checkpoints")
@@ -1024,7 +1022,7 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
                 "model2": os.path.join(ckpt_dir, "phase1_model2"),
             },
         }
-        logits = {}
+        logits_sum = None
         for mid, student_id in (("model1", "student1"), ("model2", "student2")):
             result = both[mid]
             result.labels.save(os.path.join(labels_dir, f"filter_{mid}.jsonl"))
@@ -1048,10 +1046,15 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
             stem = os.path.join(ckpt_dir, f"phase2_{student_id}")
             save_student_checkpoint(stem, student)
             summary["checkpoints"][student_id] = stem
-            logits[student_id] = map_row_blocks(lambda x: logits_batch(student, x)[0],
-                                                provider.image_embeddings)
+            logits = map_row_blocks(lambda x: logits_batch(student, x)[0],
+                                    provider.image_embeddings)
+            if logits_sum is None:
+                logits_sum = logits
+            else:
+                logits_sum += logits
 
-        ensemble = np.argmax((logits["student1"] + logits["student2"]) / 2.0, axis=1)
+        logits_sum /= 2.0
+        ensemble = np.argmax(logits_sum, axis=1)
         summary["ensemble_predictions"] = ensemble
         if truth is not None:
             summary["ensemble_accuracy"] = float(np.mean(ensemble == truth))

@@ -253,8 +253,8 @@ def acceptance_runs(tmp_path_factory):
 class TestCriterion3:
     def test_degenerate_equivalence(self, tmp_path):
         seed = 1
-        ds, truth = generate_synthetic(SyntheticSpec(seed=seed, **ACCEPTANCE_SPEC))
-        manifest = save_dataset(ds, tmp_path, truth=truth)
+        provider, truth = generate_synthetic(SyntheticSpec(seed=seed, **ACCEPTANCE_SPEC))
+        manifest = save_dataset(provider, tmp_path, truth=truth)
         import dataclasses
 
         cfg = TrainConfig(phase1_epochs=30, phase2_epochs=25)
@@ -364,8 +364,8 @@ class TestCriterion6:
 class TestCriterion7:
     def test_determinism_and_frozenness(self, tmp_path):
         seed = 1
-        ds, truth = generate_synthetic(SyntheticSpec(seed=seed, **ACCEPTANCE_SPEC))
-        manifest = save_dataset(ds, tmp_path, truth=truth)
+        provider, truth = generate_synthetic(SyntheticSpec(seed=seed, **ACCEPTANCE_SPEC))
+        manifest = save_dataset(provider, tmp_path, truth=truth)
         import dataclasses
 
         cfg = TrainConfig(phase1_epochs=25, phase2_epochs=20)
@@ -384,7 +384,6 @@ class TestCriterion7:
 
         # frozen tables byte-identical before and after each phase
         root = SeededRng(seed)
-        provider = FrozenProvider(ds.embeddings, ds.class_anchors)
         emb0 = provider.image_embeddings.tobytes()
         anchors0 = provider.class_anchors.tobytes()
         frozen_ok = True

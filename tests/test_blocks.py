@@ -15,7 +15,7 @@ import pytest
 from coft import core
 from coft.core import SeededRng, map_row_blocks, row_blocks
 from coft.data import SyntheticSpec, generate_synthetic
-from coft.encoders import FrozenProvider, init_fft_encoder, logits_batch
+from coft.encoders import init_fft_encoder, logits_batch
 from coft.pseudo import PseudoLabelSet, centroid_confidences
 from coft.train import (
     TrainConfig,
@@ -31,8 +31,7 @@ ACCEPTANCE_SPEC = dict(classes=10, per_class=100, dim=64,
 
 def acceptance_provider(seed=1, per_class=100):
     spec = dict(ACCEPTANCE_SPEC, per_class=per_class)
-    ds, truth = generate_synthetic(SyntheticSpec(seed=seed, **spec))
-    return FrozenProvider(ds.embeddings, ds.class_anchors), truth
+    return generate_synthetic(SyntheticSpec(seed=seed, **spec))
 
 
 def perturbed_models(provider, seed=3):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import tempfile
@@ -226,6 +227,55 @@ class TestRun:
         assert a != b  # template-conditioned anchors change the initial labels
 
 
+def malform(manifest, case):
+    """Damage the dataset at ``manifest`` as ``case`` names; returns the path
+    of the damaged file."""
+    with open(manifest, encoding="utf-8") as f:
+        fields = json.load(f)
+    damaged = manifest
+    if case == "not-json":
+        with open(manifest, "w", encoding="utf-8") as f:
+            f.write("{num_samples: 12")
+        return damaged
+    if case == "num-samples-word":
+        fields["num_samples"] = "twelve"
+    elif case == "class-names-int":
+        fields["class_names"] = 7
+    elif case == "zero-classes":
+        fields["num_classes"], fields["class_names"] = 0, []
+    elif case == "payload-path-int":
+        fields["payload_path"] = 5
+    else:  # payload length not a multiple of 8, under a matching checksum
+        damaged = os.path.join(os.path.dirname(manifest), fields["payload_path"])
+        with open(damaged, "ab") as f:
+            f.write(b"\x00\x00\x00")
+        with open(damaged, "rb") as f:
+            fields["checksum"] = hashlib.blake2b(f.read(), digest_size=8).hexdigest()
+    with open(manifest, "w", encoding="utf-8") as f:
+        json.dump(fields, f)
+    return damaged
+
+
+class TestMalformedDataset:
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    @pytest.mark.parametrize("case", ["not-json", "num-samples-word", "class-names-int",
+                                      "zero-classes", "payload-path-int",
+                                      "payload-odd-length"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, case, command):
+        manifest = make_dataset(tmp_path)
+        damaged = malform(manifest, case)
+        out = tmp_path / "r"
+        if command == "run":
+            argv = ("run", "--dataset", manifest, "--out", str(out))
+        else:  # eval reads only the run's resolved config before the dataset
+            out.mkdir()
+            (out / RESOLVED_CONFIG_NAME).write_text(resolved_config_text(RunConfig()))
+            argv = ("eval", "--run", str(out), "--dataset", manifest)
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert damaged in capsys.readouterr().err
+
+
 # a config value fills the rest of one line and is stripped when read back
 _LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
                                    blacklist_characters="\n\r")).filter(
@@ -283,7 +333,7 @@ class TestEval:
         zs = next(r["value"] for r in records if r["metric"] == "zero_shot_accuracy")
         ds = load_dataset(manifest)
         truth = load_ground_truth(manifest)
-        pred = np.argmax(ds.embeddings @ ds.class_anchors.T, axis=1)
+        pred = np.argmax(ds.image_embeddings @ ds.class_anchors.T, axis=1)
         assert zs == float(np.mean(pred == truth))
 
     def test_noiseless_run_has_perfect_clean_precision(self, tmp_path, capsys):

@@ -1,12 +1,14 @@
+import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from coft import core
 from coft.core import SeededRng, normalize_rows
 from coft.data import (
-    EmbeddingDataset,
     MetricsWriter,
     SyntheticSpec,
     generate_synthetic,
@@ -21,7 +23,7 @@ from coft.errors import ConfigError, FormatError, IntegrityError
 
 
 def zero_shot_accuracy(ds, truth):
-    pred = np.argmax(ds.embeddings @ ds.class_anchors.T, axis=1)
+    pred = np.argmax(ds.image_embeddings @ ds.class_anchors.T, axis=1)
     return float(np.mean(pred == truth))
 
 
@@ -36,11 +38,11 @@ class TestGenerateSynthetic:
     def test_deterministic_per_seed(self):
         a, ta = generate_synthetic(spec(seed=7))
         b, tb = generate_synthetic(spec(seed=7))
-        assert a.embeddings.tobytes() == b.embeddings.tobytes()
+        assert a.image_embeddings.tobytes() == b.image_embeddings.tobytes()
         assert a.class_anchors.tobytes() == b.class_anchors.tobytes()
         assert ta.tobytes() == tb.tobytes()
         c, _ = generate_synthetic(spec(seed=8))
-        assert a.embeddings.tobytes() != c.embeddings.tobytes()
+        assert a.image_embeddings.tobytes() != c.image_embeddings.tobytes()
 
     def test_perfect_alignment_no_noise_is_separable(self):
         ds, truth = generate_synthetic(spec(anchor_alignment=1.0, noise_sigma=1e-9))
@@ -107,18 +109,35 @@ class TestGenerateSynthetic:
 
     def test_rows_normalized(self):
         ds, _ = generate_synthetic(spec())
-        np.testing.assert_allclose(np.linalg.norm(ds.embeddings, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(ds.image_embeddings, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(ds.class_anchors, axis=1), 1.0, atol=1e-12)
+
+
+def write_dataset(directory, embeddings, anchors, name="t"):
+    """Manifest and payload written by hand, as the file format specifies, so
+    the rows may be off unit norm; returns the manifest path."""
+    raw = np.vstack([embeddings, anchors]).astype("<f8").tobytes()
+    (directory / f"{name}.f64le").write_bytes(raw)
+    manifest = directory / f"{name}.json"
+    manifest.write_text(json.dumps({
+        "name": name, "num_samples": len(embeddings), "num_classes": len(anchors),
+        "dim": anchors.shape[1], "class_names": [f"c{k}" for k in range(len(anchors))],
+        "payload_path": f"{name}.f64le",
+        "checksum": hashlib.blake2b(raw, digest_size=8).hexdigest(),
+        "has_ground_truth": False,
+    }))
+    return str(manifest)
 
 
 class TestDatasetFiles:
     def test_round_trip_bit_identical(self, tmp_path):
+        # the payload holds the generated bits; load normalizes each row once
         ds, truth = generate_synthetic(spec())
         manifest = save_dataset(ds, tmp_path, truth=truth)
         back = load_dataset(manifest)
-        assert back.embeddings.tobytes() == ds.embeddings.tobytes()
-        assert back.class_anchors.tobytes() == ds.class_anchors.tobytes()
-        assert back.class_names == ds.class_names
+        assert back.image_embeddings.tobytes() == normalize_rows(ds.image_embeddings).tobytes()
+        assert back.class_anchors.tobytes() == normalize_rows(ds.class_anchors).tobytes()
+        assert (back.name, back.class_names) == (ds.name, ds.class_names)
         np.testing.assert_array_equal(load_ground_truth(manifest), truth)
 
     def test_payload_is_headerless_little_endian(self, tmp_path):
@@ -126,7 +145,7 @@ class TestDatasetFiles:
         manifest = save_dataset(ds, tmp_path)
         payload = os.path.join(tmp_path, json.load(open(manifest))["payload_path"])
         raw = open(payload, "rb").read()
-        expected = np.vstack([ds.embeddings, ds.class_anchors]).astype("<f8").tobytes()
+        expected = np.vstack([ds.image_embeddings, ds.class_anchors]).astype("<f8").tobytes()
         assert raw == expected
 
     def test_corrupted_payload_byte(self, tmp_path):
@@ -177,14 +196,48 @@ class TestDatasetFiles:
 
     def test_off_norm_rows_renormalized_with_warning(self, tmp_path):
         emb = normalize_rows(np.random.default_rng(0).normal(size=(4, 6)))
-        emb_bad = emb.copy()
-        emb_bad[1] *= 1.001
+        emb[1] *= 1.001
         anchors = normalize_rows(np.random.default_rng(1).normal(size=(2, 6)))
-        ds = EmbeddingDataset("t", ("a", "b"), emb_bad, anchors)
-        manifest = save_dataset(ds, tmp_path)
+        manifest = write_dataset(tmp_path, emb, anchors)
+        with pytest.warns(UserWarning, match="embedding rows off unit norm"):
+            back = load_dataset(manifest)
+        assert back.image_embeddings.tobytes() == normalize_rows(emb).tobytes()
+        assert back.class_names == ("c0", "c1")
+
+    def test_zero_norm_row_rejected_naming_the_payload(self, tmp_path):
+        emb = normalize_rows(np.random.default_rng(0).normal(size=(4, 6)))
+        emb[2] = 0.0
+        manifest = write_dataset(tmp_path, emb, np.eye(6)[:2])
+        with pytest.raises(FormatError, match="t.f64le: zero-norm embedding row"):
+            load_dataset(manifest)
+
+    def test_blocked_load_equals_whole_table(self, tmp_path, monkeypatch):
+        # rows far off unit norm, so every row's normalization is exercised;
+        # 1,000 rows make five blocks of 200
+        emb = np.random.default_rng(2).normal(size=(1000, 16))
+        anchors = np.random.default_rng(3).normal(size=(3, 16))
+        manifest = write_dataset(tmp_path, emb, anchors)
+        monkeypatch.setattr(core, "BLOCK_ROWS", 200)
+        assert len(core.row_blocks(1000)) == 5
         with pytest.warns(UserWarning):
             back = load_dataset(manifest)
-        np.testing.assert_allclose(np.linalg.norm(back.embeddings, axis=1), 1.0, atol=1e-12)
+        assert back.image_embeddings.tobytes() == normalize_rows(emb).tobytes()
+        assert back.class_anchors.tobytes() == normalize_rows(anchors).tobytes()
+
+    def test_load_peak_memory_below_two_and_a_half_tables(self, tmp_path):
+        """Loading a 20,000 x 64 payload peaks below 2.5 embedding tables under
+        tracemalloc: the raw bytes and the normalized table, then the normalized
+        table and the provider's copy, with only row-block temporaries beside
+        them. Before load built the provider itself it peaked at 3.03 tables."""
+        emb = normalize_rows(np.random.default_rng(4).normal(size=(20_000, 64)))
+        manifest = write_dataset(tmp_path, emb, np.eye(64)[:10])
+        tracemalloc.start()
+        try:
+            load_dataset(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / emb.nbytes < 2.5
 
 
 class TestTemplates:
@@ -291,16 +344,3 @@ class TestMetricsWriter:
         assert MetricsWriter.read(p) == [{"step": 0}]
         with pytest.raises(ValueError):
             w.write(step=1)
-
-
-class TestLoadSaveIdentity:
-    def test_save_of_loaded_dataset_reproduces_files(self, tmp_path):
-        ds, truth = generate_synthetic(spec())
-        first = save_dataset(ds, tmp_path / "a", truth=truth, name="x")
-        back = load_dataset(first)
-        second = save_dataset(back, tmp_path / "b", truth=load_ground_truth(first),
-                              name="x")
-        for suffix in ("x.json", "x.f64le", "x.f64le.truth"):
-            a = (tmp_path / "a" / suffix).read_bytes()
-            b = (tmp_path / "b" / suffix).read_bytes()
-            assert a == b, suffix

@@ -33,6 +33,29 @@ class TestFrozenProvider:
         with pytest.raises(DomainError):
             FrozenProvider(emb, anchors)
 
+    @pytest.mark.parametrize("table, row, value", [
+        ("emb", 3, 1.0 + 1e-8), ("anchors", 1, 0.5), ("emb", 2, float("nan")),
+    ])
+    def test_off_norm_row_named(self, table, row, value):
+        tables = {"emb": normalize_rows(np.random.default_rng(0).normal(size=(5, 4))),
+                  "anchors": np.eye(4)[:3].copy()}
+        tables[table][row] *= value
+        label = "image embedding" if table == "emb" else "class anchor"
+        with pytest.raises(DomainError, match=f"{label} row {row} is not unit-norm"):
+            FrozenProvider(tables["emb"], tables["anchors"])
+
+    def test_holds_tables_as_given(self):
+        # rows within the 1e-9 tolerance keep their bits: nothing normalizes
+        emb = normalize_rows(np.random.default_rng(2).normal(size=(4, 3))) * (1.0 + 1e-12)
+        anchors = np.eye(3)[:2]
+        p = FrozenProvider(emb, anchors, class_names=("cat", "dog"), name="pets")
+        assert p.image_embeddings.tobytes() == emb.tobytes()
+        assert p.image_embeddings is not emb and emb.flags.writeable
+        assert not p.image_embeddings.flags.writeable
+        assert not p.class_anchors.flags.writeable
+        assert (p.name, p.class_names) == ("pets", ("cat", "dog"))
+        assert FrozenProvider(emb, anchors).class_names == ("class_00", "class_01")
+
     def test_immutable(self):
         p = make_provider()
         with pytest.raises(ValueError):

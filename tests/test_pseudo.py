@@ -294,17 +294,15 @@ class TestSelectionBeatsCandidates:
         # confidence correlates with correctness on the synthetic clusters,
         # so the high-confidence subset must label at least as well as the pool
         from coft.data import SyntheticSpec, generate_synthetic
-        from coft.encoders import FrozenProvider
 
         for seed in range(5):
             spec = SyntheticSpec(classes=5, per_class=40, dim=32, noise_sigma=0.4,
                                  anchor_alignment=0.6, seed=seed)
-            ds, truth = generate_synthetic(spec)
-            provider = FrozenProvider(ds.embeddings, ds.class_anchors)
+            provider, truth = generate_synthetic(spec)
             probs = class_probabilities(provider.image_embeddings,
                                         provider.class_anchors, 0.07)
             candidates = assign_pseudo_labels(probs)
-            selected = select_top_k(candidates, 12, ds.num_classes)
+            selected = select_top_k(candidates, 12, provider.num_classes)
             assert selected.accuracy(truth) >= candidates.accuracy(truth)
 
 

@@ -49,9 +49,7 @@ def synthetic_provider(seed=0, classes=3, per_class=20, dim=8, sigma=0.05,
                        alignment=1.0):
     spec = SyntheticSpec(classes=classes, per_class=per_class, dim=dim,
                          noise_sigma=sigma, anchor_alignment=alignment, seed=seed)
-    ds, truth = generate_synthetic(spec)
-    provider = FrozenProvider(ds.embeddings, ds.class_anchors)
-    return provider, truth
+    return generate_synthetic(spec)
 
 
 def zero_shot_selection(provider, cfg):
@@ -688,9 +686,8 @@ class TestIteratedSelectionQuality:
         for seed in range(1, 6):
             spec = SyntheticSpec(classes=5, per_class=40, dim=32, noise_sigma=0.45,
                                  anchor_alignment=0.5, seed=seed)
-            ds, truth = generate_synthetic(spec)
+            provider, truth = generate_synthetic(spec)
             root = SeededRng(seed)
-            provider = FrozenProvider(ds.embeddings, ds.class_anchors)
             cfg = TrainConfig(rounds=3, k_per_class=12, phase1_epochs=40,
                               adapter_rank=8)
             _, _, log = iterate_peft(provider, cfg, root, provider.class_anchors)
