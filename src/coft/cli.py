@@ -34,7 +34,6 @@ from .data import (
     load_ground_truth,
     save_dataset,
 )
-from .encoders import logits_batch
 from .errors import (
     CoftError,
     ConfigError,
@@ -47,6 +46,7 @@ from .errors import (
 from .pseudo import PseudoLabelSet, class_probabilities
 from .train import (
     TrainConfig,
+    ensemble_predictions,
     generate_labels,
     gradient_check_suite,
     load_model_checkpoint,
@@ -214,6 +214,19 @@ def _emit(record) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
+def _load_labels(path, provider) -> PseudoLabelSet:
+    """A run's label file; FormatError naming it when a sample id or label is
+    outside the dataset's range."""
+    labelset = PseudoLabelSet.load(path)
+    for name, values, bound in (("sample_id", labelset.sample_ids(), provider.num_samples),
+                                ("label", labelset.labels(), provider.num_classes)):
+        bad = (values < 0) | (values >= bound)
+        if np.any(bad):
+            raise FormatError(f"{path}: {name} {values[np.argmax(bad)]} "
+                              f"outside [0, {bound})")
+    return labelset
+
+
 def cmd_eval(args) -> int:
     rc = load_run_config(args.run)
     manifest = args.dataset or rc.dataset
@@ -252,30 +265,22 @@ def cmd_eval(args) -> int:
         path = os.path.join(labels_dir, f"filter_{mid}.jsonl")
         if not os.path.exists(path):
             continue
-        size, precision, recall = PseudoLabelSet.load(path).clean_quality(truth)
+        size, precision, recall = _load_labels(path, provider).clean_quality(truth)
         _emit({"metric": "clean_size", "direction": mid, "value": size})
         _emit({"metric": "clean_precision", "direction": mid, "value": precision})
         _emit({"metric": "clean_recall", "direction": mid, "value": recall})
 
-    logits_sum = None
-    n_students = 0
+    students = []
     for sid in ("student1", "student2"):
         stem = os.path.join(ckpt_dir, f"phase2_{sid}")
-        if not os.path.exists(stem + ".json"):
-            continue
-        student = load_student_checkpoint(stem)
-        logits = map_row_blocks(lambda x: logits_batch(student, x)[0],
-                                provider.image_embeddings)
-        acc = float(np.mean(np.argmax(logits, axis=1) == truth))
-        _emit({"metric": "student_accuracy", "student": sid, "value": acc})
-        if logits_sum is None:
-            logits_sum = logits
-        else:
-            logits_sum += logits
-        n_students += 1
-    if n_students:
-        logits_sum /= n_students
-        ens = np.argmax(logits_sum, axis=1)
+        if os.path.exists(stem + ".json"):
+            students.append((sid, load_student_checkpoint(stem)))
+    if students:
+        ens, hits = ensemble_predictions([s for _, s in students],
+                                         provider.image_embeddings, truth)
+        for (sid, _), count in zip(students, hits):
+            _emit({"metric": "student_accuracy", "student": sid,
+                   "value": count / provider.num_samples})
         _emit({"metric": "ensemble_accuracy",
                "value": float(np.mean(ens == truth))})
 
@@ -285,7 +290,7 @@ def cmd_eval(args) -> int:
         for fname in sorted(os.listdir(labels_dir)):
             if not fname.endswith(".jsonl"):
                 continue
-            labelset = PseudoLabelSet.load(os.path.join(labels_dir, fname))
+            labelset = _load_labels(os.path.join(labels_dir, fname), provider)
             labelset.attach_ground_truth(truth)
             labelset.save(os.path.join(export_dir, fname), with_truth=True)
         _emit({"metric": "labels_with_truth_dir", "value": export_dir})

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng, as_f64, map_row_blocks, normalize_rows, stable_hash64
+from .core import SeededRng, as_f64, normalize_rows, row_blocks, stable_hash64
 from .encoders import FrozenProvider
 from .errors import ConfigError, DomainError, FormatError, IntegrityError
 
@@ -43,10 +43,6 @@ __all__ = [
 
 _PAYLOAD_SUFFIX = ".f64le"
 _TRUTH_SUFFIX = ".truth"
-
-
-def _checksum(raw: bytes) -> str:
-    return hashlib.blake2b(raw, digest_size=8).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -69,6 +65,8 @@ class DatasetManifest:
             raise FormatError("num_samples must be positive")
         if self.num_classes <= 0:
             raise FormatError("num_classes must be positive")
+        if self.dim <= 0:
+            raise FormatError("dim must be positive")
         if not isinstance(self.payload_path, str):
             raise FormatError("payload_path must be a string")
 
@@ -160,7 +158,8 @@ def generate_synthetic(spec: SyntheticSpec):
     Per class: unit-norm center, ``per_class`` samples at
     normalize(center + sigma * gauss), and an anchor at
     normalize(alignment * center + (1 - alignment) * random_unit).
-    Deterministic per seed.
+    Deterministic per seed. The samples are drawn class by class into one
+    (N, d) table, which the provider adopts.
     """
     spec.validate()
     rng = SeededRng(spec.seed)
@@ -172,13 +171,12 @@ def generate_synthetic(spec: SyntheticSpec):
         )
 
     noise_rng = rng.stream("synth/noise")
-    rows = []
-    truth = []
+    emb = np.empty((spec.classes * spec.per_class, spec.dim))
     for c in range(spec.classes):
-        g = noise_rng.normal((spec.per_class, spec.dim))
-        pts = centers[c][None, :] + spec.noise_sigma * g
-        rows.append(normalize_rows(pts))
-        truth.extend([c] * spec.per_class)
+        pts = noise_rng.normal((spec.per_class, spec.dim))
+        pts *= spec.noise_sigma
+        pts += centers[c]
+        emb[c * spec.per_class:(c + 1) * spec.per_class] = normalize_rows(pts)
 
     anchor_rng = rng.stream("synth/anchors")
     anchors = np.zeros((spec.classes, spec.dim))
@@ -193,23 +191,30 @@ def generate_synthetic(spec: SyntheticSpec):
         anchors[c] = raw / n
 
     ds = FrozenProvider(
-        np.vstack(rows), anchors,
+        emb, anchors,
         name=f"synth-c{spec.classes}-n{spec.per_class}-d{spec.dim}-s{spec.seed}",
     )
-    return ds, np.array(truth, dtype=np.int64)
+    return ds, np.repeat(np.arange(spec.classes, dtype=np.int64), spec.per_class)
 
 
 def save_dataset(ds: FrozenProvider, directory, truth=None, name=None) -> str:
-    """Write manifest + payload (+ truth sidecar); returns the manifest path."""
+    """Write manifest + payload (+ truth sidecar); returns the manifest path.
+    A ``truth`` of the wrong length raises FormatError before anything is
+    written."""
+    if truth is not None:
+        truth = np.asarray(truth, dtype=np.int64)
+        if truth.shape != (ds.num_samples,):
+            raise FormatError("ground truth length must equal num_samples")
     os.makedirs(directory, exist_ok=True)
     name = name or ds.name
     payload_rel = name + _PAYLOAD_SUFFIX
     payload_path = os.path.join(directory, payload_rel)
-    raw = np.ascontiguousarray(
-        np.vstack([ds.image_embeddings, ds.class_anchors]), dtype="<f8"
-    ).tobytes()
+    digest = hashlib.blake2b(digest_size=8)
     with open(payload_path, "wb") as f:
-        f.write(raw)
+        for table in (ds.image_embeddings, ds.class_anchors):
+            raw = np.ascontiguousarray(table, dtype="<f8")
+            digest.update(raw)
+            f.write(raw)
     manifest = DatasetManifest(
         name=name,
         num_samples=ds.num_samples,
@@ -217,7 +222,7 @@ def save_dataset(ds: FrozenProvider, directory, truth=None, name=None) -> str:
         dim=ds.dim,
         class_names=ds.class_names,
         payload_path=payload_rel,
-        checksum=_checksum(raw),
+        checksum=digest.hexdigest(),
         has_ground_truth=truth is not None,
     )
     manifest_path = os.path.join(directory, name + ".json")
@@ -225,9 +230,6 @@ def save_dataset(ds: FrozenProvider, directory, truth=None, name=None) -> str:
         json.dump(dataclasses.asdict(manifest), f, indent=1)  # fields in declared order
         f.write("\n")
     if truth is not None:
-        truth = np.asarray(truth, dtype=np.int64)
-        if truth.shape != (ds.num_samples,):
-            raise FormatError("ground truth length must equal num_samples")
         with open(payload_path + _TRUTH_SUFFIX, "w", encoding="utf-8") as f:
             f.writelines(f"{int(t)}\n" for t in truth)
     return manifest_path
@@ -255,42 +257,57 @@ def _read_manifest(manifest_path) -> DatasetManifest:
         raise FormatError(f"{manifest_path}: malformed manifest ({e})") from None
 
 
-def _normalized(rows, label, payload_path) -> np.ndarray:
-    """``rows`` with each row L2-normalized, block by block."""
-    norms = map_row_blocks(lambda block: np.linalg.norm(block, axis=1), rows)
-    if np.any(norms == 0.0):
-        raise FormatError(f"{payload_path}: zero-norm {label} row in payload")
-    off = np.abs(norms - 1.0)
-    if np.any(off > 1e-6):
-        warnings.warn(f"{label} rows off unit norm by up to {off.max():.2e}; re-normalizing")
-    return map_row_blocks(normalize_rows, rows)
+def _normalize_in_place(table, label, payload_path) -> None:
+    """L2-normalize every row of ``table`` in place, block by block; the bits
+    are those of ``normalize_rows``. A zero row raises FormatError naming the
+    payload; rows further than 1e-6 from unit norm draw one warning."""
+    worst = 0.0
+    for rows in row_blocks(table.shape[0]):
+        block = table[rows]
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        if np.any(norms == 0.0):
+            raise FormatError(f"{payload_path}: zero-norm {label} row in payload")
+        worst = max(worst, float(np.max(np.abs(norms - 1.0))))
+        block /= norms
+    if worst > 1e-6:
+        warnings.warn(f"{label} rows off unit norm by up to {worst:.2e}; re-normalizing")
 
 
 def load_dataset(manifest_path) -> FrozenProvider:
     """Load and verify a dataset as the frozen provider a run reads.
 
-    Every row of both tables is L2-normalized here, once, and that is the
-    table the run uses; rows further than 1e-6 from unit norm draw a warning
-    first. Never reads the ground-truth sidecar. A malformed manifest or
-    payload raises FormatError naming the file; a checksum mismatch raises
-    IntegrityError.
+    The payload is read block by block into one (N, d) image table and one
+    (C, d) anchor table, which the provider adopts: a load holds one copy of
+    the data. Its byte length is checked before anything is allocated (a
+    mismatch raises FormatError naming the payload) and its checksum before
+    anything is normalized (a mismatch raises IntegrityError). Then every row
+    is L2-normalized in place, once, and that is the table the run uses; rows
+    further than 1e-6 from unit norm draw a warning. Never reads the
+    ground-truth sidecar. A malformed manifest raises FormatError naming it.
     """
     manifest = _read_manifest(manifest_path)
     payload_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)),
                                 manifest.payload_path)
+    n, c, d = manifest.num_samples, manifest.num_classes, manifest.dim
+    expected = 8 * (n + c) * d
+    digest = hashlib.blake2b(digest_size=8)
     with open(payload_path, "rb") as f:
-        raw = f.read()
-    if _checksum(raw) != manifest.checksum:
+        size = os.fstat(f.fileno()).st_size
+        if size != expected:
+            raise FormatError(f"{payload_path}: payload holds {size} bytes, "
+                              f"the manifest implies {expected}")
+        emb = np.empty((n, d), dtype="<f8")
+        anchors = np.empty((c, d), dtype="<f8")
+        for table in (emb, anchors):
+            for rows in row_blocks(table.shape[0]):
+                block = memoryview(table[rows]).cast("B")
+                if f.readinto(block) != block.nbytes:
+                    raise FormatError(f"{payload_path}: payload ended early")
+                digest.update(block)
+    if digest.hexdigest() != manifest.checksum:
         raise IntegrityError(f"payload checksum mismatch for {payload_path}")
-    n = manifest.num_samples
-    shape = (n + manifest.num_classes, manifest.dim)
-    if len(raw) != 8 * shape[0] * shape[1]:
-        raise FormatError(f"{payload_path}: payload holds {len(raw)} bytes, "
-                          f"the manifest implies {8 * shape[0] * shape[1]}")
-    table = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    emb = _normalized(table[:n], "embedding", payload_path)
-    anchors = _normalized(table[n:], "anchor", payload_path)
-    del raw, table  # the provider copies the normalized tables
+    _normalize_in_place(emb, "embedding", payload_path)
+    _normalize_in_place(anchors, "anchor", payload_path)
     return FrozenProvider(emb, anchors, manifest.class_names, manifest.name)
 
 

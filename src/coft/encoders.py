@@ -52,14 +52,25 @@ __all__ = [
 _NORM_TOL = 1e-9
 
 
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """``table`` marked read-only; a copy first when it does not own its data."""
+    if not table.flags.owndata:
+        table = table.copy()
+    table.setflags(write=False)
+    return table
+
+
 class FrozenProvider:
     """Immutable frozen backbone shared by every model in a run: the image
     embeddings and one anchor per class, with the dataset's name and class
     names (``class_00``, ``class_01``, ... when none are given).
 
-    The tables are held as given, in private read-only copies; nothing here
-    normalizes. A row further than 1e-9 from unit norm (or not finite) is
-    rejected as corrupt, naming the row.
+    The tables are held as given; nothing here normalizes. A row further than
+    1e-9 from unit norm (or not finite) is rejected as corrupt, naming the
+    row. A float64 table that owns its data is adopted without a copy and
+    marked read-only, so a caller's later write to it raises (a view of it
+    taken before stays writable); any other input (a view, whose base could
+    still be written, or another dtype) is copied first.
     """
 
     def __init__(self, image_embeddings, class_anchors, class_names=None, name="dataset"):
@@ -71,20 +82,18 @@ class FrozenProvider:
             raise ShapeError(
                 f"embedding dim {emb.shape[1]} != anchor dim {anchors.shape[1]}"
             )
-        if class_names is None:
-            class_names = (f"class_{c:02d}" for c in range(anchors.shape[0]))
-        self.name = name
-        self.class_names = tuple(class_names)
-        self._embeddings = emb.copy()
-        self._anchors = anchors.copy()
-        for label, table in (("image embedding", self._embeddings),
-                             ("class anchor", self._anchors)):
-            table.setflags(write=False)
+        for label, table in (("image embedding", emb), ("class anchor", anchors)):
             norms = map_row_blocks(lambda rows: np.linalg.norm(rows, axis=1), table)
             bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOL))
             if bad.size:
                 raise DomainError(
                     f"{label} row {bad[0]} is not unit-norm (|v|={float(norms[bad[0]])!r})")
+        if class_names is None:
+            class_names = (f"class_{c:02d}" for c in range(anchors.shape[0]))
+        self.name = name
+        self.class_names = tuple(class_names)
+        self._embeddings = _frozen(emb)
+        self._anchors = _frozen(anchors)
 
     @property
     def image_embeddings(self) -> np.ndarray:
@@ -333,8 +342,14 @@ def encode_batch(enc: FFTEncoder, x):
         raise ShapeError(f"expected a batch (n, d), got shape {x.shape}")
     if x.shape[1] != enc.dim:
         raise ShapeError(f"input dim {x.shape[1]} != encoder dim {enc.dim}")
-    hidden = np.tanh(x @ enc.w1.value.T + enc.b1.value)
-    encoded = x + hidden @ enc.w2.value.T + enc.b2.value
+    # in place, so a row block holds one (n, hidden) temporary; the sums are
+    # the same IEEE additions as x + hidden @ w2.T + b2
+    hidden = x @ enc.w1.value.T
+    hidden += enc.b1.value
+    np.tanh(hidden, out=hidden)
+    encoded = hidden @ enc.w2.value.T
+    encoded += x
+    encoded += enc.b2.value
     return encoded, _EncodeCache(enc=enc, x=x, hidden=hidden, encoded=encoded)
 
 

@@ -26,7 +26,7 @@ from itertools import repeat
 import numpy as np
 
 from .core import as_f64, normalize_rows, row_blocks, softmax_rows
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ContractError, DomainError, FormatError, ShapeError
 
 __all__ = [
     "GENERATORS",
@@ -57,6 +57,10 @@ _GENERATOR_JSON = np.array([json.dumps(g) for g in GENERATORS], dtype=object)
 _STATUS_JSON = np.array([json.dumps(s) for s in STATUSES], dtype=object)
 
 _NORM_TOL = 1e-9
+
+# the fields of one saved row and the JSON types each may take
+_FIELD_TYPES = {"sample_id": int, "label": int, "confidence": (int, float),
+                "generator": str, "status": str, "ground_truth": (int, type(None))}
 
 
 @dataclass
@@ -298,18 +302,34 @@ class PseudoLabelSet:
 
     @classmethod
     def load(cls, path) -> "PseudoLabelSet":
-        keys = ("sample_id", "label", "confidence", "generator", "status")
-        cols = {k: [] for k in keys + ("ground_truth",)}
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
+        """Read a file written by ``save``. FormatError naming the file (and
+        the line, where there is one) for a line that is not a JSON object,
+        a missing or wrong-typed field, an unknown generator or status, a
+        repeated sample id, or an integer beyond int64."""
+        cols = {k: [] for k in _FIELD_TYPES}
+        with open(path, "rb") as f:  # json decodes each line, so bad UTF-8 is a bad line
+            for lineno, line in enumerate(f, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                d = json.loads(line)
-                for k in keys:
-                    cols[k].append(d[k])
-                cols["ground_truth"].append(d.get("ground_truth"))
-        return cls._from_columns(**cols)
+                try:
+                    d = json.loads(line)
+                except ValueError as e:
+                    raise FormatError(f"{path}: line {lineno} is not JSON ({e})",
+                                      line=lineno) from None
+                if not isinstance(d, dict):
+                    raise FormatError(f"{path}: line {lineno} is not a JSON object",
+                                      line=lineno)
+                for k, types in _FIELD_TYPES.items():
+                    v = d.get(k)  # an absent field reads as None, which only ground truth may be
+                    if isinstance(v, bool) or not isinstance(v, types):
+                        raise FormatError(f"{path}: line {lineno}: field {k!r} is missing "
+                                          f"or of the wrong type ({v!r})", line=lineno)
+                    cols[k].append(v)
+        try:
+            return cls._from_columns(**cols)
+        except (ContractError, OverflowError) as e:  # an unknown name, a repeated or huge id
+            raise FormatError(f"{path}: {e}") from None
 
 
 def class_probabilities(embeddings, text_embeddings, tau: float) -> np.ndarray:

@@ -20,6 +20,7 @@ from coft.pseudo import PseudoLabelSet, centroid_confidences
 from coft.train import (
     TrainConfig,
     collaborative_filter,
+    ensemble_predictions,
     generate_labels,
     init_adapted_model,
     iterate_peft,
@@ -114,6 +115,28 @@ class TestBlockedEqualsWholeTable:
             monkeypatch, lambda: map_row_blocks(lambda x: logits_batch(student, x)[0], emb))
         assert np.array_equal(whole, logits_batch(student, emb)[0])
         assert np.array_equal(blocked, whole)
+
+    def test_ensemble_and_student_hits(self, monkeypatch, provider):
+        # reference: whole-table logits, summed, halved, then argmaxed
+        rng = np.random.default_rng(5)
+        students = []
+        for sid in ("student1", "student2"):
+            student = init_fft_encoder(provider.dim, provider.num_classes,
+                                       2 * provider.dim, SeededRng(5), name_prefix=f"{sid}/")
+            for p in student.params():
+                p.value[:] = rng.normal(size=p.shape) * 0.4
+            students.append(student)
+        emb = provider.image_embeddings
+        truth = rng.integers(0, provider.num_classes, size=provider.num_samples)
+        logits = [logits_batch(s, emb)[0] for s in students]
+        expected = np.argmax((logits[0] + logits[1]) / 2.0, axis=1)
+        hits = [int(np.count_nonzero(np.argmax(l, axis=1) == truth)) for l in logits]
+        whole, blocked = whole_and_blocked(
+            monkeypatch, lambda: ensemble_predictions(students, emb, truth))
+        for predictions, counts in (whole, blocked):
+            assert np.array_equal(predictions, expected)
+            assert counts == hits
+        assert ensemble_predictions(students, emb)[1] is None
 
     @pytest.mark.parametrize("with_truth", [False, True])
     def test_save_bytes(self, monkeypatch, provider, tmp_path, with_truth):

@@ -19,8 +19,10 @@ from coft.cli import (
     resolved_config_text,
 )
 from coft.data import load_dataset, load_ground_truth
+from coft.encoders import logits_batch
 from coft.grad import checkpoint_files_equal, load_checkpoint, param, save_checkpoint
 from coft.pseudo import PseudoLabelSet
+from coft.train import load_student_checkpoint
 
 
 def run_cli(*argv):
@@ -243,8 +245,23 @@ def malform(manifest, case):
         fields["class_names"] = 7
     elif case == "zero-classes":
         fields["num_classes"], fields["class_names"] = 0, []
+    elif case == "zero-dim":
+        fields["dim"] = 0
     elif case == "payload-path-int":
         fields["payload_path"] = 5
+    elif case in ("payload-truncated", "payload-plus8", "payload-byte-flipped"):
+        damaged = os.path.join(os.path.dirname(manifest), fields["payload_path"])
+        with open(damaged, "rb") as f:
+            raw = bytearray(f.read())
+        if case == "payload-truncated":
+            raw = raw[:-8]
+        elif case == "payload-plus8":
+            raw += bytes(8)
+        else:
+            raw[100] ^= 0x01
+        with open(damaged, "wb") as f:
+            f.write(raw)
+        return damaged
     else:  # payload length not a multiple of 8, under a matching checksum
         damaged = os.path.join(os.path.dirname(manifest), fields["payload_path"])
         with open(damaged, "ab") as f:
@@ -259,8 +276,9 @@ def malform(manifest, case):
 class TestMalformedDataset:
     @pytest.mark.parametrize("command", ["run", "eval"])
     @pytest.mark.parametrize("case", ["not-json", "num-samples-word", "class-names-int",
-                                      "zero-classes", "payload-path-int",
-                                      "payload-odd-length"])
+                                      "zero-classes", "zero-dim", "payload-path-int",
+                                      "payload-odd-length", "payload-truncated",
+                                      "payload-plus8", "payload-byte-flipped"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, case, command):
         manifest = make_dataset(tmp_path)
         damaged = malform(manifest, case)
@@ -375,16 +393,45 @@ class TestEval:
                 "ensemble_accuracy"} <= metrics
 
     def test_ensemble_accuracy_equals_run_final_record(self, tmp_path, capsys, monkeypatch):
-        # 500 rows in two blocks of 250, for the run's passes and eval's alike
+        # 500 rows in two blocks of 250, for the run's passes and eval's alike;
+        # the reference sums the students' whole-table logits, then argmaxes
         monkeypatch.setattr(core, "BLOCK_ROWS", 200)
-        _, out = self.finished_run(tmp_path, **{"per-class": 125})
+        manifest, out = self.finished_run(tmp_path, **{"per-class": 125})
         capsys.readouterr()
         assert run_cli("eval", "--run", str(out)) == 0
-        ens = next(r["value"] for r in read_records(capsys)
-                   if r["metric"] == "ensemble_accuracy")
+        records = read_records(capsys)
+        ens = next(r["value"] for r in records if r["metric"] == "ensemble_accuracy")
         with open(out / "metrics.jsonl", encoding="utf-8") as f:
             final = next(r for r in map(json.loads, f) if r.get("event") == "final")
         assert ens == final["ensemble_accuracy"]
+        emb = load_dataset(manifest).image_embeddings
+        truth = load_ground_truth(manifest)
+        logits = {sid: logits_batch(load_student_checkpoint(
+                      str(out / "checkpoints" / f"phase2_{sid}")), emb)[0]
+                  for sid in ("student1", "student2")}
+        assert {r["student"]: r["value"] for r in records
+                if r["metric"] == "student_accuracy"} == {
+            sid: float(np.mean(np.argmax(l, axis=1) == truth)) for sid, l in logits.items()}
+        whole = (logits["student1"] + logits["student2"]) / 2.0
+        assert ens == float(np.mean(np.argmax(whole, axis=1) == truth))
+
+    @pytest.mark.parametrize("case", ["truncated-line", "label-99"])
+    def test_bad_label_file_exits_2_naming_it(self, tmp_path, capsys, case):
+        _, out = self.finished_run(tmp_path)
+        path = out / "labels" / "filter_model1.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        if case == "truncated-line":
+            lines[3] = lines[3][:len(lines[3]) // 2] + "\n"
+            expected = "line 4 is not JSON"
+        else:
+            lines[3] = lines[3].replace(f'"label": {json.loads(lines[3])["label"]}',
+                                        '"label": 99')
+            expected = "label 99 outside [0, 4)"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and expected in err
 
     @pytest.mark.parametrize("resize", ["half", "plus8"])
     def test_corrupt_student_payload_exits_2(self, tmp_path, capsys, resize):

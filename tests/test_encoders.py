@@ -45,13 +45,16 @@ class TestFrozenProvider:
             FrozenProvider(tables["emb"], tables["anchors"])
 
     def test_holds_tables_as_given(self):
-        # rows within the 1e-9 tolerance keep their bits: nothing normalizes
+        # rows within the 1e-9 tolerance keep their bits: nothing normalizes.
+        # A table that owns its data is adopted and frozen; a view is copied.
         emb = normalize_rows(np.random.default_rng(2).normal(size=(4, 3))) * (1.0 + 1e-12)
+        emb0 = emb.tobytes()
         anchors = np.eye(3)[:2]
         p = FrozenProvider(emb, anchors, class_names=("cat", "dog"), name="pets")
-        assert p.image_embeddings.tobytes() == emb.tobytes()
-        assert p.image_embeddings is not emb and emb.flags.writeable
-        assert not p.image_embeddings.flags.writeable
+        assert p.image_embeddings is emb and not emb.flags.writeable
+        assert p.image_embeddings.tobytes() == emb0
+        assert p.class_anchors is not anchors and anchors.flags.writeable
+        assert p.class_anchors.tobytes() == anchors.tobytes()
         assert not p.class_anchors.flags.writeable
         assert (p.name, p.class_names) == ("pets", ("cat", "dog"))
         assert FrozenProvider(emb, anchors).class_names == ("class_00", "class_01")
@@ -63,18 +66,28 @@ class TestFrozenProvider:
         with pytest.raises(ValueError):
             p.class_anchors[0, 0] = 5.0
 
-    def test_tables_are_private_copies(self):
-        # the provider is the two tables and nothing else: later writes to
-        # the caller's arrays do not reach it
+    def test_caller_writes_cannot_reach_the_tables(self):
+        # the provider is the two tables and nothing else: a write to an
+        # adopted table raises, and a write through the base of a view that
+        # was passed in reaches only the caller's array
         emb = normalize_rows(np.random.default_rng(1).normal(size=(3, 4)))
-        anchors = np.eye(4)[:2].copy()
-        p = FrozenProvider(emb, anchors)
+        base = np.eye(4)
+        p = FrozenProvider(emb, base[:2])
         emb0, anchors0 = p.image_embeddings.tobytes(), p.class_anchors.tobytes()
-        emb[:] = 0.0
-        anchors[:] = 0.0
+        with pytest.raises(ValueError):
+            emb[:] = 0.0
+        base[:] = 0.0
         assert p.image_embeddings.tobytes() == emb0
         assert p.class_anchors.tobytes() == anchors0
         assert (p.num_samples, p.num_classes, p.dim) == (3, 2, 4)
+
+    def test_rejected_table_stays_writable(self):
+        # the norm check runs before the provider adopts anything
+        emb = normalize_rows(np.random.default_rng(1).normal(size=(3, 4)))
+        anchors = 2.0 * np.eye(4)[:2]
+        with pytest.raises(DomainError):
+            FrozenProvider(emb, anchors)
+        assert emb.flags.writeable
 
 
 class TestComposeText:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from coft.core import normalize_rows
 from coft.encoders import FrozenProvider
-from coft.errors import ContractError, DomainError
+from coft.errors import ContractError, DomainError, FormatError
 from coft.pseudo import (
     GENERATORS,
     STATUSES,
@@ -273,6 +274,31 @@ class TestPseudoLabelSet:
             assert (b.label, b.confidence, b.generator, b.status) == (
                 r.label, r.confidence, r.generator, r.status,
             )
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"confidence": 0.5, "generator": "zero', "line 2 is not JSON"),
+        (b'{"confidence": 0.5, "generator": "\xff"}', "line 2 is not JSON"),
+        ('[1, 2]', "line 2 is not a JSON object"),
+        ('{"confidence": 0.5, "generator": "model1", "sample_id": 7, "status": "clean"}',
+         "line 2: field 'label' is missing"),
+        ('{"confidence": 0.5, "generator": "model1", "label": "2", "sample_id": 7, '
+         '"status": "clean"}', "line 2: field 'label' is missing or of the wrong type"),
+        ('{"confidence": true, "generator": "model1", "label": 2, "sample_id": 7, '
+         '"status": "clean"}', "line 2: field 'confidence'"),
+        ('{"confidence": 0.5, "generator": "model9", "label": 2, "sample_id": 7, '
+         '"status": "clean"}', "unknown generator 'model9'"),
+        ('{"confidence": 0.5, "generator": "model1", "label": 2, "sample_id": 3, '
+         '"status": "clean"}', "duplicate sample_id 3"),
+        ('{"confidence": 0.5, "generator": "model1", "label": 2, "sample_id": 1' + '0' * 30
+         + ', "status": "clean"}', "too large"),
+    ])
+    def test_malformed_file_names_the_file(self, tmp_path, line, message):
+        p = tmp_path / "labels.jsonl"
+        _records([(3, 2, 0.125)]).save(p)
+        with open(p, "ab") as f:
+            f.write((line.encode("utf-8") if isinstance(line, str) else line) + b"\n")
+        with pytest.raises(FormatError, match=f"{re.escape(str(p))}: .*{re.escape(message)}"):
+            PseudoLabelSet.load(p)
 
     def test_accuracy(self):
         ps = _records([(0, 1, 0.5), (1, 0, 0.6), (2, 1, 0.7)])
