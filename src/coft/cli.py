@@ -25,7 +25,7 @@ import typing
 
 import numpy as np
 
-from .core import map_row_blocks
+from .core import map_row_blocks, read_manifest
 from .data import (
     SyntheticSpec,
     generate_synthetic,
@@ -178,10 +178,8 @@ def cmd_synth(args) -> int:
     )
     ds, truth = generate_synthetic(spec)
     manifest = save_dataset(ds, args.out, truth=truth, name=args.name)
-    with open(manifest, "r", encoding="utf-8") as f:
-        checksum = json.load(f)["checksum"]
     print(manifest)
-    print(f"checksum {checksum}")
+    print(f"checksum {read_manifest(manifest)['checksum']}")
     return EXIT_OK
 
 
@@ -254,35 +252,27 @@ def cmd_eval(args) -> int:
 
     ckpt_dir = os.path.join(args.run, "checkpoints")
     for mid in ("model1", "model2"):
-        stem = os.path.join(ckpt_dir, f"phase1_{mid}")
-        if os.path.exists(stem + ".json"):
-            model = load_model_checkpoint(stem, provider, rc.train, mid)
-            acc = generate_labels(model).accuracy(truth)
-            _emit({"metric": "phase1_model_accuracy", "model": mid, "value": acc})
+        model = load_model_checkpoint(os.path.join(ckpt_dir, f"phase1_{mid}"),
+                                      provider, rc.train, mid)
+        acc = generate_labels(model).accuracy(truth)
+        _emit({"metric": "phase1_model_accuracy", "model": mid, "value": acc})
 
     labels_dir = os.path.join(args.run, "labels")
     for mid in ("model1", "model2"):
         path = os.path.join(labels_dir, f"filter_{mid}.jsonl")
-        if not os.path.exists(path):
-            continue
         size, precision, recall = _load_labels(path, provider).clean_quality(truth)
         _emit({"metric": "clean_size", "direction": mid, "value": size})
         _emit({"metric": "clean_precision", "direction": mid, "value": precision})
         _emit({"metric": "clean_recall", "direction": mid, "value": recall})
 
-    students = []
-    for sid in ("student1", "student2"):
-        stem = os.path.join(ckpt_dir, f"phase2_{sid}")
-        if os.path.exists(stem + ".json"):
-            students.append((sid, load_student_checkpoint(stem)))
-    if students:
-        ens, hits = ensemble_predictions([s for _, s in students],
-                                         provider.image_embeddings, truth)
-        for (sid, _), count in zip(students, hits):
-            _emit({"metric": "student_accuracy", "student": sid,
-                   "value": count / provider.num_samples})
-        _emit({"metric": "ensemble_accuracy",
-               "value": float(np.mean(ens == truth))})
+    student_ids = ("student1", "student2")
+    students = [load_student_checkpoint(os.path.join(ckpt_dir, f"phase2_{sid}"))
+                for sid in student_ids]
+    ens, hits = ensemble_predictions(students, provider.image_embeddings, truth)
+    for sid, count in zip(student_ids, hits):
+        _emit({"metric": "student_accuracy", "student": sid,
+               "value": count / provider.num_samples})
+    _emit({"metric": "ensemble_accuracy", "value": float(np.mean(ens == truth))})
 
     if args.with_truth:
         export_dir = os.path.join(args.run, "labels_with_truth")

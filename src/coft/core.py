@@ -1,6 +1,7 @@
-"""Deterministic float64 vector kernels and seeded, stream-labeled randomness.
+"""Deterministic float64 vector kernels, seeded, stream-labeled randomness, and
+the payload container: the only code that opens a dataset or checkpoint payload.
 
-Everything here is a pure function over immutable inputs. All arithmetic is
+The kernels are pure functions over immutable inputs. All arithmetic is
 64-bit; callers that need reproducibility draw from :class:`SeededRng`
 streams identified by explicit string labels.
 """
@@ -8,10 +9,13 @@ streams identified by explicit string labels.
 from __future__ import annotations
 
 import hashlib
+import json
+import math
+import os
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, FormatError, IntegrityError, ShapeError
 
 __all__ = [
     "as_f64",
@@ -25,6 +29,9 @@ __all__ = [
     "BLOCK_ROWS",
     "row_blocks",
     "map_row_blocks",
+    "write_container",
+    "read_manifest",
+    "read_payload",
 ]
 
 # Rows per block of a pass over a whole sample table. Never fewer: a matrix
@@ -133,6 +140,62 @@ def map_row_blocks(fn, table) -> np.ndarray:
             out = np.empty((n,) + part.shape[1:], dtype=part.dtype)
         out[rows] = part
     return out
+
+
+# Payload container: a JSON manifest whose "checksum" is the blake2b-64 digest of
+# a headerless little-endian float64 payload holding its tables back to back.
+def write_container(manifest_path, payload_path, tables, manifest: dict) -> None:
+    """Write ``tables`` as the payload, then ``manifest`` as JSON with its
+    "checksum" filled in (in place when the key is present, else appended).
+    Each file goes to a ".tmp" name first and is moved into place, so a
+    crashed writer leaves no partial file under the final name."""
+    digest = hashlib.blake2b(digest_size=8)
+    with open(payload_path + ".tmp", "wb") as f:
+        for table in tables:
+            raw = np.ascontiguousarray(table, dtype="<f8")
+            digest.update(raw)
+            f.write(raw)
+    os.replace(payload_path + ".tmp", payload_path)
+    with open(manifest_path + ".tmp", "w", encoding="utf-8") as f:
+        json.dump({**manifest, "checksum": digest.hexdigest()}, f, indent=1)
+        f.write("\n")
+    os.replace(manifest_path + ".tmp", manifest_path)
+
+
+def read_manifest(path) -> dict:
+    """A manifest's JSON object; FormatError naming the file otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            manifest = json.load(f)
+    except ValueError as e:  # not UTF-8 or not JSON
+        raise FormatError(f"{path}: not a JSON manifest ({e})") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
+    return manifest
+
+
+def read_payload(path, shapes, checksum) -> list:
+    """One new float64 array per shape, read in place from the payload. The
+    byte length is checked before anything is allocated (FormatError naming
+    the payload), the checksum after the read (IntegrityError)."""
+    expected = sum(8 * math.prod(shape) for shape in shapes)
+    digest = hashlib.blake2b(digest_size=8)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size != expected:
+            raise FormatError(f"{path}: payload holds {size} bytes, "
+                              f"the manifest implies {expected}")
+        tables = [np.empty(shape, dtype="<f8") for shape in shapes]
+        for table in tables:
+            raw = memoryview(table.reshape(-1)).cast("B")
+            for start in range(0, raw.nbytes, 1 << 20):  # 1 MiB per read
+                chunk = raw[start:start + (1 << 20)]
+                if f.readinto(chunk) != chunk.nbytes:
+                    raise FormatError(f"{path}: payload ended early")
+                digest.update(chunk)
+    if digest.hexdigest() != checksum:
+        raise IntegrityError(f"payload checksum mismatch for {path}")
+    return tables
 
 
 def stable_hash64(text: str) -> int:

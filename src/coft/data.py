@@ -1,21 +1,22 @@
 """Dataset files, the synthetic cluster benchmark, template ingestion, and
 metrics persistence.
 
-On-disk layout for a dataset named ``foo``:
+On-disk layout for a dataset named ``foo``, written and read as one payload
+container (``core.write_container``: checksummed, each file moved into place
+whole):
 
   foo.json        manifest (human-readable JSON; see DatasetManifest fields)
   foo.f64le       payload: little-endian float64, row-major, no header.
                   First num_samples rows are image embeddings, the final
                   num_classes rows are the class anchors.
-  foo.f64le.truth sidecar of ground-truth labels, one integer per line.
-                  ``load_dataset`` never opens it; only the evaluation-side
-                  ``load_ground_truth`` reader does.
+  foo.f64le.truth sidecar of ground-truth labels, one integer in
+                  [0, num_classes) per line. ``load_dataset`` never opens it;
+                  only the evaluation-side ``load_ground_truth`` reader does.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -24,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng, as_f64, normalize_rows, row_blocks, stable_hash64
+from .core import (SeededRng, as_f64, normalize_rows, read_manifest, read_payload,
+                   row_blocks, stable_hash64, write_container)
 from .encoders import FrozenProvider
-from .errors import ConfigError, DomainError, FormatError, IntegrityError
+from .errors import ConfigError, DomainError, FormatError
 
 __all__ = [
     "DatasetManifest",
@@ -207,28 +209,20 @@ def save_dataset(ds: FrozenProvider, directory, truth=None, name=None) -> str:
             raise FormatError("ground truth length must equal num_samples")
     os.makedirs(directory, exist_ok=True)
     name = name or ds.name
-    payload_rel = name + _PAYLOAD_SUFFIX
-    payload_path = os.path.join(directory, payload_rel)
-    digest = hashlib.blake2b(digest_size=8)
-    with open(payload_path, "wb") as f:
-        for table in (ds.image_embeddings, ds.class_anchors):
-            raw = np.ascontiguousarray(table, dtype="<f8")
-            digest.update(raw)
-            f.write(raw)
+    payload_path = os.path.join(directory, name + _PAYLOAD_SUFFIX)
     manifest = DatasetManifest(
         name=name,
         num_samples=ds.num_samples,
         num_classes=ds.num_classes,
         dim=ds.dim,
         class_names=ds.class_names,
-        payload_path=payload_rel,
-        checksum=digest.hexdigest(),
+        payload_path=name + _PAYLOAD_SUFFIX,
+        checksum="",  # filled in by write_container
         has_ground_truth=truth is not None,
     )
     manifest_path = os.path.join(directory, name + ".json")
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        json.dump(dataclasses.asdict(manifest), f, indent=1)  # fields in declared order
-        f.write("\n")
+    write_container(manifest_path, payload_path, (ds.image_embeddings, ds.class_anchors),
+                    dataclasses.asdict(manifest))  # fields in declared order
     if truth is not None:
         with open(payload_path + _TRUTH_SUFFIX, "w", encoding="utf-8") as f:
             f.writelines(f"{int(t)}\n" for t in truth)
@@ -237,10 +231,9 @@ def save_dataset(ds: FrozenProvider, directory, truth=None, name=None) -> str:
 
 def _read_manifest(manifest_path) -> DatasetManifest:
     """Parse a dataset manifest. FormatError, naming the file, when it is not
-    JSON or a field is missing, of the wrong type or inconsistent."""
+    a JSON object or a field is missing, of the wrong type or inconsistent."""
+    d = read_manifest(manifest_path)
     try:
-        with open(manifest_path, "r", encoding="utf-8") as f:
-            d = json.load(f)
         return DatasetManifest(
             name=d["name"],
             num_samples=int(d["num_samples"]),
@@ -253,7 +246,7 @@ def _read_manifest(manifest_path) -> DatasetManifest:
         )
     except KeyError as e:
         raise FormatError(f"{manifest_path}: manifest missing field {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:  # not JSON, a wrong type, or a field check
+    except (TypeError, ValueError) as e:  # a wrong type or a field check
         raise FormatError(f"{manifest_path}: malformed manifest ({e})") from None
 
 
@@ -276,11 +269,10 @@ def _normalize_in_place(table, label, payload_path) -> None:
 def load_dataset(manifest_path) -> FrozenProvider:
     """Load and verify a dataset as the frozen provider a run reads.
 
-    The payload is read block by block into one (N, d) image table and one
-    (C, d) anchor table, which the provider adopts: a load holds one copy of
-    the data. Its byte length is checked before anything is allocated (a
-    mismatch raises FormatError naming the payload) and its checksum before
-    anything is normalized (a mismatch raises IntegrityError). Then every row
+    ``core.read_payload`` reads the payload in place into one (N, d) image
+    table and one (C, d) anchor table, which the provider adopts: a load holds
+    one copy of the data. A payload of the wrong size raises FormatError, one
+    that fails its checksum IntegrityError. Then every row
     is L2-normalized in place, once, and that is the table the run uses; rows
     further than 1e-6 from unit norm draw a warning. Never reads the
     ground-truth sidecar. A malformed manifest raises FormatError naming it.
@@ -289,40 +281,32 @@ def load_dataset(manifest_path) -> FrozenProvider:
     payload_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)),
                                 manifest.payload_path)
     n, c, d = manifest.num_samples, manifest.num_classes, manifest.dim
-    expected = 8 * (n + c) * d
-    digest = hashlib.blake2b(digest_size=8)
-    with open(payload_path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if size != expected:
-            raise FormatError(f"{payload_path}: payload holds {size} bytes, "
-                              f"the manifest implies {expected}")
-        emb = np.empty((n, d), dtype="<f8")
-        anchors = np.empty((c, d), dtype="<f8")
-        for table in (emb, anchors):
-            for rows in row_blocks(table.shape[0]):
-                block = memoryview(table[rows]).cast("B")
-                if f.readinto(block) != block.nbytes:
-                    raise FormatError(f"{payload_path}: payload ended early")
-                digest.update(block)
-    if digest.hexdigest() != manifest.checksum:
-        raise IntegrityError(f"payload checksum mismatch for {payload_path}")
+    emb, anchors = read_payload(payload_path, ((n, d), (c, d)), manifest.checksum)
     _normalize_in_place(emb, "embedding", payload_path)
     _normalize_in_place(anchors, "anchor", payload_path)
     return FrozenProvider(emb, anchors, manifest.class_names, manifest.name)
 
 
 def load_ground_truth(manifest_path) -> np.ndarray:
-    """Evaluation-only reader for the truth sidecar."""
+    """Evaluation-only reader for the truth sidecar. FormatError, naming the
+    sidecar, for a line (blank included) that is not an integer in
+    [0, num_classes) (naming the line) or a label count other than num_samples."""
     manifest = _read_manifest(manifest_path)
     if not manifest.has_ground_truth:
         raise FormatError(f"dataset {manifest.name!r} carries no ground truth")
     truth_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)),
                               manifest.payload_path + _TRUTH_SUFFIX)
-    with open(truth_path, "r", encoding="utf-8") as f:
-        truth = np.array([int(line) for line in f if line.strip()], dtype=np.int64)
-    if truth.shape != (manifest.num_samples,):
-        raise FormatError("ground truth sidecar length mismatch")
-    return truth
+    with open(truth_path, "rb") as f:
+        labels = [int(text) if text.isdigit() else -1 for text in f.read().splitlines()]
+    bad = next((i for i, label in enumerate(labels)
+                if not 0 <= label < manifest.num_classes), None)
+    if bad is not None:
+        raise FormatError(f"{truth_path}: line {bad + 1} is not a label in "
+                          f"[0, {manifest.num_classes})", line=bad + 1)
+    if len(labels) != manifest.num_samples:
+        raise FormatError(f"{truth_path}: holds {len(labels)} labels, "
+                          f"the manifest lists {manifest.num_samples} samples")
+    return np.array(labels, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,12 @@ independent check that keeps them honest. Losses accumulate into
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_f64
+from .core import as_f64, read_manifest, read_payload, write_container
 from .errors import ContractError, DomainError, FormatError, ShapeError, TrainingError
 
 __all__ = [
@@ -228,15 +226,14 @@ def check_gradients(loss_fn, params, eps: float = 1e-5, tol: float = 1e-4,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: a JSON manifest listing (name, shape, byte offset) per tensor
-# plus one flat little-endian float64 payload. The manifest's "optimizer"
+# Checkpoints: a payload container (see core.write_container) whose manifest
+# lists (name, shape, byte offset) per tensor. The manifest's "optimizer"
 # field is always null: no optimizer state is saved.
 # ---------------------------------------------------------------------------
 
-# v2: prompt contexts add to the class anchors directly. v1 contexts went
-# through a random mixer first, so they load with the right shape but mean
-# something else; v1 files are rejected as an unrecognized format.
-_CKPT_FORMAT = "coft-checkpoint-v2"
+# v3 manifests carry the payload's checksum; v2 ones lack it, and v1 contexts
+# meant something else (they went through a random mixer). Both are rejected.
+_CKPT_FORMAT = "coft-checkpoint-v3"
 
 
 def _paths(stem: str):
@@ -246,27 +243,21 @@ def _paths(stem: str):
 def save_checkpoint(stem: str, params) -> str:
     """Write ``<stem>.json`` + ``<stem>.f64le``; returns the manifest path."""
     manifest_path, payload_path = _paths(stem)
-    chunks = []
-    offset = 0
     entries = []
+    offset = 0
     for p in params:
-        raw = np.ascontiguousarray(p.value, dtype="<f8").tobytes()
-        entries.append({"name": p.name, "shape": list(p.value.shape), "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
-    manifest = {"format": _CKPT_FORMAT, "params": entries, "optimizer": None}
-    with open(payload_path, "wb") as f:
-        f.write(b"".join(chunks))
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.write("\n")
+        entries.append({"name": p.name, "offset": offset, "shape": list(p.value.shape)})
+        offset += 8 * p.value.size
+    write_container(manifest_path, payload_path, [p.value for p in params],
+                    {"format": _CKPT_FORMAT, "optimizer": None, "params": entries})
     return manifest_path
 
 
-def _tensor_entries(manifest_path: str, manifest) -> list:
-    """(name, shape, offset) per listed tensor; the offsets must be consecutive."""
-    if not isinstance(manifest, dict) or manifest.get("format") != _CKPT_FORMAT:
-        raise FormatError(f"{manifest_path}: unrecognized checkpoint format")
+def _tensor_entries(manifest_path: str, manifest: dict) -> list:
+    """(name, shape) per listed tensor; the offsets must be consecutive."""
+    if manifest.get("format") != _CKPT_FORMAT:
+        raise FormatError(f"{manifest_path}: unrecognized checkpoint format "
+                          f"{manifest.get('format')!r}")
     if manifest.get("optimizer") is not None:
         raise FormatError(f"{manifest_path}: the 'optimizer' field must be null")
     out = []
@@ -276,7 +267,7 @@ def _tensor_entries(manifest_path: str, manifest) -> list:
             name, shape = str(e["name"]), tuple(int(n) for n in e["shape"])
             if e["offset"] != offset or min(shape, default=0) < 0:
                 raise ValueError(e)
-            out.append((name, shape, offset))
+            out.append((name, shape))
             offset += 8 * math.prod(shape)
     except (KeyError, TypeError, ValueError):
         raise FormatError(f"{manifest_path}: malformed tensor list") from None
@@ -284,35 +275,13 @@ def _tensor_entries(manifest_path: str, manifest) -> list:
 
 
 def load_checkpoint(stem: str) -> list:
-    """Read a checkpoint pair; returns its params in manifest order.
-
-    Raises FormatError, naming the file, when the manifest is malformed or
-    the payload size differs from the sum of the listed tensors.
-    """
+    """Read a checkpoint pair; returns its params in manifest order. Raises
+    FormatError, naming the file, when the manifest is malformed or the payload
+    size differs from the listed tensors', IntegrityError on a checksum mismatch."""
     manifest_path, payload_path = _paths(stem)
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        try:
-            manifest = json.load(f)
-        except ValueError as e:
-            raise FormatError(f"{manifest_path}: not a JSON manifest ({e})") from None
+    manifest = read_manifest(manifest_path)
     entries = _tensor_entries(manifest_path, manifest)
-    with open(payload_path, "rb") as f:
-        payload = f.read()
-    expected = sum(8 * math.prod(shape) for _, shape, _ in entries)
-    if len(payload) != expected:
-        raise FormatError(f"{payload_path}: payload holds {len(payload)} bytes, "
-                          f"the manifest lists {expected}")
-    return [param(name, np.frombuffer(payload, dtype="<f8", count=math.prod(shape),
-                                      offset=offset).reshape(shape))
-            for name, shape, offset in entries]
-
-
-def checkpoint_files_equal(stem_a: str, stem_b: str) -> bool:
-    """Byte-for-byte equality of two checkpoint pairs."""
-    for a, b in zip(_paths(stem_a), _paths(stem_b)):
-        if not (os.path.exists(a) and os.path.exists(b)):
-            return False
-        with open(a, "rb") as fa, open(b, "rb") as fb:
-            if fa.read() != fb.read():
-                return False
-    return True
+    values = read_payload(payload_path, [shape for _, shape in entries],
+                          manifest.get("checksum"))
+    return [ParamTensor(name, value, np.zeros_like(value))
+            for (name, _), value in zip(entries, values)]

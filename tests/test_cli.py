@@ -1,4 +1,5 @@
 import dataclasses
+import filecmp
 import hashlib
 import json
 import os
@@ -19,8 +20,9 @@ from coft.cli import (
     resolved_config_text,
 )
 from coft.data import load_dataset, load_ground_truth
+from coft.errors import FormatError, IntegrityError
 from coft.encoders import logits_batch
-from coft.grad import checkpoint_files_equal, load_checkpoint, param, save_checkpoint
+from coft.grad import load_checkpoint, param, save_checkpoint
 from coft.pseudo import PseudoLabelSet
 from coft.train import load_student_checkpoint
 
@@ -83,10 +85,10 @@ class TestRun:
                            *FAST_TRAIN) == 0
         for stem in ("phase1_model1", "phase1_model2", "phase2_student1",
                      "phase2_student2"):
-            assert checkpoint_files_equal(
-                str(tmp_path / "r1" / "checkpoints" / stem),
-                str(tmp_path / "r2" / "checkpoints" / stem),
-            ), stem
+            for name in (stem + ".json", stem + ".f64le"):
+                assert filecmp.cmp(tmp_path / "r1" / "checkpoints" / name,
+                                   tmp_path / "r2" / "checkpoints" / name,
+                                   shallow=False), name
 
     def test_coft_plus_degenerate_equals_coft(self, tmp_path):
         manifest = make_dataset(tmp_path)
@@ -98,10 +100,10 @@ class TestRun:
                        "--out", str(tmp_path / "degenerate"), *FAST_TRAIN) == 0
         for stem in ("phase1_model1", "phase1_model2", "phase2_student1",
                      "phase2_student2"):
-            assert checkpoint_files_equal(
-                str(tmp_path / "plain" / "checkpoints" / stem),
-                str(tmp_path / "degenerate" / "checkpoints" / stem),
-            ), stem
+            for name in (stem + ".json", stem + ".f64le"):
+                assert filecmp.cmp(tmp_path / "plain" / "checkpoints" / name,
+                                   tmp_path / "degenerate" / "checkpoints" / name,
+                                   shallow=False), name
 
     def test_zero_shot_table_exported_once(self, tmp_path):
         # round 1 generates from the zero-shot table for both models, so only
@@ -328,6 +330,39 @@ class TestConfigRoundTrip:
             assert resolved_config_text(load_run_config(run_dir)) == text
 
 
+class TestTruthSidecar:
+    @pytest.mark.parametrize("case,expected", [
+        ("not-an-integer", "line 101 is not a label in [0, 4)"),
+        ("label-4", "line 1 is not a label in [0, 4)"),
+        ("one-short", "holds 99 labels, the manifest lists 100 samples"),
+    ], ids=["not-an-integer", "label-4", "one-short"])
+    def test_run_ignores_it_and_eval_exits_2_naming_it(self, tmp_path, capsys, case,
+                                                        expected):
+        # truth is evaluation-only: a run without usable truth still completes
+        manifest = make_dataset(tmp_path)
+        sidecar = os.path.join(os.path.dirname(manifest),
+                               json.load(open(manifest))["payload_path"] + ".truth")
+        with open(sidecar, encoding="utf-8") as f:
+            lines = f.readlines()
+        if case == "not-an-integer":
+            lines.append("x\n")
+        elif case == "label-4":
+            lines[0] = "4\n"
+        else:
+            lines.pop()
+        with open(sidecar, "w", encoding="utf-8") as f:
+            f.writelines(lines)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run_cli("run", "--dataset", manifest, "--seed", "7", "--out", str(out),
+                       *FAST_TRAIN) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary["event"] == "run_complete" and "ensemble_accuracy" not in summary
+        assert run_cli("eval", "--run", str(out)) == 2
+        err = capsys.readouterr().err
+        assert sidecar in err and expected in err
+
+
 class TestEval:
     def finished_run(self, tmp_path, train_args=FAST_TRAIN, **synth_kw):
         manifest = make_dataset(tmp_path, **synth_kw)
@@ -433,12 +468,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(path) in err and expected in err
 
-    @pytest.mark.parametrize("resize", ["half", "plus8"])
+    @pytest.mark.parametrize("resize", ["half", "plus8", "flip"])
     def test_corrupt_student_payload_exits_2(self, tmp_path, capsys, resize):
         _, out = self.finished_run(tmp_path)
         payload = out / "checkpoints" / "phase2_student1.f64le"
-        raw = payload.read_bytes()
-        payload.write_bytes(raw[:len(raw) // 2] if resize == "half" else raw + bytes(8))
+        raw = bytearray(payload.read_bytes())
+        if resize == "flip":  # same size: only the checksum catches it
+            raw[len(raw) // 2] ^= 0x01
+        payload.write_bytes({"half": raw[:len(raw) // 2], "plus8": raw + bytes(8),
+                             "flip": raw}[resize])
+        with pytest.raises(IntegrityError if resize == "flip" else FormatError,
+                           match="phase2_student1.f64le"):
+            load_student_checkpoint(str(out / "checkpoints" / "phase2_student1"))
         capsys.readouterr()
         assert run_cli("eval", "--run", str(out)) == 2
         err = capsys.readouterr().err
@@ -470,18 +511,31 @@ class TestEval:
         err = capsys.readouterr().err
         assert "phase1_model2.json" in err and "neg_context" in err and "(2, 16)" in err
 
-    def test_checkpoint_from_before_v2_exits_2(self, tmp_path, capsys):
-        # v1 contexts went through a mixer: same shape, different meaning
+    def test_checkpoint_from_before_v3_exits_2(self, tmp_path, capsys):
+        # v2 manifests carry no checksum; v1 contexts went through a mixer
         _, out = self.finished_run(tmp_path)
         path = out / "checkpoints" / "phase1_model1.json"
         manifest = json.loads(path.read_text())
-        assert manifest["format"] == "coft-checkpoint-v2"
-        manifest["format"] = "coft-checkpoint-v1"
-        path.write_text(json.dumps(manifest))
+        assert manifest["format"] == "coft-checkpoint-v3"
+        for old in ("coft-checkpoint-v2", "coft-checkpoint-v1"):
+            path.write_text(json.dumps(dict(manifest, format=old)))
+            capsys.readouterr()
+            assert run_cli("eval", "--run", str(out)) == 2
+            err = capsys.readouterr().err
+            assert "phase1_model1.json" in err and "unrecognized checkpoint format" in err
+            assert repr(old) in err
+
+    @pytest.mark.parametrize("name", ["checkpoints/phase1_model2.json",
+                                      "checkpoints/phase2_student2.json",
+                                      "checkpoints/phase2_student1.f64le",
+                                      "labels/filter_model2.jsonl"])
+    def test_missing_run_file_exits_2_naming_it(self, tmp_path, capsys, name):
+        # with phase2_student2 gone, eval once scored student1 alone as the ensemble
+        _, out = self.finished_run(tmp_path)
+        os.remove(out / name)
         capsys.readouterr()
         assert run_cli("eval", "--run", str(out)) == 2
-        err = capsys.readouterr().err
-        assert "phase1_model1.json" in err and "unrecognized checkpoint format" in err
+        assert str(out / name) in capsys.readouterr().err
 
     def test_with_truth_export(self, tmp_path, capsys):
         manifest, out = self.finished_run(tmp_path)

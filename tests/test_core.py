@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +19,11 @@ from coft.core import (
     row_blocks,
     softmax_rows,
     softmax_temp,
+    write_container,
 )
-from coft.errors import DomainError, ShapeError
+from coft.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
+from coft.errors import DomainError, FormatError, ShapeError
+from coft.grad import load_checkpoint, param, save_checkpoint
 
 
 class TestCosineSim:
@@ -200,3 +206,59 @@ class TestRowBlocks:
         assert np.array_equal(map_row_blocks(lambda x: x * 2.0, table), table * 2.0)
         sums = map_row_blocks(lambda x: x.sum(axis=1).astype(np.int64), table)
         assert sums.dtype == np.int64 and sums.tolist() == table.sum(axis=1).tolist()
+
+
+def _dataset_files(directory):
+    ds, _ = generate_synthetic(SyntheticSpec(classes=2, per_class=3, dim=4, seed=1))
+    manifest = save_dataset(ds, directory, name="ds")
+
+    def load():
+        back = load_dataset(manifest)
+        return [back.image_embeddings, back.class_anchors]
+    return manifest, str(directory / "ds.f64le"), load, [
+        normalize_rows(ds.image_embeddings), normalize_rows(ds.class_anchors)]
+
+
+def _checkpoint_files(directory):
+    stem = str(directory / "ck")
+    params = [param("scalar", 2.5), param("empty", np.zeros(0)),
+              param("w", np.arange(6.0).reshape(2, 3))]
+    manifest = save_checkpoint(stem, params)
+    return manifest, stem + ".f64le", lambda: [p.value for p in load_checkpoint(stem)], [
+        p.value for p in params]
+
+
+class TestContainer:
+    """Both callers of the payload container: dataset and checkpoint files."""
+
+    @pytest.mark.parametrize("damage", ["none", "payload-minus-8", "manifest-list"])
+    @pytest.mark.parametrize("files", [_dataset_files, _checkpoint_files],
+                             ids=["dataset", "checkpoint"])
+    def test_round_trip(self, tmp_path, files, damage):
+        manifest, payload, load, expected = files(tmp_path)
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(path) for path in (manifest, payload))  # no *.tmp left
+        if damage == "none":
+            back = load()
+            assert [a.shape for a in back] == [a.shape for a in expected]
+            assert [a.tobytes() for a in back] == [a.tobytes() for a in expected]
+            return
+        damaged = payload if damage == "payload-minus-8" else manifest
+        if damage == "payload-minus-8":
+            with open(payload, "rb") as f:
+                raw = f.read()
+            with open(payload, "wb") as f:
+                f.write(raw[:-8])
+        else:
+            with open(manifest, "w", encoding="utf-8") as f:
+                json.dump([1, 2], f)
+        with pytest.raises(FormatError, match=re.escape(damaged)):
+            load()
+
+    def test_failed_write_keeps_the_previous_files(self, tmp_path):
+        manifest, payload = str(tmp_path / "c.json"), str(tmp_path / "c.f64le")
+        write_container(manifest, payload, [np.ones(3)], {"n": 1})
+        before = [open(path, "rb").read() for path in (manifest, payload)]
+        with pytest.raises(ValueError):
+            write_container(manifest, payload, [np.zeros(3), np.array(["x"])], {"n": 2})
+        assert [open(path, "rb").read() for path in (manifest, payload)] == before

@@ -1,4 +1,5 @@
 import contextlib
+import filecmp
 import json
 
 import numpy as np
@@ -11,7 +12,6 @@ from coft.grad import (
     Adam,
     accumulate_grad,
     check_gradients,
-    checkpoint_files_equal,
     load_checkpoint,
     param,
     save_checkpoint,
@@ -215,15 +215,17 @@ class TestCheckpoint:
             assert back.value.tobytes() == orig.value.tobytes()
             assert np.all(back.grad == 0.0)
 
-    def test_files_equal_helper(self, tmp_path):
+    def test_same_params_write_identical_files(self, tmp_path):
         params = [param("x", [1.0, 2.0])]
         s1, s2 = str(tmp_path / "a"), str(tmp_path / "b")
         save_checkpoint(s1, params)
         save_checkpoint(s2, params)
-        assert checkpoint_files_equal(s1, s2)
+        for suffix in (".json", ".f64le"):
+            assert filecmp.cmp(s1 + suffix, s2 + suffix, shallow=False)
         params[0].value[0] = 9.0
         save_checkpoint(s2, params)
-        assert not checkpoint_files_equal(s1, s2)
+        for suffix in (".json", ".f64le"):  # the manifest carries the checksum
+            assert not filecmp.cmp(s1 + suffix, s2 + suffix, shallow=False)
 
     def test_payload_is_little_endian_f64(self, tmp_path):
         p = param("x", [1.0, -2.0, 0.5])
@@ -310,4 +312,6 @@ class TestCheckpointProperties:
         assert all(p.value.base is not None for p in params)
         save_checkpoint(str(root / "bound"), params)
         save_checkpoint(str(root / "copies"), copies)
-        assert checkpoint_files_equal(str(root / "bound"), str(root / "copies"))
+        for suffix in (".json", ".f64le"):
+            assert filecmp.cmp(str(root / "bound") + suffix, str(root / "copies") + suffix,
+                               shallow=False)
