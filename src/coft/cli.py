@@ -25,7 +25,7 @@ import typing
 
 import numpy as np
 
-from .core import map_row_blocks, read_manifest
+from .core import atomic_write, map_row_blocks, read_manifest
 from .data import (
     SyntheticSpec,
     generate_synthetic,
@@ -198,7 +198,7 @@ def cmd_run(args) -> int:
     if rc.templates and not os.path.exists(rc.templates):
         raise ConfigError(f"template file not found: {rc.templates}")
 
-    with open(os.path.join(rc.out, RESOLVED_CONFIG_NAME), "w", encoding="utf-8") as f:
+    with atomic_write(os.path.join(rc.out, RESOLVED_CONFIG_NAME)) as f:
         f.write(resolved_config_text(rc))
 
     summary = run_pipeline(rc.dataset, rc.train, rc.mode, rc.seed, rc.out,
@@ -244,30 +244,38 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"template file not found: {rc.templates}")
         zero_texts = ingest_templates(rc.templates, provider).anchors
 
+    # every run file is read before the first record is printed, so a run
+    # that cannot be read prints nothing
+    ckpt_dir = os.path.join(args.run, "checkpoints")
+    labels_dir = os.path.join(args.run, "labels")
+    model_ids, student_ids = ("model1", "model2"), ("student1", "student2")
+    models = [load_model_checkpoint(os.path.join(ckpt_dir, f"phase1_{mid}"),
+                                    provider, rc.train, mid) for mid in model_ids]
+    filtered = [_load_labels(os.path.join(labels_dir, f"filter_{mid}.jsonl"), provider)
+                for mid in model_ids]
+    students = [load_student_checkpoint(os.path.join(ckpt_dir, f"phase2_{sid}"))
+                for sid in student_ids]
+    exports = {}
+    if args.with_truth:
+        exports = {fname: _load_labels(os.path.join(labels_dir, fname), provider)
+                   for fname in sorted(os.listdir(labels_dir)) if fname.endswith(".jsonl")}
+
     zs_pred = map_row_blocks(
         lambda x: np.argmax(class_probabilities(x, zero_texts, rc.train.tau), axis=1),
         provider.image_embeddings)
     _emit({"metric": "zero_shot_accuracy",
            "value": float(np.mean(zs_pred == truth))})
 
-    ckpt_dir = os.path.join(args.run, "checkpoints")
-    for mid in ("model1", "model2"):
-        model = load_model_checkpoint(os.path.join(ckpt_dir, f"phase1_{mid}"),
-                                      provider, rc.train, mid)
+    for mid, model in zip(model_ids, models):
         acc = generate_labels(model).accuracy(truth)
         _emit({"metric": "phase1_model_accuracy", "model": mid, "value": acc})
 
-    labels_dir = os.path.join(args.run, "labels")
-    for mid in ("model1", "model2"):
-        path = os.path.join(labels_dir, f"filter_{mid}.jsonl")
-        size, precision, recall = _load_labels(path, provider).clean_quality(truth)
+    for mid, labelset in zip(model_ids, filtered):
+        size, precision, recall = labelset.clean_quality(truth)
         _emit({"metric": "clean_size", "direction": mid, "value": size})
         _emit({"metric": "clean_precision", "direction": mid, "value": precision})
         _emit({"metric": "clean_recall", "direction": mid, "value": recall})
 
-    student_ids = ("student1", "student2")
-    students = [load_student_checkpoint(os.path.join(ckpt_dir, f"phase2_{sid}"))
-                for sid in student_ids]
     ens, hits = ensemble_predictions(students, provider.image_embeddings, truth)
     for sid, count in zip(student_ids, hits):
         _emit({"metric": "student_accuracy", "student": sid,
@@ -277,10 +285,7 @@ def cmd_eval(args) -> int:
     if args.with_truth:
         export_dir = os.path.join(args.run, "labels_with_truth")
         os.makedirs(export_dir, exist_ok=True)
-        for fname in sorted(os.listdir(labels_dir)):
-            if not fname.endswith(".jsonl"):
-                continue
-            labelset = _load_labels(os.path.join(labels_dir, fname), provider)
+        for fname, labelset in exports.items():
             labelset.attach_ground_truth(truth)
             labelset.save(os.path.join(export_dir, fname), with_truth=True)
         _emit({"metric": "labels_with_truth_dir", "value": export_dir})

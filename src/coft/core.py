@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "BLOCK_ROWS",
     "row_blocks",
     "map_row_blocks",
+    "atomic_write",
     "write_container",
     "read_manifest",
     "read_payload",
@@ -142,24 +144,38 @@ def map_row_blocks(fn, table) -> np.ndarray:
     return out
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """A file opened for writing at ``<path>.tmp`` (text mode is UTF-8). When
+    the block ends normally it is moved onto ``path`` with ``os.replace``;
+    when it raises, the temp file is deleted. Either way no partial file is
+    left under the final name (no fsync)."""
+    tmp = os.fspath(path) + ".tmp"
+    f = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
+    try:
+        with f:
+            yield f
+    except BaseException:
+        os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
 # Payload container: a JSON manifest whose "checksum" is the blake2b-64 digest of
 # a headerless little-endian float64 payload holding its tables back to back.
 def write_container(manifest_path, payload_path, tables, manifest: dict) -> None:
     """Write ``tables`` as the payload, then ``manifest`` as JSON with its
-    "checksum" filled in (in place when the key is present, else appended).
-    Each file goes to a ".tmp" name first and is moved into place, so a
-    crashed writer leaves no partial file under the final name."""
+    "checksum" filled in (in place when the key is present, else appended),
+    each through ``atomic_write``."""
     digest = hashlib.blake2b(digest_size=8)
-    with open(payload_path + ".tmp", "wb") as f:
+    with atomic_write(payload_path, "wb") as f:
         for table in tables:
             raw = np.ascontiguousarray(table, dtype="<f8")
             digest.update(raw)
             f.write(raw)
-    os.replace(payload_path + ".tmp", payload_path)
-    with open(manifest_path + ".tmp", "w", encoding="utf-8") as f:
+    with atomic_write(manifest_path) as f:
         json.dump({**manifest, "checksum": digest.hexdigest()}, f, indent=1)
         f.write("\n")
-    os.replace(manifest_path + ".tmp", manifest_path)
 
 
 def read_manifest(path) -> dict:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SeededRng, as_f64, normalize_rows, read_manifest, read_payload,
-                   row_blocks, stable_hash64, write_container)
+from .core import (SeededRng, as_f64, atomic_write, normalize_rows, read_manifest,
+                   read_payload, row_blocks, stable_hash64, write_container)
 from .encoders import FrozenProvider
 from .errors import ConfigError, DomainError, FormatError
 
@@ -224,7 +224,7 @@ def save_dataset(ds: FrozenProvider, directory, truth=None, name=None) -> str:
     write_container(manifest_path, payload_path, (ds.image_embeddings, ds.class_anchors),
                     dataclasses.asdict(manifest))  # fields in declared order
     if truth is not None:
-        with open(payload_path + _TRUTH_SUFFIX, "w", encoding="utf-8") as f:
+        with atomic_write(payload_path + _TRUTH_SUFFIX) as f:
             f.writelines(f"{int(t)}\n" for t in truth)
     return manifest_path
 

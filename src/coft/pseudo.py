@@ -7,9 +7,12 @@ generator and status as int8 codes into ``GENERATORS`` and ``STATUSES``, and
 an evaluation-only ground truth (int64, ``-1`` where none is attached). Every
 operation on the table (selection, subsetting, accuracy counts, export)
 works on whole columns; export builds its text one row block at a time.
-``mark`` changes one row's status through an id-to-row map built on first
-use; ``get`` and iteration hand out ``PseudoLabelRecord`` copies for callers
-that want one row at a time.
+``mark`` changes one row's status. A lookup by sample id first tries the
+row ``sample_id - first id``, which is right for every table whose ids run
+consecutively (as the generated label tables do), so those keep no index;
+other tables are searched through an argsort of their ids, built on the first
+miss and kept (8 bytes per row). ``get`` and iteration hand out
+``PseudoLabelRecord`` copies for callers that want one row at a time.
 
 Ground-truth labels may be attached for evaluation, but every training-facing
 accessor (``training_view``) excludes them by construction; no training or
@@ -21,11 +24,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
 
-from .core import as_f64, normalize_rows, row_blocks, softmax_rows
+from .core import as_f64, atomic_write, normalize_rows, row_blocks, softmax_rows
 from .errors import ContractError, DomainError, FormatError, ShapeError
 
 __all__ = [
@@ -42,14 +46,13 @@ __all__ = [
 GENERATORS = ("zeroshot", "model1", "model2")
 STATUSES = ("unassigned", "candidate", "clean", "noise")
 
-_TRANSITIONS = {
-    "unassigned": {"candidate"},
-    "candidate": {"clean", "noise"},
-    "clean": set(),
-    "noise": set(),
-}
-_CANDIDATE = STATUSES.index("candidate")
-_CLEAN = STATUSES.index("clean")
+_STATUS_CODE = {name: code for code, name in enumerate(STATUSES)}
+# (old, new) status codes of every legal move
+_LEGAL_MOVES = frozenset((_STATUS_CODE[old], _STATUS_CODE[new]) for old, new in (
+    ("unassigned", "candidate"), ("candidate", "clean"), ("candidate", "noise")))
+_CANDIDATE = _STATUS_CODE["candidate"]
+_CLEAN = _STATUS_CODE["clean"]
+_INT64 = np.iinfo(np.int64)
 _NO_TRUTH = -1
 
 # json.dumps of each name, for the export
@@ -96,6 +99,16 @@ def _truth_column(truth, n: int) -> np.ndarray:
     if isinstance(truth, np.ndarray):
         return truth.astype(np.int64)
     return np.array([_NO_TRUTH if t is None else t for t in truth], dtype=np.int64)
+
+
+def _integral(value):
+    """``value`` as an int when it equals one (``np.int64(3)``, ``3.0``), else
+    None (``3.5``, ``"3"``, None): the ids a dict keyed by ints would match."""
+    try:
+        key = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, "x", NaN, inf
+        return None
+    return key if key == value else None
 
 
 def _check_distinct(ids: np.ndarray) -> None:
@@ -158,7 +171,7 @@ class PseudoLabelSet:
     def _set(self, ids, labels, conf, gen, status, truth):
         self._ids, self._labels, self._conf = ids, labels, conf
         self._gen, self._status, self._truth = gen, status, truth
-        self._row_of = None  # sample_id -> row, built by _row on first use
+        self._first = ids.item(0) if ids.size else 0
 
     def _take(self, rows, confidence=None) -> "PseudoLabelSet":
         """A new table of the given rows (fancy indexing copies every column)."""
@@ -169,28 +182,51 @@ class PseudoLabelSet:
                    self._status[rows], self._truth[rows])
         return table
 
+    @cached_property
+    def _order(self):
+        """None when the ids ascend, else their argsort; built by the first
+        lookup that the row guess misses."""
+        ids = self._ids
+        return None if np.all(ids[1:] > ids[:-1]) else np.argsort(ids, kind="stable")
+
+    def _search(self, want) -> np.ndarray:
+        """Row index of each int64 id of ``want`` (at least one) by binary
+        search; KeyError names the first unknown."""
+        n = self._ids.size
+        if n == 0:
+            raise KeyError(f"unknown sample_id {want[0]}")
+        rows = np.minimum(np.searchsorted(self._ids, want, sorter=self._order), n - 1)
+        if self._order is not None:
+            rows = self._order[rows]
+        missing = self._ids[rows] != want
+        if np.any(missing):
+            raise KeyError(f"unknown sample_id {want[np.argmax(missing)]}")
+        return rows
+
     def _row(self, sample_id) -> int:
-        """Row index of one sample id; KeyError if unknown."""
-        if self._row_of is None:
-            self._row_of = dict(zip(self._ids.tolist(), range(len(self))))
-        try:
-            return self._row_of[sample_id]
-        except KeyError:
-            raise KeyError(f"unknown sample_id {sample_id}") from None
+        """Row index of one sample id; KeyError if unknown. The guess
+        ``sample_id - first id`` is taken when the id column confirms it;
+        any other id is searched."""
+        key = sample_id if type(sample_id) is int else _integral(sample_id)
+        if key is not None:
+            row = key - self._first
+            if 0 <= row < self._ids.size and self._ids.item(row) == key:
+                return row
+            if _INT64.min <= key <= _INT64.max:
+                return int(self._search(np.array([key], dtype=np.int64))[0])
+        raise KeyError(f"unknown sample_id {sample_id}")
 
     def _rows(self, sample_ids) -> np.ndarray:
         """Row index of each of ``sample_ids``; KeyError names the first unknown."""
-        want = np.asarray(sample_ids, dtype=np.int64).reshape(-1)
-        if want.size == 0 or len(self) == 0:
-            missing = np.ones(want.size, dtype=bool)
-            rows = want
-        else:
-            order = np.argsort(self._ids, kind="stable")
-            rows = order[np.minimum(np.searchsorted(self._ids, want, sorter=order),
-                                    order.size - 1)]
-            missing = self._ids[rows] != want
-        if np.any(missing):
-            raise KeyError(f"unknown sample_id {want[np.argmax(missing)]}")
+        want = np.asarray(sample_ids).reshape(-1)
+        if not np.can_cast(want.dtype, np.int64):  # floats, strings, objects, huge ints
+            return np.array([self._row(s) for s in want.tolist()], dtype=np.int64)
+        want = want.astype(np.int64, copy=False)
+        rows = want - self._first
+        hit = (rows >= 0) & (rows < self._ids.size)
+        hit[hit] = self._ids[rows[hit]] == want[hit]
+        if not np.all(hit):
+            rows[~hit] = self._search(want[~hit])
         return rows
 
     def __len__(self):
@@ -226,13 +262,14 @@ class PseudoLabelSet:
 
     def mark(self, sample_id: int, new_status: str) -> None:
         row = self._row(sample_id)
-        old = STATUSES[self._status[row]]
-        if new_status not in _TRANSITIONS[old]:
+        old = self._status.item(row)
+        new = _STATUS_CODE.get(new_status)
+        if (old, new) not in _LEGAL_MOVES:
             raise ContractError(
-                f"illegal status transition {old!r} -> {new_status!r} "
+                f"illegal status transition {STATUSES[old]!r} -> {new_status!r} "
                 f"for sample {sample_id}"
             )
-        self._status[row] = STATUSES.index(new_status)
+        self._status[row] = new
 
     def subset(self, sample_ids) -> "PseudoLabelSet":
         """Copies of the rows of ``sample_ids`` (distinct), in that order."""
@@ -281,9 +318,10 @@ class PseudoLabelSet:
 
         Each line is byte for byte ``json.dumps(record, sort_keys=True)`` of
         the row's record, non-finite confidences in json's spelling included.
-        The text is built and written one row block at a time.
+        The text is built and written one row block at a time, through
+        ``atomic_write``.
         """
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             for rows in row_blocks(len(self)):
                 conf = self._conf[rows]
                 conf = (conf.tolist() if np.all(np.isfinite(conf))

@@ -157,19 +157,48 @@ class TestBlockedEqualsWholeTable:
         assert blocked == whole
 
 
+@pytest.fixture(scope="module")
+def traced_filter():
+    """``collaborative_filter`` on a 20,000-row provider (10 classes, 64-d: a
+    10.2 MB embedding table) under tracemalloc: (result, peak bytes, bytes
+    still held when it returns)."""
+    provider, _ = acceptance_provider(per_class=2000)
+    model1, model2 = perturbed_models(provider)
+    tracemalloc.start()
+    try:
+        result = collaborative_filter(model1, model2)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.labels) == 20000
+    return result, peak, retained
+
+
 class TestMemory:
-    def test_filter_peak_is_a_fraction_of_the_whole_table_pass(self):
-        """On a 20,000-row provider (10 classes, 64-d: a 10.2 MB embedding
-        table), tracemalloc saw the whole-table filter that row blocks
-        replaced peak at 34.9 MB. Blocked, the pass holds the label columns
-        and one block; it must stay below a quarter of that."""
-        provider, _ = acceptance_provider(per_class=2000)
-        model1, model2 = perturbed_models(provider)
+    def test_filter_peak_is_a_fraction_of_the_whole_table_pass(self, traced_filter):
+        """tracemalloc saw the whole-table filter that row blocks replaced
+        peak at 34.9 MB. Blocked, the pass holds the label columns and one
+        block; it must stay below a quarter of that."""
+        _, peak, _ = traced_filter
+        assert peak < 34.9e6 / 4
+
+    def test_filter_keeps_no_id_index(self, traced_filter):
+        """The filter marks each of its 20,000 generated rows; the table it
+        returns holds its columns (about 0.7 MB) and nothing per sample beside
+        them. With an id-to-row dict per table it held 2.7 MB."""
+        _, _, retained = traced_filter
+        assert retained < 1.2e6
+
+    def test_marking_consecutive_ids_allocates_nothing_per_row(self):
+        n = 50_000
+        table = PseudoLabelSet._from_columns(np.arange(n), np.zeros(n), np.zeros(n), "model1")
+        moves = [(sid, "clean" if sid % 3 else "noise") for sid in range(n)]
         tracemalloc.start()
         try:
-            result = collaborative_filter(model1, model2)
-            peak = tracemalloc.get_traced_memory()[1]
+            for sid, status in moves:
+                table.mark(sid, status)
+            retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(result.labels) == 20000
-        assert peak < 34.9e6 / 4
+        assert retained < 0.5e6
+        assert len(table.with_status("noise")) == (n + 2) // 3

@@ -450,12 +450,13 @@ class TestEval:
         whole = (logits["student1"] + logits["student2"]) / 2.0
         assert ens == float(np.mean(np.argmax(whole, axis=1) == truth))
 
-    @pytest.mark.parametrize("case", ["truncated-line", "label-99"])
+    @pytest.mark.parametrize("case", ["truncated-line", "label-99", "export-truncated-line"])
     def test_bad_label_file_exits_2_naming_it(self, tmp_path, capsys, case):
         _, out = self.finished_run(tmp_path)
-        path = out / "labels" / "filter_model1.jsonl"
+        export = case.startswith("export-")  # a file only --with-truth reads
+        path = out / "labels" / ("zeroshot.jsonl" if export else "filter_model1.jsonl")
         lines = path.read_text().splitlines(keepends=True)
-        if case == "truncated-line":
+        if case.endswith("truncated-line"):
             lines[3] = lines[3][:len(lines[3]) // 2] + "\n"
             expected = "line 4 is not JSON"
         else:
@@ -464,9 +465,10 @@ class TestEval:
             expected = "label 99 outside [0, 4)"
         path.write_text("".join(lines))
         capsys.readouterr()
-        assert run_cli("eval", "--run", str(out)) == 2
-        err = capsys.readouterr().err
-        assert str(path) in err and expected in err
+        assert run_cli("eval", "--run", str(out), *["--with-truth"] * export) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert str(path) in printed.err and expected in printed.err
 
     @pytest.mark.parametrize("resize", ["half", "plus8", "flip"])
     def test_corrupt_student_payload_exits_2(self, tmp_path, capsys, resize):
@@ -530,12 +532,15 @@ class TestEval:
                                       "checkpoints/phase2_student1.f64le",
                                       "labels/filter_model2.jsonl"])
     def test_missing_run_file_exits_2_naming_it(self, tmp_path, capsys, name):
-        # with phase2_student2 gone, eval once scored student1 alone as the ensemble
+        # with phase2_student2 gone, eval once scored student1 alone as the
+        # ensemble, and later printed nine records before it failed
         _, out = self.finished_run(tmp_path)
         os.remove(out / name)
         capsys.readouterr()
         assert run_cli("eval", "--run", str(out)) == 2
-        assert str(out / name) in capsys.readouterr().err
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert str(out / name) in printed.err
 
     def test_with_truth_export(self, tmp_path, capsys):
         manifest, out = self.finished_run(tmp_path)

@@ -262,3 +262,4 @@ class TestContainer:
         with pytest.raises(ValueError):
             write_container(manifest, payload, [np.zeros(3), np.array(["x"])], {"n": 2})
         assert [open(path, "rb").read() for path in (manifest, payload)] == before
+        assert sorted(os.listdir(tmp_path)) == ["c.f64le", "c.json"]  # no *.tmp left

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coft import pseudo
 from coft.core import normalize_rows
 from coft.encoders import FrozenProvider
 from coft.errors import ContractError, DomainError, FormatError
@@ -275,6 +277,21 @@ class TestPseudoLabelSet:
                 r.label, r.confidence, r.generator, r.status,
             )
 
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "labels.jsonl"
+        _records([(3, 2, 0.125)]).save(p)
+        before = p.read_bytes()
+
+        def blocks_then_disk_full(n):
+            yield slice(0, 1)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pseudo, "row_blocks", blocks_then_disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            _records([(0, 1, 0.5), (1, 0, 0.6)]).save(p)
+        assert p.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["labels.jsonl"]  # no *.tmp left
+
     @pytest.mark.parametrize("line, message", [
         ('{"confidence": 0.5, "generator": "zero', "line 2 is not JSON"),
         (b'{"confidence": 0.5, "generator": "\xff"}', "line 2 is not JSON"),
@@ -354,6 +371,22 @@ def record_lists(draw, confidences=FINITE, labels=st.integers(-3, 10**12),
                           draw(st.one_of(st.none(), st.integers(0, 10**6))))
         for sid in ids
     ]
+
+
+@st.composite
+def id_tables(draw, max_size=30):
+    """The sample ids of a table: consecutive, shuffled, negative or sparse."""
+    n = draw(st.integers(0, max_size))
+    kind = draw(st.sampled_from(["consecutive", "shuffled", "negative", "sparse"]))
+    start = draw(st.one_of(st.integers(-8, 8), st.integers(-2**63, 2**63 - 1 - n)))
+    if kind == "consecutive":
+        return list(range(start, start + n))
+    if kind == "shuffled":
+        return draw(st.permutations(range(start, start + n)))
+    values = st.one_of(st.integers(-40, 40), st.integers(-2**63, 2**63 - 1))
+    if kind == "negative":
+        values = st.one_of(st.integers(-40, -1), st.integers(-2**63, -1))
+    return draw(st.lists(values, min_size=n, max_size=n, unique=True))
 
 
 def json_oracle(records, with_truth):
@@ -475,6 +508,41 @@ class TestLabelTableProperties:
             ps.subset([0, 2])
         with pytest.raises(ContractError, match="duplicate sample_id 0"):
             ps.subset([0, 1, 0])
+
+    @PROPERTY
+    @given(id_tables(), st.data())
+    def test_row_lookup_equals_a_dict_of_the_ids(self, ids, data):
+        table = PseudoLabelSet._from_columns(ids, np.zeros(len(ids)), np.zeros(len(ids)),
+                                             "zeroshot")
+        oracle = dict(zip(ids, range(len(ids))))
+        absent = st.integers(-2**63, 2**63 - 1).filter(lambda i: i not in oracle)
+        near = ([st.sampled_from(ids), st.sampled_from(ids).map(np.int64),
+                 st.sampled_from(ids).map(float), st.sampled_from(ids).map(str),
+                 st.sampled_from(ids).map(lambda i: i + 0.5)] if ids else [])
+        probes = data.draw(st.lists(st.one_of(
+            *near, absent, absent.map(np.int64),
+            st.sampled_from([2**70, -2**70, 3.5, "5", None, float("nan")])), max_size=12))
+        status = ["candidate"] * len(ids)
+        for probe in probes:
+            row = oracle.get(probe)
+            assert (probe in table) == (row is not None)
+            if row is None:
+                for call in (table.get, lambda p: table.mark(p, "clean"),
+                             lambda p: table.subset([p])):
+                    with pytest.raises(KeyError, match="unknown sample_id"):
+                        call(probe)
+                continue
+            assert table.get(probe).sample_id == ids[row]
+            assert table.subset([probe]).sample_ids().tolist() == [ids[row]]
+            if status[row] == "candidate":
+                table.mark(probe, "clean")
+                status[row] = "clean"
+            else:
+                with pytest.raises(ContractError):
+                    table.mark(probe, "noise")
+        assert [r.status for r in table] == status
+        if all(b - a == 1 for a, b in zip(ids, ids[1:])):
+            assert vars(table).get("_order") is None  # no index kept for consecutive ids
 
     def test_copies_do_not_share_status(self):
         ps = _records([(0, 1, 0.5), (1, 0, 0.6)])
