@@ -8,7 +8,7 @@ small encoder plus classifier head, optionally with momentum contrast.
 
 __version__ = "0.1.0"
 
-from .core import SeededRng, cosine_sim, l2_normalize, softmax_temp
+from .core import SeededRng, softmax_temp
 from .errors import (
     CoftError,
     ConfigError,
@@ -23,8 +23,6 @@ from .errors import (
 
 __all__ = [
     "SeededRng",
-    "cosine_sim",
-    "l2_normalize",
     "softmax_temp",
     "CoftError",
     "ConfigError",

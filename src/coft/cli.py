@@ -25,7 +25,7 @@ import typing
 
 import numpy as np
 
-from .core import atomic_write, map_row_blocks, read_manifest
+from .core import atomic_write, read_manifest
 from .data import (
     SyntheticSpec,
     generate_synthetic,
@@ -43,7 +43,7 @@ from .errors import (
     PipelineError,
     TrainingError,
 )
-from .pseudo import PseudoLabelSet, class_probabilities
+from .pseudo import PseudoLabelSet, assign_pseudo_labels
 from .train import (
     TrainConfig,
     ensemble_predictions,
@@ -260,11 +260,8 @@ def cmd_eval(args) -> int:
         exports = {fname: _load_labels(os.path.join(labels_dir, fname), provider)
                    for fname in sorted(os.listdir(labels_dir)) if fname.endswith(".jsonl")}
 
-    zs_pred = map_row_blocks(
-        lambda x: np.argmax(class_probabilities(x, zero_texts, rc.train.tau), axis=1),
-        provider.image_embeddings)
-    _emit({"metric": "zero_shot_accuracy",
-           "value": float(np.mean(zs_pred == truth))})
+    zero_shot = assign_pseudo_labels(provider.image_embeddings, zero_texts, rc.train.tau)
+    _emit({"metric": "zero_shot_accuracy", "value": zero_shot.accuracy(truth)})
 
     for mid, model in zip(model_ids, models):
         acc = generate_labels(model).accuracy(truth)

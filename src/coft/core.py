@@ -20,10 +20,8 @@ from .errors import DomainError, FormatError, IntegrityError, ShapeError
 
 __all__ = [
     "as_f64",
-    "cosine_sim",
     "softmax_temp",
     "softmax_rows",
-    "l2_normalize",
     "normalize_rows",
     "stable_hash64",
     "SeededRng",
@@ -53,25 +51,6 @@ def _check_vector(v: np.ndarray, name: str) -> None:
         raise ShapeError(f"{name} must be 1-D, got shape {v.shape}")
 
 
-def cosine_sim(a, b) -> float:
-    """Cosine similarity a.b / (|a| |b|), clipped to [-1, 1].
-
-    Raises ShapeError on dimension mismatch and DomainError if either
-    vector has zero norm.
-    """
-    a = as_f64(a)
-    b = as_f64(b)
-    _check_vector(a, "a")
-    _check_vector(b, "b")
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"dim mismatch: {a.shape[0]} vs {b.shape[0]}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise DomainError("cosine similarity of a zero-norm vector is undefined")
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
-
-
 def softmax_temp(scores, tau: float) -> np.ndarray:
     """Temperature softmax with max-subtraction for stability at small tau."""
     scores = as_f64(scores)
@@ -99,16 +78,6 @@ def softmax_rows(scores, tau: float) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Scale a vector to unit L2 norm. Zero vectors raise DomainError."""
-    v = as_f64(v)
-    _check_vector(v, "v")
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise DomainError("cannot normalize a zero vector")
-    return v / n
 
 
 def normalize_rows(m) -> np.ndarray:

@@ -46,6 +46,11 @@ __all__ = [
 _PAYLOAD_SUFFIX = ".f64le"
 _TRUTH_SUFFIX = ".truth"
 
+# rotate_rows applies this many Givens rotations per dimension, each by an
+# angle drawn from [-max, max]
+_ROTATION_SWEEPS = 2
+_ROTATION_MAX_ANGLE = 0.25
+
 
 @dataclass(frozen=True)
 class DatasetManifest:
@@ -225,7 +230,7 @@ def save_dataset(ds: FrozenProvider, directory, truth=None, name=None) -> str:
                     dataclasses.asdict(manifest))  # fields in declared order
     if truth is not None:
         with atomic_write(payload_path + _TRUTH_SUFFIX) as f:
-            f.writelines(f"{int(t)}\n" for t in truth)
+            f.write("".join(f"{t}\n" for t in truth.tolist()))
     return manifest_path
 
 
@@ -321,7 +326,7 @@ class TemplateSet:
     anchors: np.ndarray  # (C, d), unit rows
 
 
-def rotate_rows(rows, seed: int, sweeps: int = 2, max_angle: float = 0.25) -> np.ndarray:
+def rotate_rows(rows, seed: int) -> np.ndarray:
     """Apply a seeded sequence of Givens rotations to every row.
 
     The same orthogonal map hits all rows, so norms and pairwise inner
@@ -330,12 +335,12 @@ def rotate_rows(rows, seed: int, sweeps: int = 2, max_angle: float = 0.25) -> np
     out = as_f64(rows).copy()
     d = out.shape[1]
     rng = SeededRng(seed, label="template-rotation")
-    for _ in range(sweeps * d):
+    for _ in range(_ROTATION_SWEEPS * d):
         i = int(rng.integers(0, d))
         j = int(rng.integers(0, d - 1))
         if j >= i:
             j += 1
-        theta = float(rng.uniform(-max_angle, max_angle))
+        theta = float(rng.uniform(-_ROTATION_MAX_ANGLE, _ROTATION_MAX_ANGLE))
         c, s = np.cos(theta), np.sin(theta)
         xi = out[:, i].copy()
         xj = out[:, j].copy()

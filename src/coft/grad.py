@@ -29,6 +29,11 @@ __all__ = [
     "load_checkpoint",
 ]
 
+# Adam's moment decays and denominator guard; every optimizer uses these
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class ParamTensor:
@@ -78,14 +83,10 @@ class Adam:
     array to ``value`` or ``grad`` does not.
     """
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         if learning_rate < 0:
             raise DomainError("learning rate must be nonnegative")
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self._params: tuple | None = None
 
@@ -117,17 +118,17 @@ class Adam:
         # in place, in the operation order of
         # value -= lr * m_hat / (sqrt(v_hat) + eps), so results are unchanged
         np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - self.beta2
-        v *= self.beta2
+        tmp *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += tmp
-        np.multiply(g, 1.0 - self.beta1, out=tmp)
-        m *= self.beta1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        m *= ADAM_BETA1
         m += tmp
-        np.divide(v, 1.0 - self.beta2**t, out=tmp)
+        np.divide(v, 1.0 - ADAM_BETA2**t, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += ADAM_EPS
         # the grads are spent: the grad buffer holds the update until step() zeroes it
-        np.divide(m, 1.0 - self.beta1**t, out=g)
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=g)
         g *= self.learning_rate
         g /= tmp
         self._value -= g

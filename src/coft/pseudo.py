@@ -157,17 +157,6 @@ class PseudoLabelSet:
         stat = np.broadcast_to(_codes(status, STATUSES, "status"), (n,)).copy()
         self._set(ids, cols["label"], cols["confidence"], gen, stat, cols["ground_truth"])
 
-    @classmethod
-    def concat(cls, tables) -> "PseudoLabelSet":
-        """One table of the rows of ``tables`` (at least one), in order; no
-        sample id may appear twice."""
-        table = cls.__new__(cls)
-        cols = [np.concatenate([getattr(t, name) for t in tables])
-                for name in ("_ids", "_labels", "_conf", "_gen", "_status", "_truth")]
-        _check_distinct(cols[0])
-        table._set(*cols)
-        return table
-
     def _set(self, ids, labels, conf, gen, status, truth):
         self._ids, self._labels, self._conf = ids, labels, conf
         self._gen, self._status, self._truth = gen, status, truth
@@ -387,23 +376,25 @@ def class_probabilities(embeddings, text_embeddings, tau: float) -> np.ndarray:
     return softmax_rows(emb @ texts.T, tau)
 
 
-def assign_pseudo_labels(probs, sample_ids=None, generator: str = "zeroshot",
-                         ) -> PseudoLabelSet:
-    """Argmax labels with max-probability confidences; ties take the lowest class.
-
-    ``probs`` is (n, C) with rows summing to 1; resulting records start in
-    status ``candidate``.
+def assign_pseudo_labels(embeddings, texts, tau: float, sample_ids=None,
+                         generator: str = "zeroshot") -> PseudoLabelSet:
+    """The pseudo-labels of the rows ``sample_ids`` of ``embeddings`` (default:
+    all, in order): the argmax of their ``class_probabilities`` against
+    ``texts`` at ``tau``, ties to the lowest class, with its probability as
+    the confidence. Rows are scored one row block at a time into one table,
+    validated once; its records start in status ``candidate``.
     """
-    p = as_f64(probs)
-    if p.ndim != 2 or p.shape[0] == 0:
-        raise ContractError(f"expected a nonempty (n, C) probability table, got {p.shape}")
-    if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
-        raise ContractError("probability rows must sum to 1")
-    if sample_ids is None:
-        sample_ids = np.arange(p.shape[0])
-    labels = np.argmax(p, axis=1)  # np.argmax already breaks ties low
-    conf = p[np.arange(p.shape[0]), labels]
-    return PseudoLabelSet._from_columns(sample_ids, labels, conf, generator)
+    emb = as_f64(embeddings)
+    ids = np.arange(len(emb)) if sample_ids is None else np.asarray(sample_ids, dtype=np.int64)
+    if ids.ndim != 1 or ids.size == 0:
+        raise ContractError(f"expected a nonempty 1-D list of sample ids, got shape {ids.shape}")
+    labels = np.empty(ids.size, dtype=np.int64)
+    conf = np.empty(ids.size)
+    for rows in row_blocks(ids.size):
+        probs = class_probabilities(emb[ids[rows]], texts, tau)
+        labels[rows] = np.argmax(probs, axis=1)  # np.argmax already breaks ties low
+        conf[rows] = probs[np.arange(probs.shape[0]), labels[rows]]
+    return PseudoLabelSet._from_columns(ids, labels, conf, generator)
 
 
 def centroid_confidences(labels: PseudoLabelSet, embeddings, tau: float) -> PseudoLabelSet:

@@ -75,7 +75,6 @@ from .pseudo import (
     PseudoLabelSet,
     assign_pseudo_labels,
     centroid_confidences,
-    class_probabilities,
     select_top_k,
 )
 
@@ -467,17 +466,10 @@ def train_phase1(model: AdaptedModel, selected: PseudoLabelSet, cfg: TrainConfig
 def generate_labels(model: AdaptedModel, sample_ids=None) -> PseudoLabelSet:
     """The model's own pseudo-labels over the given samples (default: all):
     its positive texts against the frozen embeddings, with softmax-at-tau_pos
-    confidences, one row block at a time."""
-    provider = model.provider
-    if sample_ids is None:
-        sample_ids = np.arange(provider.num_samples)
-    sample_ids = np.asarray(sample_ids, dtype=np.int64)
-    texts, _ = compose_texts(model.bank, provider, "positive")
-    emb = provider.image_embeddings
-    return PseudoLabelSet.concat([
-        assign_pseudo_labels(softmax_rows(emb[sample_ids[rows]] @ texts.T, model.tau_pos),
-                             sample_ids=sample_ids[rows], generator=model.model_id)
-        for rows in row_blocks(sample_ids.size)])
+    confidences."""
+    texts, _ = compose_texts(model.bank, model.provider, "positive")
+    return assign_pseudo_labels(model.provider.image_embeddings, texts, model.tau_pos,
+                                sample_ids, generator=model.model_id)
 
 
 @dataclass
@@ -509,10 +501,6 @@ def collaborative_filter(generator: AdaptedModel, validator: AdaptedModel,
             "validation will be near-random", UserWarning,
         )
     provider = generator.provider
-    if sample_ids is None:
-        sample_ids = np.arange(provider.num_samples)
-    sample_ids = np.asarray(sample_ids, dtype=np.int64)
-
     labelset = generate_labels(generator, sample_ids)
     ids, labels, _ = labelset.training_view()
 
@@ -523,10 +511,9 @@ def collaborative_filter(generator: AdaptedModel, validator: AdaptedModel,
         visual, _ = adapt_batch(validator.adapter, provider.image_embeddings[ids[rows]])
         sim_pos = np.sum(visual * texts_p[labels[rows]], axis=1)
         sim_neg = np.sum(visual * texts_n[labels[rows]], axis=1)
-        keep[rows] = sim_pos > sim_neg
-
-    for sid, ok in zip(ids.tolist(), keep.tolist()):
-        labelset.mark(sid, "clean" if ok else "noise")
+        ok = keep[rows] = sim_pos > sim_neg
+        for sid, clean in zip(ids[rows].tolist(), ok.tolist()):
+            labelset.mark(sid, "clean" if clean else "noise")
     return FilterResult(
         generator_id=generator.model_id,
         validator_id=validator.model_id,
@@ -775,12 +762,7 @@ def iterate_peft(provider: FrozenProvider, cfg: TrainConfig, root_rng: SeededRng
         if r == 1:
             # round 0 state is the pristine frozen model: zero-shot inference,
             # shared by both models
-            emb = provider.image_embeddings
-            shared = PseudoLabelSet.concat([
-                assign_pseudo_labels(class_probabilities(emb[rows], zero_shot_texts, cfg.tau),
-                                     sample_ids=np.arange(rows.start, rows.stop),
-                                     generator="zeroshot")
-                for rows in row_blocks(provider.num_samples)])
+            shared = assign_pseudo_labels(provider.image_embeddings, zero_shot_texts, cfg.tau)
             generations["model1"] = shared
             generations["model2"] = shared
         else:

@@ -389,6 +389,23 @@ class TestEval:
         pred = np.argmax(ds.image_embeddings @ ds.class_anchors.T, axis=1)
         assert zs == float(np.mean(pred == truth))
 
+    def test_zero_shot_accuracy_equals_run_final_record_and_label_file(
+            self, tmp_path, capsys, monkeypatch):
+        # 500 rows in two blocks of 250, for the run's zero-shot pass and eval's
+        monkeypatch.setattr(core, "BLOCK_ROWS", 200)
+        manifest, out = self.finished_run(tmp_path, **{"per-class": 125})
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 0
+        zs = next(r["value"] for r in read_records(capsys)
+                  if r["metric"] == "zero_shot_accuracy")
+        with open(out / "metrics.jsonl", encoding="utf-8") as f:
+            final = next(r for r in map(json.loads, f) if r.get("event") == "final")
+        truth = load_ground_truth(manifest)
+        zeroshot = list(PseudoLabelSet.load(out / "labels" / "zeroshot.jsonl"))
+        assert sorted(r.sample_id for r in zeroshot) == list(range(truth.size))
+        hits = sum(r.label == truth[r.sample_id] for r in zeroshot)
+        assert zs == final["zero_shot_accuracy"] == hits / truth.size
+
     def test_noiseless_run_has_perfect_clean_precision(self, tmp_path, capsys):
         # enough phase-1 epochs for the dual loss to separate the prompt pair
         slower = ["--k", "8", "--phase1-epochs", "40", "--phase2-epochs", "8",

@@ -12,8 +12,6 @@ from coft import core
 from coft.core import (
     BLOCK_ROWS,
     SeededRng,
-    cosine_sim,
-    l2_normalize,
     map_row_blocks,
     normalize_rows,
     row_blocks,
@@ -22,44 +20,8 @@ from coft.core import (
     write_container,
 )
 from coft.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
-from coft.errors import DomainError, FormatError, ShapeError
+from coft.errors import DomainError, FormatError
 from coft.grad import load_checkpoint, param, save_checkpoint
-
-
-class TestCosineSim:
-    def test_identical_unit_vectors(self):
-        assert cosine_sim([1.0, 0.0], [1.0, 0.0]) == 1.0
-
-    def test_orthogonal(self):
-        assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_hand_computed(self):
-        # dot = 24, norms = 5 * 5
-        assert cosine_sim([3.0, 4.0], [4.0, 3.0]) == pytest.approx(0.96, abs=1e-15)
-
-    def test_zero_norm_raises(self):
-        with pytest.raises(DomainError):
-            cosine_sim([0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(DomainError):
-            cosine_sim([1.0, 0.0], [0.0, 0.0])
-
-    def test_dim_mismatch_raises(self):
-        with pytest.raises(ShapeError):
-            cosine_sim([1.0, 0.0], [1.0, 0.0, 0.0])
-
-    def test_symmetry_and_scale_invariance(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            d = int(rng.integers(2, 64))
-            a = rng.normal(size=d)
-            b = rng.normal(size=d)
-            assert cosine_sim(a, b) == cosine_sim(b, a)
-            s = float(rng.uniform(0.1, 10.0))
-            assert abs(cosine_sim(a, s * a) - 1.0) <= 1e-12
-
-    def test_range_clipped(self):
-        a = np.full(8, 0.125)
-        assert -1.0 <= cosine_sim(a, a) <= 1.0
 
 
 class TestSoftmaxTemp:
@@ -118,22 +80,22 @@ class TestSoftmaxTemp:
 
 class TestL2Normalize:
     def test_axis_vector(self):
-        np.testing.assert_allclose(l2_normalize([2.0, 0.0]), [1.0, 0.0], atol=0)
+        np.testing.assert_allclose(normalize_rows([[2.0, 0.0]]), [[1.0, 0.0]], atol=0)
 
     def test_three_four_five(self):
-        np.testing.assert_allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
+        np.testing.assert_allclose(normalize_rows([[3.0, 4.0]]), [[0.6, 0.8]], atol=1e-15)
 
     def test_zero_vector_raises(self):
         with pytest.raises(DomainError):
-            l2_normalize([0.0, 0.0])
+            normalize_rows([[0.0, 0.0]])
 
     def test_norm_and_direction(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
-            v = rng.normal(size=int(rng.integers(2, 50)))
-            u = l2_normalize(v)
+            v = rng.normal(size=(1, int(rng.integers(2, 50))))
+            u = normalize_rows(v)[0]
             assert abs(np.linalg.norm(u) - 1.0) <= 1e-9
-            assert cosine_sim(u, v) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(u * np.linalg.norm(v), v[0], rtol=1e-12, atol=1e-15)
 
     def test_rows(self):
         rng = np.random.default_rng(6)

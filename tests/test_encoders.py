@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coft.core import SeededRng, l2_normalize, normalize_rows
+from coft.core import SeededRng, normalize_rows
 from coft.encoders import (
     FrozenProvider,
     adapt_batch,
@@ -194,7 +194,7 @@ class TestVisualAdapter:
     def test_rank_one_hand_fixture_matches_direct_arithmetic(self):
         # independent oracle: straight matrix arithmetic on hand-set weights
         d = 3
-        base = l2_normalize(np.array([1.0, 2.0, 2.0]))
+        base = normalize_rows(np.array([[1.0, 2.0, 2.0]]))[0]
         down = np.array([[0.5, -0.25, 0.1]])
         up = np.array([[0.2], [-0.3], [0.4]])
         scale = 0.7
@@ -256,7 +256,7 @@ class TestFFTEncoder:
         anchors = normalize_rows(np.random.default_rng(5).normal(size=(c, d)))
         enc = init_fft_encoder(d, num_classes=c, hidden=12, rng=SeededRng(3))
         enc.w_fc.value[:] = anchors
-        v = l2_normalize(np.random.default_rng(6).normal(size=d))
+        v = normalize_rows(np.random.default_rng(6).normal(size=(1, d)))[0]
         sims = anchors @ v
         np.testing.assert_allclose(logits_batch(enc, v[None, :])[0][0], sims, atol=1e-5)
 

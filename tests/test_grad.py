@@ -51,12 +51,12 @@ class AdamReference:
 
     def step(self, g):
         g = np.asarray(g, dtype=np.float64)
-        opt, b1, b2 = self.opt, self.opt.beta1, self.opt.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8  # the textbook constants
         self.t += 1
         self.m = self.m * b1 + (1.0 - b1) * g
         self.v = self.v * b2 + (1.0 - b2) * g**2
-        self.value = self.value - opt.learning_rate * (self.m / (1.0 - b1**self.t)) / (
-            np.sqrt(self.v / (1.0 - b2**self.t)) + opt.eps)
+        self.value = self.value - self.opt.learning_rate * (self.m / (1.0 - b1**self.t)) / (
+            np.sqrt(self.v / (1.0 - b2**self.t)) + eps)
 
 
 class TestStep:
@@ -73,7 +73,7 @@ class TestStep:
         # constant grad 1: m_hat = v_hat = 1, so the step is lr / (1 + eps)
         p = param("w", [0.0])
         p.grad[:] = 1.0
-        step(Adam(1e-3, beta1=0.9, beta2=0.999, eps=1e-8), [p])
+        step(Adam(1e-3), [p])
         assert -p.value[0] == pytest.approx(1e-3, rel=1e-7)
 
     def test_adam_matches_reference_formula(self):

@@ -90,47 +90,86 @@ class TestZeroShotProbs:
             class_probabilities(provider.image_embeddings, 2.0 * provider.class_anchors, 0.07)
 
 
+def labels_of_scores(scores, tau=1.0, **kw):
+    """``assign_pseudo_labels`` against one-hot class texts, so the class
+    scores of each row are exactly its entries of ``scores``."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return assign_pseudo_labels(scores, np.eye(scores.shape[1]), tau, **kw)
+
+
+def argmax_low(row):
+    """Index of the largest entry of ``row``, the lowest on a tie."""
+    return max(range(len(row)), key=lambda k: (row[k], -k))
+
+
 class TestAssignPseudoLabels:
     def test_basic(self):
-        ps = assign_pseudo_labels(np.array([[0.1, 0.7, 0.2]]))
+        ps = labels_of_scores(np.log([[0.1, 0.7, 0.2]]))
         r = ps.get(0)
-        assert (r.label, r.confidence, r.status) == (1, 0.7, "candidate")
+        assert (r.label, r.status, r.generator) == (1, "candidate", "zeroshot")
+        assert r.confidence == pytest.approx(0.7, rel=1e-12)
 
     def test_tie_breaks_low(self):
-        ps = assign_pseudo_labels(np.array([[0.5, 0.5]]))
-        assert ps.get(0).label == 0
+        ps = labels_of_scores([[0.5, 0.5], [0.1, 0.9], [0.9, 0.9]])
+        assert ps.labels().tolist() == [0, 1, 0]
+        assert labels_of_scores([[0.2, 0.7, 0.1, 0.7]]).get(0).label == 1
 
     def test_batch_matches_argmax_oracle(self):
         rng = np.random.default_rng(3)
-        raw = rng.random((100, 7))
-        probs = raw / raw.sum(axis=1, keepdims=True)
-        ps = assign_pseudo_labels(probs)
+        scores = rng.normal(size=(100, 7))
+        ps = labels_of_scores(scores, tau=0.3)
         for i in range(100):
-            row = list(probs[i])
-            best = max(range(7), key=lambda k: (row[k], -k))
+            row = list(class_probabilities(scores[i:i + 1], np.eye(7), 0.3)[0])
+            best = argmax_low(row)
             r = ps.get(i)
             assert r.label == best
             assert r.confidence == row[best]
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
-        raw = rng.random((20, 4))
-        probs = raw / raw.sum(axis=1, keepdims=True)
+        scores = rng.normal(size=(20, 4))
         ids = np.arange(20)
         perm = rng.permutation(20)
-        a = assign_pseudo_labels(probs, sample_ids=ids)
-        b = assign_pseudo_labels(probs[perm], sample_ids=ids[perm])
+        a = labels_of_scores(scores, sample_ids=ids)
+        b = labels_of_scores(scores, sample_ids=ids[perm])
+        assert b.sample_ids().tolist() == ids[perm].tolist()
         for sid in ids:
             ra, rb = a.get(sid), b.get(sid)
             assert (ra.label, ra.confidence) == (rb.label, rb.confidence)
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
-            assign_pseudo_labels(np.zeros((0, 3)))
-
-    def test_rows_must_sum_to_one(self):
+            labels_of_scores(np.zeros((0, 3)))
         with pytest.raises(ContractError):
-            assign_pseudo_labels(np.array([[0.5, 0.2]]))
+            labels_of_scores(np.zeros((4, 3)), sample_ids=[])
+
+    def test_blocks_of_shuffled_ids_equal_a_per_row_reference(self, monkeypatch):
+        # two row blocks of shuffled ids; classes 1 and 3 share a one-hot
+        # text and scores come from three values, so ties are everywhere
+        from coft.core import BLOCK_ROWS
+
+        n = 2 * BLOCK_ROWS + 1
+        rng = np.random.default_rng(8)
+        emb = rng.integers(0, 3, size=(n + 5, 4)) * 0.5
+        texts = np.eye(4)[[0, 1, 2, 1, 3]]
+        ids = rng.permutation(n + 5)[:n]
+        checks = []
+        check = pseudo._check_distinct
+        monkeypatch.setattr(pseudo, "_check_distinct",
+                            lambda col: checks.append(col.size) or check(col))
+        ps = assign_pseudo_labels(emb, texts, 0.2, sample_ids=ids, generator="model1")
+        assert checks == [n]
+        labels, conf = [], []
+        for sid in ids.tolist():
+            row = class_probabilities(emb[sid:sid + 1], texts, 0.2)[0].tolist()
+            labels.append(argmax_low(row))
+            conf.append(row[labels[-1]])
+        got_ids, got_labels, got_conf = ps.training_view()
+        assert got_ids.tolist() == ids.tolist()
+        assert got_labels.tolist() == labels
+        assert got_conf.tobytes() == np.array(conf).tobytes()
+        assert {r.generator for r in ps} == {"model1"}
+        assert 1 in labels and 3 not in labels  # class 3 ties class 1 on every row
 
 
 def _records(spec):
@@ -342,9 +381,8 @@ class TestSelectionBeatsCandidates:
             spec = SyntheticSpec(classes=5, per_class=40, dim=32, noise_sigma=0.4,
                                  anchor_alignment=0.6, seed=seed)
             provider, truth = generate_synthetic(spec)
-            probs = class_probabilities(provider.image_embeddings,
-                                        provider.class_anchors, 0.07)
-            candidates = assign_pseudo_labels(probs)
+            candidates = assign_pseudo_labels(provider.image_embeddings,
+                                              provider.class_anchors, 0.07)
             selected = select_top_k(candidates, 12, provider.num_classes)
             assert selected.accuracy(truth) >= candidates.accuracy(truth)
 
@@ -413,7 +451,7 @@ class TestLabelTableProperties:
         assert path.read_bytes() == json_oracle(records, with_truth).encode("utf-8")
 
     def test_save_of_a_table_without_truth(self, tmp_path):
-        ps = assign_pseudo_labels(np.array([[0.1, 0.9], [0.6, 0.4]]), generator="model2")
+        ps = labels_of_scores([[0.1, 0.9], [0.6, 0.4]], generator="model2")
         path = tmp_path / "labels.jsonl"
         ps.save(path, with_truth=True)
         assert path.read_text() == json_oracle(list(ps), True)

@@ -20,7 +20,6 @@ from coft.grad import Adam, step
 from coft.pseudo import (
     assign_pseudo_labels,
     centroid_confidences,
-    class_probabilities,
     select_top_k,
 )
 from coft.train import (
@@ -53,8 +52,8 @@ def synthetic_provider(seed=0, classes=3, per_class=20, dim=8, sigma=0.05,
 
 
 def zero_shot_selection(provider, cfg):
-    probs = class_probabilities(provider.image_embeddings, provider.class_anchors, cfg.tau)
-    candidates = assign_pseudo_labels(probs)
+    candidates = assign_pseudo_labels(provider.image_embeddings, provider.class_anchors,
+                                      cfg.tau)
     return select_top_k(candidates, cfg.k_per_class, provider.num_classes)
 
 
@@ -313,9 +312,8 @@ class TestTrainFFT:
     def test_single_sample_memorization(self):
         provider, _ = synthetic_provider()
         cfg = small_cfg(phase2_epochs=60, gamma=0.0)
-        probs = class_probabilities(provider.image_embeddings[:1],
-                                    provider.class_anchors, cfg.tau)
-        single = assign_pseudo_labels(probs, sample_ids=np.array([0]))
+        single = assign_pseudo_labels(provider.image_embeddings, provider.class_anchors,
+                                      cfg.tau, sample_ids=np.array([0]))
         student = init_fft_encoder(provider.dim, provider.num_classes,
                                    cfg.hidden_mult * provider.dim, SeededRng(1))
         train_fft(student, single, provider, cfg, SeededRng(1), "phase2/student1")
@@ -327,10 +325,10 @@ class TestTrainFFT:
     def test_separable_clusters_reach_full_accuracy(self):
         provider, truth = synthetic_provider(per_class=25)
         cfg = small_cfg(phase2_epochs=60, gamma=0.0)
-        # perfectly filtered labels: the truth itself on every sample
-        probs = np.eye(provider.num_classes)[truth]
-        eps = 1e-9  # softmax rows must sum to one; one-hot rows already do
-        labelset = assign_pseudo_labels(probs)
+        # perfectly filtered labels: the truth itself on every sample, scored
+        # against one-hot class texts
+        classes = np.eye(provider.num_classes)
+        labelset = assign_pseudo_labels(classes[truth], classes, cfg.tau)
         student = init_fft_encoder(provider.dim, provider.num_classes,
                                    cfg.hidden_mult * provider.dim, SeededRng(2))
         train_fft(student, labelset, provider, cfg, SeededRng(2), "phase2/student1")
@@ -454,9 +452,8 @@ class TestPhase2Plus:
     def clean_fixture(self, seed=0):
         provider, truth = synthetic_provider(seed=seed, per_class=15)
         cfg = small_cfg(phase2_epochs=12)
-        probs = class_probabilities(provider.image_embeddings,
-                                    provider.class_anchors, cfg.tau)
-        labelset = assign_pseudo_labels(probs)
+        labelset = assign_pseudo_labels(provider.image_embeddings, provider.class_anchors,
+                                        cfg.tau)
         return provider, cfg, labelset
 
     def test_gamma_zero_matches_reference_loop(self):
@@ -569,8 +566,8 @@ class TestLoopFailureRules:
     def train_student(self, gamma, metrics=None, epochs=6):
         provider, _ = synthetic_provider(per_class=15)
         cfg = small_cfg(phase2_epochs=epochs, gamma=gamma)
-        labelset = assign_pseudo_labels(class_probabilities(
-            provider.image_embeddings, provider.class_anchors, cfg.tau))
+        labelset = assign_pseudo_labels(provider.image_embeddings, provider.class_anchors,
+                                        cfg.tau)
         student = init_fft_encoder(provider.dim, provider.num_classes,
                                    cfg.hidden_mult * provider.dim, SeededRng(32))
         return train_fft(student, labelset, provider, cfg, SeededRng(32), "phase2/s1",
@@ -639,8 +636,8 @@ class TestIteratePeft:
 
         # model1 ranks the zero-shot labels by their own confidence, model2 by
         # their image-side confidence
-        probs = class_probabilities(provider.image_embeddings, provider.class_anchors, cfg.tau)
-        candidates = assign_pseudo_labels(probs)
+        candidates = assign_pseudo_labels(provider.image_embeddings, provider.class_anchors,
+                                          cfg.tau)
         selections = {
             "model1": select_top_k(candidates, cfg.k_per_class, provider.num_classes),
             "model2": select_top_k(
