@@ -31,6 +31,7 @@ __all__ = [
     "atomic_write",
     "write_container",
     "read_manifest",
+    "json_field",
     "read_payload",
 ]
 
@@ -157,6 +158,28 @@ def read_manifest(path) -> dict:
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest is not a JSON object")
     return manifest
+
+
+_JSON_NAMES = {int: "integer", str: "string", bool: "boolean", list: "list"}
+
+
+def _is_json(value, kind) -> bool:
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def json_field(path, obj: dict, field: str, kind: type, items: type | None = None,
+               where: str = ""):
+    """``obj[field]`` when it is a JSON ``kind`` (for a list, of ``items``);
+    FormatError naming ``path`` and ``where + field`` when it is missing or of
+    another type. ``true`` and ``60.0`` are not integers."""
+    name = where + field
+    if field not in obj:
+        raise FormatError(f"{path}: missing field {name!r}")
+    value = obj[field]
+    if not _is_json(value, kind) or (items and not all(_is_json(v, items) for v in value)):
+        want = _JSON_NAMES[kind] + (f" of {_JSON_NAMES[items]}s" if items else "")
+        raise FormatError(f"{path}: field {name!r} must be a JSON {want}, got {value!r}")
+    return value
 
 
 def read_payload(path, shapes, checksum) -> list:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SeededRng, as_f64, atomic_write, normalize_rows, read_manifest,
-                   read_payload, row_blocks, stable_hash64, write_container)
+from .core import (SeededRng, as_f64, atomic_write, json_field, normalize_rows,
+                   read_manifest, read_payload, row_blocks, stable_hash64, write_container)
 from .encoders import FrozenProvider
 from .errors import ConfigError, DomainError, FormatError
 
@@ -74,8 +74,6 @@ class DatasetManifest:
             raise FormatError("num_classes must be positive")
         if self.dim <= 0:
             raise FormatError("dim must be positive")
-        if not isinstance(self.payload_path, str):
-            raise FormatError("payload_path must be a string")
 
 
 def require_finite_floats(config) -> None:
@@ -234,24 +232,23 @@ def save_dataset(ds: FrozenProvider, directory, truth=None, name=None) -> str:
     return manifest_path
 
 
+# the JSON type of each dataset manifest field; class_names is a list of strings
+_MANIFEST_TYPES = {"name": str, "num_samples": int, "num_classes": int, "dim": int,
+                   "class_names": list, "payload_path": str, "checksum": str,
+                   "has_ground_truth": bool}
+
+
 def _read_manifest(manifest_path) -> DatasetManifest:
-    """Parse a dataset manifest. FormatError, naming the file, when it is not
-    a JSON object or a field is missing, of the wrong type or inconsistent."""
+    """Parse a dataset manifest. FormatError, naming the file (and the field),
+    when it is not a JSON object or a field is missing, of the wrong JSON type
+    or inconsistent."""
     d = read_manifest(manifest_path)
+    fields = {f: json_field(manifest_path, d, f, kind, str if kind is list else None)
+              for f, kind in _MANIFEST_TYPES.items()}
+    fields["class_names"] = tuple(fields["class_names"])
     try:
-        return DatasetManifest(
-            name=d["name"],
-            num_samples=int(d["num_samples"]),
-            num_classes=int(d["num_classes"]),
-            dim=int(d["dim"]),
-            class_names=tuple(d["class_names"]),
-            payload_path=d["payload_path"],
-            checksum=d["checksum"],
-            has_ground_truth=bool(d["has_ground_truth"]),
-        )
-    except KeyError as e:
-        raise FormatError(f"{manifest_path}: manifest missing field {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:  # a wrong type or a field check
+        return DatasetManifest(**fields)
+    except FormatError as e:  # a field check
         raise FormatError(f"{manifest_path}: malformed manifest ({e})") from None
 
 

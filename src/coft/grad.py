@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_f64, read_manifest, read_payload, write_container
+from .core import as_f64, json_field, read_manifest, read_payload, write_container
 from .errors import ContractError, DomainError, FormatError, ShapeError, TrainingError
 
 __all__ = [
@@ -255,7 +255,9 @@ def save_checkpoint(stem: str, params) -> str:
 
 
 def _tensor_entries(manifest_path: str, manifest: dict) -> list:
-    """(name, shape) per listed tensor; the offsets must be consecutive."""
+    """(name, shape) per listed tensor. FormatError naming the file and the
+    field for a field missing or of the wrong JSON type, or offsets that are
+    not consecutive."""
     if manifest.get("format") != _CKPT_FORMAT:
         raise FormatError(f"{manifest_path}: unrecognized checkpoint format "
                           f"{manifest.get('format')!r}")
@@ -263,15 +265,18 @@ def _tensor_entries(manifest_path: str, manifest: dict) -> list:
         raise FormatError(f"{manifest_path}: the 'optimizer' field must be null")
     out = []
     offset = 0
-    try:
-        for e in manifest["params"]:
-            name, shape = str(e["name"]), tuple(int(n) for n in e["shape"])
-            if e["offset"] != offset or min(shape, default=0) < 0:
-                raise ValueError(e)
-            out.append((name, shape))
-            offset += 8 * math.prod(shape)
-    except (KeyError, TypeError, ValueError):
-        raise FormatError(f"{manifest_path}: malformed tensor list") from None
+    for i, e in enumerate(json_field(manifest_path, manifest, "params", list)):
+        where = f"params[{i}]."
+        if not isinstance(e, dict):
+            raise FormatError(f"{manifest_path}: {where[:-1]} is not a JSON object")
+        name = json_field(manifest_path, e, "name", str, where=where)
+        shape = tuple(json_field(manifest_path, e, "shape", list, int, where=where))
+        if json_field(manifest_path, e, "offset", int, where=where) != offset:
+            raise FormatError(f"{manifest_path}: field '{where}offset' must be {offset}")
+        if min(shape, default=0) < 0:
+            raise FormatError(f"{manifest_path}: field '{where}shape' has a negative dimension")
+        out.append((name, shape))
+        offset += 8 * math.prod(shape)
     return out
 
 

@@ -7,12 +7,11 @@ generator and status as int8 codes into ``GENERATORS`` and ``STATUSES``, and
 an evaluation-only ground truth (int64, ``-1`` where none is attached). Every
 operation on the table (selection, subsetting, accuracy counts, export)
 works on whole columns; export builds its text one row block at a time.
-``mark`` changes one row's status. A lookup by sample id first tries the
-row ``sample_id - first id``, which is right for every table whose ids run
-consecutively (as the generated label tables do), so those keep no index;
-other tables are searched through an argsort of their ids, built on the first
-miss and kept (8 bytes per row). ``get`` and iteration hand out
-``PseudoLabelRecord`` copies for callers that want one row at a time.
+``mark`` changes one row's status. It, ``subset`` and ``get`` address rows by
+position, never by sample id, so a table keeps no index: the generated label
+tables cover every sample in id order, so there the row is the sample id.
+``get`` and iteration hand out ``PseudoLabelRecord`` copies for callers that
+want one row at a time.
 
 Ground-truth labels may be attached for evaluation, but every training-facing
 accessor (``training_view``) excludes them by construction; no training or
@@ -22,9 +21,9 @@ filtering decision can read them.
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -52,7 +51,6 @@ _LEGAL_MOVES = frozenset((_STATUS_CODE[old], _STATUS_CODE[new]) for old, new in 
     ("unassigned", "candidate"), ("candidate", "clean"), ("candidate", "noise")))
 _CANDIDATE = _STATUS_CODE["candidate"]
 _CLEAN = _STATUS_CODE["clean"]
-_INT64 = np.iinfo(np.int64)
 _NO_TRUTH = -1
 
 # json.dumps of each name, for the export
@@ -99,16 +97,6 @@ def _truth_column(truth, n: int) -> np.ndarray:
     if isinstance(truth, np.ndarray):
         return truth.astype(np.int64)
     return np.array([_NO_TRUTH if t is None else t for t in truth], dtype=np.int64)
-
-
-def _integral(value):
-    """``value`` as an int when it equals one (``np.int64(3)``, ``3.0``), else
-    None (``3.5``, ``"3"``, None): the ids a dict keyed by ints would match."""
-    try:
-        key = int(value)
-    except (TypeError, ValueError, OverflowError):  # None, "x", NaN, inf
-        return None
-    return key if key == value else None
 
 
 def _check_distinct(ids: np.ndarray) -> None:
@@ -160,7 +148,6 @@ class PseudoLabelSet:
     def _set(self, ids, labels, conf, gen, status, truth):
         self._ids, self._labels, self._conf = ids, labels, conf
         self._gen, self._status, self._truth = gen, status, truth
-        self._first = ids.item(0) if ids.size else 0
 
     def _take(self, rows, confidence=None) -> "PseudoLabelSet":
         """A new table of the given rows (fancy indexing copies every column)."""
@@ -171,52 +158,14 @@ class PseudoLabelSet:
                    self._status[rows], self._truth[rows])
         return table
 
-    @cached_property
-    def _order(self):
-        """None when the ids ascend, else their argsort; built by the first
-        lookup that the row guess misses."""
-        ids = self._ids
-        return None if np.all(ids[1:] > ids[:-1]) else np.argsort(ids, kind="stable")
-
-    def _search(self, want) -> np.ndarray:
-        """Row index of each int64 id of ``want`` (at least one) by binary
-        search; KeyError names the first unknown."""
-        n = self._ids.size
-        if n == 0:
-            raise KeyError(f"unknown sample_id {want[0]}")
-        rows = np.minimum(np.searchsorted(self._ids, want, sorter=self._order), n - 1)
-        if self._order is not None:
-            rows = self._order[rows]
-        missing = self._ids[rows] != want
-        if np.any(missing):
-            raise KeyError(f"unknown sample_id {want[np.argmax(missing)]}")
-        return rows
-
-    def _row(self, sample_id) -> int:
-        """Row index of one sample id; KeyError if unknown. The guess
-        ``sample_id - first id`` is taken when the id column confirms it;
-        any other id is searched."""
-        key = sample_id if type(sample_id) is int else _integral(sample_id)
-        if key is not None:
-            row = key - self._first
-            if 0 <= row < self._ids.size and self._ids.item(row) == key:
-                return row
-            if _INT64.min <= key <= _INT64.max:
-                return int(self._search(np.array([key], dtype=np.int64))[0])
-        raise KeyError(f"unknown sample_id {sample_id}")
-
-    def _rows(self, sample_ids) -> np.ndarray:
-        """Row index of each of ``sample_ids``; KeyError names the first unknown."""
-        want = np.asarray(sample_ids).reshape(-1)
-        if not np.can_cast(want.dtype, np.int64):  # floats, strings, objects, huge ints
-            return np.array([self._row(s) for s in want.tolist()], dtype=np.int64)
-        want = want.astype(np.int64, copy=False)
-        rows = want - self._first
-        hit = (rows >= 0) & (rows < self._ids.size)
-        hit[hit] = self._ids[rows[hit]] == want[hit]
-        if not np.all(hit):
-            rows[~hit] = self._search(want[~hit])
-        return rows
+    def _index(self, row) -> int:
+        """``row`` as an int; TypeError if it is not an integer, IndexError
+        outside ``[0, len)`` (a negative row does not wrap)."""
+        if type(row) is not int:
+            row = operator.index(row)
+        if not 0 <= row < self._ids.size:
+            raise IndexError(f"row {row} out of range for {self._ids.size} rows")
+        return row
 
     def __len__(self):
         return self._ids.size
@@ -228,16 +177,9 @@ class PseudoLabelSet:
                 self._gen.tolist(), self._status.tolist(), truth):
             yield PseudoLabelRecord(sid, lab, conf, GENERATORS[gen], STATUSES[status], t)
 
-    def __contains__(self, sample_id):
-        try:
-            self._row(sample_id)
-        except KeyError:
-            return False
-        return True
-
-    def get(self, sample_id: int) -> PseudoLabelRecord:
+    def get(self, row: int) -> PseudoLabelRecord:
         """A copy of one row; changing it does not change the table."""
-        return next(iter(self._take([self._row(sample_id)])))
+        return next(iter(self._take([self._index(row)])))
 
     def sample_ids(self) -> np.ndarray:
         return self._ids.copy()
@@ -249,22 +191,31 @@ class PseudoLabelSet:
         """(sample_ids, labels, confidences) — ground truth is not reachable here."""
         return self._ids.copy(), self._labels.copy(), self._conf.copy()
 
-    def mark(self, sample_id: int, new_status: str) -> None:
-        row = self._row(sample_id)
+    def mark(self, row: int, new_status: str) -> None:
+        """Move one row's status: unassigned -> candidate -> clean or noise."""
+        row = self._index(row)
         old = self._status.item(row)
         new = _STATUS_CODE.get(new_status)
         if (old, new) not in _LEGAL_MOVES:
             raise ContractError(
                 f"illegal status transition {STATUSES[old]!r} -> {new_status!r} "
-                f"for sample {sample_id}"
+                f"for sample {self._ids.item(row)}"
             )
         self._status[row] = new
 
-    def subset(self, sample_ids) -> "PseudoLabelSet":
-        """Copies of the rows of ``sample_ids`` (distinct), in that order."""
-        rows = self._rows(sample_ids)
-        _check_distinct(self._ids[rows])
-        return self._take(rows)
+    def subset(self, rows) -> "PseudoLabelSet":
+        """Copies of the given rows (distinct), in that order; TypeError for
+        rows that are not integers, IndexError for one outside ``[0, len)``."""
+        rows = np.asarray(rows).reshape(-1)
+        if rows.size and rows.dtype.kind not in "iu":
+            raise TypeError(f"rows must be integers, got {rows.dtype}")
+        outside = (rows < 0) | (rows >= self._ids.size)
+        if np.any(outside):
+            raise IndexError(f"row {rows[np.argmax(outside)]} out of range "
+                             f"for {self._ids.size} rows")
+        table = self._take(rows)
+        _check_distinct(table._ids)
+        return table
 
     def with_status(self, status: str) -> "PseudoLabelSet":
         return self._take(np.flatnonzero(self._status == _codes(status, STATUSES, "status")))
@@ -376,25 +327,25 @@ def class_probabilities(embeddings, text_embeddings, tau: float) -> np.ndarray:
     return softmax_rows(emb @ texts.T, tau)
 
 
-def assign_pseudo_labels(embeddings, texts, tau: float, sample_ids=None,
+def assign_pseudo_labels(embeddings, texts, tau: float,
                          generator: str = "zeroshot") -> PseudoLabelSet:
-    """The pseudo-labels of the rows ``sample_ids`` of ``embeddings`` (default:
-    all, in order): the argmax of their ``class_probabilities`` against
-    ``texts`` at ``tau``, ties to the lowest class, with its probability as
-    the confidence. Rows are scored one row block at a time into one table,
+    """The pseudo-labels of every row of ``embeddings``, each row's sample id
+    its row index: the argmax of its ``class_probabilities`` against ``texts``
+    at ``tau``, ties to the lowest class, with its probability as the
+    confidence. Rows are scored one row block at a time into one table,
     validated once; its records start in status ``candidate``.
     """
     emb = as_f64(embeddings)
-    ids = np.arange(len(emb)) if sample_ids is None else np.asarray(sample_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ContractError(f"expected a nonempty 1-D list of sample ids, got shape {ids.shape}")
-    labels = np.empty(ids.size, dtype=np.int64)
-    conf = np.empty(ids.size)
-    for rows in row_blocks(ids.size):
-        probs = class_probabilities(emb[ids[rows]], texts, tau)
+    n = len(emb)
+    if n == 0:
+        raise ContractError("expected at least one embedding row to label")
+    labels = np.empty(n, dtype=np.int64)
+    conf = np.empty(n)
+    for rows in row_blocks(n):
+        probs = class_probabilities(emb[rows], texts, tau)
         labels[rows] = np.argmax(probs, axis=1)  # np.argmax already breaks ties low
         conf[rows] = probs[np.arange(probs.shape[0]), labels[rows]]
-    return PseudoLabelSet._from_columns(ids, labels, conf, generator)
+    return PseudoLabelSet._from_columns(np.arange(n), labels, conf, generator)
 
 
 def centroid_confidences(labels: PseudoLabelSet, embeddings, tau: float) -> PseudoLabelSet:

@@ -231,14 +231,11 @@ def _positive_terms(emb, texts, labels, tau_pos, weight):
     return loss, d_sims.T @ emb
 
 
-def loss_positive(model: AdaptedModel, embeddings, labels, weight: float = 1.0) -> float:
+def loss_positive(model: AdaptedModel, embeddings, labels) -> float:
     """Mean cross-entropy of softmax(cos(frozen image, positive texts) / tau_pos)
-    against the pseudo-labels.
-
-    Returns the unweighted loss; gradients scaled by ``weight`` reach the
-    positive context only.
+    against the pseudo-labels. Its gradients reach the positive context only.
     """
-    return _phase1_terms(model, embeddings, labels, None, weight, None, "loss_positive")[0]
+    return _phase1_terms(model, embeddings, labels, None, 1.0, None, "loss_positive")[0]
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -317,17 +314,16 @@ def _check_complements(model, labels, comp):
         raise ContractError("complement labels must differ from assigned labels")
 
 
-def loss_negative(model: AdaptedModel, embeddings, labels, complements,
-                  weight: float = 1.0) -> float:
+def loss_negative(model: AdaptedModel, embeddings, labels, complements) -> float:
     """Mean of -[log p_clean(y) + log(1 - p_clean(y_hat))] over the batch.
 
     Pushes the positive prompt above the negative one for assigned labels and
-    below it for sampled complement labels; gradients scaled by ``weight``
-    reach both context tables and the adapter.
+    below it for sampled complement labels; its gradients reach both context
+    tables and the adapter.
     """
     if complements is None:
         raise ContractError("loss_negative needs complement labels")
-    return _phase1_terms(model, embeddings, labels, complements, None, weight,
+    return _phase1_terms(model, embeddings, labels, complements, None, 1.0,
                          "loss_negative")[1]
 
 
@@ -463,19 +459,20 @@ def train_phase1(model: AdaptedModel, selected: PseudoLabelSet, cfg: TrainConfig
 # Collaborative generation and validation
 # ---------------------------------------------------------------------------
 
-def generate_labels(model: AdaptedModel, sample_ids=None) -> PseudoLabelSet:
-    """The model's own pseudo-labels over the given samples (default: all):
-    its positive texts against the frozen embeddings, with softmax-at-tau_pos
-    confidences."""
+def generate_labels(model: AdaptedModel) -> PseudoLabelSet:
+    """The model's own pseudo-labels over every sample: its positive texts
+    against the frozen embeddings, with softmax-at-tau_pos confidences."""
     texts, _ = compose_texts(model.bank, model.provider, "positive")
     return assign_pseudo_labels(model.provider.image_embeddings, texts, model.tau_pos,
-                                sample_ids, generator=model.model_id)
+                                generator=model.model_id)
 
 
 @dataclass
 class FilterResult:
     """One direction of the cross-model filter: labels generated by
-    ``generator_id`` with clean/noise statuses assigned by the validator."""
+    ``generator_id`` with clean/noise statuses assigned by the validator.
+    ``labels`` covers every sample in id order, so ``clean_ids`` and
+    ``noise_ids`` are also its rows."""
 
     generator_id: str
     validator_id: str
@@ -487,8 +484,7 @@ class FilterResult:
         return self.labels.subset(self.clean_ids)
 
 
-def collaborative_filter(generator: AdaptedModel, validator: AdaptedModel,
-                         sample_ids=None) -> FilterResult:
+def collaborative_filter(generator: AdaptedModel, validator: AdaptedModel) -> FilterResult:
     """Generator labels every sample; the validator keeps a sample iff, on its
     own adapted embedding, its positive-prompt similarity for that label
     strictly beats its negative-prompt similarity. Equality lands in the
@@ -501,34 +497,33 @@ def collaborative_filter(generator: AdaptedModel, validator: AdaptedModel,
             "validation will be near-random", UserWarning,
         )
     provider = generator.provider
-    labelset = generate_labels(generator, sample_ids)
-    ids, labels, _ = labelset.training_view()
+    labelset = generate_labels(generator)  # row == sample id
+    labels = labelset.labels()
 
     texts_p, _ = compose_texts(validator.bank, provider, "positive")
     texts_n, _ = compose_texts(validator.bank, provider, "negative")
-    keep = np.empty(ids.size, dtype=bool)
-    for rows in row_blocks(ids.size):
-        visual, _ = adapt_batch(validator.adapter, provider.image_embeddings[ids[rows]])
+    keep = np.empty(labels.size, dtype=bool)
+    for rows in row_blocks(labels.size):
+        visual, _ = adapt_batch(validator.adapter, provider.image_embeddings[rows])
         sim_pos = np.sum(visual * texts_p[labels[rows]], axis=1)
         sim_neg = np.sum(visual * texts_n[labels[rows]], axis=1)
         ok = keep[rows] = sim_pos > sim_neg
-        for sid, clean in zip(ids[rows].tolist(), ok.tolist()):
-            labelset.mark(sid, "clean" if clean else "noise")
+        for row, clean in zip(range(rows.start, rows.stop), ok.tolist()):
+            labelset.mark(row, "clean" if clean else "noise")
     return FilterResult(
         generator_id=generator.model_id,
         validator_id=validator.model_id,
         labels=labelset,
-        clean_ids=ids[keep],
-        noise_ids=ids[~keep],
+        clean_ids=np.flatnonzero(keep),
+        noise_ids=np.flatnonzero(~keep),
     )
 
 
-def collaborative_filter_both(model1: AdaptedModel, model2: AdaptedModel,
-                              sample_ids=None) -> dict:
+def collaborative_filter_both(model1: AdaptedModel, model2: AdaptedModel) -> dict:
     """Both directions: labels by model1 validated by model2, and vice versa."""
     return {
-        "model1": collaborative_filter(model1, model2, sample_ids),
-        "model2": collaborative_filter(model2, model1, sample_ids),
+        "model1": collaborative_filter(model1, model2),
+        "model2": collaborative_filter(model2, model1),
     }
 
 
@@ -536,7 +531,7 @@ def collaborative_filter_both(model1: AdaptedModel, model2: AdaptedModel,
 # Phase-2 supervised loss
 # ---------------------------------------------------------------------------
 
-def loss_fft(student: FFTEncoder, embeddings, labels, weight: float = 1.0) -> float:
+def loss_fft(student: FFTEncoder, embeddings, labels) -> float:
     """Softmax cross-entropy of the student's logits on raw frozen embeddings."""
     emb = as_f64(embeddings)
     labels = np.asarray(labels, dtype=np.int64)
@@ -548,7 +543,7 @@ def loss_fft(student: FFTEncoder, embeddings, labels, weight: float = 1.0) -> fl
     loss = float(-np.mean(np.log(probs[np.arange(n), labels])))
     d_logits = probs
     d_logits[np.arange(n), labels] -= 1.0
-    d_logits *= weight / n
+    d_logits *= 1.0 / n  # not /= n: that rounds differently and would change checkpoints
     logits_batch_backward(cache, d_logits)
     return loss
 
@@ -717,12 +712,12 @@ def train_fft(student: FFTEncoder, clean: PseudoLabelSet, provider: FrozenProvid
         if state is None:
             return order, lambda start, batch: (
                 loss_fft(student, emb[ids[batch]], labels[batch]),)
-        cont_order = root_rng.stream(f"{prefix}/contrastive").permutation(n_all)
+        cont_perm = root_rng.stream(f"{prefix}/contrastive").permutation(n_all)
         aug_rng = root_rng.stream(f"{prefix}/augment")
 
         def losses(start, batch):
             sup = loss_fft(student, emb[ids[batch]], labels[batch])
-            take = cont_order[(start + np.arange(batch.shape[0])) % n_all]
+            take = cont_perm[(start + np.arange(batch.shape[0])) % n_all]
             views_q, views_k = augment_two_views(
                 emb[take], aug_rng, cfg.aug_noise, cfg.aug_dropout)
             return sup, loss_contrastive(student, state, views_q, views_k, weight=cfg.gamma)

@@ -20,6 +20,7 @@ from coft.pseudo import PseudoLabelSet, centroid_confidences
 from coft.train import (
     TrainConfig,
     collaborative_filter,
+    collaborative_filter_both,
     ensemble_predictions,
     generate_labels,
     init_adapted_model,
@@ -83,10 +84,9 @@ class TestBlockedEqualsWholeTable:
 
     def test_generate_labels(self, monkeypatch, provider):
         model, _ = perturbed_models(provider)
-        ids = np.random.default_rng(0).permutation(provider.num_samples)
-        whole, blocked = whole_and_blocked(monkeypatch, lambda: generate_labels(model, ids))
+        whole, blocked = whole_and_blocked(monkeypatch, lambda: generate_labels(model))
         assert records(blocked) == records(whole)
-        assert whole.sample_ids().tolist() == ids.tolist()
+        assert whole.sample_ids().tolist() == list(range(provider.num_samples))
 
     def test_centroid_confidences(self, monkeypatch, provider):
         model, _ = perturbed_models(provider)
@@ -155,6 +155,26 @@ class TestBlockedEqualsWholeTable:
         whole, blocked = whole_and_blocked(monkeypatch, save)
         assert b"NaN" in whole
         assert blocked == whole
+
+
+class TestRowIsSampleId:
+    """The filter marks and subsets its tables by row, which is right only
+    because every generated table covers every sample in id order."""
+
+    def test_generated_and_filtered_tables_cover_every_sample_in_order(self, monkeypatch):
+        provider, _ = acceptance_provider(per_class=50)
+        n = provider.num_samples
+        monkeypatch.setattr(core, "BLOCK_ROWS", 200)
+        assert len(row_blocks(n)) == 2
+        model1, model2 = perturbed_models(provider)
+        assert generate_labels(model1).sample_ids().tolist() == list(range(n))
+        for result in collaborative_filter_both(model1, model2).values():
+            assert result.labels.sample_ids().tolist() == list(range(n))
+            status = np.array([r.status for r in result.labels])
+            assert 0 < result.clean_ids.size < n
+            assert result.clean_ids.tolist() == np.flatnonzero(status == "clean").tolist()
+            assert result.noise_ids.tolist() == np.flatnonzero(status == "noise").tolist()
+            assert result.clean_set().sample_ids().tolist() == result.clean_ids.tolist()
 
 
 @pytest.fixture(scope="module")

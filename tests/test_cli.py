@@ -284,6 +284,30 @@ class TestMalformedDataset:
     def test_exits_2_naming_the_file(self, tmp_path, capsys, case, command):
         manifest = make_dataset(tmp_path)
         damaged = malform(manifest, case)
+        assert self.exit_code(tmp_path, capsys, manifest, command) == 2
+        assert damaged in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    @pytest.mark.parametrize("field, value", [
+        ("num_samples", "100"), ("num_samples", 100.5), ("num_samples", 100.0),
+        ("num_classes", True), ("dim", "16"), ("has_ground_truth", "no"),
+        ("has_ground_truth", 1), ("class_names", "abcd"), ("class_names", [0, 1, 2, 3]),
+        ("name", 5), ("checksum", None)])
+    def test_wrong_json_type_exits_2_naming_the_field(self, tmp_path, capsys, field, value,
+                                                      command):
+        # int, bool and tuple once read "100" and 100.5 as 100, "no" as True
+        # and "abcd" as four class names
+        manifest = make_dataset(tmp_path)
+        with open(manifest, encoding="utf-8") as f:
+            fields = json.load(f)
+        with open(manifest, "w", encoding="utf-8") as f:
+            json.dump(dict(fields, **{field: value}), f)
+        assert self.exit_code(tmp_path, capsys, manifest, command) == 2
+        err = capsys.readouterr().err
+        assert manifest in err and repr(field) in err
+
+    @staticmethod
+    def exit_code(tmp_path, capsys, manifest, command):
         out = tmp_path / "r"
         if command == "run":
             argv = ("run", "--dataset", manifest, "--out", str(out))
@@ -292,8 +316,7 @@ class TestMalformedDataset:
             (out / RESOLVED_CONFIG_NAME).write_text(resolved_config_text(RunConfig()))
             argv = ("eval", "--run", str(out), "--dataset", manifest)
         capsys.readouterr()
-        assert run_cli(*argv) == 2
-        assert damaged in capsys.readouterr().err
+        return run_cli(*argv)
 
 
 # a config value fills the rest of one line and is stripped when read back
@@ -543,6 +566,22 @@ class TestEval:
             err = capsys.readouterr().err
             assert "phase1_model1.json" in err and "unrecognized checkpoint format" in err
             assert repr(old) in err
+
+    @pytest.mark.parametrize("field, change", [
+        ("shape", lambda shape: [str(n) for n in shape]),
+        ("shape", lambda shape: [float(n) for n in shape]),
+        ("shape", lambda shape: "x".join(map(str, shape))),
+        ("offset", float), ("offset", str), ("name", lambda name: [name])])
+    def test_tensor_field_of_wrong_json_type_exits_2(self, tmp_path, capsys, field, change):
+        _, out = self.finished_run(tmp_path)
+        path = out / "checkpoints" / "phase1_model1.json"
+        manifest = json.loads(path.read_text())
+        manifest["params"][1][field] = change(manifest["params"][1][field])
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"'params[1].{field}'" in err
 
     @pytest.mark.parametrize("name", ["checkpoints/phase1_model2.json",
                                       "checkpoints/phase2_student2.json",

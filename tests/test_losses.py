@@ -343,9 +343,12 @@ class TestLossPhase1:
                                      SeededRng(seed).stream("comp"))
             emb = provider.image_embeddings[take]
             lam = float(rng.uniform(0.01, 3.0))
-            want = loss_positive(model, emb, labels) + lam * loss_negative(
-                model, emb, labels, comps, weight=lam)
-            want_grads = [p.grad.copy() for p in model.params()]
+            pos = loss_positive(model, emb, labels)
+            pos_grads = [p.grad.copy() for p in model.params()]
+            for p in model.params():
+                p.zero_grad()
+            want = pos + lam * loss_negative(model, emb, labels, comps)
+            want_grads = [g + lam * p.grad for p, g in zip(model.params(), pos_grads)]
             for p in model.params():
                 p.zero_grad()
             got = loss_phase1(model, emb, labels, comps, lam)

@@ -128,44 +128,40 @@ class TestAssignPseudoLabels:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
         scores = rng.normal(size=(20, 4))
-        ids = np.arange(20)
         perm = rng.permutation(20)
-        a = labels_of_scores(scores, sample_ids=ids)
-        b = labels_of_scores(scores, sample_ids=ids[perm])
-        assert b.sample_ids().tolist() == ids[perm].tolist()
-        for sid in ids:
-            ra, rb = a.get(sid), b.get(sid)
+        a = labels_of_scores(scores)
+        b = labels_of_scores(scores[perm])
+        assert b.sample_ids().tolist() == list(range(20))
+        for row, sid in enumerate(perm.tolist()):
+            ra, rb = a.get(sid), b.get(row)
             assert (ra.label, ra.confidence) == (rb.label, rb.confidence)
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             labels_of_scores(np.zeros((0, 3)))
-        with pytest.raises(ContractError):
-            labels_of_scores(np.zeros((4, 3)), sample_ids=[])
 
-    def test_blocks_of_shuffled_ids_equal_a_per_row_reference(self, monkeypatch):
-        # two row blocks of shuffled ids; classes 1 and 3 share a one-hot
-        # text and scores come from three values, so ties are everywhere
+    def test_blocks_equal_a_per_row_reference(self, monkeypatch):
+        # two row blocks; classes 1 and 3 share a one-hot text and scores
+        # come from three values, so ties are everywhere
         from coft.core import BLOCK_ROWS
 
         n = 2 * BLOCK_ROWS + 1
         rng = np.random.default_rng(8)
-        emb = rng.integers(0, 3, size=(n + 5, 4)) * 0.5
+        emb = rng.integers(0, 3, size=(n, 4)) * 0.5
         texts = np.eye(4)[[0, 1, 2, 1, 3]]
-        ids = rng.permutation(n + 5)[:n]
         checks = []
         check = pseudo._check_distinct
         monkeypatch.setattr(pseudo, "_check_distinct",
                             lambda col: checks.append(col.size) or check(col))
-        ps = assign_pseudo_labels(emb, texts, 0.2, sample_ids=ids, generator="model1")
+        ps = assign_pseudo_labels(emb, texts, 0.2, generator="model1")
         assert checks == [n]
         labels, conf = [], []
-        for sid in ids.tolist():
+        for sid in range(n):
             row = class_probabilities(emb[sid:sid + 1], texts, 0.2)[0].tolist()
             labels.append(argmax_low(row))
             conf.append(row[labels[-1]])
         got_ids, got_labels, got_conf = ps.training_view()
-        assert got_ids.tolist() == ids.tolist()
+        assert got_ids.tolist() == list(range(n))
         assert got_labels.tolist() == labels
         assert got_conf.tobytes() == np.array(conf).tobytes()
         assert {r.generator for r in ps} == {"model1"}
@@ -245,8 +241,8 @@ class TestCentroidConfidences:
                 rows = [emb[r.sample_id].tolist() for r in labels if r.label == k]
                 centroids.append([sum(col) / len(rows) for col in zip(*rows)])
             assert [r.sample_id for r in got] == [r.sample_id for r in labels]
-            for r in got:
-                assert r.label == labels.get(r.sample_id).label
+            for row, r in enumerate(got):
+                assert r.label == labels.get(row).label
                 assert r.status == "candidate"
                 want = zero_shot_oracle(emb[r.sample_id].tolist(), centroids, tau)
                 assert abs(r.confidence - want[present.index(r.label)]) <= 1e-12
@@ -305,15 +301,16 @@ class TestPseudoLabelSet:
 
     def test_round_trip(self, tmp_path):
         ps = _records([(3, 2, 0.125), (1, 0, 0.75)])
-        ps.mark(3, "noise")
+        ps.mark(0, "noise")  # the row of sample 3
         p = tmp_path / "labels.jsonl"
         ps.save(p)
         back = PseudoLabelSet.load(p)
         assert len(back) == 2
-        for r in ps:
-            b = back.get(r.sample_id)
-            assert (b.label, b.confidence, b.generator, b.status) == (
-                r.label, r.confidence, r.generator, r.status,
+        assert back.get(0).status == "noise"
+        for row, r in enumerate(ps):
+            b = back.get(row)
+            assert (b.sample_id, b.label, b.confidence, b.generator, b.status) == (
+                r.sample_id, r.label, r.confidence, r.generator, r.status,
             )
 
     def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
@@ -411,22 +408,6 @@ def record_lists(draw, confidences=FINITE, labels=st.integers(-3, 10**12),
     ]
 
 
-@st.composite
-def id_tables(draw, max_size=30):
-    """The sample ids of a table: consecutive, shuffled, negative or sparse."""
-    n = draw(st.integers(0, max_size))
-    kind = draw(st.sampled_from(["consecutive", "shuffled", "negative", "sparse"]))
-    start = draw(st.one_of(st.integers(-8, 8), st.integers(-2**63, 2**63 - 1 - n)))
-    if kind == "consecutive":
-        return list(range(start, start + n))
-    if kind == "shuffled":
-        return draw(st.permutations(range(start, start + n)))
-    values = st.one_of(st.integers(-40, 40), st.integers(-2**63, 2**63 - 1))
-    if kind == "negative":
-        values = st.one_of(st.integers(-40, -1), st.integers(-2**63, -1))
-    return draw(st.lists(values, min_size=n, max_size=n, unique=True))
-
-
 def json_oracle(records, with_truth):
     """The export format: one json.dumps(record, sort_keys=True) per line."""
     lines = []
@@ -502,25 +483,24 @@ class TestLabelTableProperties:
     def test_marking_follows_the_legal_moves(self, records, data):
         table = PseudoLabelSet(records)
         want = [dataclasses.replace(r) for r in records]
-        by_id = {r.sample_id: r for r in want}
-        moves = data.draw(st.lists(st.tuples(st.sampled_from(sorted(by_id)),
+        moves = data.draw(st.lists(st.tuples(st.integers(0, len(want) - 1),
                                              st.sampled_from(STATUSES)),
-                                   max_size=30)) if by_id else []
-        for sid, status in moves:
-            r = by_id[sid]
+                                   max_size=30)) if want else []
+        for row, status in moves:
+            r = want[row]
             if (r.status, status) in LEGAL_MOVES:
-                table.mark(sid, status)
+                table.mark(row, status)
                 r.status = status
             else:
                 with pytest.raises(ContractError) as e:
-                    table.mark(sid, status)
+                    table.mark(row, status)
                 assert str(e.value) == (f"illegal status transition {r.status!r} -> "
-                                        f"{status!r} for sample {sid}")
+                                        f"{status!r} for sample {r.sample_id}")
         assert list(table) == want
 
     def test_marking_rejects_unknown_ids_and_statuses(self):
         ps = _records([(0, 1, 0.5), (1, 0, 0.6)])
-        with pytest.raises(KeyError, match="unknown sample_id 5"):
+        with pytest.raises(IndexError, match="row 5 out of range for 2 rows"):
             ps.mark(5, "clean")
         with pytest.raises(ContractError, match="'candidate' -> 'kept'"):
             ps.mark(0, "kept")
@@ -532,55 +512,33 @@ class TestLabelTableProperties:
     @given(record_lists(), st.data())
     def test_subset_and_with_status_keep_row_order(self, records, data):
         table = PseudoLabelSet(records)
-        ids = data.draw(st.permutations([r.sample_id for r in records]))
-        ids = ids[:data.draw(st.integers(0, len(ids)))]
-        by_id = {r.sample_id: r for r in records}
-        assert list(table.subset(ids)) == [by_id[i] for i in ids]
+        rows = data.draw(st.permutations(range(len(records))))
+        rows = rows[:data.draw(st.integers(0, len(rows)))]
+        assert list(table.subset(rows)) == [records[i] for i in rows]
         for status in STATUSES:
             assert list(table.with_status(status)) == [r for r in records
                                                        if r.status == status]
 
     def test_subset_rejects_unknown_and_repeated_ids(self):
         ps = _records([(0, 1, 0.5), (1, 0, 0.6)])
-        with pytest.raises(KeyError, match="unknown sample_id 2"):
+        with pytest.raises(IndexError, match="row 2 out of range for 2 rows"):
             ps.subset([0, 2])
         with pytest.raises(ContractError, match="duplicate sample_id 0"):
             ps.subset([0, 1, 0])
 
-    @PROPERTY
-    @given(id_tables(), st.data())
-    def test_row_lookup_equals_a_dict_of_the_ids(self, ids, data):
-        table = PseudoLabelSet._from_columns(ids, np.zeros(len(ids)), np.zeros(len(ids)),
-                                             "zeroshot")
-        oracle = dict(zip(ids, range(len(ids))))
-        absent = st.integers(-2**63, 2**63 - 1).filter(lambda i: i not in oracle)
-        near = ([st.sampled_from(ids), st.sampled_from(ids).map(np.int64),
-                 st.sampled_from(ids).map(float), st.sampled_from(ids).map(str),
-                 st.sampled_from(ids).map(lambda i: i + 0.5)] if ids else [])
-        probes = data.draw(st.lists(st.one_of(
-            *near, absent, absent.map(np.int64),
-            st.sampled_from([2**70, -2**70, 3.5, "5", None, float("nan")])), max_size=12))
-        status = ["candidate"] * len(ids)
-        for probe in probes:
-            row = oracle.get(probe)
-            assert (probe in table) == (row is not None)
-            if row is None:
-                for call in (table.get, lambda p: table.mark(p, "clean"),
-                             lambda p: table.subset([p])):
-                    with pytest.raises(KeyError, match="unknown sample_id"):
-                        call(probe)
-                continue
-            assert table.get(probe).sample_id == ids[row]
-            assert table.subset([probe]).sample_ids().tolist() == [ids[row]]
-            if status[row] == "candidate":
-                table.mark(probe, "clean")
-                status[row] = "clean"
-            else:
-                with pytest.raises(ContractError):
-                    table.mark(probe, "noise")
-        assert [r.status for r in table] == status
-        if all(b - a == 1 for a, b in zip(ids, ids[1:])):
-            assert vars(table).get("_order") is None  # no index kept for consecutive ids
+    @pytest.mark.parametrize("row, error", [(-1, IndexError), (3, IndexError),
+                                            (np.int64(3), IndexError), (1.5, TypeError)])
+    def test_rows_outside_the_table_are_rejected(self, row, error):
+        # -1 must not wrap to the last row; the table is left as it was
+        ps = _records([(5, 1, 0.5), (6, 0, 0.6), (7, 2, 0.7)])
+        before = list(ps)
+        for call in (lambda: ps.mark(row, "clean"), lambda: ps.get(row),
+                     lambda: ps.subset([row]), lambda: ps.subset([0, row])):
+            with pytest.raises(error):
+                call()
+        assert list(ps) == before
+        ps.mark(np.int64(2), "noise")
+        assert [r.status for r in ps] == ["candidate", "candidate", "noise"]
 
     def test_copies_do_not_share_status(self):
         ps = _records([(0, 1, 0.5), (1, 0, 0.6)])

@@ -94,7 +94,7 @@ class TestTrainPhase1:
         model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(5))
         train_phase1(model, selected, cfg, SeededRng(5))
         ids, labels, _ = selected.training_view()
-        relabeled = generate_labels(model, ids)
+        relabeled = generate_labels(model).subset(ids)  # row == sample id
         assert np.array_equal(relabeled.labels(), labels)
 
     def test_fixed_seed_bit_identical(self):
@@ -272,12 +272,13 @@ class TestCollaborativeFilter:
     @given(seed=st.integers(0, 2**32 - 1), c=st.integers(2, 5), d=st.integers(3, 8),
            n=st.integers(1, 12), data=st.data())
     def test_partition_property(self, seed, c, d, n, data):
-        # random small models on a random subset; the validator's negative
-        # context equals its positive one on the "tied" classes, so every
-        # sample labelled with such a class has sim_pos == sim_neg exactly
+        # random small models on a random subset of rows; the validator's
+        # negative context equals its positive one on the "tied" classes, so
+        # every sample labelled with such a class has sim_pos == sim_neg exactly
         rng = np.random.default_rng(seed)
-        provider = FrozenProvider(normalize_rows(rng.normal(size=(n, d))),
-                                  normalize_rows(rng.normal(size=(c, d))))
+        emb = normalize_rows(rng.normal(size=(n, d)))
+        subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        provider = FrozenProvider(emb[subset], normalize_rows(rng.normal(size=(c, d))))
         gen, val = (init_adapted_model(provider, mid, 1, small_cfg(), SeededRng(seed))
                     for mid in ("model1", "model2"))
         for m in (gen, val):
@@ -286,13 +287,12 @@ class TestCollaborativeFilter:
             m.trained = True
         tied = np.array(data.draw(st.lists(st.booleans(), min_size=c, max_size=c)))
         val.bank.neg_context.value[tied] = val.bank.pos_context.value[tied]
-        subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
 
-        result = collaborative_filter(gen, val, sample_ids=subset)
+        result = collaborative_filter(gen, val)
         clean = set(result.clean_ids.tolist())
         noise = set(result.noise_ids.tolist())
         assert clean.isdisjoint(noise)
-        assert clean | noise == set(subset)
+        assert clean | noise == set(range(len(subset)))
         assert len(result.labels) == len(subset)
         for rec in result.labels:
             assert rec.status == ("clean" if rec.sample_id in clean else "noise")
@@ -313,7 +313,7 @@ class TestTrainFFT:
         provider, _ = synthetic_provider()
         cfg = small_cfg(phase2_epochs=60, gamma=0.0)
         single = assign_pseudo_labels(provider.image_embeddings, provider.class_anchors,
-                                      cfg.tau, sample_ids=np.array([0]))
+                                      cfg.tau).subset([0])
         student = init_fft_encoder(provider.dim, provider.num_classes,
                                    cfg.hidden_mult * provider.dim, SeededRng(1))
         train_fft(student, single, provider, cfg, SeededRng(1), "phase2/student1")
