@@ -9,8 +9,9 @@ Subcommands:
 Exit codes: 0 success, 2 configuration or input-file error, 3 training or
 gradient-verification failure, 4 empty filtered clean set.
 
-Configuration files are flat ``key = value`` lines with dotted keys
-(``train.gamma = 0.5``); ``#`` starts a comment. Command-line flags override
+Configuration files are flat UTF-8 ``key = value`` lines with dotted keys
+(``train.gamma = 0.5``); ``#`` starts a comment anywhere on a line, and a key
+may appear once per file. Command-line flags override
 file values, and the resolved configuration is written into the output
 directory before anything trains. ``COFT_SEED`` provides the seed when
 neither flag nor file does.
@@ -88,19 +89,26 @@ def _coerce(raw: str, typ):
 
 
 def parse_config_file(path) -> dict:
-    """Flat dotted-key config text -> {key: raw string}."""
+    """Flat dotted-key config text -> {key: raw string}. FormatError naming
+    the file for text that is not UTF-8, and naming the line too for a line
+    without ``=`` or a repeated key."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e})") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise FormatError(
-                    f"expected 'key = value' (line {lineno})", line=lineno
-                )
-            key, _, raw = stripped.partition("=")
-            values[key.strip()] = raw.strip()
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise FormatError(f"{path}: expected 'key = value' (line {lineno})", line=lineno)
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key in values:
+            raise FormatError(f"{path}: key {key!r} repeated (line {lineno})", line=lineno)
+        values[key] = raw.strip()
     return values
 
 
@@ -127,17 +135,36 @@ def apply_config_values(rc: RunConfig, values: dict) -> RunConfig:
 
 
 def resolved_config_text(rc: RunConfig) -> str:
+    """One ``key = value`` line per field; ConfigError for a value holding
+    ``#``, which would read back as the start of a comment."""
     lines = [f"{k} = {getattr(rc, k)}" for k in ("mode", "seed", "dataset",
                                                  "templates", "out")]
     for section, obj in (("train", rc.train), ("synth", rc.synth)):
         for f in sorted(dataclasses.fields(obj), key=lambda f: f.name):
             lines.append(f"{section}.{f.name} = {getattr(obj, f.name)}")
+    for line in lines:
+        if "#" in line:
+            raise ConfigError(f"a config value cannot hold '#': {line!r}")
     return "\n".join(lines) + "\n"
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("coft", "coft-plus"):
+        raise ConfigError(f"mode must be coft or coft-plus, got {mode!r}")
+
+
 def load_run_config(run_dir) -> RunConfig:
+    """The run's resolved configuration; ConfigError naming the file for a
+    value that no run could have used."""
     path = os.path.join(run_dir, RESOLVED_CONFIG_NAME)
-    return apply_config_values(RunConfig(), parse_config_file(path))
+    values = parse_config_file(path)
+    try:
+        rc = apply_config_values(RunConfig(), values)
+        _check_mode(rc.mode)
+        rc.train.validate()
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
+    return rc
 
 
 def _build_run_config(args) -> RunConfig:
@@ -185,8 +212,7 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     rc = _build_run_config(args)
-    if rc.mode not in ("coft", "coft-plus"):
-        raise ConfigError(f"mode must be coft or coft-plus, got {rc.mode!r}")
+    _check_mode(rc.mode)
     os.makedirs(rc.out, exist_ok=True)
     if not rc.dataset:
         # empty config is a valid run: synthesize the default benchmark
@@ -225,6 +251,17 @@ def _load_labels(path, provider) -> PseudoLabelSet:
     return labelset
 
 
+def _load_filter(path, provider) -> PseudoLabelSet:
+    """A run's filter file; FormatError naming it unless its rows are the
+    samples in id order, each marked clean or noise."""
+    labelset = _load_labels(path, provider)
+    if not np.array_equal(labelset.sample_ids(), np.arange(provider.num_samples)):
+        raise FormatError(f"{path}: sample ids are not 0..{provider.num_samples - 1} in order")
+    if len(labelset.with_status("clean")) + len(labelset.with_status("noise")) != len(labelset):
+        raise FormatError(f"{path}: a status is neither 'clean' nor 'noise'")
+    return labelset
+
+
 def cmd_eval(args) -> int:
     rc = load_run_config(args.run)
     manifest = args.dataset or rc.dataset
@@ -251,7 +288,7 @@ def cmd_eval(args) -> int:
     model_ids, student_ids = ("model1", "model2"), ("student1", "student2")
     models = [load_model_checkpoint(os.path.join(ckpt_dir, f"phase1_{mid}"),
                                     provider, rc.train, mid) for mid in model_ids]
-    filtered = [_load_labels(os.path.join(labels_dir, f"filter_{mid}.jsonl"), provider)
+    filtered = [_load_filter(os.path.join(labels_dir, f"filter_{mid}.jsonl"), provider)
                 for mid in model_ids]
     students = [load_student_checkpoint(os.path.join(ckpt_dir, f"phase2_{sid}"))
                 for sid in student_ids]
@@ -283,8 +320,7 @@ def cmd_eval(args) -> int:
         export_dir = os.path.join(args.run, "labels_with_truth")
         os.makedirs(export_dir, exist_ok=True)
         for fname, labelset in exports.items():
-            labelset.attach_ground_truth(truth)
-            labelset.save(os.path.join(export_dir, fname), with_truth=True)
+            labelset.save(os.path.join(export_dir, fname), truth=truth)
         _emit({"metric": "labels_with_truth_dir", "value": export_dir})
     return EXIT_OK
 

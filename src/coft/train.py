@@ -470,18 +470,15 @@ def generate_labels(model: AdaptedModel) -> PseudoLabelSet:
 @dataclass
 class FilterResult:
     """One direction of the cross-model filter: labels generated by
-    ``generator_id`` with clean/noise statuses assigned by the validator.
-    ``labels`` covers every sample in id order, so ``clean_ids`` and
-    ``noise_ids`` are also its rows."""
+    ``generator_id`` over every sample in id order, each marked clean or
+    noise by the validator."""
 
     generator_id: str
     validator_id: str
     labels: PseudoLabelSet
-    clean_ids: np.ndarray
-    noise_ids: np.ndarray
 
     def clean_set(self) -> PseudoLabelSet:
-        return self.labels.subset(self.clean_ids)
+        return self.labels.with_status("clean")
 
 
 def collaborative_filter(generator: AdaptedModel, validator: AdaptedModel) -> FilterResult:
@@ -502,21 +499,13 @@ def collaborative_filter(generator: AdaptedModel, validator: AdaptedModel) -> Fi
 
     texts_p, _ = compose_texts(validator.bank, provider, "positive")
     texts_n, _ = compose_texts(validator.bank, provider, "negative")
-    keep = np.empty(labels.size, dtype=bool)
     for rows in row_blocks(labels.size):
         visual, _ = adapt_batch(validator.adapter, provider.image_embeddings[rows])
         sim_pos = np.sum(visual * texts_p[labels[rows]], axis=1)
         sim_neg = np.sum(visual * texts_n[labels[rows]], axis=1)
-        ok = keep[rows] = sim_pos > sim_neg
-        for row, clean in zip(range(rows.start, rows.stop), ok.tolist()):
+        for row, clean in zip(range(rows.start, rows.stop), (sim_pos > sim_neg).tolist()):
             labelset.mark(row, "clean" if clean else "noise")
-    return FilterResult(
-        generator_id=generator.model_id,
-        validator_id=validator.model_id,
-        labels=labelset,
-        clean_ids=np.flatnonzero(keep),
-        noise_ids=np.flatnonzero(~keep),
-    )
+    return FilterResult(generator.model_id, validator.model_id, labelset)
 
 
 def collaborative_filter_both(model1: AdaptedModel, model2: AdaptedModel) -> dict:
@@ -894,11 +883,14 @@ def save_model_checkpoint(stem: str, model: AdaptedModel) -> str:
 
 def _checkpoint_tensors(stem: str, names) -> dict:
     """A checkpoint's tensors keyed by name without the owner prefix; a
-    missing one is a FormatError naming the manifest."""
+    missing one is a FormatError naming the manifest, a non-finite value
+    (which ``step`` never lets a run save) one naming the payload."""
     by_suffix = {p.name.split("/", 1)[-1]: p for p in load_checkpoint(stem)}
     for name in names:
         if name not in by_suffix:
             raise FormatError(f"{stem}.json: checkpoint lacks tensor {name!r}")
+        if not np.all(np.isfinite(by_suffix[name].value)):
+            raise FormatError(f"{stem}.f64le: tensor {name!r} holds a non-finite value")
     return by_suffix
 
 
@@ -1036,7 +1028,7 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
             summary["clean_sizes"][mid] = len(clean)
             record = dict(phase=2, event="filter", direction=mid,
                           clean_size=len(clean),
-                          noise_size=int(result.noise_ids.size))
+                          noise_size=len(result.labels) - len(clean))
             if truth is not None:
                 record["generated_accuracy"] = result.labels.accuracy(truth)
                 size, precision, _ = result.labels.clean_quality(truth)

@@ -176,15 +176,12 @@ class TestCriterion2:
             n = int(rng.integers(5, 60))
             spec = [(i, int(rng.integers(0, c)), float(rng.random()))
                     for i in range(n)]
-            from coft.pseudo import PseudoLabelRecord
-
-            labelset = PseudoLabelSet(
-                [PseudoLabelRecord(s, l, conf, "zeroshot") for s, l, conf in spec])
+            labelset = PseudoLabelSet(*zip(*spec), "zeroshot")
             import warnings as _warnings
 
             with _warnings.catch_warnings():
                 _warnings.simplefilter("ignore")
-                got_ids = {r.sample_id for r in select_top_k(labelset, k, c)}
+                got_ids = set(select_top_k(labelset, k, c).sample_ids().tolist())
             want_ids = set()
             for cls in range(c):
                 members = sorted(((cf, sid) for sid, lb, cf in spec if lb == cls),
@@ -207,6 +204,7 @@ class TestCriterion2:
             texts_g = oracle_compose(gp["pos"], gp["anchors"])
             texts_vp = oracle_compose(vp["pos"], vp["anchors"])
             texts_vn = oracle_compose(vp["neg"], vp["anchors"])
+            want_labels = []
             want_clean = set()
             want_noise = set()
             for sid in range(provider.num_samples):
@@ -216,10 +214,11 @@ class TestCriterion2:
                 vv = oracle_adapt(vp["down"], vp["up"], vp["scale"], e)
                 sp = sum(a * b for a, b in zip(vv, texts_vp[y]))
                 sn = sum(a * b for a, b in zip(vv, texts_vn[y]))
-                assert result.labels.get(sid).label == y
+                want_labels.append(y)
                 (want_clean if sp > sn else want_noise).add(sid)
-            assert set(result.clean_ids) == want_clean
-            assert set(result.noise_ids) == want_noise
+            assert result.labels.labels().tolist() == want_labels
+            assert set(result.labels.with_status("clean").sample_ids().tolist()) == want_clean
+            assert set(result.labels.with_status("noise").sample_ids().tolist()) == want_noise
             checked["filter"] += 1
 
         elapsed = time.time() - t0

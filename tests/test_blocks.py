@@ -27,6 +27,8 @@ from coft.train import (
     iterate_peft,
 )
 
+from test_pseudo import rows_of
+
 ACCEPTANCE_SPEC = dict(classes=10, per_class=100, dim=64,
                        noise_sigma=0.4, anchor_alignment=0.6)
 
@@ -60,10 +62,6 @@ def whole_and_blocked(monkeypatch, fn):
     return whole, fn()
 
 
-def records(table):
-    return list(table)
-
-
 @pytest.fixture(scope="module")
 def provider():
     return acceptance_provider()[0]
@@ -78,14 +76,14 @@ class TestBlockedEqualsWholeTable:
             return log[0]
 
         whole, blocked = whole_and_blocked(monkeypatch, round_one)
-        assert records(blocked["generated"]["model1"]) == records(whole["generated"]["model1"])
+        assert rows_of(blocked["generated"]["model1"]) == rows_of(whole["generated"]["model1"])
         for mid in ("model1", "model2"):
-            assert records(blocked["selected"][mid]) == records(whole["selected"][mid])
+            assert rows_of(blocked["selected"][mid]) == rows_of(whole["selected"][mid])
 
     def test_generate_labels(self, monkeypatch, provider):
         model, _ = perturbed_models(provider)
         whole, blocked = whole_and_blocked(monkeypatch, lambda: generate_labels(model))
-        assert records(blocked) == records(whole)
+        assert rows_of(blocked) == rows_of(whole)
         assert whole.sample_ids().tolist() == list(range(provider.num_samples))
 
     def test_centroid_confidences(self, monkeypatch, provider):
@@ -93,16 +91,14 @@ class TestBlockedEqualsWholeTable:
         labels = generate_labels(model)
         whole, blocked = whole_and_blocked(
             monkeypatch, lambda: centroid_confidences(labels, provider.image_embeddings, 0.07))
-        assert records(blocked) == records(whole)
+        assert rows_of(blocked) == rows_of(whole)
 
     def test_collaborative_filter_split(self, monkeypatch, provider):
         model1, model2 = perturbed_models(provider)
         whole, blocked = whole_and_blocked(monkeypatch,
                                            lambda: collaborative_filter(model1, model2))
-        assert 0 < whole.clean_ids.size < provider.num_samples
-        assert blocked.clean_ids.tolist() == whole.clean_ids.tolist()
-        assert blocked.noise_ids.tolist() == whole.noise_ids.tolist()
-        assert records(blocked.labels) == records(whole.labels)
+        assert 0 < len(whole.clean_set()) < provider.num_samples
+        assert rows_of(blocked.labels) == rows_of(whole.labels)
 
     def test_student_logits(self, monkeypatch, provider):
         student = init_fft_encoder(provider.dim, provider.num_classes, 2 * provider.dim,
@@ -141,15 +137,14 @@ class TestBlockedEqualsWholeTable:
     @pytest.mark.parametrize("with_truth", [False, True])
     def test_save_bytes(self, monkeypatch, provider, tmp_path, with_truth):
         model, _ = perturbed_models(provider)
-        rows = records(generate_labels(model))
-        for r in rows:
-            r.ground_truth = r.sample_id % provider.num_classes
-        rows[450].confidence = float("nan")  # in one block only
-        table = PseudoLabelSet(rows)
+        ids, labels, conf = generate_labels(model).training_view()
+        conf[450] = float("nan")  # in one block only
+        table = PseudoLabelSet(ids, labels, conf, "model1")
+        truth = ids % provider.num_classes if with_truth else None
 
         def save():
             path = tmp_path / f"labels{len(row_blocks(1000))}.jsonl"
-            table.save(path, with_truth=with_truth)
+            table.save(path, truth=truth)
             return path.read_bytes()
 
         whole, blocked = whole_and_blocked(monkeypatch, save)
@@ -158,8 +153,8 @@ class TestBlockedEqualsWholeTable:
 
 
 class TestRowIsSampleId:
-    """The filter marks and subsets its tables by row, which is right only
-    because every generated table covers every sample in id order."""
+    """The filter marks its tables by row, which is right only because every
+    generated table covers every sample in id order."""
 
     def test_generated_and_filtered_tables_cover_every_sample_in_order(self, monkeypatch):
         provider, _ = acceptance_provider(per_class=50)
@@ -170,11 +165,11 @@ class TestRowIsSampleId:
         assert generate_labels(model1).sample_ids().tolist() == list(range(n))
         for result in collaborative_filter_both(model1, model2).values():
             assert result.labels.sample_ids().tolist() == list(range(n))
-            status = np.array([r.status for r in result.labels])
-            assert 0 < result.clean_ids.size < n
-            assert result.clean_ids.tolist() == np.flatnonzero(status == "clean").tolist()
-            assert result.noise_ids.tolist() == np.flatnonzero(status == "noise").tolist()
-            assert result.clean_set().sample_ids().tolist() == result.clean_ids.tolist()
+            status = np.array([r["status"] for r in rows_of(result.labels)])
+            assert 0 < np.count_nonzero(status == "clean") < n
+            assert np.all((status == "clean") | (status == "noise"))
+            assert result.clean_set().sample_ids().tolist() == np.flatnonzero(
+                status == "clean").tolist()
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +206,7 @@ class TestMemory:
 
     def test_marking_consecutive_ids_allocates_nothing_per_row(self):
         n = 50_000
-        table = PseudoLabelSet._from_columns(np.arange(n), np.zeros(n), np.zeros(n), "model1")
+        table = PseudoLabelSet(np.arange(n), np.zeros(n), np.zeros(n), "model1")
         moves = [(sid, "clean" if sid % 3 else "noise") for sid in range(n)]
         tracemalloc.start()
         try:

@@ -3,6 +3,8 @@ import filecmp
 import hashlib
 import json
 import os
+import re
+import shutil
 import tempfile
 import typing
 
@@ -15,15 +17,15 @@ from coft import core
 from coft.cli import (
     RESOLVED_CONFIG_NAME,
     RunConfig,
-    load_run_config,
+    apply_config_values,
     main,
+    parse_config_file,
     resolved_config_text,
 )
 from coft.data import load_dataset, load_ground_truth
-from coft.errors import FormatError, IntegrityError
+from coft.errors import ConfigError, FormatError, IntegrityError
 from coft.encoders import logits_batch
 from coft.grad import load_checkpoint, param, save_checkpoint
-from coft.pseudo import PseudoLabelSet
 from coft.train import load_student_checkpoint
 
 
@@ -341,16 +343,132 @@ class TestConfigRoundTrip:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(rc=_configs(RunConfig))
     def test_resolved_text_round_trips(self, rc):
-        """Every field survives resolved_config_text, load_run_config and
-        resolved_config_text again. Strings are drawn without line breaks and
-        without surrounding whitespace: one ``key = value`` line, stripped on
-        reading, cannot carry them."""
+        """Every field survives resolved_config_text, parse_config_file,
+        apply_config_values and resolved_config_text again (load_run_config
+        then checks the values, which are drawn freely here). Strings are
+        drawn without line breaks and without surrounding whitespace: one
+        ``key = value`` line, stripped on reading, cannot carry them. A ``#``
+        would start a comment, so a value holding one is refused."""
+        if any("#" in v for v in (rc.mode, rc.dataset, rc.templates, rc.out)):
+            with pytest.raises(ConfigError, match="cannot hold '#'"):
+                resolved_config_text(rc)
+            return
         text = resolved_config_text(rc)
         with tempfile.TemporaryDirectory() as run_dir:
-            with open(os.path.join(run_dir, RESOLVED_CONFIG_NAME), "w",
-                      encoding="utf-8") as f:
+            path = os.path.join(run_dir, RESOLVED_CONFIG_NAME)
+            with open(path, "w", encoding="utf-8") as f:
                 f.write(text)
-            assert resolved_config_text(load_run_config(run_dir)) == text
+            back = apply_config_values(RunConfig(), parse_config_file(path))
+            assert resolved_config_text(back) == text
+
+
+class TestConfigFiles:
+    def test_readme_example_parses(self, tmp_path):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as f:
+            section = f.read().split("\n## Configuration\n", 1)[1]
+        block = re.search(r"^```\n(.*?)^```$", section, re.S | re.M).group(1)
+        path = tmp_path / "readme.cfg"
+        path.write_text(block, encoding="utf-8")
+        rc = apply_config_values(RunConfig(), parse_config_file(path))
+        assert (rc.mode, rc.seed, rc.dataset) == ("coft-plus", 7, "data/bench.json")
+        assert (rc.train.k_per_class, rc.train.lam, rc.train.adapter_scale) == (48, 0.05, 0.5)
+        assert (rc.synth.classes, rc.synth.per_class, rc.synth.dim) == (10, 100, 64)
+        rc.train.validate()
+
+    def test_inline_comment_in_a_run_config(self, tmp_path):
+        manifest = make_dataset(tmp_path)
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("train.k_per_class = 6     # top-K per class\n# seed = 1\n")
+        out = tmp_path / "r"
+        assert run_cli("run", "--dataset", manifest, "--config", str(cfgfile), "--seed", "2",
+                       "--out", str(out), "--phase1-epochs", "2", "--phase2-epochs", "2") == 0
+        assert "train.k_per_class = 6\n" in (out / RESOLVED_CONFIG_NAME).read_text()
+
+    @pytest.mark.parametrize("text, expected", [
+        (b"seed = 4\ntrain.tau = 0.0\xff7\n", "not UTF-8"),
+        (b"seed = 4\ntrain.lam = 0.1\nseed = 5\n", "key 'seed' repeated (line 3)"),
+    ], ids=["not-utf8", "repeated-key"])
+    def test_bad_run_config_exits_2_naming_it(self, tmp_path, capsys, text, expected):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_bytes(text)
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(cfgfile), "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert f"{cfgfile}: " in err and expected in err
+        assert not (tmp_path / "r" / RESOLVED_CONFIG_NAME).exists()
+
+
+@pytest.fixture(scope="module")
+def finished_run_dir(tmp_path_factory):
+    """One finished run to copy: (dataset manifest, run directory)."""
+    root = tmp_path_factory.mktemp("finished")
+    manifest = make_dataset(root)
+    out = root / "run"
+    assert run_cli("run", "--dataset", manifest, "--seed", "7", "--out", str(out),
+                   *FAST_TRAIN) == 0
+    return manifest, out
+
+
+def _set_config_line(path, key, value):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} = ") else line
+                            for line in lines))
+
+
+class TestEvalRefusesBadRunFiles:
+    """Each mutation below once let ``coft eval`` exit 0, most of them with
+    changed numbers; each must exit 2, name the file and print no record."""
+
+    def mutate_and_eval(self, tmp_path, capsys, finished_run_dir, name, mutate):
+        out = tmp_path / "run"
+        shutil.copytree(finished_run_dir[1], out)
+        mutate(out / name)
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert f"{out / name}: " in printed.err
+        return printed.err
+
+    @pytest.mark.parametrize("mutate, expected", [
+        (lambda p: p.write_bytes(p.read_bytes() + b"train.tau = 0.5\n"),
+         "key 'train.tau' repeated (line"),
+        (lambda p: p.write_bytes(p.read_bytes().replace(b"seed = 7", b"seed = \xe97")),
+         "not UTF-8"),
+        (lambda p: _set_config_line(p, "mode", "bogus"), "mode must be coft or coft-plus"),
+        (lambda p: _set_config_line(p, "train.adapter_rank", "0"), "adapter_rank"),
+        (lambda p: _set_config_line(p, "train.adapter_scale", "nan"), "must be finite"),
+    ], ids=["repeated-key", "not-utf8", "mode", "adapter-rank", "nan-scale"])
+    def test_resolved_config(self, tmp_path, capsys, finished_run_dir, mutate, expected):
+        err = self.mutate_and_eval(tmp_path, capsys, finished_run_dir,
+                                   RESOLVED_CONFIG_NAME, mutate)
+        assert expected in err
+
+    def test_non_finite_checkpoint_value(self, tmp_path, capsys, finished_run_dir):
+        def one_nan(path):  # save_checkpoint recomputes the checksum
+            stem = str(path)[:-len(".f64le")]
+            params = load_checkpoint(stem)
+            params[0].value.flat[3] = np.nan
+            save_checkpoint(stem, params)
+
+        err = self.mutate_and_eval(tmp_path, capsys, finished_run_dir,
+                                   "checkpoints/phase2_student1.f64le", one_nan)
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("mutate, expected", [
+        (lambda p: p.write_text("".join(p.read_text().splitlines(keepends=True)[1:])),
+         "sample ids are not 0..99 in order"),
+        (lambda p: p.write_text(re.sub('"status": "(clean|noise)"', '"status": "candidate"',
+                                       p.read_text(), count=1)),
+         "neither 'clean' nor 'noise'"),
+        (lambda p: p.write_text(""), "sample ids are not 0..99 in order"),
+    ], ids=["first-row-deleted", "candidate", "empty"])
+    def test_filter_file_must_cover_the_dataset(self, tmp_path, capsys, finished_run_dir,
+                                                mutate, expected):
+        err = self.mutate_and_eval(tmp_path, capsys, finished_run_dir,
+                                   "labels/filter_model1.jsonl", mutate)
+        assert expected in err
 
 
 class TestTruthSidecar:
@@ -424,9 +542,10 @@ class TestEval:
         with open(out / "metrics.jsonl", encoding="utf-8") as f:
             final = next(r for r in map(json.loads, f) if r.get("event") == "final")
         truth = load_ground_truth(manifest)
-        zeroshot = list(PseudoLabelSet.load(out / "labels" / "zeroshot.jsonl"))
-        assert sorted(r.sample_id for r in zeroshot) == list(range(truth.size))
-        hits = sum(r.label == truth[r.sample_id] for r in zeroshot)
+        with open(out / "labels" / "zeroshot.jsonl", encoding="utf-8") as f:
+            zeroshot = [json.loads(line) for line in f]
+        assert sorted(r["sample_id"] for r in zeroshot) == list(range(truth.size))
+        hits = sum(r["label"] == truth[r["sample_id"]] for r in zeroshot)
         assert zs == final["zero_shot_accuracy"] == hits / truth.size
 
     def test_noiseless_run_has_perfect_clean_precision(self, tmp_path, capsys):
@@ -448,10 +567,11 @@ class TestEval:
         records = read_records(capsys)
         truth = load_ground_truth(manifest)
         for mid in ("model1", "model2"):
-            full = PseudoLabelSet.load(out / "labels" / f"filter_{mid}.jsonl")
-            clean = [r for r in full if r.status == "clean"]
-            hits_clean = sum(1 for r in clean if r.label == truth[r.sample_id])
-            hits_all = sum(1 for r in full if r.label == truth[r.sample_id])
+            with open(out / "labels" / f"filter_{mid}.jsonl", encoding="utf-8") as f:
+                full = [json.loads(line) for line in f]
+            clean = [r for r in full if r["status"] == "clean"]
+            hits_clean = sum(1 for r in clean if r["label"] == truth[r["sample_id"]])
+            hits_all = sum(1 for r in full if r["label"] == truth[r["sample_id"]])
             got = {r["metric"]: r["value"] for r in records
                    if r.get("direction") == mid}
             assert got["clean_size"] == len(clean)
@@ -604,8 +724,11 @@ class TestEval:
         assert run_cli("eval", "--run", str(out), "--with-truth") == 0
         export = out / "labels_with_truth"
         assert export.exists()
-        text = (export / "zeroshot.jsonl").read_text()
-        assert '"ground_truth":' in text
+        truth = load_ground_truth(manifest)
+        for name in ("zeroshot.jsonl", "filter_model1.jsonl"):
+            with open(export / name, encoding="utf-8") as f:
+                rows = [json.loads(line) for line in f]
+            assert rows and all(r["ground_truth"] == truth[r["sample_id"]] for r in rows)
         # the default exports stay truth-free
         assert '"ground_truth"' not in (out / "labels" / "zeroshot.jsonl").read_text()
 

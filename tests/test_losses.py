@@ -10,7 +10,6 @@ from coft.core import SeededRng, normalize_rows
 from coft.encoders import FrozenProvider, init_fft_encoder
 from coft.errors import ContractError, DomainError
 from coft.grad import check_gradients
-from coft.pseudo import PseudoLabelRecord, PseudoLabelSet
 from coft.train import (
     MomentumState,
     TrainConfig,

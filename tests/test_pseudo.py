@@ -1,8 +1,8 @@
-import dataclasses
 import json
 import math
 import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
@@ -17,7 +17,6 @@ from coft.errors import ContractError, DomainError, FormatError
 from coft.pseudo import (
     GENERATORS,
     STATUSES,
-    PseudoLabelRecord,
     PseudoLabelSet,
     assign_pseudo_labels,
     centroid_confidences,
@@ -38,6 +37,23 @@ def zero_shot_oracle(image_emb, texts, tau):
     exps = [math.exp(s / tau) for s in sims]
     z = sum(exps)
     return [e / z for e in exps]
+
+
+FIELDS = ("sample_id", "label", "confidence", "generator", "status")
+
+
+def table_of(rows):
+    """A table of the given row dicts, each holding the keys of ``FIELDS``."""
+    return PseudoLabelSet(**{k: [r[k] for r in rows] for k in FIELDS})
+
+
+def rows_of(table):
+    """The rows of ``table`` as ``save`` writes them, one dict per row."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "labels.jsonl")
+        table.save(path)
+        with open(path, encoding="utf-8") as f:
+            return [json.loads(line) for line in f]
 
 
 def make_provider(n=8, c=4, d=6, seed=0):
@@ -105,25 +121,24 @@ def argmax_low(row):
 class TestAssignPseudoLabels:
     def test_basic(self):
         ps = labels_of_scores(np.log([[0.1, 0.7, 0.2]]))
-        r = ps.get(0)
-        assert (r.label, r.status, r.generator) == (1, "candidate", "zeroshot")
-        assert r.confidence == pytest.approx(0.7, rel=1e-12)
+        assert rows_of(ps) == [{"sample_id": 0, "label": 1, "status": "candidate",
+                                "generator": "zeroshot",
+                                "confidence": pytest.approx(0.7, rel=1e-12)}]
 
     def test_tie_breaks_low(self):
         ps = labels_of_scores([[0.5, 0.5], [0.1, 0.9], [0.9, 0.9]])
         assert ps.labels().tolist() == [0, 1, 0]
-        assert labels_of_scores([[0.2, 0.7, 0.1, 0.7]]).get(0).label == 1
+        assert labels_of_scores([[0.2, 0.7, 0.1, 0.7]]).labels().tolist() == [1]
 
     def test_batch_matches_argmax_oracle(self):
         rng = np.random.default_rng(3)
         scores = rng.normal(size=(100, 7))
-        ps = labels_of_scores(scores, tau=0.3)
+        _, labels, conf = labels_of_scores(scores, tau=0.3).training_view()
         for i in range(100):
             row = list(class_probabilities(scores[i:i + 1], np.eye(7), 0.3)[0])
             best = argmax_low(row)
-            r = ps.get(i)
-            assert r.label == best
-            assert r.confidence == row[best]
+            assert labels[i] == best
+            assert conf[i] == row[best]
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
@@ -132,9 +147,10 @@ class TestAssignPseudoLabels:
         a = labels_of_scores(scores)
         b = labels_of_scores(scores[perm])
         assert b.sample_ids().tolist() == list(range(20))
-        for row, sid in enumerate(perm.tolist()):
-            ra, rb = a.get(sid), b.get(row)
-            assert (ra.label, ra.confidence) == (rb.label, rb.confidence)
+        _, a_labels, a_conf = a.training_view()
+        _, b_labels, b_conf = b.training_view()
+        assert b_labels.tolist() == a_labels[perm].tolist()
+        assert b_conf.tolist() == a_conf[perm].tolist()
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
@@ -154,7 +170,7 @@ class TestAssignPseudoLabels:
         monkeypatch.setattr(pseudo, "_check_distinct",
                             lambda col: checks.append(col.size) or check(col))
         ps = assign_pseudo_labels(emb, texts, 0.2, generator="model1")
-        assert checks == [n]
+        assert checks == []  # the ids are arange(n): nothing to sort
         labels, conf = [], []
         for sid in range(n):
             row = class_probabilities(emb[sid:sid + 1], texts, 0.2)[0].tolist()
@@ -164,35 +180,33 @@ class TestAssignPseudoLabels:
         assert got_ids.tolist() == list(range(n))
         assert got_labels.tolist() == labels
         assert got_conf.tobytes() == np.array(conf).tobytes()
-        assert {r.generator for r in ps} == {"model1"}
+        assert {r["generator"] for r in rows_of(ps)} == {"model1"}
         assert 1 in labels and 3 not in labels  # class 3 ties class 1 on every row
 
 
 def _records(spec):
     # spec: list of (sample_id, label, confidence)
-    return PseudoLabelSet(
-        [PseudoLabelRecord(s, l, c, "zeroshot") for s, l, c in spec]
-    )
+    return PseudoLabelSet(*zip(*spec), "zeroshot")
 
 
 class TestSelectTopK:
     def test_simple(self):
         ps = _records([(1, 0, 0.9), (2, 0, 0.8), (3, 1, 0.7)])
         out = select_top_k(ps, 1, num_classes=2)
-        assert sorted(r.sample_id for r in out) == [1, 3]
+        assert sorted(out.sample_ids().tolist()) == [1, 3]
 
     def test_k_exceeds_population(self):
         ps = _records([(1, 0, 0.9), (2, 0, 0.8)])
         with pytest.warns(UserWarning):
             out = select_top_k(ps, 10, num_classes=2)
-        assert sorted(r.sample_id for r in out) == [1, 2]
+        assert sorted(out.sample_ids().tolist()) == [1, 2]
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)
         c, k = 5, 3
         spec = [(i, int(rng.integers(0, c)), float(rng.random())) for i in range(200)]
         ps = _records(spec)
-        got = {r.sample_id for r in select_top_k(ps, k, num_classes=c)}
+        got = set(select_top_k(ps, k, num_classes=c).sample_ids().tolist())
         want = set()
         for cls in range(c):
             members = sorted(
@@ -206,15 +220,12 @@ class TestSelectTopK:
         rng = np.random.default_rng(6)
         spec = [(i, int(rng.integers(0, 4)), float(rng.random())) for i in range(120)]
         out = select_top_k(_records(spec), 7, num_classes=4)
-        counts = {}
-        for r in out:
-            counts[r.label] = counts.get(r.label, 0) + 1
-        assert all(n <= 7 for n in counts.values())
+        assert np.all(np.bincount(out.labels()) <= 7)
 
     def test_deterministic_tie_order(self):
         ps = _records([(5, 0, 0.5), (2, 0, 0.5), (9, 0, 0.5)])
         out = select_top_k(ps, 2, num_classes=1)
-        assert [r.sample_id for r in out] == [2, 5]
+        assert out.sample_ids().tolist() == [2, 5]
 
     def test_k_domain(self):
         with pytest.raises(DomainError):
@@ -230,47 +241,48 @@ class TestCentroidConfidences:
             d = int(rng.integers(3, 8))
             emb = normalize_rows(rng.normal(size=(n, d)))
             tau = float(rng.uniform(0.05, 2.0))
-            ids = rng.permutation(n)[: int(rng.integers(1, n + 1))]
-            labels = PseudoLabelSet([
-                PseudoLabelRecord(int(sid), int(rng.integers(0, c)), float(rng.random()),
-                                  "zeroshot") for sid in ids])
+            ids = rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist()
+            drawn = [(int(rng.integers(0, c)), float(rng.random())) for _ in ids]
+            lab = [label for label, _ in drawn]
+            labels = PseudoLabelSet(ids, lab, [conf for _, conf in drawn], "zeroshot")
             got = centroid_confidences(labels, emb, tau)
-            present = sorted({r.label for r in labels})
+            present = sorted(set(lab))
             centroids = []
             for k in present:
-                rows = [emb[r.sample_id].tolist() for r in labels if r.label == k]
+                rows = [emb[sid].tolist() for sid, label in zip(ids, lab) if label == k]
                 centroids.append([sum(col) / len(rows) for col in zip(*rows)])
-            assert [r.sample_id for r in got] == [r.sample_id for r in labels]
-            for row, r in enumerate(got):
-                assert r.label == labels.get(row).label
-                assert r.status == "candidate"
-                want = zero_shot_oracle(emb[r.sample_id].tolist(), centroids, tau)
-                assert abs(r.confidence - want[present.index(r.label)]) <= 1e-12
+            got_ids, got_lab, got_conf = got.training_view()
+            assert got_ids.tolist() == ids
+            assert got_lab.tolist() == lab
+            assert len(got.with_status("candidate")) == len(ids)
+            for sid, label, conf in zip(ids, lab, got_conf.tolist()):
+                want = zero_shot_oracle(emb[sid].tolist(), centroids, tau)
+                assert abs(conf - want[present.index(label)]) <= 1e-12
 
     def test_confidence_ranks_by_closeness_to_the_centroid(self):
         # class 0 holds e0 and a sample leaning toward e1, class 1 holds e1 alone
         emb = normalize_rows(np.array([[1.0, 0.0], [1.0, 0.8], [0.0, 1.0]]))
-        labels = PseudoLabelSet([PseudoLabelRecord(0, 0, 0.1, "zeroshot"),
-                                 PseudoLabelRecord(1, 0, 0.9, "zeroshot"),
-                                 PseudoLabelRecord(2, 1, 0.5, "zeroshot")])
+        labels = _records([(0, 0, 0.1), (1, 0, 0.9), (2, 1, 0.5)])
         got = centroid_confidences(labels, emb, 0.07)
-        assert got.get(0).confidence > got.get(1).confidence
-        assert [r.sample_id for r in select_top_k(got, 1, 2)] == [0, 2]
+        conf = got.training_view()[2]
+        assert conf[0] > conf[1]
+        assert select_top_k(got, 1, 2).sample_ids().tolist() == [0, 2]
 
     def test_empty(self):
-        assert len(centroid_confidences(PseudoLabelSet([]), np.eye(2), 0.07)) == 0
+        empty = PseudoLabelSet([], [], [], "zeroshot")
+        assert len(centroid_confidences(empty, np.eye(2), 0.07)) == 0
 
 
 class TestPseudoLabelSet:
     def test_status_transitions(self):
         ps = _records([(0, 1, 0.6)])
         ps.mark(0, "clean")
-        assert ps.get(0).status == "clean"
+        assert ps.with_status("clean").sample_ids().tolist() == [0]
         with pytest.raises(ContractError):
             ps.mark(0, "noise")
 
     def test_illegal_jump(self):
-        ps = PseudoLabelSet([PseudoLabelRecord(0, 1, 0.6, "zeroshot", status="unassigned")])
+        ps = PseudoLabelSet([0], [1], [0.6], "zeroshot", status="unassigned")
         with pytest.raises(ContractError):
             ps.mark(0, "clean")
         ps.mark(0, "candidate")
@@ -282,7 +294,6 @@ class TestPseudoLabelSet:
 
     def test_training_view_has_no_truth(self):
         ps = _records([(0, 1, 0.5), (4, 0, 0.9)])
-        ps.attach_ground_truth(np.array([1, 0, 0, 0, 1]))
         view = ps.training_view()
         assert len(view) == 3  # ids, labels, confidences only
         ids, labels, conf = view
@@ -292,11 +303,10 @@ class TestPseudoLabelSet:
 
     def test_save_withholds_truth_by_default(self, tmp_path):
         ps = _records([(0, 1, 0.5)])
-        ps.attach_ground_truth(np.array([1]))
         p = tmp_path / "labels.jsonl"
         ps.save(p)
         assert "ground_truth" not in p.read_text()
-        ps.save(p, with_truth=True)
+        ps.save(p, truth=np.array([1]))
         assert '"ground_truth": 1' in p.read_text()
 
     def test_round_trip(self, tmp_path):
@@ -306,12 +316,8 @@ class TestPseudoLabelSet:
         ps.save(p)
         back = PseudoLabelSet.load(p)
         assert len(back) == 2
-        assert back.get(0).status == "noise"
-        for row, r in enumerate(ps):
-            b = back.get(row)
-            assert (b.sample_id, b.label, b.confidence, b.generator, b.status) == (
-                r.sample_id, r.label, r.confidence, r.generator, r.status,
-            )
+        assert back.with_status("noise").sample_ids().tolist() == [3]
+        assert rows_of(back) == rows_of(ps)
 
     def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
         p = tmp_path / "labels.jsonl"
@@ -385,7 +391,7 @@ class TestSelectionBeatsCandidates:
 
 
 # ---------------------------------------------------------------------------
-# Properties of the label table against per-record oracles
+# Properties of the label table against per-row oracles
 # ---------------------------------------------------------------------------
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -397,27 +403,19 @@ ANY_FLOAT = st.one_of(FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))
 
 @st.composite
 def record_lists(draw, confidences=FINITE, labels=st.integers(-3, 10**12),
-                 statuses=st.sampled_from(STATUSES), max_size=25):
+                 statuses=st.sampled_from(STATUSES), ids=st.integers(0, 2**62), max_size=25):
+    """Row dicts with distinct sample ids."""
     n = draw(st.integers(0, max_size))
-    ids = draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n, unique=True))
     return [
-        PseudoLabelRecord(sid, draw(labels), draw(confidences),
-                          draw(st.sampled_from(GENERATORS)), draw(statuses),
-                          draw(st.one_of(st.none(), st.integers(0, 10**6))))
-        for sid in ids
+        {"sample_id": sid, "label": draw(labels), "confidence": draw(confidences),
+         "generator": draw(st.sampled_from(GENERATORS)), "status": draw(statuses)}
+        for sid in draw(st.lists(ids, min_size=n, max_size=n, unique=True))
     ]
 
 
-def json_oracle(records, with_truth):
+def json_oracle(records):
     """The export format: one json.dumps(record, sort_keys=True) per line."""
-    lines = []
-    for r in records:
-        rec = {"sample_id": r.sample_id, "label": r.label, "confidence": r.confidence,
-               "generator": r.generator, "status": r.status}
-        if with_truth:
-            rec["ground_truth"] = r.ground_truth
-        lines.append(json.dumps(rec, sort_keys=True) + "\n")
-    return "".join(lines)
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
 LEGAL_MOVES = {("unassigned", "candidate"), ("candidate", "clean"), ("candidate", "noise")}
@@ -425,52 +423,55 @@ LEGAL_MOVES = {("unassigned", "candidate"), ("candidate", "clean"), ("candidate"
 
 class TestLabelTableProperties:
     @PROPERTY
-    @given(record_lists(confidences=ANY_FLOAT), st.booleans())
-    def test_save_bytes_equal_json_oracle(self, tmp_path_factory, records, with_truth):
+    @given(record_lists(confidences=ANY_FLOAT))
+    def test_save_bytes_equal_json_oracle(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("save") / "labels.jsonl"
-        PseudoLabelSet(records).save(path, with_truth=with_truth)
-        assert path.read_bytes() == json_oracle(records, with_truth).encode("utf-8")
-
-    def test_save_of_a_table_without_truth(self, tmp_path):
-        ps = labels_of_scores([[0.1, 0.9], [0.6, 0.4]], generator="model2")
-        path = tmp_path / "labels.jsonl"
-        ps.save(path, with_truth=True)
-        assert path.read_text() == json_oracle(list(ps), True)
-        assert path.read_text().count('"ground_truth": null') == 2
+        table_of(records).save(path)
+        assert path.read_bytes() == json_oracle(records).encode("utf-8")
 
     @PROPERTY
-    @given(record_lists(confidences=ANY_FLOAT), st.booleans())
-    def test_load_of_save_round_trips(self, tmp_path_factory, records, with_truth):
+    @given(record_lists(confidences=ANY_FLOAT, ids=st.integers(0, 63)),
+           st.lists(st.integers(0, 10**6), min_size=64, max_size=64))
+    def test_save_with_truth_bytes_equal_json_oracle(self, tmp_path_factory, records, truth):
+        path = tmp_path_factory.mktemp("save") / "labels.jsonl"
+        table_of(records).save(path, truth=np.array(truth))
+        want = [dict(r, ground_truth=truth[r["sample_id"]]) for r in records]
+        assert path.read_bytes() == json_oracle(want).encode("utf-8")
+
+    @PROPERTY
+    @given(record_lists(confidences=ANY_FLOAT), st.booleans(), st.data())
+    def test_load_of_save_round_trips(self, tmp_path_factory, records, with_truth, data):
+        # a ground_truth field (a class index or null) is read and dropped
         path = tmp_path_factory.mktemp("load") / "labels.jsonl"
-        table = PseudoLabelSet(records)
-        table.save(path, with_truth=with_truth)
+        if with_truth:
+            truth = st.one_of(st.none(), st.integers(0, 10**6))
+            path.write_text(json_oracle([dict(r, ground_truth=data.draw(truth))
+                                         for r in records]), encoding="utf-8")
+        else:
+            table_of(records).save(path)
         back = PseudoLabelSet.load(path)
         assert len(back) == len(records)
-        for r, b in zip(records, back):
-            assert (b.sample_id, b.label, b.generator, b.status) == (
-                r.sample_id, r.label, r.generator, r.status)
-            assert b.ground_truth == (r.ground_truth if with_truth else None)
-            assert b.confidence == r.confidence or (math.isnan(b.confidence)
-                                                    and math.isnan(r.confidence))
-            assert math.copysign(1.0, b.confidence) == math.copysign(1.0, r.confidence)
+        again = path.with_name("again.jsonl")
+        back.save(again)
+        assert again.read_bytes() == json_oracle(records).encode("utf-8")
 
     @PROPERTY
     @given(record_lists(confidences=st.one_of(SPECIAL_FLOATS, st.sampled_from([0.25, 0.75])),
                         labels=st.integers(0, 5), max_size=40),
            st.integers(1, 6), st.integers(1, 8))
     def test_select_top_k_equals_sort_oracle(self, records, k, num_classes):
-        records = [r for r in records if r.label < num_classes]
+        records = [r for r in records if r["label"] < num_classes]
         want, empty = [], []
         for c in range(num_classes):
-            group = sorted((r for r in records if r.status == "candidate" and r.label == c),
-                           key=lambda r: (-r.confidence, r.sample_id))
+            group = sorted((r for r in records if r["status"] == "candidate" and r["label"] == c),
+                           key=lambda r: (-r["confidence"], r["sample_id"]))
             if not group:
                 empty.append(f"class {c} has no pseudo-label candidates; top-K skips it")
             want.extend(group[:k])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = select_top_k(PseudoLabelSet(records), k, num_classes)
-        assert list(got) == want
+            got = select_top_k(table_of(records), k, num_classes)
+        assert rows_of(got) == want
         assert [str(w.message) for w in caught] == empty
 
     def test_select_top_k_names_the_first_out_of_range_label(self):
@@ -481,22 +482,22 @@ class TestLabelTableProperties:
     @PROPERTY
     @given(record_lists(), st.data())
     def test_marking_follows_the_legal_moves(self, records, data):
-        table = PseudoLabelSet(records)
-        want = [dataclasses.replace(r) for r in records]
+        table = table_of(records)
+        want = [dict(r) for r in records]
         moves = data.draw(st.lists(st.tuples(st.integers(0, len(want) - 1),
                                              st.sampled_from(STATUSES)),
                                    max_size=30)) if want else []
         for row, status in moves:
             r = want[row]
-            if (r.status, status) in LEGAL_MOVES:
+            if (r["status"], status) in LEGAL_MOVES:
                 table.mark(row, status)
-                r.status = status
+                r["status"] = status
             else:
                 with pytest.raises(ContractError) as e:
                     table.mark(row, status)
-                assert str(e.value) == (f"illegal status transition {r.status!r} -> "
-                                        f"{status!r} for sample {r.sample_id}")
-        assert list(table) == want
+                assert str(e.value) == (f"illegal status transition {r['status']!r} -> "
+                                        f"{status!r} for sample {r['sample_id']}")
+        assert rows_of(table) == want
 
     def test_marking_rejects_unknown_ids_and_statuses(self):
         ps = _records([(0, 1, 0.5), (1, 0, 0.6)])
@@ -504,20 +505,20 @@ class TestLabelTableProperties:
             ps.mark(5, "clean")
         with pytest.raises(ContractError, match="'candidate' -> 'kept'"):
             ps.mark(0, "kept")
-        assert [r.status for r in ps] == ["candidate", "candidate"]
+        assert [r["status"] for r in rows_of(ps)] == ["candidate", "candidate"]
         ps.mark(np.int64(1), "noise")
-        assert [r.status for r in ps] == ["candidate", "noise"]
+        assert [r["status"] for r in rows_of(ps)] == ["candidate", "noise"]
 
     @PROPERTY
     @given(record_lists(), st.data())
     def test_subset_and_with_status_keep_row_order(self, records, data):
-        table = PseudoLabelSet(records)
+        table = table_of(records)
         rows = data.draw(st.permutations(range(len(records))))
         rows = rows[:data.draw(st.integers(0, len(rows)))]
-        assert list(table.subset(rows)) == [records[i] for i in rows]
+        assert rows_of(table.subset(rows)) == [records[i] for i in rows]
         for status in STATUSES:
-            assert list(table.with_status(status)) == [r for r in records
-                                                       if r.status == status]
+            assert rows_of(table.with_status(status)) == [r for r in records
+                                                          if r["status"] == status]
 
     def test_subset_rejects_unknown_and_repeated_ids(self):
         ps = _records([(0, 1, 0.5), (1, 0, 0.6)])
@@ -531,32 +532,30 @@ class TestLabelTableProperties:
     def test_rows_outside_the_table_are_rejected(self, row, error):
         # -1 must not wrap to the last row; the table is left as it was
         ps = _records([(5, 1, 0.5), (6, 0, 0.6), (7, 2, 0.7)])
-        before = list(ps)
-        for call in (lambda: ps.mark(row, "clean"), lambda: ps.get(row),
+        before = rows_of(ps)
+        for call in (lambda: ps.mark(row, "clean"),
                      lambda: ps.subset([row]), lambda: ps.subset([0, row])):
             with pytest.raises(error):
                 call()
-        assert list(ps) == before
+        assert rows_of(ps) == before
         ps.mark(np.int64(2), "noise")
-        assert [r.status for r in ps] == ["candidate", "candidate", "noise"]
+        assert [r["status"] for r in rows_of(ps)] == ["candidate", "candidate", "noise"]
 
     def test_copies_do_not_share_status(self):
         ps = _records([(0, 1, 0.5), (1, 0, 0.6)])
         part = ps.subset([1, 0])
         part.mark(0, "clean")
-        ps.get(0).status = "noise"  # a record is a copy of its row
-        assert [r.status for r in ps] == ["candidate", "candidate"]
-        assert part.get(0).status == "clean"
+        assert [r["status"] for r in rows_of(ps)] == ["candidate", "candidate"]
+        assert [r["status"] for r in rows_of(part)] == ["clean", "candidate"]
 
     @PROPERTY
     @given(record_lists(labels=st.integers(0, 3)), st.data())
     def test_clean_quality_equals_record_count(self, records, data):
         truth = np.array(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=8)))
-        records = [PseudoLabelRecord(i, r.label, r.confidence, r.generator, r.status)
-                   for i, r in enumerate(records[:truth.size])]
-        clean = [r for r in records if r.status == "clean"]
-        hits_clean = sum(1 for r in clean if r.label == truth[r.sample_id])
-        hits_all = sum(1 for r in records if r.label == truth[r.sample_id])
-        assert PseudoLabelSet(records).clean_quality(truth) == (
+        records = [dict(r, sample_id=i) for i, r in enumerate(records[:truth.size])]
+        clean = [r for r in records if r["status"] == "clean"]
+        hits_clean = sum(1 for r in clean if r["label"] == truth[r["sample_id"]])
+        hits_all = sum(1 for r in records if r["label"] == truth[r["sample_id"]])
+        assert table_of(records).clean_quality(truth) == (
             len(clean), hits_clean / len(clean) if clean else None,
             hits_clean / hits_all if hits_all else None)

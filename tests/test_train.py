@@ -42,6 +42,7 @@ from coft.train import (
 )
 
 from test_losses import oracle_adapt, oracle_compose, oracle_model_pieces
+from test_pseudo import rows_of
 
 
 def synthetic_provider(seed=0, classes=3, per_class=20, dim=8, sigma=0.05,
@@ -157,7 +158,7 @@ class TestTrainPhase1:
 
         model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(1))
         with pytest.raises(ContractError):
-            train_phase1(model, PseudoLabelSet([]), cfg, SeededRng(1))
+            train_phase1(model, PseudoLabelSet([], [], [], "zeroshot"), cfg, SeededRng(1))
 
     def test_overflow_raises_training_error_with_param(self):
         provider, _ = synthetic_provider()
@@ -200,8 +201,8 @@ class TestCollaborativeFilter:
         val.bank.neg_context.value[:] = val.bank.pos_context.value
         gen.trained = val.trained = True
         result = collaborative_filter(gen, val)
-        assert result.clean_ids.size == 0
-        assert result.noise_ids.size == provider.num_samples
+        assert len(result.clean_set()) == 0
+        assert len(result.labels.with_status("noise")) == provider.num_samples
 
     def test_hand_built_similarities(self):
         d = 4
@@ -220,17 +221,19 @@ class TestCollaborativeFilter:
         val.bank.neg_context.value[:] = 0.0
         val.bank.neg_context.value[0, 2] = 1.0
         result = collaborative_filter(gen, val)
-        assert list(result.clean_ids) == [0]
-        assert list(result.noise_ids) == [1]
+        assert result.clean_set().sample_ids().tolist() == [0]
+        assert result.labels.with_status("noise").sample_ids().tolist() == [1]
 
     def test_partition_and_oracle_sixty_samples(self):
         provider, _, m1, m2 = self.trained_pair(seed=1)
         result = collaborative_filter(m1, m2)
         ids = np.arange(provider.num_samples)
-        got_clean = set(result.clean_ids)
-        got_noise = set(result.noise_ids)
-        assert got_clean | got_noise == set(ids)
+        got_clean = set(result.clean_set().sample_ids().tolist())
+        got_noise = set(result.labels.with_status("noise").sample_ids().tolist())
+        assert got_clean | got_noise == set(ids.tolist())
         assert got_clean & got_noise == set()
+        assert result.labels.sample_ids().tolist() == ids.tolist()
+        labels = result.labels.labels()
 
         # brute-force straight-line recomputation per sample
         gp = oracle_model_pieces(m1)
@@ -245,16 +248,16 @@ class TestCollaborativeFilter:
             vv = oracle_adapt(vp["down"], vp["up"], vp["scale"], e)
             sp = sum(a * b for a, b in zip(vv, texts_vp[y]))
             sn = sum(a * b for a, b in zip(vv, texts_vn[y]))
-            rec = result.labels.get(int(sid))
-            assert rec.label == y
-            assert rec.status == ("clean" if sp > sn else "noise")
+            assert labels[sid] == y
+            assert (sid in got_clean) == (sp > sn)
 
     def test_clean_iff_clean_probability_above_half(self):
         provider, _, m1, m2 = self.trained_pair(seed=2)
         result = collaborative_filter(m1, m2)
-        for rec in result.labels:
-            p = clean_probability(m2, provider.image_embeddings[rec.sample_id], rec.label)
-            if rec.status == "clean":
+        clean = set(result.clean_set().sample_ids().tolist())
+        for sid, label in zip(result.labels.sample_ids(), result.labels.labels()):
+            p = clean_probability(m2, provider.image_embeddings[sid], label)
+            if sid in clean:
                 assert p > 0.5
             else:
                 assert p <= 0.5
@@ -266,7 +269,8 @@ class TestCollaborativeFilter:
         assert both["model1"].validator_id == "model2"
         assert both["model2"].generator_id == "model2"
         for r in both.values():
-            assert r.clean_ids.size + r.noise_ids.size == provider.num_samples
+            assert (len(r.clean_set()) + len(r.labels.with_status("noise"))
+                    == provider.num_samples)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), c=st.integers(2, 5), d=st.integers(3, 8),
@@ -289,15 +293,14 @@ class TestCollaborativeFilter:
         val.bank.neg_context.value[tied] = val.bank.pos_context.value[tied]
 
         result = collaborative_filter(gen, val)
-        clean = set(result.clean_ids.tolist())
-        noise = set(result.noise_ids.tolist())
+        clean = set(result.clean_set().sample_ids().tolist())
+        noise = set(result.labels.with_status("noise").sample_ids().tolist())
         assert clean.isdisjoint(noise)
         assert clean | noise == set(range(len(subset)))
         assert len(result.labels) == len(subset)
-        for rec in result.labels:
-            assert rec.status == ("clean" if rec.sample_id in clean else "noise")
-            if tied[rec.label]:
-                assert rec.status == "noise"
+        for sid, label in zip(result.labels.sample_ids(), result.labels.labels()):
+            if tied[label]:
+                assert sid in noise
 
     def test_untrained_models_warn(self):
         provider, _ = synthetic_provider()
@@ -320,7 +323,7 @@ class TestTrainFFT:
         from coft.encoders import logits_batch
 
         logits, _ = logits_batch(student, provider.image_embeddings[:1])
-        assert int(np.argmax(logits[0])) == single.get(0).label
+        assert int(np.argmax(logits[0])) == single.labels()[0]
 
     def test_separable_clusters_reach_full_accuracy(self):
         provider, truth = synthetic_provider(per_class=25)
@@ -344,7 +347,7 @@ class TestTrainFFT:
         cfg = small_cfg(gamma=0.0)
         student = init_fft_encoder(provider.dim, provider.num_classes, 16, SeededRng(3))
         with pytest.raises(PipelineError):
-            train_fft(student, PseudoLabelSet([]), provider, cfg, SeededRng(3), "s")
+            train_fft(student, PseudoLabelSet([], [], [], "zeroshot"), provider, cfg, SeededRng(3), "s")
 
 
 class TestMomentum:
@@ -533,7 +536,7 @@ class TestPhase2Plus:
         provider, cfg, _ = self.clean_fixture()
         student = init_fft_encoder(provider.dim, provider.num_classes, 16, SeededRng(11))
         with pytest.raises(PipelineError):
-            train_fft(student, PseudoLabelSet([]), provider, cfg, SeededRng(11),
+            train_fft(student, PseudoLabelSet([], [], [], "zeroshot"), provider, cfg, SeededRng(11),
                       "phase2/s1")
 
 
@@ -657,9 +660,9 @@ class TestIteratePeft:
         m1, m2, log = iterate_peft(provider, cfg, SeededRng(22),
                                    provider.class_anchors)
         assert [entry["round"] for entry in log] == [1, 2]
-        assert log[0]["generated"]["model1"].get(0).generator == "zeroshot"
-        assert log[1]["generated"]["model1"].get(0).generator == "model1"
-        assert log[1]["generated"]["model2"].get(0).generator == "model2"
+        for entry, mid, generator in ((0, "model1", "zeroshot"), (1, "model1", "model1"),
+                                      (1, "model2", "model2")):
+            assert {r["generator"] for r in rows_of(log[entry]["generated"][mid])} == {generator}
 
     def test_training_moved_params_and_tables_frozen(self):
         provider, _ = synthetic_provider()
