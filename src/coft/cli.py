@@ -81,11 +81,11 @@ class RunConfig:
 _TOP_FIELDS = {"mode": str, "seed": int, "dataset": str, "templates": str, "out": str}
 
 
-def _coerce(raw: str, typ):
+def _coerce(key: str, raw: str, typ):
     try:
         return typ(raw)
     except ValueError:
-        raise ConfigError(f"cannot parse {typ.__name__} from {raw!r}") from None
+        raise ConfigError(f"{key}: cannot parse {typ.__name__} from {raw!r}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -118,17 +118,17 @@ def apply_config_values(rc: RunConfig, values: dict) -> RunConfig:
     synth_fields = typing.get_type_hints(SyntheticSpec)
     for key, raw in values.items():
         if key in _TOP_FIELDS:
-            setattr(rc, key, _coerce(raw, _TOP_FIELDS[key]))
+            setattr(rc, key, _coerce(key, raw, _TOP_FIELDS[key]))
         elif key.startswith("train."):
             name = key[len("train."):]
             if name not in train_fields:
                 raise ConfigError(f"unknown config key {key!r}")
-            setattr(rc.train, name, _coerce(raw, train_fields[name]))
+            setattr(rc.train, name, _coerce(key, raw, train_fields[name]))
         elif key.startswith("synth."):
             name = key[len("synth."):]
             if name not in synth_fields:
                 raise ConfigError(f"unknown config key {key!r}")
-            setattr(rc.synth, name, _coerce(raw, synth_fields[name]))
+            setattr(rc.synth, name, _coerce(key, raw, synth_fields[name]))
         else:
             raise ConfigError(f"unknown config key {key!r}")
     return rc
@@ -169,14 +169,19 @@ def load_run_config(run_dir) -> RunConfig:
 
 def _build_run_config(args) -> RunConfig:
     rc = RunConfig()
-    file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    apply_config_values(rc, file_values)
+    file_values = {}
+    if getattr(args, "config", None):
+        file_values = parse_config_file(args.config)
+        try:
+            apply_config_values(rc, file_values)
+        except ConfigError as e:
+            raise ConfigError(f"{args.config}: {e}") from None
     if args.seed is not None:
         rc.seed = args.seed
     elif "seed" not in file_values:
         env_seed = os.environ.get("COFT_SEED")
         if env_seed is not None:
-            rc.seed = _coerce(env_seed, int)
+            rc.seed = _coerce("COFT_SEED", env_seed, int)
     for flag in ("mode", "dataset", "templates", "out"):
         value = getattr(args, flag, None)
         if value is not None:
@@ -212,17 +217,19 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     rc = _build_run_config(args)
+    # every check that can refuse the run comes before its first write
     _check_mode(rc.mode)
-    os.makedirs(rc.out, exist_ok=True)
-    if not rc.dataset:
-        # empty config is a valid run: synthesize the default benchmark
-        spec = dataclasses.replace(rc.synth, seed=rc.seed)
-        ds, truth = generate_synthetic(spec)
-        rc.dataset = save_dataset(ds, os.path.join(rc.out, "data"), truth=truth)
-    elif not os.path.exists(rc.dataset):
+    rc.train.validate()
+    resolved_config_text(rc)  # refuses a value holding '#'
+    if rc.dataset and not os.path.exists(rc.dataset):
         raise ConfigError(f"dataset manifest not found: {rc.dataset}")
     if rc.templates and not os.path.exists(rc.templates):
         raise ConfigError(f"template file not found: {rc.templates}")
+    if not rc.dataset:
+        # empty config is a valid run: synthesize the default benchmark
+        ds, truth = generate_synthetic(dataclasses.replace(rc.synth, seed=rc.seed))
+        rc.dataset = save_dataset(ds, os.path.join(rc.out, "data"), truth=truth)
+    os.makedirs(rc.out, exist_ok=True)
 
     with atomic_write(os.path.join(rc.out, RESOLVED_CONFIG_NAME)) as f:
         f.write(resolved_config_text(rc))

@@ -92,11 +92,11 @@ def normalize_rows(m) -> np.ndarray:
     return m / norms
 
 
-def row_blocks(n: int) -> list:
+def row_blocks(n: int, block: int | None = None) -> list:
     """Consecutive, nearly equal slices partitioning ``range(n)``, each of at
-    least ``BLOCK_ROWS`` rows; fewer than ``2 * BLOCK_ROWS`` rows (0 included)
-    give one slice."""
-    count = max(1, n // BLOCK_ROWS)
+    least ``block`` rows (default ``BLOCK_ROWS``); fewer than ``2 * block``
+    rows (0 included) give one slice."""
+    count = max(1, n // (block or BLOCK_ROWS))
     bounds = [n * i // count for i in range(count + 1)]
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 

@@ -27,10 +27,8 @@ from coft.train import (
     iterate_peft,
 )
 
+from test_acceptance import ACCEPTANCE_SPEC
 from test_pseudo import rows_of
-
-ACCEPTANCE_SPEC = dict(classes=10, per_class=100, dim=64,
-                       noise_sigma=0.4, anchor_alignment=0.6)
 
 
 def acceptance_provider(seed=1, per_class=100):

@@ -184,6 +184,20 @@ class TestRun:
         assert run_cli("run", "--dataset", manifest, "--config", str(cfgfile),
                        "--out", str(tmp_path / "r")) == 2
 
+    @pytest.mark.parametrize("name, flags, expected", [
+        ("x#y", (), "a config value cannot hold '#'"),
+        ("r", ("--k", "0"), "k_per_class must be >= 1"),
+        ("r", ("--templates", "missing.txt"), "template file not found"),
+    ], ids=["hash-in-out", "k-zero", "missing-templates"])
+    def test_refused_run_writes_nothing(self, tmp_path, capsys, name, flags, expected):
+        # each is refused before the default dataset is synthesized into the
+        # output directory, so no run directory without a run is left behind
+        out = tmp_path / name
+        capsys.readouterr()
+        assert run_cli("run", "--out", str(out), *flags) == 2
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--lam", "nan"), ("--tau", "inf"),
                                              ("--gamma", "nan")])
     def test_non_finite_flag_exits_2(self, tmp_path, capsys, flag, value):
@@ -388,7 +402,9 @@ class TestConfigFiles:
     @pytest.mark.parametrize("text, expected", [
         (b"seed = 4\ntrain.tau = 0.0\xff7\n", "not UTF-8"),
         (b"seed = 4\ntrain.lam = 0.1\nseed = 5\n", "key 'seed' repeated (line 3)"),
-    ], ids=["not-utf8", "repeated-key"])
+        (b"train.k_per_class = x\n", "train.k_per_class: cannot parse int from 'x'"),
+        (b"train.nonsense = 1\n", "unknown config key 'train.nonsense'"),
+    ], ids=["not-utf8", "repeated-key", "unparsable-value", "unknown-key"])
     def test_bad_run_config_exits_2_naming_it(self, tmp_path, capsys, text, expected):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_bytes(text)
@@ -396,7 +412,7 @@ class TestConfigFiles:
         assert run_cli("run", "--config", str(cfgfile), "--out", str(tmp_path / "r")) == 2
         err = capsys.readouterr().err
         assert f"{cfgfile}: " in err and expected in err
-        assert not (tmp_path / "r" / RESOLVED_CONFIG_NAME).exists()
+        assert not (tmp_path / "r").exists()
 
 
 @pytest.fixture(scope="module")
