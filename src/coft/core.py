@@ -4,6 +4,14 @@ the payload container: the only code that opens a dataset or checkpoint payload.
 The kernels are pure functions over immutable inputs. All arithmetic is
 64-bit; callers that need reproducibility draw from :class:`SeededRng`
 streams identified by explicit string labels.
+
+Code that runs on every training step calls numpy's ufunc reductions
+(``np.add.reduce``, ``np.maximum.reduce``, ``np.logical_or.reduce``,
+``np.logical_and.reduce``) rather than ``np.sum``, ``np.any``, ``np.all``,
+``np.mean``, ``np.linalg.norm`` or the ndarray methods of the same names.
+Those are Python functions around the same reductions, so the results are
+bit for bit the same, and at the training shapes their calls cost more than
+the arithmetic.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ __all__ = [
     "as_f64",
     "softmax_temp",
     "softmax_rows",
+    "row_norms",
     "normalize_rows",
     "stable_hash64",
     "SeededRng",
@@ -73,12 +82,18 @@ def softmax_rows(scores, tau: float) -> np.ndarray:
         raise ShapeError(f"scores must be 2-D, got shape {scores.shape}")
     if not tau > 0.0:
         raise DomainError(f"tau must be positive, got {tau}")
-    if not np.all(np.isfinite(scores)):
+    if not np.logical_and.reduce(np.isfinite(scores), axis=None):
         raise ValueError("softmax scores must be finite")
     z = scores / tau
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - np.maximum.reduce(z, axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
+
+
+def row_norms(m: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """L2 norm of every row of a 2-D float64 array: the sum that
+    ``np.linalg.norm(m, axis=1)`` computes, bit for bit, without its wrapper."""
+    return np.sqrt(np.add.reduce(m * m, axis=1, keepdims=keepdims))
 
 
 def normalize_rows(m) -> np.ndarray:
@@ -86,8 +101,8 @@ def normalize_rows(m) -> np.ndarray:
     m = as_f64(m)
     if m.ndim != 2:
         raise ShapeError(f"expected 2-D array, got shape {m.shape}")
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
+    norms = row_norms(m, keepdims=True)
+    if np.logical_or.reduce(norms == 0.0, axis=None):
         raise DomainError("cannot normalize a zero row")
     return m / norms
 

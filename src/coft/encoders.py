@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng, as_f64, map_row_blocks
+from .core import SeededRng, as_f64, map_row_blocks, row_norms
 from .errors import DomainError, ShapeError, TrainingError
 from .grad import ParamTensor, accumulate_grad, param
 
@@ -83,7 +83,7 @@ class FrozenProvider:
                 f"embedding dim {emb.shape[1]} != anchor dim {anchors.shape[1]}"
             )
         for label, table in (("image embedding", emb), ("class anchor", anchors)):
-            norms = map_row_blocks(lambda rows: np.linalg.norm(rows, axis=1), table)
+            norms = map_row_blocks(row_norms, table)
             bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOL))
             if bad.size:
                 raise DomainError(
@@ -172,11 +172,11 @@ def compose_texts(bank: PromptBank, provider: FrozenProvider, polarity: str):
     ctx = bank._context(polarity)
     with np.errstate(over="ignore", invalid="ignore"):
         pre = provider.class_anchors + ctx.value
-        norms = np.linalg.norm(pre, axis=1)
-    if not np.all(np.isfinite(norms)):
+        norms = row_norms(pre)
+    if not np.logical_and.reduce(np.isfinite(norms)):
         raise TrainingError(f"composed {polarity} text embedding is non-finite: "
                             f"{ctx.name!r} overflowed", param_name=ctx.name)
-    if np.any(norms == 0.0):
+    if np.logical_or.reduce(norms == 0.0):
         raise DomainError("composed text embedding collapsed to zero norm")
     texts = pre / norms[:, None]
     return texts, _ComposeCache(context=ctx, texts=texts, norms=norms)
@@ -187,7 +187,7 @@ def compose_texts_backward(cache: _ComposeCache, d_texts) -> None:
     d_texts = as_f64(d_texts)
     t = cache.texts
     # back through row-wise normalize: (g - (g.t) t) / |pre|
-    proj = np.sum(d_texts * t, axis=1, keepdims=True)
+    proj = np.add.reduce(d_texts * t, axis=1, keepdims=True)
     d_pre = (d_texts - proj * t) / cache.norms[:, None]
     accumulate_grad(cache.context, d_pre)
 
@@ -212,7 +212,7 @@ class VisualAdapter:
         return [self.down, self.up]
 
     def is_identity(self) -> bool:
-        return self.scale == 0.0 or not np.any(self.up.value)
+        return self.scale == 0.0 or not np.logical_or.reduce(self.up.value, axis=None)
 
 
 def init_visual_adapter(dim: int, rank: int, scale: float, rng: SeededRng,
@@ -248,11 +248,11 @@ def adapt_batch(adapter: VisualAdapter, base):
     if adapter.is_identity():
         # exact identity contract: no renormalization of already-unit rows
         adapted = e.copy()
-        norms = np.linalg.norm(e, axis=1)
+        norms = row_norms(e)
     else:
         z = e + adapter.scale * (hidden @ adapter.up.value.T)
-        norms = np.linalg.norm(z, axis=1)
-        if np.any(norms == 0.0):
+        norms = row_norms(z)
+        if np.logical_or.reduce(norms == 0.0):
             raise DomainError("adapted embedding collapsed to zero norm")
         adapted = z / norms[:, None]
     return adapted, _AdaptCache(adapter=adapter, base=e, hidden=hidden,
@@ -263,7 +263,7 @@ def adapt_batch_backward(cache: _AdaptCache, d_adapted):
     """Accumulate gradients into the adapter; returns (d_down, d_up) contributions."""
     g = as_f64(d_adapted)
     v = cache.adapted
-    proj = np.sum(g * v, axis=1, keepdims=True)
+    proj = np.add.reduce(g * v, axis=1, keepdims=True)
     dz = (g - proj * v) / cache.norms[:, None]
     s = cache.adapter.scale
     d_up = s * (dz.T @ cache.hidden)
@@ -358,11 +358,11 @@ def encode_batch_backward(cache: _EncodeCache, d_encoded) -> None:
     g = as_f64(d_encoded)
     enc = cache.enc
     accumulate_grad(enc.w2, g.T @ cache.hidden)
-    accumulate_grad(enc.b2, g.sum(axis=0))
+    accumulate_grad(enc.b2, np.add.reduce(g, axis=0))
     d_hidden = g @ enc.w2.value
     d_pre = d_hidden * (1.0 - cache.hidden**2)
     accumulate_grad(enc.w1, d_pre.T @ cache.x)
-    accumulate_grad(enc.b1, d_pre.sum(axis=0))
+    accumulate_grad(enc.b1, np.add.reduce(d_pre, axis=0))
 
 
 @dataclass
@@ -382,7 +382,7 @@ def logits_batch_backward(cache: _LogitsCache, d_logits) -> None:
     g = as_f64(d_logits)
     enc = cache.enc
     accumulate_grad(enc.w_fc, g.T @ cache.encode_cache.encoded)
-    accumulate_grad(enc.b_fc, g.sum(axis=0))
+    accumulate_grad(enc.b_fc, np.add.reduce(g, axis=0))
     d_encoded = g @ enc.w_fc.value
     encode_batch_backward(cache.encode_cache, d_encoded)
 

@@ -49,9 +49,10 @@ ADAM_EPS = 1e-8
 STEP_CHUNK = 32_768
 
 
-@dataclass
+@dataclass(eq=False)
 class ParamTensor:
-    """A named trainable array with an accumulated gradient of the same shape."""
+    """A named trainable array with an accumulated gradient of the same shape.
+    Two tensors are equal only when they are the same object."""
 
     name: str
     value: np.ndarray
@@ -79,6 +80,21 @@ def accumulate_grad(p: ParamTensor, contribution) -> ParamTensor:
         )
     p.grad += c
     return p
+
+
+def bind_flat(params, attr: str) -> np.ndarray:
+    """One new flat buffer holding the ``attr`` arrays ("value" or "grad") of
+    ``params`` end to end, in order; each tensor's ``attr`` is rebound to its
+    view of the buffer."""
+    flat = np.empty(sum(getattr(p, attr).size for p in params))
+    offset = 0
+    for p in params:
+        array = getattr(p, attr)
+        end = offset + array.size
+        flat[offset:end] = array.reshape(-1)
+        setattr(p, attr, flat[offset:end].reshape(array.shape))
+        offset = end
+    return flat
 
 
 def zero_grads(params) -> None:
@@ -115,23 +131,14 @@ class Adam:
 
     def _bind(self, params) -> None:
         if self._params is not None:
-            if len(params) != len(self._params) or any(
-                    p is not q for p, q in zip(params, self._params)):
+            if tuple(params) != self._params:
                 raise ContractError(
                     "optimizer is bound to the tensors of its first step; "
                     "pass the same tensors in the same order")
             return
         params = tuple(params)
-        total = sum(p.value.size for p in params)
-        self._value, self._grad = np.empty(total), np.empty(total)
-        offset = 0
-        for p in params:
-            end = offset + p.value.size
-            self._value[offset:end] = p.value.reshape(-1)
-            self._grad[offset:end] = p.grad.reshape(-1)
-            p.value = self._value[offset:end].reshape(p.value.shape)
-            p.grad = self._grad[offset:end].reshape(p.grad.shape)
-            offset = end
+        self._value, self._grad = bind_flat(params, "value"), bind_flat(params, "grad")
+        total = self._value.size
         m, v = np.zeros(total), np.zeros(total)
         self._chunks = [(self._value[s], self._grad[s], m[s], v[s])
                         for s in row_blocks(total, STEP_CHUNK)]
@@ -157,7 +164,7 @@ class Adam:
             g *= alpha
             value -= g
             g.fill(0.0)
-            finite = finite and np.isfinite(value).all()
+            finite = finite and np.logical_and.reduce(np.isfinite(value))
         return finite
 
 
@@ -170,7 +177,7 @@ def step(opt: Adam, params) -> None:
     anything moves, or on a non-finite value after the update.
     """
     opt._bind(params)
-    if not np.isfinite(opt._grad).all():
+    if not np.logical_and.reduce(np.isfinite(opt._grad)):
         bad = next(p for p in params if not np.isfinite(p.grad).all())
         raise TrainingError(f"non-finite gradient in {bad.name!r}", param_name=bad.name)
     opt.step_count += 1

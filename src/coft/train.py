@@ -16,6 +16,14 @@ students with the same trainer, ``train_fft``, adding a weighted
 momentum-contrastive term over all samples. The iterated variant repeats
 phase 1 with re-initialized models on each round's fresh top-K selection.
 
+Phase 1's negative-prompt term reads one stacked (2C, d) text table, the
+positive texts over the negative ones: one gather takes each sample's four
+rows (both polarities of its label and of its complement), batched matrix
+products give the four similarities and the adapter gradient, one softplus
+covers the (n, 2) margins, and one (n, 2C)-transposed product scatters the
+gradients of both text tables. Labels and complements outside [0, C) are
+refused, since a wrong index would read another class or the other polarity.
+
 Both phases train through one epoch loop, ``_train_epochs``: it owns the
 optimizer, the batch walk, the failure rules (a non-finite forward pass, or
 an epoch loss above 10x the first epoch's for 3 consecutive epochs, raises
@@ -40,6 +48,7 @@ from .core import (
     as_f64,
     normalize_rows,
     row_blocks,
+    row_norms,
     softmax_rows,
 )
 from .data import MetricsWriter, require_finite_floats
@@ -70,7 +79,7 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
-from .grad import Adam, load_checkpoint, save_checkpoint, step
+from .grad import Adam, bind_flat, load_checkpoint, save_checkpoint, step
 from .pseudo import (
     PseudoLabelSet,
     assign_pseudo_labels,
@@ -224,7 +233,7 @@ def _positive_terms(emb, texts, labels, tau_pos, weight):
     """Cross-entropy value and its weighted gradient w.r.t. the text table."""
     n = emb.shape[0]
     probs = softmax_rows(emb @ texts.T, tau_pos)
-    loss = float(-np.mean(np.log(probs[np.arange(n), labels])))
+    loss = -float(np.add.reduce(np.log(probs[np.arange(n), labels]))) / n
     d_sims = probs
     d_sims[np.arange(n), labels] -= 1.0
     d_sims *= weight / (tau_pos * n)
@@ -236,28 +245,6 @@ def loss_positive(model: AdaptedModel, embeddings, labels) -> float:
     against the pseudo-labels. Its gradients reach the positive context only.
     """
     return _phase1_terms(model, embeddings, labels, None, 1.0, None, "loss_positive")[0]
-
-
-def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    # log sigmoid(x) = -softplus(-x), stable at both tails
-    return -(np.maximum(-x, 0.0) + np.log1p(np.exp(-np.abs(x))))
-
-
-def _pair_margin_terms(sp_y, sn_y, sp_h, sn_h, tau):
-    """Per-sample negative-prompt objective from the four similarities.
-
-    Returns (terms, d_sp_y, d_sn_y, d_sp_h, d_sn_h): the per-sample values of
-    -[log p_clean(y) + log(1 - p_clean(y_hat))] and their gradients w.r.t.
-    each similarity (no batch averaging applied).
-    """
-    xy = (np.asarray(sp_y) - np.asarray(sn_y)) / tau
-    xh = (np.asarray(sp_h) - np.asarray(sn_h)) / tau
-    terms = -(_log_sigmoid(xy) + _log_sigmoid(-xh))
-    py = 1.0 / (1.0 + np.exp(-xy))
-    ph = 1.0 / (1.0 + np.exp(-xh))
-    d_xy = -(1.0 - py)  # toward larger positive margin on the assigned label
-    d_xh = ph           # toward smaller positive margin on the complement
-    return terms, d_xy / tau, -d_xy / tau, d_xh / tau, -d_xh / tau
 
 
 def clean_probability(model: AdaptedModel, embedding, label: int) -> float:
@@ -283,34 +270,58 @@ def draw_complements(labels, num_classes: int, rng: SeededRng) -> np.ndarray:
     return np.where(draw >= labels, draw + 1, draw).astype(np.int64)
 
 
-def _negative_terms(visual, texts_p, texts_n, labels, comp, tau, weight):
+# Sign of each margin in the softplus of the negative-prompt objective: the
+# assigned label's positive-minus-negative margin enters negated, the
+# complement's as it is.
+_MARGIN_SIGNS = np.array([-1.0, 1.0])
+
+
+def _negative_terms(visual, texts, labels, comp, tau, weight):
     """Negative-prompt value and its weighted gradients w.r.t. the adapted
-    embeddings and both text tables."""
-    n = visual.shape[0]
-    p_y, n_y, p_h, n_h = texts_p[labels], texts_n[labels], texts_p[comp], texts_n[comp]
-    sp_y = np.sum(visual * p_y, axis=1)
-    sn_y = np.sum(visual * n_y, axis=1)
-    sp_h = np.sum(visual * p_h, axis=1)
-    sn_h = np.sum(visual * n_h, axis=1)
-    terms, d_sp_y, d_sn_y, d_sp_h, d_sn_h = _pair_margin_terms(sp_y, sn_y, sp_h, sn_h, tau)
-    scale = weight / n
-    d_sp_y, d_sn_y, d_sp_h, d_sn_h = (g * scale for g in (d_sp_y, d_sn_y, d_sp_h, d_sn_h))
+    embeddings and the stacked (2C, d) text table, positive rows first.
 
-    d_visual = (d_sp_y[:, None] * p_y + d_sn_y[:, None] * n_y
-                + d_sp_h[:, None] * p_h + d_sn_h[:, None] * n_h)
-    eye = np.eye(texts_p.shape[0])
-    on_y, on_h = eye[labels].T, eye[comp].T  # (C, n) scatter matrices
-    d_texts_p = on_y @ (d_sp_y[:, None] * visual) + on_h @ (d_sp_h[:, None] * visual)
-    d_texts_n = on_y @ (d_sn_y[:, None] * visual) + on_h @ (d_sn_h[:, None] * visual)
-    return float(np.mean(terms)), d_visual, d_texts_p, d_texts_n
+    One gather takes each sample's four text rows (positive and negative of
+    its label y, then of its complement h); the per-sample objective
+    -[log sigmoid(x_y) + log sigmoid(-x_h)], with x = (s_pos - s_neg) / tau,
+    is softplus(-x_y) + softplus(x_h), one softplus over an (n, 2) table.
+    """
+    n, c = visual.shape[0], texts.shape[0] // 2
+    cols = np.array((labels, labels + c, comp, comp + c)).T  # (n, 4)
+    rows = texts[cols]  # (n, 4, d)
+    sims = np.matmul(rows, visual[:, :, None])[:, :, 0]
+    u = (sims[:, 0::2] - sims[:, 1::2]) / tau  # (n, 2): x_y, x_h
+    u *= _MARGIN_SIGNS
+    loss = float(np.add.reduce(np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u))),
+                               axis=None)) / n
+    # d softplus(u) / du = sigmoid(u); d u / d s_pos = -d u / d s_neg = sign / tau
+    d_margin = _MARGIN_SIGNS * (weight / (n * tau)) / (1.0 + np.exp(-u))
+    d_sims = np.empty((n, 4))
+    d_sims[:, 0::2] = d_margin
+    np.negative(d_margin, out=d_sims[:, 1::2])
+    d_visual = np.matmul(d_sims[:, None, :], rows)[:, 0, :]
+    # the four columns of a row are distinct (h != y), so one assignment
+    # scatters every sample's four gradients into its text rows
+    scatter = np.zeros((n, 2 * c))
+    scatter[np.arange(n)[:, None], cols] = d_sims
+    return loss, d_visual, scatter.T @ visual
 
 
-def _check_complements(model, labels, comp):
-    if model.provider.num_classes < 2:
+def _check_classes(name, what, column, num_classes):
+    """ContractError naming the first entry of ``column`` outside
+    [0, num_classes): a negative index would wrap to another class."""
+    if np.minimum.reduce(column) < 0 or np.maximum.reduce(column) >= num_classes:
+        row = int(np.flatnonzero((column < 0) | (column >= num_classes))[0])
+        raise ContractError(f"{name}: {what} {int(column[row])} at row {row} is outside "
+                            f"the {num_classes} classes")
+
+
+def _check_complements(name, num_classes, labels, comp):
+    if num_classes < 2:
         raise ConfigError("loss_negative needs at least 2 classes")
     if comp.shape != labels.shape:
         raise ShapeError(f"{comp.shape[0]} complements for {labels.shape[0]} labels")
-    if np.any(comp == labels):
+    _check_classes(name, "complement", comp, num_classes)
+    if np.logical_or.reduce(comp == labels):
         raise ContractError("complement labels must differ from assigned labels")
 
 
@@ -339,13 +350,16 @@ def _phase1_terms(model, embeddings, labels, complements, w_pos, w_neg, name):
     """Shared body of the phase-1 losses: the positive cross-entropy unless
     ``w_pos`` is None, the negative-prompt objective unless ``complements`` is
     None, with their gradients scaled by ``w_pos`` and ``w_neg``. Returns the
-    unweighted (positive, negative) values, None for a term not evaluated."""
+    unweighted (positive, negative) values, None for a term not evaluated.
+    Labels and complements must lie in [0, C) (ContractError otherwise)."""
     emb = as_f64(embeddings)
     labels = np.asarray(labels, dtype=np.int64)
     _check_batch(name, emb, labels.shape[0])
+    num_classes = model.provider.num_classes
+    _check_classes(name, "label", labels, num_classes)
     if complements is not None:
         comp = np.asarray(complements, dtype=np.int64)
-        _check_complements(model, labels, comp)
+        _check_complements(name, num_classes, labels, comp)
     texts_p, pcache = compose_texts(model.bank, model.provider, "positive")
     pos = neg = d_texts_p = None
     if w_pos is not None:
@@ -353,10 +367,11 @@ def _phase1_terms(model, embeddings, labels, complements, w_pos, w_neg, name):
     if complements is not None:
         texts_n, ncache = compose_texts(model.bank, model.provider, "negative")
         visual, acache = adapt_batch(model.adapter, emb)
-        neg, d_visual, d_neg_p, d_texts_n = _negative_terms(
-            visual, texts_p, texts_n, labels, comp, model.tau, w_neg)
+        neg, d_visual, d_texts = _negative_terms(
+            visual, np.concatenate((texts_p, texts_n)), labels, comp, model.tau, w_neg)
         adapt_batch_backward(acache, d_visual)
-        compose_texts_backward(ncache, d_texts_n)
+        compose_texts_backward(ncache, d_texts[num_classes:])
+        d_neg_p = d_texts[:num_classes]
         d_texts_p = d_neg_p if d_texts_p is None else d_texts_p + d_neg_p
     compose_texts_backward(pcache, d_texts_p)
     return pos, neg
@@ -521,15 +536,16 @@ def collaborative_filter_both(model1: AdaptedModel, model2: AdaptedModel) -> dic
 # ---------------------------------------------------------------------------
 
 def loss_fft(student: FFTEncoder, embeddings, labels) -> float:
-    """Softmax cross-entropy of the student's logits on raw frozen embeddings."""
+    """Softmax cross-entropy of the student's logits on raw frozen embeddings.
+    Labels must lie in [0, C) (ContractError otherwise)."""
     emb = as_f64(embeddings)
     labels = np.asarray(labels, dtype=np.int64)
-    if emb.ndim != 2 or emb.shape[0] == 0:
-        raise ContractError("loss_fft needs a nonempty batch")
+    _check_batch("loss_fft", emb, labels.shape[0])
+    _check_classes("loss_fft", "label", labels, student.num_classes)
     n = emb.shape[0]
     logits, cache = logits_batch(student, emb)
     probs = softmax_rows(logits, 1.0)
-    loss = float(-np.mean(np.log(probs[np.arange(n), labels])))
+    loss = -float(np.add.reduce(np.log(probs[np.arange(n), labels]))) / n
     d_logits = probs
     d_logits[np.arange(n), labels] -= 1.0
     d_logits *= 1.0 / n  # not /= n: that rounds differently and would change checkpoints
@@ -543,6 +559,11 @@ def loss_fft(student: FFTEncoder, embeddings, labels) -> float:
 
 class MomentumState:
     """EMA twin of the student encoder plus a FIFO queue of key embeddings.
+
+    The twin's values are views of one flat buffer laid out like the
+    optimizer's (``grad.bind_flat``), so ``momentum_update`` is one scale and
+    one scaled add over it. In-place writes to a twin tensor reach the
+    buffer; assigning a new array to its ``value`` does not.
 
     The queue is a preallocated ``(2 * capacity, dim)`` buffer in which every
     key is written twice, ``capacity`` rows apart, so the held keys, oldest
@@ -558,6 +579,7 @@ class MomentumState:
         if capacity < 1:
             raise ConfigError("queue capacity must be >= 1")
         self.momentum = clone_encoder_values(encoder, "momentum/")
+        self._flat = bind_flat(self.momentum.params(), "value")
         self.mu = float(mu)
         self.tau_prime = float(tau_prime)
         self.capacity = int(capacity)
@@ -593,17 +615,18 @@ class MomentumState:
 
 
 def momentum_update(state: MomentumState, primary: FFTEncoder) -> MomentumState:
-    """theta_m <- mu * theta_m + (1 - mu) * theta, every parameter group."""
-    m_params = state.momentum.params()
-    p_params = primary.params()
-    for mp, pp in zip(m_params, p_params):
+    """theta_m <- mu * theta_m + (1 - mu) * theta over every parameter at once:
+    one scale and one scaled add over the twin's flat buffer, against one
+    concatenation of the primary's values in the same order."""
+    params = primary.params()
+    for mp, pp in zip(state.momentum.params(), params):
         if mp.value.shape != pp.value.shape:
             raise ContractError(
                 f"momentum/primary shape mismatch for {pp.name!r}: "
                 f"{mp.value.shape} vs {pp.value.shape}"
             )
-        mp.value *= state.mu
-        mp.value += (1.0 - state.mu) * pp.value
+    state._flat *= state.mu
+    state._flat += (1.0 - state.mu) * np.concatenate([p.value.reshape(-1) for p in params])
     return state
 
 
@@ -641,26 +664,25 @@ def loss_contrastive(primary: FFTEncoder, state: MomentumState, views_q, views_k
     k_raw, _ = encode_batch(state.momentum, vk)
     keys = normalize_rows(k_raw)
 
-    q_norms = np.linalg.norm(q_raw, axis=1, keepdims=True)
-    if np.any(q_norms == 0.0):
+    q_norms = row_norms(q_raw, keepdims=True)
+    if np.logical_or.reduce(q_norms == 0.0, axis=None):
         raise DomainError("query embedding collapsed to zero norm")
     q_hat = q_raw / q_norms
 
     negatives = state._held()
-    pos = np.sum(q_hat * keys, axis=1)
+    pos = np.add.reduce(q_hat * keys, axis=1)
     logits = np.concatenate([pos[:, None], q_hat @ negatives.T], axis=1)
     logits = logits / state.tau_prime
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
-    loss = float(-np.mean(log_probs[:, 0]))
+    total = np.add.reduce(exp, axis=1, keepdims=True)
+    loss = -float(np.add.reduce(shifted[:, 0] - np.log(total[:, 0]))) / n
 
-    d_logits = probs.copy()
+    d_logits = exp / total  # the softmax, written over by its gradient
     d_logits[:, 0] -= 1.0
     d_logits *= weight / (n * state.tau_prime)
     d_q_hat = d_logits[:, :1] * keys + d_logits[:, 1:] @ negatives
-    proj = np.sum(d_q_hat * q_hat, axis=1, keepdims=True)
+    proj = np.add.reduce(d_q_hat * q_hat, axis=1, keepdims=True)
     d_q_raw = (d_q_hat - proj * q_hat) / q_norms
     encode_batch_backward(qcache, d_q_raw)
 

@@ -23,7 +23,7 @@ from coft.train import (
     loss_positive,
     gradient_check_suite,
 )
-from coft.train import _pair_margin_terms  # formula-level fixture for limits
+from coft.train import _negative_terms  # formula-level fixture for limits
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +151,15 @@ def random_model(seed, c=None, d=None, tau=None, identity_adapter=False):
     return provider, model, rng
 
 
+def margin_fixture(sp_y, sn_y, sp_h, sn_h):
+    """Arguments of ``_negative_terms`` for one sample whose four similarities
+    are the given numbers: a one-dimensional stacked text table (C = 2,
+    positive rows first) seen by the visual embedding [1.0], label 0 and
+    complement 1. Row k of the text gradient is then d(loss)/d(similarity)."""
+    texts = np.array([[sp_y], [sp_h], [sn_y], [sn_h]])
+    return np.ones((1, 1)), texts, np.array([0]), np.array([1])
+
+
 def aligned_fixture(c=3, d=4):
     anchors = np.eye(d)[:c]
     emb = anchors.copy()
@@ -162,6 +171,17 @@ def aligned_fixture(c=3, d=4):
     model.bank.neg_context.value[:] = 0.0
     model.adapter.up.value[:] = 0.0
     return provider, model
+
+
+def collision_batch(seed, one_label, batch=12):
+    """A batch that reuses text rows heavily: on 2 classes (each complement is
+    the other class), or on 4 classes with every row on label 0."""
+    provider, model, rng = random_model(seed, c=4 if one_label else 2)
+    take = rng.integers(0, provider.num_samples, size=batch)
+    labels = (np.zeros(batch, dtype=np.int64) if one_label
+              else rng.integers(0, provider.num_classes, size=batch))
+    comps = draw_complements(labels, provider.num_classes, SeededRng(seed).stream("c"))
+    return model, provider.image_embeddings[take], labels, comps
 
 
 class TestLossPositive:
@@ -262,11 +282,9 @@ class TestLossNegative:
 
     def test_perfect_separation_limit(self):
         # formula-level limit: margins +inf on the label, -inf on the complement
-        terms, *_ = _pair_margin_terms(
-            np.array([40.0]), np.array([-40.0]), np.array([-40.0]), np.array([40.0]),
-            tau=1.0,
-        )
-        assert terms[0] == pytest.approx(0.0, abs=1e-12)
+        loss, *_ = _negative_terms(*margin_fixture(40.0, -40.0, -40.0, 40.0),
+                                   tau=1.0, weight=1.0)
+        assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_perfect_separation_limit_on_operation(self):
         # positive texts lean on e2, negative on e3; the diagonal sample then
@@ -294,9 +312,11 @@ class TestLossNegative:
         # raising it for the assigned label must raise the loss
         rng = np.random.default_rng(11)
         s = rng.uniform(-1, 1, size=(4, 50))
-        _, _, d_sn_y, _, d_sn_h = _pair_margin_terms(s[0], s[1], s[2], s[3], tau=0.2)
-        assert np.all(d_sn_y > 0)
-        assert np.all(d_sn_h < 0)
+        for sp_y, sn_y, sp_h, sn_h in s.T:
+            _, _, d_sims = _negative_terms(*margin_fixture(sp_y, sn_y, sp_h, sn_h),
+                                           tau=0.2, weight=1.0)
+            assert d_sims[2, 0] > 0  # negative similarity of the assigned label
+            assert d_sims[3, 0] < 0  # negative similarity of the complement
 
     def test_matches_oracle_random_fixtures(self):
         for seed in range(30):
@@ -316,6 +336,22 @@ class TestLossNegative:
         with pytest.raises(ContractError):
             loss_negative(model, provider.image_embeddings[:1], np.array([0]),
                           np.array([0]))
+
+    def test_collisions_match_oracle(self):
+        # every text row is hit by many samples, as label and as complement
+        for one_label in (False, True):
+            for seed in range(10):
+                model, emb, labels, comps = collision_batch(500 + seed, one_label)
+                got = loss_negative(model, emb, labels, comps)
+                assert abs(got - oracle_l2(model, emb, labels, comps)) <= 1e-12
+
+    @pytest.mark.parametrize("one_label", [False, True], ids=["two-classes", "one-label"])
+    def test_collisions_gradients(self, one_label):
+        model, emb, labels, comps = collision_batch(17, one_label)
+        report = check_gradients(
+            lambda: loss_negative(model, emb, labels, comps), model.params(), tol=1e-4
+        )
+        assert report.ok, report.summary()
 
     def test_gradients(self):
         provider, model, rng = random_model(15, tau=0.25)
@@ -355,6 +391,26 @@ class TestLossPhase1:
             for p, g in zip(model.params(), want_grads):
                 np.testing.assert_allclose(p.grad, g, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("one_label", [False, True], ids=["two-classes", "one-label"])
+    def test_sum_on_collisions(self, one_label):
+        # value within 1e-12; each gradient within 1e-12 of its largest entry
+        for seed in range(5):
+            model, emb, labels, comps = collision_batch(600 + seed, one_label)
+            lam = 0.05 + seed
+            pos = loss_positive(model, emb, labels)
+            pos_grads = [p.grad.copy() for p in model.params()]
+            for p in model.params():
+                p.zero_grad()
+            neg = loss_negative(model, emb, labels, comps)
+            want_grads = [g + lam * p.grad for p, g in zip(model.params(), pos_grads)]
+            for p in model.params():
+                p.zero_grad()
+            assert abs(loss_phase1(model, emb, labels, comps, lam) - (pos + lam * neg)) <= 1e-12
+            for p, g in zip(model.params(), want_grads):
+                np.testing.assert_allclose(p.grad, g, rtol=0,
+                                           atol=1e-12 * np.max(np.abs(g)), err_msg=p.name)
+                p.zero_grad()
+
     def test_lambda_zero_is_loss_positive(self):
         provider, model, rng = random_model(17)
         labels = rng.integers(0, provider.num_classes, size=4)
@@ -372,6 +428,56 @@ class TestLossPhase1:
         with pytest.raises(ContractError):
             loss_negative(model, provider.image_embeddings[:4], labels, None)
         assert not any(np.any(p.grad) for p in model.params())
+
+
+class TestClassRange:
+    """Labels and complements outside [0, C) are refused before any work: a
+    negative one would otherwise wrap to another class."""
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize("loss", ["loss_positive", "loss_negative", "loss_phase1"])
+    def test_phase1_label_out_of_range(self, loss, bad):
+        provider, model, _ = random_model(21, c=3)
+        labels = np.array([1, bad, 0])
+        comps = np.array([0, 1, 2])
+        call = {
+            "loss_positive": lambda: loss_positive(model, provider.image_embeddings[:3], labels),
+            "loss_negative": lambda: loss_negative(model, provider.image_embeddings[:3],
+                                                   labels, comps),
+            "loss_phase1": lambda: loss_phase1(model, provider.image_embeddings[:3],
+                                               labels, comps, 0.5),
+        }[loss]
+        with pytest.raises(ContractError, match=f"label {bad} at row 1 is outside the 3 classes"):
+            call()
+        assert not any(np.any(p.grad) for p in model.params())
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize("loss", ["loss_negative", "loss_phase1"])
+    def test_complement_out_of_range(self, loss, bad):
+        provider, model, _ = random_model(22, c=3)
+        labels = np.array([1, 2, 0])
+        comps = np.array([0, 1, bad])
+        fn = loss_negative if loss == "loss_negative" else (
+            lambda m, e, y, h: loss_phase1(m, e, y, h, 0.5))
+        with pytest.raises(ContractError,
+                           match=f"complement {bad} at row 2 is outside the 3 classes"):
+            fn(model, provider.image_embeddings[:3], labels, comps)
+        assert not any(np.any(p.grad) for p in model.params())
+
+    def test_wrapped_label_no_longer_aliases(self):
+        provider, model, _ = random_model(23, c=3)
+        emb = provider.image_embeddings[:2]
+        with pytest.raises(ContractError):
+            loss_positive(model, emb, [-1, 0])
+        loss_positive(model, emb, [2, 0])  # the class -1 used to wrap to
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_fft_label_out_of_range(self, bad):
+        enc = init_fft_encoder(5, 4, 8, SeededRng(1))
+        emb = normalize_rows(np.random.default_rng(0).normal(size=(3, 5)))
+        with pytest.raises(ContractError, match=f"label {bad} at row 0 is outside the 4 classes"):
+            loss_fft(enc, emb, np.array([bad, 1, 2]))
+        assert not any(np.any(p.grad) for p in enc.params())
 
 
 class TestDrawComplements:

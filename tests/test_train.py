@@ -385,6 +385,36 @@ class TestMomentum:
         rel = np.max(np.abs(diff_n - expected) / np.maximum(np.abs(expected), 1e-300))
         assert rel <= 1e-9
 
+    def test_flat_twin_matches_per_tensor_loop_bitwise(self):
+        # the flat EMA against the per-tensor loop it replaced, over 60 steps:
+        # the first 5 before an optimizer binds the primary, then bound to one
+        # optimizer, and from step 30 to a second one (new value arrays)
+        from coft.grad import accumulate_grad
+
+        enc = init_fft_encoder(6, 3, 12, SeededRng(10))
+        rng = np.random.default_rng(3)
+        for p in enc.params():
+            p.value[:] = rng.normal(size=p.shape)
+        state = MomentumState(enc, mu=0.9, tau_prime=0.2, capacity=4)
+        reference = [mp.value.copy() for mp in state.momentum.params()]
+        opt = Adam(0.01)
+        for i in range(60):
+            if i == 30:
+                opt = Adam(0.01)
+            if i >= 5:
+                for p in enc.params():
+                    accumulate_grad(p, rng.normal(size=p.shape))
+                step(opt, enc.params())
+            else:  # unbound: in-place writes must reach the next update
+                for p in enc.params():
+                    p.value += rng.normal(size=p.shape)
+            momentum_update(state, enc)
+            for ref, pp in zip(reference, enc.params()):
+                ref *= 0.9
+                ref += (1.0 - 0.9) * pp.value
+        for mp, ref in zip(state.momentum.params(), reference):
+            assert mp.value.tobytes() == ref.tobytes()
+
     def test_mu_one_excluded(self):
         enc = init_fft_encoder(4, 2, 6, SeededRng(3))
         from coft.errors import DomainError

@@ -27,8 +27,9 @@ import subprocess
 import sys
 import tempfile
 
+import checkout_worker
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FIGURES = (("zero-shot %", "zero_shot_pct"), ("coft gain", "coft_gain"),
            ("plus - coft", "plus_delta"))
 
@@ -50,11 +51,7 @@ def run_seed(spec: dict, seed: int, root: str) -> dict:
 
 def worker(checkout: str, spec: dict, seeds: list) -> None:
     """One JSON line per seed on stdout; a progress line per seed on stderr."""
-    import coft
-
-    src = os.path.realpath(os.path.join(checkout, "src"))
-    if os.path.commonpath([src, os.path.realpath(coft.__file__)]) != src:
-        raise SystemExit(f"coft imported from {coft.__file__}, not from {src}")
+    checkout_worker.check_import(checkout)
     with tempfile.TemporaryDirectory(prefix="coft-envelope-") as root:
         for seed in seeds:
             print(json.dumps(run_seed(spec, seed, root)), flush=True)
@@ -62,12 +59,9 @@ def worker(checkout: str, spec: dict, seeds: list) -> None:
 
 
 def start_worker(checkout: str, spec: dict, seeds: list) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    env.update({var: "1" for var in BLAS_VARS})
-    return subprocess.Popen(
-        [sys.executable, os.path.abspath(__file__), "--worker", checkout,
-         "--spec", json.dumps(spec), "--seeds", f"{seeds[0]}-{seeds[-1]}"],
-        env=env, stdout=subprocess.PIPE, text=True)
+    return checkout_worker.start(__file__, checkout, "--spec", json.dumps(spec),
+                                 "--seeds", f"{seeds[0]}-{seeds[-1]}",
+                                 stdout=subprocess.PIPE)
 
 
 def figures(record: dict) -> dict:
@@ -121,10 +115,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
     from test_acceptance import ACCEPTANCE_SPEC, SEEDS
 
-    checkouts = [os.path.abspath(c) for c in args.checkouts]
-    for checkout in checkouts:
-        if not os.path.isfile(os.path.join(checkout, "src", "coft", "__init__.py")):
-            parser.error(f"no coft sources under {checkout}/src")
+    checkouts = checkout_worker.require_sources(parser, args.checkouts)
     procs = [start_worker(c, ACCEPTANCE_SPEC, seeds) for c in checkouts]
     outs = [proc.communicate()[0] for proc in procs]
     for checkout, proc in zip(checkouts, procs):

@@ -1,0 +1,187 @@
+"""Per-step timings of two source checkouts, layer by layer.
+
+    python3 tools/stepbench.py CHECKOUT_A CHECKOUT_B [--rounds N] [--reps N]
+
+It times four training steps at two shapes, batch 32:
+
+* ``phase1``: ``loss_phase1`` then an optimizer ``step`` of one prompt+adapter
+  model;
+* ``student``: ``loss_fft`` then ``step`` of one student;
+* ``coft-plus``: a coft-plus student step: ``loss_fft``, ``augment_two_views``,
+  ``loss_contrastive``, ``step`` and ``momentum_update``;
+* ``adam``: ``step`` alone, over a student's tensors;
+
+at ``accept`` (10 classes x 64-d, the acceptance set) and ``scale``
+(100 classes x 256-d). Each checkout runs in its own worker process,
+importing `coft` from that checkout's `src/`, with BLAS at 1 thread. Both
+workers build the same fixtures from the same seeds and warm every step
+first (the optimizers bind, the adapter leaves its identity start). Then, in
+each round and for each step and shape, the two workers take turns, one at a
+time, each running ``WARM`` untimed steps and then timing ``reps``
+consecutive ones; the side that goes first alternates from round to round.
+
+It prints a markdown table: per step and shape, the median over rounds of
+each side's time per step (microseconds), the ratio B / A and the number of
+rounds in which B was faster.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from time import perf_counter
+
+import checkout_worker
+
+SHAPES = {"accept": (10, 64), "scale": (100, 256)}
+STEPS = ("phase1", "student", "coft-plus", "adam")
+BATCH = 32
+SAMPLES = 512
+WARM = 5  # untimed steps per turn, after the other worker's turn has run
+
+
+def build_steps(classes: int, dim: int) -> dict:
+    """One zero-argument function per entry of ``STEPS``, at this shape, each
+    already run 10 times. `tests/test_step_calls.py` counts the calls of the
+    same steps."""
+    import numpy as np
+
+    from coft.core import SeededRng, normalize_rows
+    from coft.encoders import FrozenProvider, init_fft_encoder
+    from coft.grad import Adam, step
+    from coft.train import (MomentumState, TrainConfig, augment_two_views,
+                            draw_complements, init_adapted_model, loss_contrastive,
+                            loss_fft, loss_phase1, momentum_update)
+
+    rng = np.random.default_rng(0)
+    provider = FrozenProvider(normalize_rows(rng.normal(size=(SAMPLES, dim))),
+                              normalize_rows(rng.normal(size=(classes, dim))))
+    cfg = TrainConfig()
+    emb = provider.image_embeddings[:BATCH]
+    labels = rng.integers(0, classes, size=BATCH)
+    comps = draw_complements(labels, classes, SeededRng(1))
+
+    def student():
+        enc = init_fft_encoder(dim, classes, cfg.hidden_mult * dim, SeededRng(2))
+        return enc, enc.params(), Adam(cfg.lr_fft)
+
+    model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(3))
+    model_params, model_opt = model.params(), Adam(cfg.lr_peft)
+
+    def phase1():
+        loss_phase1(model, emb, labels, comps, cfg.lam)
+        step(model_opt, model_params)
+
+    enc, enc_params, enc_opt = student()
+
+    def student_step():
+        loss_fft(enc, emb, labels)
+        step(enc_opt, enc_params)
+
+    plus, plus_params, plus_opt = student()
+    state = MomentumState(plus, cfg.mu, cfg.tau_prime, cfg.queue_capacity)
+    aug_rng = SeededRng(4)
+
+    def plus_step():
+        loss_fft(plus, emb, labels)
+        views_q, views_k = augment_two_views(emb, aug_rng, cfg.aug_noise, cfg.aug_dropout)
+        loss_contrastive(plus, state, views_q, views_k, weight=cfg.gamma)
+        step(plus_opt, plus_params)
+        momentum_update(state, plus)
+
+    _, adam_params, adam_opt = student()
+
+    def adam():
+        step(adam_opt, adam_params)
+
+    fns = dict(zip(STEPS, (phase1, student_step, plus_step, adam)))
+    for fn in fns.values():
+        for _ in range(10):  # the queue fills past a batch, the optimizers bind
+            fn()
+    return fns
+
+
+def worker(checkout: str) -> None:
+    """Build every step, then answer each request line {"step", "shape",
+    "reps"} with the seconds per step of ``reps`` consecutive calls, made
+    after ``WARM`` untimed ones."""
+    checkout_worker.check_import(checkout)
+    fns = {shape: build_steps(*dims) for shape, dims in SHAPES.items()}
+    print("ready", flush=True)
+    for line in sys.stdin:
+        req = json.loads(line)
+        fn, reps = fns[req["shape"]][req["step"]], req["reps"]
+        for _ in range(WARM):
+            fn()
+        t0 = perf_counter()
+        for _ in range(reps):
+            fn()
+        print(json.dumps((perf_counter() - t0) / reps), flush=True)
+
+
+def start_worker(checkout: str) -> subprocess.Popen:
+    proc = checkout_worker.start(__file__, checkout, stdin=subprocess.PIPE,
+                                 stdout=subprocess.PIPE)
+    if proc.stdout.readline().strip() != "ready":
+        raise SystemExit(f"stepbench: worker for {checkout} failed to start")
+    return proc
+
+
+def timed(proc: subprocess.Popen, step: str, shape: str, reps: int) -> float:
+    proc.stdin.write(json.dumps({"step": step, "shape": shape, "reps": reps}) + "\n")
+    proc.stdin.flush()
+    return json.loads(proc.stdout.readline())
+
+
+def table(times: list, rounds: int) -> str:
+    """``times`` holds one {(step, shape): [seconds per step, one per round]}
+    dict per checkout."""
+    lines = ["| step | shape | A median (us) | B median (us) | B / A | rounds B faster |",
+             "|---|---|---|---|---|---|"]
+    for key in times[0]:
+        a, b = (statistics.median(side[key]) for side in times)
+        won = sum(tb < ta for ta, tb in zip(times[0][key], times[1][key]))
+        lines.append(f"| {key[0]} | {key[1]} | {a * 1e6:.1f} | {b * 1e6:.1f} "
+                     f"| {b / a:.3f} | {won}/{rounds} |")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkouts", nargs="*", help="two source checkouts, A then B")
+    parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--reps", type=int, default=100, help="steps timed per turn")
+    parser.add_argument("--worker", default=None, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        worker(args.worker)
+        return 0
+    if len(args.checkouts) != 2:
+        parser.error("give exactly two checkouts")
+    if args.rounds < 1 or args.reps < 1:
+        parser.error("--rounds and --reps must be at least 1")
+    checkouts = checkout_worker.require_sources(parser, args.checkouts)
+    procs = [start_worker(c) for c in checkouts]
+    keys = [(step, shape) for shape in SHAPES for step in STEPS]
+    times = [{key: [] for key in keys} for _ in procs]
+    try:
+        for r in range(args.rounds):
+            order = (0, 1) if r % 2 == 0 else (1, 0)
+            for key in keys:
+                for side in order:
+                    times[side][key].append(timed(procs[side], *key, args.reps))
+    finally:
+        for proc in procs:
+            proc.stdin.close()
+            proc.wait()
+    print(f"A = {checkouts[0]}\nB = {checkouts[1]}\n")
+    print(f"{args.rounds} rounds of {args.reps} steps per side, batch {BATCH}\n")
+    print(table(times, args.rounds))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
