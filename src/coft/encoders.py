@@ -7,8 +7,8 @@ unit-norm image embeddings and one unit-norm anchor per class.
 live:
 
   * PromptBank    - class-specific positive/negative contexts composed into
-                    per-class text embeddings (anchor k + context row k ->
-                    renormalize)
+                    one stacked (2C, d) text table, positive rows first
+                    (anchor k + context row k -> renormalize)
   * VisualAdapter - low-rank residual over a frozen image embedding,
                     renormalized; exact identity while its up-projection is 0
   * FFTEncoder    - residual two-layer MLP over raw embeddings plus a linear
@@ -128,7 +128,8 @@ class PromptBank:
     context variant), so each class's text can move on its own.
 
     The per-class anchors are read from the shared provider; only the two
-    context tables train.
+    context tables train. ``compose_texts`` turns both into one stacked
+    (2C, d) text table, positive rows first.
     """
 
     pos_context: ParamTensor
@@ -136,13 +137,6 @@ class PromptBank:
 
     def params(self):
         return [self.pos_context, self.neg_context]
-
-    def _context(self, polarity: str) -> ParamTensor:
-        if polarity == "positive":
-            return self.pos_context
-        if polarity == "negative":
-            return self.neg_context
-        raise DomainError(f"polarity must be 'positive' or 'negative', got {polarity!r}")
 
 
 def init_prompt_bank(provider: FrozenProvider, rng: SeededRng, sigma: float = 0.02,
@@ -159,37 +153,42 @@ def init_prompt_bank(provider: FrozenProvider, rng: SeededRng, sigma: float = 0.
 
 @dataclass
 class _ComposeCache:
-    context: ParamTensor
-    texts: np.ndarray   # (C, d) normalized
-    norms: np.ndarray   # (C,) pre-normalization row norms
+    bank: PromptBank
+    texts: np.ndarray   # (2C, d) normalized
+    norms: np.ndarray   # (2C,) pre-normalization row norms
 
 
-def compose_texts(bank: PromptBank, provider: FrozenProvider, polarity: str):
-    """Text embeddings for every class: normalize(anchor_k + ctx_k).
-
-    Returns (texts (C, d), cache for the backward pass).
-    """
-    ctx = bank._context(polarity)
+def compose_texts(bank: PromptBank, provider: FrozenProvider):
+    """Both polarities' text embeddings as one (2C, d) table: row k is
+    normalize(anchor_k + pos_k), row C + k is normalize(anchor_k + neg_k).
+    Returns (texts, cache for the backward pass)."""
+    anchors = provider.class_anchors
+    c = anchors.shape[0]
+    pre = np.empty((2 * c, anchors.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        pre = provider.class_anchors + ctx.value
+        np.add(anchors, bank.pos_context.value, out=pre[:c])
+        np.add(anchors, bank.neg_context.value, out=pre[c:])
         norms = row_norms(pre)
     if not np.logical_and.reduce(np.isfinite(norms)):
-        raise TrainingError(f"composed {polarity} text embedding is non-finite: "
+        ctx = bank.params()[int(np.flatnonzero(~np.isfinite(norms))[0]) // c]
+        raise TrainingError(f"composed text embedding is non-finite: "
                             f"{ctx.name!r} overflowed", param_name=ctx.name)
     if np.logical_or.reduce(norms == 0.0):
         raise DomainError("composed text embedding collapsed to zero norm")
     texts = pre / norms[:, None]
-    return texts, _ComposeCache(context=ctx, texts=texts, norms=norms)
+    return texts, _ComposeCache(bank=bank, texts=texts, norms=norms)
 
 
 def compose_texts_backward(cache: _ComposeCache, d_texts) -> None:
-    """Accumulate d(loss)/d(context) given d(loss)/d(texts)."""
+    """Accumulate d(loss)/d(contexts) given d(loss)/d(texts), both (2C, d)."""
     d_texts = as_f64(d_texts)
     t = cache.texts
     # back through row-wise normalize: (g - (g.t) t) / |pre|
     proj = np.add.reduce(d_texts * t, axis=1, keepdims=True)
     d_pre = (d_texts - proj * t) / cache.norms[:, None]
-    accumulate_grad(cache.context, d_pre)
+    c = t.shape[0] // 2
+    accumulate_grad(cache.bank.pos_context, d_pre[:c])
+    accumulate_grad(cache.bank.neg_context, d_pre[c:])
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ students with the same trainer, ``train_fft``, adding a weighted
 momentum-contrastive term over all samples. The iterated variant repeats
 phase 1 with re-initialized models on each round's fresh top-K selection.
 
-Phase 1's negative-prompt term reads one stacked (2C, d) text table, the
-positive texts over the negative ones: one gather takes each sample's four
-rows (both polarities of its label and of its complement), batched matrix
-products give the four similarities and the adapter gradient, one softplus
-covers the (n, 2) margins, and one (n, 2C)-transposed product scatters the
-gradients of both text tables. Labels and complements outside [0, C) are
-refused, since a wrong index would read another class or the other polarity.
+A model's texts are one stacked (2C, d) table, positive rows over negative
+ones, composed and back-propagated once per phase-1 step. The positive term
+reads the top C rows; the negative-prompt term takes each sample's four rows
+(both polarities of its label and of its complement) in one gather, and one
+(n, 2C)-transposed product scatters their gradients. The losses and
+``clean_probability`` refuse labels and complements outside [0, C): a wrong
+index would read another class or the other polarity.
 
 Both phases train through one epoch loop, ``_train_epochs``: it owns the
 optimizer, the batch walk, the failure rules (a non-finite forward pass, or
@@ -250,14 +250,13 @@ def loss_positive(model: AdaptedModel, embeddings, labels) -> float:
 def clean_probability(model: AdaptedModel, embedding, label: int) -> float:
     """Two-way softmax at the model's temperature between the positive- and
     negative-prompt similarities of ``label``; > 0.5 means the positive wins."""
-    if not 0 <= label < model.provider.num_classes:
-        raise IndexError(f"label {label} out of range")
+    num_classes = model.provider.num_classes
+    _check_classes("clean_probability", "label", np.array([label]), num_classes)
     emb = as_f64(embedding)
-    texts_p, _ = compose_texts(model.bank, model.provider, "positive")
-    texts_n, _ = compose_texts(model.bank, model.provider, "negative")
+    texts, _ = compose_texts(model.bank, model.provider)
     visual, _ = adapt_batch(model.adapter, emb[None, :])
-    sp = float(visual[0] @ texts_p[label])
-    sn = float(visual[0] @ texts_n[label])
+    sp = float(visual[0] @ texts[label])
+    sn = float(visual[0] @ texts[num_classes + label])
     return float(1.0 / (1.0 + np.exp(-(sp - sn) / model.tau)))
 
 
@@ -360,20 +359,18 @@ def _phase1_terms(model, embeddings, labels, complements, w_pos, w_neg, name):
     if complements is not None:
         comp = np.asarray(complements, dtype=np.int64)
         _check_complements(name, num_classes, labels, comp)
-    texts_p, pcache = compose_texts(model.bank, model.provider, "positive")
-    pos = neg = d_texts_p = None
-    if w_pos is not None:
-        pos, d_texts_p = _positive_terms(emb, texts_p, labels, model.tau_pos, w_pos)
-    if complements is not None:
-        texts_n, ncache = compose_texts(model.bank, model.provider, "negative")
+    texts, tcache = compose_texts(model.bank, model.provider)
+    pos = neg = None
+    if complements is None:
+        d_texts = np.zeros(texts.shape)
+    else:
         visual, acache = adapt_batch(model.adapter, emb)
-        neg, d_visual, d_texts = _negative_terms(
-            visual, np.concatenate((texts_p, texts_n)), labels, comp, model.tau, w_neg)
+        neg, d_visual, d_texts = _negative_terms(visual, texts, labels, comp, model.tau, w_neg)
         adapt_batch_backward(acache, d_visual)
-        compose_texts_backward(ncache, d_texts[num_classes:])
-        d_neg_p = d_texts[:num_classes]
-        d_texts_p = d_neg_p if d_texts_p is None else d_texts_p + d_neg_p
-    compose_texts_backward(pcache, d_texts_p)
+    if w_pos is not None:
+        pos, d_pos = _positive_terms(emb, texts[:num_classes], labels, model.tau_pos, w_pos)
+        d_texts[:num_classes] += d_pos
+    compose_texts_backward(tcache, d_texts)
     return pos, neg
 
 
@@ -477,8 +474,9 @@ def train_phase1(model: AdaptedModel, selected: PseudoLabelSet, cfg: TrainConfig
 def generate_labels(model: AdaptedModel) -> PseudoLabelSet:
     """The model's own pseudo-labels over every sample: its positive texts
     against the frozen embeddings, with softmax-at-tau_pos confidences."""
-    texts, _ = compose_texts(model.bank, model.provider, "positive")
-    return assign_pseudo_labels(model.provider.image_embeddings, texts, model.tau_pos,
+    texts, _ = compose_texts(model.bank, model.provider)
+    positive = texts[:model.provider.num_classes]
+    return assign_pseudo_labels(model.provider.image_embeddings, positive, model.tau_pos,
                                 generator=model.model_id)
 
 
@@ -512,12 +510,11 @@ def collaborative_filter(generator: AdaptedModel, validator: AdaptedModel) -> Fi
     labelset = generate_labels(generator)  # row == sample id
     labels = labelset.labels()
 
-    texts_p, _ = compose_texts(validator.bank, provider, "positive")
-    texts_n, _ = compose_texts(validator.bank, provider, "negative")
+    texts, _ = compose_texts(validator.bank, provider)
     for rows in row_blocks(labels.size):
         visual, _ = adapt_batch(validator.adapter, provider.image_embeddings[rows])
-        sim_pos = np.sum(visual * texts_p[labels[rows]], axis=1)
-        sim_neg = np.sum(visual * texts_n[labels[rows]], axis=1)
+        sim_pos = np.sum(visual * texts[labels[rows]], axis=1)
+        sim_neg = np.sum(visual * texts[labels[rows] + provider.num_classes], axis=1)
         for row, clean in zip(range(rows.start, rows.stop), (sim_pos > sim_neg).tolist()):
             labelset.mark(row, "clean" if clean else "noise")
     return FilterResult(generator.model_id, validator.model_id, labelset)

@@ -90,20 +90,27 @@ class TestFrozenProvider:
         assert emb.flags.writeable
 
 
+def halves(texts, p):
+    """The positive and negative (C, d) halves of a stacked text table."""
+    assert texts.shape == (2 * p.num_classes, p.dim)
+    return texts[:p.num_classes], texts[p.num_classes:]
+
+
 class TestComposeText:
     def test_zero_context_returns_anchor(self):
         p = make_provider()
         bank = init_prompt_bank(p, SeededRng(1).stream("m1"))
         bank.pos_context.value[:] = 0.0
-        texts, _ = compose_texts(bank, p, "positive")
-        np.testing.assert_allclose(texts, p.class_anchors, atol=1e-12)
+        bank.neg_context.value[:] = 0.0
+        texts, _ = compose_texts(bank, p)
+        for half in halves(texts, p):
+            np.testing.assert_allclose(half, p.class_anchors, atol=1e-12)
 
     def test_identical_contexts_identical_embeddings(self):
         p = make_provider()
         bank = init_prompt_bank(p, SeededRng(2).stream("m1"))
         bank.neg_context.value[:] = bank.pos_context.value
-        tp, _ = compose_texts(bank, p, "positive")
-        tn, _ = compose_texts(bank, p, "negative")
+        tp, tn = halves(compose_texts(bank, p)[0], p)
         np.testing.assert_array_equal(tp, tn)
 
     def test_one_token_hand_case(self):
@@ -113,42 +120,57 @@ class TestComposeText:
         p = FrozenProvider(emb, anchors)
         bank = init_prompt_bank(p, SeededRng(3))
         bank.pos_context.value[:] = 0.0
-        bank.pos_context.value[1, 0] = 1.0  # class 1's context token e1
-        out = compose_texts(bank, p, "positive")[0][1]
+        bank.pos_context.value[1, 0] = 1.0  # class 1's positive context token e1
+        bank.neg_context.value[:] = 0.0
+        bank.neg_context.value[0, 2] = 1.0  # class 0's negative context token e3
+        tp, tn = halves(compose_texts(bank, p)[0], p)
         expected = np.zeros(d)
         expected[0] = expected[1] = 1.0 / np.sqrt(2.0)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        np.testing.assert_allclose(tp[1], expected, atol=1e-12)
+        expected = np.zeros(d)
+        expected[0] = expected[2] = 1.0 / np.sqrt(2.0)
+        np.testing.assert_allclose(tn[0], expected, atol=1e-12)
+        np.testing.assert_allclose(tp[0], anchors[0], atol=1e-12)
+        np.testing.assert_allclose(tn[1], anchors[1], atol=1e-12)
 
     def test_class_specific_rows(self):
-        # row k of a context table moves class k's text and no other
+        # row k of a context table moves its polarity's class-k text and no other
         p = make_provider(c=4, seed=5)
         bank = init_prompt_bank(p, SeededRng(12).stream("m1"), sigma=0.3)
-        assert bank.pos_context.shape == (p.num_classes, p.dim)
-        before, _ = compose_texts(bank, p, "positive")
-        bank.pos_context.value[2] += 0.5
-        after, _ = compose_texts(bank, p, "positive")
-        changed = np.any(before != after, axis=1)
-        assert changed.tolist() == [False, False, True, False]
-        want = p.class_anchors[2] + bank.pos_context.value[2]
-        np.testing.assert_allclose(after[2], want / np.linalg.norm(want), atol=1e-12)
+        for i, ctx in enumerate(bank.params()):
+            assert ctx.shape == (p.num_classes, p.dim)
+            before, _ = compose_texts(bank, p)
+            ctx.value[2] += 0.5
+            after, _ = compose_texts(bank, p)
+            changed = np.any(before != after, axis=1)
+            assert np.flatnonzero(changed).tolist() == [i * p.num_classes + 2]
+            want = p.class_anchors[2] + ctx.value[2]
+            np.testing.assert_allclose(after[i * p.num_classes + 2],
+                                       want / np.linalg.norm(want), atol=1e-12)
 
     def test_overflowed_context_names_the_parameter(self):
         from coft.errors import TrainingError
 
         p = make_provider()
-        bank = init_prompt_bank(p, SeededRng(13), name_prefix="m/")
-        bank.neg_context.value[1] = 1e308
-        with pytest.raises(TrainingError) as exc:
-            compose_texts(bank, p, "negative")
-        assert exc.value.param_name == "m/neg_context"
+        for tensor in ("pos_context", "neg_context"):
+            bank = init_prompt_bank(p, SeededRng(13), name_prefix="m/")
+            getattr(bank, tensor).value[1] = 1e308
+            with pytest.raises(TrainingError) as exc:
+                compose_texts(bank, p)
+            assert exc.value.param_name == f"m/{tensor}"
+            assert f"'m/{tensor}'" in str(exc.value)
 
     def test_output_normalized_random_contexts(self):
+        # each half is normalize(anchor + ctx) of its polarity, bit for bit
         p = make_provider(seed=4)
         for i in range(20):
             bank = init_prompt_bank(p, SeededRng(10 + i).stream("m1"), sigma=0.5)
-            for pol in ("positive", "negative"):
-                t, _ = compose_texts(bank, p, pol)
-                np.testing.assert_allclose(np.linalg.norm(t, axis=1), 1.0, atol=1e-9)
+            texts, _ = compose_texts(bank, p)
+            np.testing.assert_allclose(np.linalg.norm(texts, axis=1), 1.0, atol=1e-9)
+            for half, ctx in zip(halves(texts, p), bank.params()):
+                pre = p.class_anchors + ctx.value
+                want = pre / np.linalg.norm(pre, axis=1, keepdims=True)
+                assert half.tobytes() == want.tobytes()
 
     def test_distinct_pos_neg_at_init(self):
         p = make_provider()
@@ -158,14 +180,14 @@ class TestComposeText:
     def test_gradient_matches_fd(self):
         p = make_provider(c=4, d=6, seed=8)
         bank = init_prompt_bank(p, SeededRng(9).stream("m1"), sigma=0.3)
-        w = np.random.default_rng(0).normal(size=(4, 6))  # fixed projection of texts
+        w = np.random.default_rng(0).normal(size=(8, 6))  # fixed projection of all 2C rows
 
         def loss():
-            texts, cache = compose_texts(bank, p, "positive")
+            texts, cache = compose_texts(bank, p)
             compose_texts_backward(cache, w * 2.0 * (texts - 0.1))
             return float(np.sum((texts - 0.1) ** 2 * w))
 
-        report = check_gradients(loss, [bank.pos_context], tol=1e-4)
+        report = check_gradients(loss, [bank.pos_context, bank.neg_context], tol=1e-4)
         assert report.ok, report.summary()
 
 

@@ -267,9 +267,11 @@ class TestCleanProbability:
             assert 0.0 < got < 1.0
 
     def test_label_range(self):
+        # -1 would read the last row of the stacked table, a negative text
         provider, model, _ = random_model(9)
-        with pytest.raises(IndexError):
-            clean_probability(model, provider.image_embeddings[0], provider.num_classes)
+        for label in (provider.num_classes, -1):
+            with pytest.raises(ContractError, match=f"label {label} at row 0"):
+                clean_probability(model, provider.image_embeddings[0], label)
 
 
 class TestLossNegative:

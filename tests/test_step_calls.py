@@ -15,27 +15,11 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from stepbench import build_steps  # noqa: E402  (the steps tools/stepbench.py times)
+from stepbench import build_steps, python_calls  # noqa: E402  (what tools/stepbench.py times)
 
 CLASSES, DIM = 10, 64
 # numpy's Python wrappers around ufunc reductions; no step may call them
 WRAPPER_FILES = ("fromnumeric.py", "_methods.py", "_linalg.py")
-
-
-def python_calls(fn) -> list:
-    """Code objects of the Python-level calls ``fn()`` makes, in call order."""
-    codes = []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            codes.append(frame.f_code)
-
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return codes[1:]  # codes[0] is fn itself
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +27,10 @@ def steps():
     return build_steps(CLASSES, DIM)
 
 
-# The parent of the change that pinned these made 140, 54 and 137 calls.
-PINNED = {"phase1": 54, "student": 35, "coft-plus": 83}
+# Phase 1 made 140 calls before the reductions went straight to ufuncs, and
+# 54 before it composed one stacked text table per step; the student steps
+# made 54 and 137 before the ufunc change.
+PINNED = {"phase1": 42, "student": 35, "coft-plus": 83}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -55,3 +41,9 @@ def test_step_call_count_is_pinned(steps, name):
     assert not wrappers, f"{name} step calls numpy reduction wrappers: {wrappers}"
     assert len(codes) == PINNED[name]
 
+
+def test_phase1_composes_the_text_table_once(steps):
+    names = [c.co_name for c in python_calls(steps["phase1"])
+             if c.co_filename.endswith("encoders.py")]
+    assert names.count("compose_texts") == 1
+    assert names.count("compose_texts_backward") == 1

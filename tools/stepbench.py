@@ -20,9 +20,12 @@ each round and for each step and shape, the two workers take turns, one at a
 time, each running ``WARM`` untimed steps and then timing ``reps``
 consecutive ones; the side that goes first alternates from round to round.
 
-It prints a markdown table: per step and shape, the median over rounds of
-each side's time per step (microseconds), the ratio B / A and the number of
-rounds in which B was faster.
+It prints a markdown table: per step and shape, each side's Python-level
+calls per step (counted once, warm, with ``sys.setprofile``), the median over
+rounds of each side's time per step (microseconds), the ratio B / A and the
+number of rounds in which B was faster. The call counts are deterministic, so
+they show a change to a step's code path that the times are too noisy to
+resolve.
 """
 
 from __future__ import annotations
@@ -41,6 +44,22 @@ STEPS = ("phase1", "student", "coft-plus", "adam")
 BATCH = 32
 SAMPLES = 512
 WARM = 5  # untimed steps per turn, after the other worker's turn has run
+
+
+def python_calls(fn) -> list:
+    """Code objects of the Python-level calls ``fn()`` makes, in call order."""
+    codes = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return codes[1:]  # codes[0] is fn itself
 
 
 def build_steps(classes: int, dim: int) -> dict:
@@ -105,12 +124,15 @@ def build_steps(classes: int, dim: int) -> dict:
 
 
 def worker(checkout: str) -> None:
-    """Build every step, then answer each request line {"step", "shape",
-    "reps"} with the seconds per step of ``reps`` consecutive calls, made
-    after ``WARM`` untimed ones."""
+    """Build every step and print one line, the calls per step as
+    [[step, shape, calls], ...]; then answer each request line {"step",
+    "shape", "reps"} with the seconds per step of ``reps`` consecutive calls,
+    made after ``WARM`` untimed ones."""
     checkout_worker.check_import(checkout)
     fns = {shape: build_steps(*dims) for shape, dims in SHAPES.items()}
-    print("ready", flush=True)
+    print(json.dumps([[step, shape, len(python_calls(fn))]
+                      for shape, steps in fns.items() for step, fn in steps.items()]),
+          flush=True)
     for line in sys.stdin:
         req = json.loads(line)
         fn, reps = fns[req["shape"]][req["step"]], req["reps"]
@@ -122,12 +144,15 @@ def worker(checkout: str) -> None:
         print(json.dumps((perf_counter() - t0) / reps), flush=True)
 
 
-def start_worker(checkout: str) -> subprocess.Popen:
+def start_worker(checkout: str):
+    """The worker process and its {(step, shape): calls per step}."""
     proc = checkout_worker.start(__file__, checkout, stdin=subprocess.PIPE,
                                  stdout=subprocess.PIPE)
-    if proc.stdout.readline().strip() != "ready":
-        raise SystemExit(f"stepbench: worker for {checkout} failed to start")
-    return proc
+    try:
+        calls = {(step, shape): n for step, shape, n in json.loads(proc.stdout.readline())}
+    except ValueError:
+        raise SystemExit(f"stepbench: worker for {checkout} failed to start") from None
+    return proc, calls
 
 
 def timed(proc: subprocess.Popen, step: str, shape: str, reps: int) -> float:
@@ -136,16 +161,17 @@ def timed(proc: subprocess.Popen, step: str, shape: str, reps: int) -> float:
     return json.loads(proc.stdout.readline())
 
 
-def table(times: list, rounds: int) -> str:
+def table(times: list, calls: list, rounds: int) -> str:
     """``times`` holds one {(step, shape): [seconds per step, one per round]}
-    dict per checkout."""
-    lines = ["| step | shape | A median (us) | B median (us) | B / A | rounds B faster |",
-             "|---|---|---|---|---|---|"]
+    dict per checkout, ``calls`` one {(step, shape): calls per step}."""
+    lines = ["| step | shape | A calls | B calls | A median (us) | B median (us) | B / A "
+             "| rounds B faster |",
+             "|---|---|---|---|---|---|---|---|"]
     for key in times[0]:
         a, b = (statistics.median(side[key]) for side in times)
         won = sum(tb < ta for ta, tb in zip(times[0][key], times[1][key]))
-        lines.append(f"| {key[0]} | {key[1]} | {a * 1e6:.1f} | {b * 1e6:.1f} "
-                     f"| {b / a:.3f} | {won}/{rounds} |")
+        lines.append(f"| {key[0]} | {key[1]} | {calls[0][key]} | {calls[1][key]} "
+                     f"| {a * 1e6:.1f} | {b * 1e6:.1f} | {b / a:.3f} | {won}/{rounds} |")
     return "\n".join(lines)
 
 
@@ -164,7 +190,7 @@ def main(argv=None) -> int:
     if args.rounds < 1 or args.reps < 1:
         parser.error("--rounds and --reps must be at least 1")
     checkouts = checkout_worker.require_sources(parser, args.checkouts)
-    procs = [start_worker(c) for c in checkouts]
+    procs, calls = zip(*(start_worker(c) for c in checkouts))
     keys = [(step, shape) for shape in SHAPES for step in STEPS]
     times = [{key: [] for key in keys} for _ in procs]
     try:
@@ -179,7 +205,7 @@ def main(argv=None) -> int:
             proc.wait()
     print(f"A = {checkouts[0]}\nB = {checkouts[1]}\n")
     print(f"{args.rounds} rounds of {args.reps} steps per side, batch {BATCH}\n")
-    print(table(times, args.rounds))
+    print(table(times, calls, args.rounds))
     return 0
 
 
