@@ -20,6 +20,7 @@ neither flag nor file does.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import typing
@@ -30,7 +31,6 @@ from .core import atomic_write, read_manifest
 from .data import (
     SyntheticSpec,
     generate_synthetic,
-    ingest_templates,
     load_dataset,
     load_ground_truth,
     save_dataset,
@@ -70,7 +70,6 @@ class RunConfig:
     mode: str = "coft"
     seed: int = 0
     dataset: str = ""
-    templates: str = ""
     out: str = "coft-run"
     train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
     synth: SyntheticSpec = dataclasses.field(
@@ -78,7 +77,9 @@ class RunConfig:
     )
 
 
-_TOP_FIELDS = {"mode": str, "seed": int, "dataset": str, "templates": str, "out": str}
+# the top-level (undotted) keys with their types: every field but the sections
+_TOP_FIELDS = {name: typ for name, typ in typing.get_type_hints(RunConfig).items()
+               if not dataclasses.is_dataclass(typ)}
 
 
 def _coerce(key: str, raw: str, typ):
@@ -137,8 +138,7 @@ def apply_config_values(rc: RunConfig, values: dict) -> RunConfig:
 def resolved_config_text(rc: RunConfig) -> str:
     """One ``key = value`` line per field; ConfigError for a value holding
     ``#``, which would read back as the start of a comment."""
-    lines = [f"{k} = {getattr(rc, k)}" for k in ("mode", "seed", "dataset",
-                                                 "templates", "out")]
+    lines = [f"{k} = {getattr(rc, k)}" for k in _TOP_FIELDS]
     for section, obj in (("train", rc.train), ("synth", rc.synth)):
         for f in sorted(dataclasses.fields(obj), key=lambda f: f.name):
             lines.append(f"{section}.{f.name} = {getattr(obj, f.name)}")
@@ -148,9 +148,13 @@ def resolved_config_text(rc: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("coft", "coft-plus"):
-        raise ConfigError(f"mode must be coft or coft-plus, got {mode!r}")
+def _check_run_config(rc: RunConfig) -> None:
+    """ConfigError for a mode, seed or training value that no run can use."""
+    if rc.mode not in ("coft", "coft-plus"):
+        raise ConfigError(f"mode must be coft or coft-plus, got {rc.mode!r}")
+    if not 0 <= rc.seed < 2**64:
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {rc.seed}")
+    rc.train.validate()
 
 
 def load_run_config(run_dir) -> RunConfig:
@@ -160,8 +164,7 @@ def load_run_config(run_dir) -> RunConfig:
     values = parse_config_file(path)
     try:
         rc = apply_config_values(RunConfig(), values)
-        _check_mode(rc.mode)
-        rc.train.validate()
+        _check_run_config(rc)
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from None
     return rc
@@ -176,16 +179,13 @@ def _build_run_config(args) -> RunConfig:
             apply_config_values(rc, file_values)
         except ConfigError as e:
             raise ConfigError(f"{args.config}: {e}") from None
-    if args.seed is not None:
-        rc.seed = args.seed
-    elif "seed" not in file_values:
-        env_seed = os.environ.get("COFT_SEED")
-        if env_seed is not None:
-            rc.seed = _coerce("COFT_SEED", env_seed, int)
-    for flag in ("mode", "dataset", "templates", "out"):
-        value = getattr(args, flag, None)
+    for key in _TOP_FIELDS:
+        value = getattr(args, key, None)
         if value is not None:
-            setattr(rc, flag, value)
+            setattr(rc, key, value)
+    env_seed = os.environ.get("COFT_SEED")
+    if args.seed is None and "seed" not in file_values and env_seed is not None:
+        rc.seed = _coerce("COFT_SEED", env_seed, int)
     for flag, field in (
         ("rounds", "rounds"), ("gamma", "gamma"), ("lam", "lam"),
         ("k", "k_per_class"), ("tau", "tau"),
@@ -218,13 +218,10 @@ def cmd_synth(args) -> int:
 def cmd_run(args) -> int:
     rc = _build_run_config(args)
     # every check that can refuse the run comes before its first write
-    _check_mode(rc.mode)
-    rc.train.validate()
+    _check_run_config(rc)
     resolved_config_text(rc)  # refuses a value holding '#'
     if rc.dataset and not os.path.exists(rc.dataset):
         raise ConfigError(f"dataset manifest not found: {rc.dataset}")
-    if rc.templates and not os.path.exists(rc.templates):
-        raise ConfigError(f"template file not found: {rc.templates}")
     if not rc.dataset:
         # empty config is a valid run: synthesize the default benchmark
         ds, truth = generate_synthetic(dataclasses.replace(rc.synth, seed=rc.seed))
@@ -234,8 +231,7 @@ def cmd_run(args) -> int:
     with atomic_write(os.path.join(rc.out, RESOLVED_CONFIG_NAME)) as f:
         f.write(resolved_config_text(rc))
 
-    summary = run_pipeline(rc.dataset, rc.train, rc.mode, rc.seed, rc.out,
-                           templates_path=rc.templates or None)
+    summary = run_pipeline(rc.dataset, rc.train, rc.mode, rc.seed, rc.out)
     printable = {k: v for k, v in summary.items() if not isinstance(v, np.ndarray)}
     print(json.dumps({"event": "run_complete", **printable}, sort_keys=True))
     return EXIT_OK
@@ -282,12 +278,6 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
 
-    zero_texts = provider.class_anchors
-    if rc.templates:
-        if not os.path.exists(rc.templates):
-            raise ConfigError(f"template file not found: {rc.templates}")
-        zero_texts = ingest_templates(rc.templates, provider).anchors
-
     # every run file is read before the first record is printed, so a run
     # that cannot be read prints nothing
     ckpt_dir = os.path.join(args.run, "checkpoints")
@@ -304,7 +294,8 @@ def cmd_eval(args) -> int:
         exports = {fname: _load_labels(os.path.join(labels_dir, fname), provider)
                    for fname in sorted(os.listdir(labels_dir)) if fname.endswith(".jsonl")}
 
-    zero_shot = assign_pseudo_labels(provider.image_embeddings, zero_texts, rc.train.tau)
+    zero_shot = assign_pseudo_labels(provider.image_embeddings, provider.class_anchors,
+                                     rc.train.tau)
     _emit({"metric": "zero_shot_accuracy", "value": zero_shot.accuracy(truth)})
 
     for mid, model in zip(model_ids, models):
@@ -333,7 +324,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check_grads(args) -> int:
-    results = gradient_check_suite(instances=args.instances, seed=args.seed or 0,
+    # no instance, or a tolerance that is not a positive finite number, would
+    # verify nothing
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be at least 1, got {args.instances}")
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be a positive finite number, got {args.tol}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    results = gradient_check_suite(instances=args.instances, seed=args.seed,
                                    eps=args.eps, tol=args.tol)
     worst = {}
     ok = True
@@ -378,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the full pipeline")
     p.add_argument("--config", default=None, help="flat dotted-key config file")
     p.add_argument("--dataset", default=None, help="dataset manifest path")
-    p.add_argument("--templates", default=None, help="prompt template file")
     p.add_argument("--mode", choices=("coft", "coft-plus"), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)

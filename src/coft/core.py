@@ -32,7 +32,6 @@ __all__ = [
     "softmax_rows",
     "row_norms",
     "normalize_rows",
-    "stable_hash64",
     "SeededRng",
     "BLOCK_ROWS",
     "row_blocks",
@@ -221,11 +220,6 @@ def read_payload(path, shapes, checksum) -> list:
     return tables
 
 
-def stable_hash64(text: str) -> int:
-    """Platform- and process-stable 64-bit hash of a string."""
-    return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "little")
-
-
 def _derive_key(seed: int, label: str) -> int:
     # 128-bit Philox key derived from (seed, label); independent of PYTHONHASHSEED.
     digest = hashlib.blake2b(
@@ -257,9 +251,6 @@ class SeededRng:
 
     def normal(self, shape, scale: float = 1.0) -> np.ndarray:
         return self._gen.normal(0.0, scale, size=shape)
-
-    def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape)
 
     def random(self, shape=None):
         return self._gen.random(size=shape)

@@ -1,5 +1,4 @@
-"""Dataset files, the synthetic cluster benchmark, template ingestion, and
-metrics persistence.
+"""Dataset files, the synthetic cluster benchmark, and metrics persistence.
 
 On-disk layout for a dataset named ``foo``, written and read as one payload
 container (``core.write_container``: checksummed, each file moved into place
@@ -25,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SeededRng, as_f64, atomic_write, json_field, normalize_rows,
-                   read_manifest, read_payload, row_blocks, stable_hash64, write_container)
+from .core import (SeededRng, atomic_write, json_field, normalize_rows, read_manifest,
+                   read_payload, row_blocks, write_container)
 from .encoders import FrozenProvider
 from .errors import ConfigError, DomainError, FormatError
 
@@ -37,19 +36,11 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "load_ground_truth",
-    "TemplateSet",
-    "ingest_templates",
-    "rotate_rows",
     "MetricsWriter",
 ]
 
 _PAYLOAD_SUFFIX = ".f64le"
 _TRUTH_SUFFIX = ".truth"
-
-# rotate_rows applies this many Givens rotations per dimension, each by an
-# angle drawn from [-max, max]
-_ROTATION_SWEEPS = 2
-_ROTATION_MAX_ANGLE = 0.25
 
 
 @dataclass(frozen=True)
@@ -309,77 +300,6 @@ def load_ground_truth(manifest_path) -> np.ndarray:
         raise FormatError(f"{truth_path}: holds {len(labels)} labels, "
                           f"the manifest lists {manifest.num_samples} samples")
     return np.array(labels, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# Prompt templates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TemplateSet:
-    """Deduplicated templates plus the per-class mean anchors they induce."""
-
-    templates: tuple
-    anchors: np.ndarray  # (C, d), unit rows
-
-
-def rotate_rows(rows, seed: int) -> np.ndarray:
-    """Apply a seeded sequence of Givens rotations to every row.
-
-    The same orthogonal map hits all rows, so norms and pairwise inner
-    products are preserved exactly (up to float roundoff).
-    """
-    out = as_f64(rows).copy()
-    d = out.shape[1]
-    rng = SeededRng(seed, label="template-rotation")
-    for _ in range(_ROTATION_SWEEPS * d):
-        i = int(rng.integers(0, d))
-        j = int(rng.integers(0, d - 1))
-        if j >= i:
-            j += 1
-        theta = float(rng.uniform(-_ROTATION_MAX_ANGLE, _ROTATION_MAX_ANGLE))
-        c, s = np.cos(theta), np.sin(theta)
-        xi = out[:, i].copy()
-        xj = out[:, j].copy()
-        out[:, i] = c * xi + s * xj
-        out[:, j] = -s * xi + c * xj
-    return out
-
-
-def ingest_templates(path, provider) -> TemplateSet:
-    """Read one template per line and build per-class mean anchors.
-
-    Each template must contain the ``{class}`` placeholder exactly once.
-    Templates are deduplicated in order; the first one maps classes through
-    the identity (so a single-template file reproduces the base anchors) and
-    every later template applies a rotation seeded by its own text hash, a
-    deterministic stand-in for encoding genuinely distinct prompt wording.
-    """
-    templates = []
-    seen = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.count("{class}") != 1:
-                raise FormatError(
-                    f"template must contain '{{class}}' exactly once (line {lineno})",
-                    line=lineno,
-                )
-            if text not in seen:
-                seen.add(text)
-                templates.append(text)
-    if not templates:
-        raise FormatError("template file holds no templates")
-    base = provider.class_anchors
-    acc = np.zeros_like(base)
-    for idx, text in enumerate(templates):
-        if idx == 0:
-            acc += base
-        else:
-            acc += rotate_rows(base, seed=stable_hash64(f"template:{text}"))
-    return TemplateSet(templates=tuple(templates), anchors=normalize_rows(acc / len(templates)))
 
 
 # ---------------------------------------------------------------------------

@@ -191,22 +191,12 @@ def step(opt: Adam, params) -> None:
 
 @dataclass
 class GradCheckReport:
-    tol: float
-    eps: float
     max_rel_error: float = 0.0
-    per_param: dict = field(default_factory=dict)  # name -> max rel error
     failures: list = field(default_factory=list)  # (name, flat_index, analytic, fd, rel)
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def summary(self) -> str:
-        status = "OK" if self.ok else f"FAIL ({len(self.failures)} components)"
-        lines = [f"gradient check {status}: max rel error {self.max_rel_error:.3e} (tol {self.tol:.1e})"]
-        for name, err in self.per_param.items():
-            lines.append(f"  {name}: {err:.3e}")
-        return "\n".join(lines)
 
 
 def check_gradients(loss_fn, params, eps: float = 1e-5, tol: float = 1e-4,
@@ -234,11 +224,10 @@ def check_gradients(loss_fn, params, eps: float = 1e-5, tol: float = 1e-4,
         )
     zero_grads(params)
 
-    report = GradCheckReport(tol=tol, eps=eps)
+    report = GradCheckReport()
     for p in params:
         flat = p.value.reshape(-1)
         a_flat = analytic[p.name].reshape(-1)
-        worst = 0.0
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
@@ -249,12 +238,9 @@ def check_gradients(loss_fn, params, eps: float = 1e-5, tol: float = 1e-4,
             fd = (lp - lm) / (2.0 * eps)
             a = float(a_flat[i])
             rel = abs(a - fd) / max(abs(a), abs(fd), rel_floor)
-            if rel > worst:
-                worst = rel
+            report.max_rel_error = max(report.max_rel_error, rel)
             if rel > tol:
                 report.failures.append((p.name, i, a, fd, rel))
-        report.per_param[p.name] = worst
-        report.max_rel_error = max(report.max_rel_error, worst)
     zero_grads(params)
     return report
 

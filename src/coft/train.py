@@ -742,16 +742,16 @@ def train_fft(student: FFTEncoder, clean: PseudoLabelSet, provider: FrozenProvid
 # ---------------------------------------------------------------------------
 
 def iterate_peft(provider: FrozenProvider, cfg: TrainConfig, root_rng: SeededRng,
-                 zero_shot_texts, metrics: MetricsWriter | None = None,
-                 truth=None):
+                 metrics: MetricsWriter | None = None, truth=None):
     """R rounds of (generate -> per-model top-K -> re-init -> phase-1 train).
 
-    Round 1 generates from zero-shot inference (so both models select from the
-    same candidates); later rounds generate from each model's own previous
-    incarnation. model1 ranks its candidates by their text-side confidence,
-    model2 by their image-side confidence (``centroid_confidences`` at tau). Models are re-initialized from pristine frozen state with
-    fresh round-labeled streams every round. With rounds == 1 this is plain
-    single-shot phase 1.
+    Round 1 generates from zero-shot inference against the provider's class
+    anchors (so both models select from the same candidates); later rounds
+    generate from each model's own previous incarnation. model1 ranks its
+    candidates by their text-side confidence, model2 by their image-side
+    confidence (``centroid_confidences`` at tau). Models are re-initialized
+    from pristine frozen state with fresh round-labeled streams every round.
+    With rounds == 1 this is plain single-shot phase 1.
 
     Returns (model1, model2, per-round records); ``truth`` is evaluation-only
     and feeds the metrics log.
@@ -765,7 +765,8 @@ def iterate_peft(provider: FrozenProvider, cfg: TrainConfig, root_rng: SeededRng
         if r == 1:
             # round 0 state is the pristine frozen model: zero-shot inference,
             # shared by both models
-            shared = assign_pseudo_labels(provider.image_embeddings, zero_shot_texts, cfg.tau)
+            shared = assign_pseudo_labels(provider.image_embeddings, provider.class_anchors,
+                                          cfg.tau)
             generations["model1"] = shared
             generations["model2"] = shared
         else:
@@ -976,11 +977,11 @@ def ensemble_predictions(students, embeddings, truth=None):
 
 
 def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
-                 out_dir: str, templates_path: str | None = None) -> dict:
+                 out_dir: str) -> dict:
     """Zero-shot -> (iterated) phase 1 -> cross-model filter -> phase 2.
 
     ``mode`` is "coft" (single round, no contrastive term) or "coft-plus"
-    (cfg.rounds rounds, contrastive weight cfg.gamma, optional templates).
+    (cfg.rounds rounds, contrastive weight cfg.gamma).
     Writes config-derived artifacts under ``out_dir``: metrics.jsonl, label
     exports, and checkpoints; returns a summary dict. Ground truth, when the
     dataset ships it, feeds only the metrics log and the returned summary.
@@ -988,7 +989,7 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
     import dataclasses
     import os
 
-    from .data import ingest_templates, load_dataset, load_ground_truth
+    from .data import load_dataset, load_ground_truth
 
     if mode not in ("coft", "coft-plus"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -1006,15 +1007,10 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
     os.makedirs(labels_dir, exist_ok=True)
     os.makedirs(ckpt_dir, exist_ok=True)
     with MetricsWriter(os.path.join(out_dir, "metrics.jsonl")) as metrics:
-        zero_texts = provider.class_anchors
-        if templates_path:
-            zero_texts = ingest_templates(templates_path, provider).anchors
-
         eff = cfg if mode == "coft-plus" else dataclasses.replace(cfg, rounds=1, gamma=0.0)
 
-        model1, model2, rounds_log = iterate_peft(
-            provider, eff, root, zero_texts, metrics=metrics, truth=truth
-        )
+        model1, model2, rounds_log = iterate_peft(provider, eff, root, metrics=metrics,
+                                                  truth=truth)
         rounds_log[0]["generated"]["model1"].save(os.path.join(labels_dir, "zeroshot.jsonl"))
         for entry in rounds_log:
             r = entry["round"]

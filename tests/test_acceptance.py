@@ -387,7 +387,7 @@ class TestCriterion7:
         anchors0 = provider.class_anchors.tobytes()
         frozen_ok = True
 
-        m1, m2, _ = iterate_peft(provider, cfg, root, provider.class_anchors)
+        m1, m2, _ = iterate_peft(provider, cfg, root)
         frozen_ok &= provider.image_embeddings.tobytes() == emb0
         frozen_ok &= provider.class_anchors.tobytes() == anchors0
 

@@ -70,7 +70,7 @@ class TestBlockedEqualsWholeTable:
         cfg = TrainConfig(phase1_epochs=0, rounds=1)
 
         def round_one():
-            _, _, log = iterate_peft(provider, cfg, SeededRng(1), provider.class_anchors)
+            _, _, log = iterate_peft(provider, cfg, SeededRng(1))
             return log[0]
 
         whole, blocked = whole_and_blocked(monkeypatch, round_one)

@@ -30,7 +30,11 @@ from coft.train import load_student_checkpoint
 
 
 def run_cli(*argv):
-    return main(list(argv))
+    """``coft`` on ``argv``: its exit code, an argparse usage error's included."""
+    try:
+        return main(list(argv))
+    except SystemExit as e:
+        return e.code
 
 
 def read_records(capsys):
@@ -187,12 +191,20 @@ class TestRun:
     @pytest.mark.parametrize("name, flags, expected", [
         ("x#y", (), "a config value cannot hold '#'"),
         ("r", ("--k", "0"), "k_per_class must be >= 1"),
-        ("r", ("--templates", "missing.txt"), "template file not found"),
-    ], ids=["hash-in-out", "k-zero", "missing-templates"])
+        ("r", lambda tmp: ("--dataset", make_dataset(tmp), "--seed", "-1"),
+         "seed must be a 64-bit unsigned integer, got -1"),
+        ("r", lambda tmp: ("--dataset", make_dataset(tmp), "--seed", str(2**64)),
+         "seed must be a 64-bit unsigned integer"),
+        ("r", ("--templates", "t.txt"), "unrecognized arguments: --templates t.txt"),
+    ], ids=["hash-in-out", "k-zero", "dataset-seed-negative", "dataset-seed-2**64",
+            "templates-flag"])
     def test_refused_run_writes_nothing(self, tmp_path, capsys, name, flags, expected):
         # each is refused before the default dataset is synthesized into the
-        # output directory, so no run directory without a run is left behind
+        # output directory, or before anything is written beside a named
+        # dataset, so no run directory without a run is left behind
         out = tmp_path / name
+        if callable(flags):
+            flags = flags(tmp_path)
         capsys.readouterr()
         assert run_cli("run", "--out", str(out), *flags) == 2
         assert expected in capsys.readouterr().err
@@ -231,20 +243,13 @@ class TestRun:
         assert run_cli("run", "--dataset", manifest, "--config", str(cfgfile),
                        "--out", str(tmp_path / "r"), "--k", "8") == 3
 
-    def test_templates_flow_through_run(self, tmp_path):
+    def test_out_of_range_env_seed_writes_nothing(self, tmp_path, capsys, monkeypatch):
         manifest = make_dataset(tmp_path)
-        templates = tmp_path / "t.txt"
-        templates.write_text("a photo of a {class}\na sketch of a {class}\n")
-        out_plain = tmp_path / "plain"
-        out_templ = tmp_path / "templ"
-        assert run_cli("run", "--dataset", manifest, "--seed", "3",
-                       "--out", str(out_plain), *FAST_TRAIN) == 0
-        assert run_cli("run", "--dataset", manifest, "--seed", "3",
-                       "--templates", str(templates),
-                       "--out", str(out_templ), *FAST_TRAIN) == 0
-        a = (out_plain / "labels" / "zeroshot.jsonl").read_text()
-        b = (out_templ / "labels" / "zeroshot.jsonl").read_text()
-        assert a != b  # template-conditioned anchors change the initial labels
+        monkeypatch.setenv("COFT_SEED", "-5")
+        capsys.readouterr()
+        assert run_cli("run", "--dataset", manifest, "--out", str(tmp_path / "r")) == 2
+        assert "seed must be a 64-bit unsigned integer, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
 
 def malform(manifest, case):
@@ -363,7 +368,7 @@ class TestConfigRoundTrip:
         drawn without line breaks and without surrounding whitespace: one
         ``key = value`` line, stripped on reading, cannot carry them. A ``#``
         would start a comment, so a value holding one is refused."""
-        if any("#" in v for v in (rc.mode, rc.dataset, rc.templates, rc.out)):
+        if any("#" in v for v in (rc.mode, rc.dataset, rc.out)):
             with pytest.raises(ConfigError, match="cannot hold '#'"):
                 resolved_config_text(rc)
             return
@@ -404,7 +409,8 @@ class TestConfigFiles:
         (b"seed = 4\ntrain.lam = 0.1\nseed = 5\n", "key 'seed' repeated (line 3)"),
         (b"train.k_per_class = x\n", "train.k_per_class: cannot parse int from 'x'"),
         (b"train.nonsense = 1\n", "unknown config key 'train.nonsense'"),
-    ], ids=["not-utf8", "repeated-key", "unparsable-value", "unknown-key"])
+        (b"templates = t.txt\n", "unknown config key 'templates'"),
+    ], ids=["not-utf8", "repeated-key", "unparsable-value", "unknown-key", "templates-key"])
     def test_bad_run_config_exits_2_naming_it(self, tmp_path, capsys, text, expected):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_bytes(text)
@@ -455,7 +461,12 @@ class TestEvalRefusesBadRunFiles:
         (lambda p: _set_config_line(p, "mode", "bogus"), "mode must be coft or coft-plus"),
         (lambda p: _set_config_line(p, "train.adapter_rank", "0"), "adapter_rank"),
         (lambda p: _set_config_line(p, "train.adapter_scale", "nan"), "must be finite"),
-    ], ids=["repeated-key", "not-utf8", "mode", "adapter-rank", "nan-scale"])
+        (lambda p: _set_config_line(p, "seed", "-1"), "seed must be a 64-bit unsigned integer"),
+        # the resolved config of a run that predates the removal of templates
+        (lambda p: p.write_text(p.read_text() + "templates = \n"),
+         "unknown config key 'templates'"),
+    ], ids=["repeated-key", "not-utf8", "mode", "adapter-rank", "nan-scale", "seed",
+            "templates-key"])
     def test_resolved_config(self, tmp_path, capsys, finished_run_dir, mutate, expected):
         err = self.mutate_and_eval(tmp_path, capsys, finished_run_dir,
                                    RESOLVED_CONFIG_NAME, mutate)
@@ -754,3 +765,18 @@ class TestCheckGrads:
         assert run_cli("check-grads", "--instances", "2") == 0
         out = capsys.readouterr().out
         assert "loss_positive" in out and "[OK]" in out
+
+    @pytest.mark.parametrize("flags, expected", [
+        (("--instances", "0"), "--instances must be at least 1, got 0"),
+        (("--instances", "-3"), "--instances must be at least 1, got -3"),
+        (("--tol", "nan"), "--tol must be a positive finite number, got nan"),
+        (("--tol", "-1"), "--tol must be a positive finite number, got -1.0"),
+        (("--tol", "inf"), "--tol must be a positive finite number, got inf"),
+        (("--seed", "-1"), "--seed must be nonnegative, got -1"),
+    ], ids=["instances-0", "instances-negative", "tol-nan", "tol-negative", "tol-inf",
+            "seed-negative"])
+    def test_argument_that_verifies_nothing_exits_2(self, capsys, flags, expected):
+        capsys.readouterr()
+        assert run_cli("check-grads", *flags) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and expected in printed.err

@@ -13,13 +13,10 @@ from coft.data import (
     SyntheticSpec,
     _orthonormal_centers,
     generate_synthetic,
-    ingest_templates,
     load_dataset,
     load_ground_truth,
-    rotate_rows,
     save_dataset,
 )
-from coft.encoders import FrozenProvider
 from coft.errors import ConfigError, FormatError, IntegrityError
 
 
@@ -288,90 +285,6 @@ class TestDatasetFiles:
         with pytest.raises(FormatError, match="ground truth length"):
             save_dataset(ds, tmp_path / "d", truth=truth[:5])
         assert not (tmp_path / "d").exists() or not os.listdir(tmp_path / "d")
-
-
-class TestTemplates:
-    def make_provider(self, c=3, d=8, seed=0):
-        rng = np.random.default_rng(seed)
-        emb = normalize_rows(rng.normal(size=(4, d)))
-        anchors = normalize_rows(rng.normal(size=(c, d)))
-        return FrozenProvider(emb, anchors)
-
-    def test_single_template_identity(self, tmp_path):
-        provider = self.make_provider()
-        p = tmp_path / "t.txt"
-        p.write_text("a photo of a {class}\n")
-        ts = ingest_templates(p, provider)
-        assert ts.templates == ("a photo of a {class}",)
-        np.testing.assert_allclose(ts.anchors, provider.class_anchors, atol=1e-12)
-
-    def test_duplicates_equal_deduplicated(self, tmp_path):
-        provider = self.make_provider()
-        a = tmp_path / "a.txt"
-        b = tmp_path / "b.txt"
-        a.write_text("a photo of a {class}\nan image of a {class}\n")
-        b.write_text(
-            "a photo of a {class}\nan image of a {class}\n"
-            "a photo of a {class}\nan image of a {class}\n"
-        )
-        ta = ingest_templates(a, provider)
-        tb = ingest_templates(b, provider)
-        assert ta.templates == tb.templates
-        np.testing.assert_array_equal(ta.anchors, tb.anchors)
-
-    def test_four_templates_match_mean_then_normalize_oracle(self, tmp_path):
-        from coft.core import stable_hash64
-
-        provider = self.make_provider(c=4, d=10, seed=3)
-        lines = [
-            "a photo of a {class}",
-            "a bright photo of a {class}",
-            "a cropped photo of a {class}",
-            "art of a {class}",
-        ]
-        p = tmp_path / "t.txt"
-        p.write_text("\n".join(lines) + "\n")
-        ts = ingest_templates(p, provider)
-
-        base = provider.class_anchors
-        tables = [base]
-        for text in lines[1:]:
-            tables.append(rotate_rows(base, seed=stable_hash64(f"template:{text}")))
-        mean = sum(tables) / len(tables)
-        expected = mean / np.linalg.norm(mean, axis=1, keepdims=True)
-        np.testing.assert_allclose(ts.anchors, expected, atol=1e-12)
-
-    def test_missing_placeholder_reports_line(self, tmp_path):
-        p = tmp_path / "t.txt"
-        p.write_text("a photo of a {class}\nno placeholder here\n")
-        with pytest.raises(FormatError) as exc:
-            ingest_templates(p, self.make_provider())
-        assert exc.value.line == 2
-
-    def test_double_placeholder_rejected(self, tmp_path):
-        p = tmp_path / "t.txt"
-        p.write_text("{class} next to a {class}\n")
-        with pytest.raises(FormatError):
-            ingest_templates(p, self.make_provider())
-
-    def test_empty_file_rejected(self, tmp_path):
-        p = tmp_path / "t.txt"
-        p.write_text("\n\n")
-        with pytest.raises(FormatError):
-            ingest_templates(p, self.make_provider())
-
-    def test_rotation_preserves_geometry(self):
-        rows = normalize_rows(np.random.default_rng(2).normal(size=(5, 12)))
-        rot = rotate_rows(rows, seed=1234)
-        np.testing.assert_allclose(
-            rot @ rot.T, rows @ rows.T, atol=1e-12
-        )
-        assert not np.allclose(rot, rows)
-
-    def test_rotation_deterministic(self):
-        rows = normalize_rows(np.random.default_rng(3).normal(size=(2, 6)))
-        assert rotate_rows(rows, 99).tobytes() == rotate_rows(rows, 99).tobytes()
-        assert rotate_rows(rows, 99).tobytes() != rotate_rows(rows, 100).tobytes()
 
 
 class TestMetricsWriter:

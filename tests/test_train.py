@@ -663,8 +663,7 @@ class TestIteratePeft:
     def test_single_round_matches_manual_phase1(self):
         provider, _ = synthetic_provider()
         cfg = small_cfg(phase1_epochs=6, rounds=1)
-        m1, m2, log = iterate_peft(provider, cfg, SeededRng(21),
-                                   provider.class_anchors)
+        m1, m2, log = iterate_peft(provider, cfg, SeededRng(21))
         assert len(log) == 1
 
         # model1 ranks the zero-shot labels by their own confidence, model2 by
@@ -687,8 +686,7 @@ class TestIteratePeft:
     def test_round_two_uses_model_generations(self):
         provider, _ = synthetic_provider()
         cfg = small_cfg(phase1_epochs=6, rounds=2)
-        m1, m2, log = iterate_peft(provider, cfg, SeededRng(22),
-                                   provider.class_anchors)
+        m1, m2, log = iterate_peft(provider, cfg, SeededRng(22))
         assert [entry["round"] for entry in log] == [1, 2]
         for entry, mid, generator in ((0, "model1", "zeroshot"), (1, "model1", "model1"),
                                       (1, "model2", "model2")):
@@ -699,7 +697,7 @@ class TestIteratePeft:
         emb_before = provider.image_embeddings.tobytes()
         anchors_before = provider.class_anchors.tobytes()
         cfg = small_cfg(phase1_epochs=6, rounds=2)
-        m1, _, _ = iterate_peft(provider, cfg, SeededRng(23), provider.class_anchors)
+        m1, _, _ = iterate_peft(provider, cfg, SeededRng(23))
         pristine = init_adapted_model(provider, "model1", 2, cfg, SeededRng(23))
         assert any(
             a.value.tobytes() != b.value.tobytes()
@@ -720,7 +718,7 @@ class TestIteratedSelectionQuality:
             root = SeededRng(seed)
             cfg = TrainConfig(rounds=3, k_per_class=12, phase1_epochs=40,
                               adapter_rank=8)
-            _, _, log = iterate_peft(provider, cfg, root, provider.class_anchors)
+            _, _, log = iterate_peft(provider, cfg, root)
             for entry in log:
                 accs = [entry["selected"][mid].accuracy(truth)
                         for mid in ("model1", "model2")]
