@@ -8,7 +8,7 @@ small encoder plus classifier head, optionally with momentum contrast.
 
 __version__ = "0.1.0"
 
-from .core import SeededRng, softmax_temp
+from .core import SeededRng
 from .errors import (
     CoftError,
     ConfigError,
@@ -23,7 +23,6 @@ from .errors import (
 
 __all__ = [
     "SeededRng",
-    "softmax_temp",
     "CoftError",
     "ConfigError",
     "ContractError",

@@ -11,10 +11,11 @@ gradient-verification failure, 4 empty filtered clean set.
 
 Configuration files are flat UTF-8 ``key = value`` lines with dotted keys
 (``train.gamma = 0.5``); ``#`` starts a comment anywhere on a line, and a key
-may appear once per file. Command-line flags override
-file values, and the resolved configuration is written into the output
-directory before anything trains. ``COFT_SEED`` provides the seed when
-neither flag nor file does.
+may appear once per file. ``CONFIG_KEYS`` holds every key with its type;
+a ``run`` flag's dest is the key it sets, a ``synth`` flag's a ``synth.``
+field. Flags override file values, and ``COFT_SEED`` provides the seed when
+neither flag nor file does. The settings the mode trains with (``mode_config``)
+are written into the output directory before anything trains.
 """
 
 import argparse
@@ -52,6 +53,7 @@ from .train import (
     gradient_check_suite,
     load_model_checkpoint,
     load_student_checkpoint,
+    mode_config,
     run_pipeline,
 )
 
@@ -77,12 +79,29 @@ class RunConfig:
     )
 
 
-# the top-level (undotted) keys with their types: every field but the sections
-_TOP_FIELDS = {name: typ for name, typ in typing.get_type_hints(RunConfig).items()
-               if not dataclasses.is_dataclass(typ)}
+def _config_keys() -> dict:
+    """{dotted key: type} of every field in ``RunConfig``'s order, a section's
+    fields by name: the order of ``config.resolved.cfg``."""
+    keys = {}
+    for name, typ in typing.get_type_hints(RunConfig).items():
+        if dataclasses.is_dataclass(typ):
+            keys.update((f"{name}.{f}", t) for f, t in sorted(typing.get_type_hints(typ).items()))
+        else:
+            keys[name] = typ
+    return keys
 
 
-def _coerce(key: str, raw: str, typ):
+# every config key, and so every `coft run` flag's dest, with its type
+CONFIG_KEYS = _config_keys()
+
+
+def _owner(rc: RunConfig, key: str):
+    """The object that holds ``key``'s field, and the field's name."""
+    section, _, name = key.rpartition(".")
+    return (getattr(rc, section) if section else rc), name
+
+
+def _coerce(key: str, raw, typ):
     try:
         return typ(raw)
     except ValueError:
@@ -114,34 +133,19 @@ def parse_config_file(path) -> dict:
 
 
 def apply_config_values(rc: RunConfig, values: dict) -> RunConfig:
-    # resolve annotations to actual classes (they are stored as strings)
-    train_fields = typing.get_type_hints(TrainConfig)
-    synth_fields = typing.get_type_hints(SyntheticSpec)
+    """Set each ``{key: value}`` on ``rc``, a value given as text parsed as
+    the key's type; ConfigError for an unknown key or an unparsable value."""
     for key, raw in values.items():
-        if key in _TOP_FIELDS:
-            setattr(rc, key, _coerce(key, raw, _TOP_FIELDS[key]))
-        elif key.startswith("train."):
-            name = key[len("train."):]
-            if name not in train_fields:
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(rc.train, name, _coerce(key, raw, train_fields[name]))
-        elif key.startswith("synth."):
-            name = key[len("synth."):]
-            if name not in synth_fields:
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(rc.synth, name, _coerce(key, raw, synth_fields[name]))
-        else:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        setattr(*_owner(rc, key), _coerce(key, raw, CONFIG_KEYS[key]))
     return rc
 
 
 def resolved_config_text(rc: RunConfig) -> str:
     """One ``key = value`` line per field; ConfigError for a value holding
     ``#``, which would read back as the start of a comment."""
-    lines = [f"{k} = {getattr(rc, k)}" for k in _TOP_FIELDS]
-    for section, obj in (("train", rc.train), ("synth", rc.synth)):
-        for f in sorted(dataclasses.fields(obj), key=lambda f: f.name):
-            lines.append(f"{section}.{f.name} = {getattr(obj, f.name)}")
+    lines = [f"{key} = {getattr(*_owner(rc, key))}" for key in CONFIG_KEYS]
     for line in lines:
         if "#" in line:
             raise ConfigError(f"a config value cannot hold '#': {line!r}")
@@ -150,8 +154,7 @@ def resolved_config_text(rc: RunConfig) -> str:
 
 def _check_run_config(rc: RunConfig) -> None:
     """ConfigError for a mode, seed or training value that no run can use."""
-    if rc.mode not in ("coft", "coft-plus"):
-        raise ConfigError(f"mode must be coft or coft-plus, got {rc.mode!r}")
+    mode_config(rc.train, rc.mode)  # refuses an unknown mode
     if not 0 <= rc.seed < 2**64:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {rc.seed}")
     rc.train.validate()
@@ -171,31 +174,22 @@ def load_run_config(run_dir) -> RunConfig:
 
 
 def _build_run_config(args) -> RunConfig:
+    """Defaults, then the config file, then the flags; ``COFT_SEED`` gives the
+    seed when neither flag nor file does."""
     rc = RunConfig()
     file_values = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_values = parse_config_file(args.config)
         try:
             apply_config_values(rc, file_values)
         except ConfigError as e:
             raise ConfigError(f"{args.config}: {e}") from None
-    for key in _TOP_FIELDS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(rc, key, value)
+    flag_values = {key: value for key, value in vars(args).items()
+                   if key in CONFIG_KEYS and value is not None}
     env_seed = os.environ.get("COFT_SEED")
-    if args.seed is None and "seed" not in file_values and env_seed is not None:
-        rc.seed = _coerce("COFT_SEED", env_seed, int)
-    for flag, field in (
-        ("rounds", "rounds"), ("gamma", "gamma"), ("lam", "lam"),
-        ("k", "k_per_class"), ("tau", "tau"),
-        ("phase1_epochs", "phase1_epochs"), ("phase2_epochs", "phase2_epochs"),
-        ("batch_size", "batch_size"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(rc.train, field, value)
-    return rc
+    if env_seed is not None and "seed" not in file_values and "seed" not in flag_values:
+        flag_values["seed"] = _coerce("COFT_SEED", env_seed, int)
+    return apply_config_values(rc, flag_values)
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +197,11 @@ def _build_run_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        classes=args.classes, per_class=args.per_class, dim=args.dim,
-        separation=args.separation, noise_sigma=args.sigma,
-        anchor_alignment=args.alignment, seed=args.seed if args.seed is not None else 0,
-    )
-    ds, truth = generate_synthetic(spec)
+    # each flag's dest is a SyntheticSpec field; a flag not given keeps RunConfig's value
+    rc = apply_config_values(RunConfig(), {
+        f"synth.{name}": value for name, value in vars(args).items()
+        if value is not None and f"synth.{name}" in CONFIG_KEYS})
+    ds, truth = generate_synthetic(rc.synth)
     manifest = save_dataset(ds, args.out, truth=truth, name=args.name)
     print(manifest)
     print(f"checksum {read_manifest(manifest)['checksum']}")
@@ -219,6 +212,7 @@ def cmd_run(args) -> int:
     rc = _build_run_config(args)
     # every check that can refuse the run comes before its first write
     _check_run_config(rc)
+    rc.train = mode_config(rc.train, rc.mode)  # the record holds what the run uses
     resolved_config_text(rc)  # refuses a value holding '#'
     if rc.dataset and not os.path.exists(rc.dataset):
         raise ConfigError(f"dataset manifest not found: {rc.dataset}")
@@ -363,31 +357,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--per-class", dest="per_class", type=int, default=100)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--separation", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=0.4)
-    p.add_argument("--alignment", type=float, default=0.6)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--classes", type=int)
+    p.add_argument("--per-class", dest="per_class", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--separation", type=float)
+    p.add_argument("--sigma", dest="noise_sigma", type=float)
+    p.add_argument("--alignment", dest="anchor_alignment", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default="data")
     p.add_argument("--name", default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("run", help="run the full pipeline")
-    p.add_argument("--config", default=None, help="flat dotted-key config file")
-    p.add_argument("--dataset", default=None, help="dataset manifest path")
-    p.add_argument("--mode", choices=("coft", "coft-plus"), default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--phase1-epochs", dest="phase1_epochs", type=int, default=None)
-    p.add_argument("--phase2-epochs", dest="phase2_epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
+    p.add_argument("--config", help="flat dotted-key config file")
+    p.add_argument("--dataset", help="dataset manifest path")
+    p.add_argument("--mode", choices=("coft", "coft-plus"))
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out")
+    p.add_argument("--rounds", dest="train.rounds", type=int)
+    p.add_argument("--gamma", dest="train.gamma", type=float)
+    p.add_argument("--lam", dest="train.lam", type=float)
+    p.add_argument("--k", dest="train.k_per_class", type=int)
+    p.add_argument("--tau", dest="train.tau", type=float)
+    p.add_argument("--phase1-epochs", dest="train.phase1_epochs", type=int)
+    p.add_argument("--phase2-epochs", dest="train.phase2_epochs", type=int)
+    p.add_argument("--batch-size", dest="train.batch_size", type=int)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="score a finished run against ground truth")

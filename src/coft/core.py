@@ -28,7 +28,6 @@ from .errors import DomainError, FormatError, IntegrityError, ShapeError
 
 __all__ = [
     "as_f64",
-    "softmax_temp",
     "softmax_rows",
     "row_norms",
     "normalize_rows",
@@ -53,25 +52,6 @@ BLOCK_ROWS = 1024
 def as_f64(x) -> np.ndarray:
     """Return ``x`` as a float64 ndarray without copying when already one."""
     return np.asarray(x, dtype=np.float64)
-
-
-def _check_vector(v: np.ndarray, name: str) -> None:
-    if v.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got shape {v.shape}")
-
-
-def softmax_temp(scores, tau: float) -> np.ndarray:
-    """Temperature softmax with max-subtraction for stability at small tau."""
-    scores = as_f64(scores)
-    _check_vector(scores, "scores")
-    if not tau > 0.0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("softmax scores must be finite")
-    z = scores / tau
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
 
 
 def softmax_rows(scores, tau: float) -> np.ndarray:

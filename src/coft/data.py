@@ -245,14 +245,19 @@ def _read_manifest(manifest_path) -> DatasetManifest:
 
 def _normalize_in_place(table, label, payload_path) -> None:
     """L2-normalize every row of ``table`` in place, block by block; the bits
-    are those of ``normalize_rows``. A zero row raises FormatError naming the
-    payload; rows further than 1e-6 from unit norm draw one warning."""
+    are those of ``normalize_rows``. A zero row, or one whose norm is not
+    finite (a NaN or infinite value), raises FormatError naming the payload,
+    the table and the row; rows further than 1e-6 from unit norm draw one
+    warning."""
     worst = 0.0
     for rows in row_blocks(table.shape[0]):
         block = table[rows]
         norms = np.linalg.norm(block, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise FormatError(f"{payload_path}: zero-norm {label} row in payload")
+        bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
+        if bad.size:
+            kind = "zero-norm" if norms[bad[0], 0] == 0.0 else "non-finite"
+            raise FormatError(f"{payload_path}: {kind} {label} row {rows.start + bad[0]} "
+                              "in payload")
         worst = max(worst, float(np.max(np.abs(norms - 1.0))))
         block /= norms
     if worst > 1e-6:

@@ -9,20 +9,24 @@ two models select their top-K differently: model1 by the text-side
 confidence of the labels it starts from, model2 by their image-side
 confidence (similarity to the class centroids of the same labels), so they
 train on different samples and make different mistakes. Phase 2 has each
-model label the full unlabeled set, the other model validate via its own
-positive/negative similarity comparison, and a trainable encoder +
-classifier head (a student) fit the surviving labels. coft-plus trains its
-students with the same trainer, ``train_fft``, adding a weighted
-momentum-contrastive term over all samples. The iterated variant repeats
-phase 1 with re-initialized models on each round's fresh top-K selection.
+model label the full unlabeled set and the other model validate via its own
+positive/negative similarity comparison: ``collaborative_filter`` returns
+the generator's label table with every row marked clean or noise. A
+trainable encoder + classifier head (a student) fits each direction's clean
+rows. coft-plus trains its students with the same trainer, ``train_fft``,
+adding a weighted momentum-contrastive term over all samples, and repeats
+phase 1 with re-initialized models on each round's fresh top-K selection;
+``mode_config`` holds the rule that a coft run is one round with no
+contrastive term.
 
 A model's texts are one stacked (2C, d) table, positive rows over negative
 ones, composed and back-propagated once per phase-1 step. The positive term
 reads the top C rows; the negative-prompt term takes each sample's four rows
 (both polarities of its label and of its complement) in one gather, and one
 (n, 2C)-transposed product scatters their gradients. The losses and
-``clean_probability`` refuse labels and complements outside [0, C): a wrong
-index would read another class or the other polarity.
+``clean_probability`` (the paper's p_clean, above 1/2 exactly where the filter
+keeps a label) refuse labels and complements outside [0, C): a wrong index
+would read another class or the other polarity.
 
 Both phases train through one epoch loop, ``_train_epochs``: it owns the
 optimizer, the batch walk, the failure rules (a non-finite forward pass, or
@@ -38,8 +42,9 @@ differences.
 from __future__ import annotations
 
 import functools
+import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,7 +56,7 @@ from .core import (
     row_norms,
     softmax_rows,
 )
-from .data import MetricsWriter, require_finite_floats
+from .data import MetricsWriter, load_dataset, load_ground_truth, require_finite_floats
 from .encoders import (
     FFTEncoder,
     FrozenProvider,
@@ -89,6 +94,7 @@ from .pseudo import (
 
 __all__ = [
     "TrainConfig",
+    "mode_config",
     "AdaptedModel",
     "init_adapted_model",
     "loss_positive",
@@ -98,7 +104,6 @@ __all__ = [
     "draw_complements",
     "train_phase1",
     "generate_labels",
-    "FilterResult",
     "collaborative_filter",
     "collaborative_filter_both",
     "loss_fft",
@@ -112,7 +117,6 @@ __all__ = [
     "run_pipeline",
     "save_model_checkpoint",
     "load_model_checkpoint",
-    "save_student_checkpoint",
     "load_student_checkpoint",
 ]
 
@@ -198,7 +202,6 @@ class AdaptedModel:
     adapter: VisualAdapter
     tau: float
     tau_pos: float
-    stream_label: str
     trained: bool = False
 
     def params(self):
@@ -208,14 +211,12 @@ class AdaptedModel:
 def init_adapted_model(provider: FrozenProvider, model_id: str, round_idx: int,
                        cfg: TrainConfig, root_rng: SeededRng) -> AdaptedModel:
     """Fresh attached parameters from round- and model-specific streams."""
-    label = f"round{round_idx}/{model_id}"
-    rng = root_rng.stream(label)
+    rng = root_rng.stream(f"round{round_idx}/{model_id}")
     bank = init_prompt_bank(provider, rng, sigma=cfg.init_sigma, name_prefix=f"{model_id}/")
     adapter = init_visual_adapter(provider.dim, cfg.adapter_rank, cfg.adapter_scale,
                                   rng, sigma=cfg.init_sigma, name_prefix=f"{model_id}/")
     return AdaptedModel(model_id=model_id, provider=provider, bank=bank,
-                        adapter=adapter, tau=cfg.tau, tau_pos=TAU_POS,
-                        stream_label=label)
+                        adapter=adapter, tau=cfg.tau, tau_pos=TAU_POS)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +450,7 @@ def train_phase1(model: AdaptedModel, selected: PseudoLabelSet, cfg: TrainConfig
     num_classes = model.provider.num_classes
 
     def plan(epoch):
-        prefix = f"{model.stream_label}/epoch{epoch}"
+        prefix = f"round{round_idx}/{model.model_id}/epoch{epoch}"
         order = root_rng.stream(f"{prefix}/shuffle").permutation(ids.shape[0])
         comp = None
         if cfg.lam > 0:
@@ -480,25 +481,12 @@ def generate_labels(model: AdaptedModel) -> PseudoLabelSet:
                                 generator=model.model_id)
 
 
-@dataclass
-class FilterResult:
-    """One direction of the cross-model filter: labels generated by
-    ``generator_id`` over every sample in id order, each marked clean or
-    noise by the validator."""
-
-    generator_id: str
-    validator_id: str
-    labels: PseudoLabelSet
-
-    def clean_set(self) -> PseudoLabelSet:
-        return self.labels.with_status("clean")
-
-
-def collaborative_filter(generator: AdaptedModel, validator: AdaptedModel) -> FilterResult:
-    """Generator labels every sample; the validator keeps a sample iff, on its
-    own adapted embedding, its positive-prompt similarity for that label
-    strictly beats its negative-prompt similarity. Equality lands in the
-    noise set."""
+def collaborative_filter(generator: AdaptedModel, validator: AdaptedModel) -> PseudoLabelSet:
+    """One direction of the cross-model filter: the generator's label table
+    over every sample in id order (each row's ``generator`` names it), each
+    row marked clean iff, on the validator's own adapted embedding, its
+    positive-prompt similarity for that label strictly beats its
+    negative-prompt similarity. Equality lands in the noise set."""
     if generator.provider is not validator.provider:
         raise ContractError("filter requires models sharing one provider")
     if not (generator.trained and validator.trained):
@@ -517,11 +505,12 @@ def collaborative_filter(generator: AdaptedModel, validator: AdaptedModel) -> Fi
         sim_neg = np.sum(visual * texts[labels[rows] + provider.num_classes], axis=1)
         for row, clean in zip(range(rows.start, rows.stop), (sim_pos > sim_neg).tolist()):
             labelset.mark(row, "clean" if clean else "noise")
-    return FilterResult(generator.model_id, validator.model_id, labelset)
+    return labelset
 
 
 def collaborative_filter_both(model1: AdaptedModel, model2: AdaptedModel) -> dict:
-    """Both directions: labels by model1 validated by model2, and vice versa."""
+    """Both directions, keyed by generator: labels by model1 validated by
+    model2, and vice versa."""
     return {
         "model1": collaborative_filter(model1, model2),
         "model2": collaborative_filter(model2, model1),
@@ -897,7 +886,8 @@ def gradient_check_suite(instances: int = 20, seed: int = 0, eps: float = 1e-5,
 # Checkpoint helpers
 # ---------------------------------------------------------------------------
 
-def save_model_checkpoint(stem: str, model: AdaptedModel) -> str:
+def save_model_checkpoint(stem: str, model: AdaptedModel | FFTEncoder) -> str:
+    """Save a phase-1 model's or a student's tensors under ``stem``."""
     return save_checkpoint(stem, model.params())
 
 
@@ -927,12 +917,7 @@ def load_model_checkpoint(stem: str, provider: FrozenProvider, cfg: TrainConfig,
                 f"{stem}.json: {ctx.name!r} has shape {ctx.shape}, expected "
                 f"{want} (one class-specific context row per class)")
     return AdaptedModel(model_id=model_id, provider=provider, bank=bank,
-                        adapter=adapter, tau=cfg.tau, tau_pos=TAU_POS,
-                        stream_label=f"restored/{model_id}", trained=True)
-
-
-def save_student_checkpoint(stem: str, student: FFTEncoder) -> str:
-    return save_checkpoint(stem, student.params())
+                        adapter=adapter, tau=cfg.tau, tau_pos=TAU_POS, trained=True)
 
 
 _STUDENT_TENSORS = ("fft_w1", "fft_b1", "fft_w2", "fft_b2", "fft_w_fc", "fft_b_fc")
@@ -976,23 +961,24 @@ def ensemble_predictions(students, embeddings, truth=None):
     return predictions, (hits if truth is not None else None)
 
 
+def mode_config(cfg: TrainConfig, mode: str) -> TrainConfig:
+    """The settings a ``mode`` run trains with: coft is one phase-1 round without
+    the contrastive term, whatever ``cfg`` says; coft-plus uses ``cfg`` as given."""
+    if mode not in ("coft", "coft-plus"):
+        raise ConfigError(f"mode must be coft or coft-plus, got {mode!r}")
+    return cfg if mode == "coft-plus" else replace(cfg, rounds=1, gamma=0.0)
+
+
 def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
                  out_dir: str) -> dict:
     """Zero-shot -> (iterated) phase 1 -> cross-model filter -> phase 2.
 
-    ``mode`` is "coft" (single round, no contrastive term) or "coft-plus"
-    (cfg.rounds rounds, contrastive weight cfg.gamma).
+    ``mode`` is "coft" or "coft-plus"; the run trains with ``mode_config``.
     Writes config-derived artifacts under ``out_dir``: metrics.jsonl, label
     exports, and checkpoints; returns a summary dict. Ground truth, when the
     dataset ships it, feeds only the metrics log and the returned summary.
     """
-    import dataclasses
-    import os
-
-    from .data import load_dataset, load_ground_truth
-
-    if mode not in ("coft", "coft-plus"):
-        raise ConfigError(f"unknown mode {mode!r}")
+    eff = mode_config(cfg, mode)
     cfg.validate()
     provider = load_dataset(manifest_path)
     try:
@@ -1007,8 +993,6 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
     os.makedirs(labels_dir, exist_ok=True)
     os.makedirs(ckpt_dir, exist_ok=True)
     with MetricsWriter(os.path.join(out_dir, "metrics.jsonl")) as metrics:
-        eff = cfg if mode == "coft-plus" else dataclasses.replace(cfg, rounds=1, gamma=0.0)
-
         model1, model2, rounds_log = iterate_peft(provider, eff, root, metrics=metrics,
                                                   truth=truth)
         rounds_log[0]["generated"]["model1"].save(os.path.join(labels_dir, "zeroshot.jsonl"))
@@ -1020,33 +1004,25 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
                         os.path.join(labels_dir, f"round{r}_{mid}.jsonl"))
                 entry["selected"][mid].save(
                     os.path.join(labels_dir, f"round{r}_{mid}_selected.jsonl"))
-        save_model_checkpoint(os.path.join(ckpt_dir, "phase1_model1"), model1)
-        save_model_checkpoint(os.path.join(ckpt_dir, "phase1_model2"), model2)
+        summary = {"mode": mode, "seed": seed, "num_samples": provider.num_samples,
+                   "num_classes": provider.num_classes, "clean_sizes": {}, "checkpoints": {}}
+        for mid, model in (("model1", model1), ("model2", model2)):
+            summary["checkpoints"][mid] = os.path.join(ckpt_dir, f"phase1_{mid}")
+            save_model_checkpoint(summary["checkpoints"][mid], model)
 
         both = collaborative_filter_both(model1, model2)
-        summary = {
-            "mode": mode,
-            "seed": seed,
-            "num_samples": provider.num_samples,
-            "num_classes": provider.num_classes,
-            "clean_sizes": {},
-            "checkpoints": {
-                "model1": os.path.join(ckpt_dir, "phase1_model1"),
-                "model2": os.path.join(ckpt_dir, "phase1_model2"),
-            },
-        }
         students = []
         for mid, student_id in (("model1", "student1"), ("model2", "student2")):
-            result = both[mid]
-            result.labels.save(os.path.join(labels_dir, f"filter_{mid}.jsonl"))
-            clean = result.clean_set()
+            filtered = both[mid]
+            filtered.save(os.path.join(labels_dir, f"filter_{mid}.jsonl"))
+            clean = filtered.with_status("clean")
             summary["clean_sizes"][mid] = len(clean)
             record = dict(phase=2, event="filter", direction=mid,
                           clean_size=len(clean),
-                          noise_size=len(result.labels) - len(clean))
+                          noise_size=len(filtered) - len(clean))
             if truth is not None:
-                record["generated_accuracy"] = result.labels.accuracy(truth)
-                size, precision, _ = result.labels.clean_quality(truth)
+                record["generated_accuracy"] = filtered.accuracy(truth)
+                size, precision, _ = filtered.clean_quality(truth)
                 record["clean_precision"] = precision if size else float("nan")
             metrics.write(**record)
 
@@ -1056,9 +1032,8 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
             )
             train_fft(student, clean, provider, eff, root, f"phase2/{student_id}",
                       metrics=metrics)
-            stem = os.path.join(ckpt_dir, f"phase2_{student_id}")
-            save_student_checkpoint(stem, student)
-            summary["checkpoints"][student_id] = stem
+            summary["checkpoints"][student_id] = os.path.join(ckpt_dir, f"phase2_{student_id}")
+            save_model_checkpoint(summary["checkpoints"][student_id], student)
             students.append(student)
 
         ensemble, _ = ensemble_predictions(students, provider.image_embeddings)

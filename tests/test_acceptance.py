@@ -216,9 +216,9 @@ class TestCriterion2:
                 sn = sum(a * b for a, b in zip(vv, texts_vn[y]))
                 want_labels.append(y)
                 (want_clean if sp > sn else want_noise).add(sid)
-            assert result.labels.labels().tolist() == want_labels
-            assert set(result.labels.with_status("clean").sample_ids().tolist()) == want_clean
-            assert set(result.labels.with_status("noise").sample_ids().tolist()) == want_noise
+            assert result.labels().tolist() == want_labels
+            assert set(result.with_status("clean").sample_ids().tolist()) == want_clean
+            assert set(result.with_status("noise").sample_ids().tolist()) == want_noise
             checked["filter"] += 1
 
         elapsed = time.time() - t0
@@ -397,7 +397,7 @@ class TestCriterion7:
         student = init_fft_encoder(provider.dim, provider.num_classes,
                                    cfg.hidden_mult * provider.dim,
                                    root.stream("phase2/student1"))
-        train_fft(student, both["model1"].clean_set(), provider, cfg, root,
+        train_fft(student, both["model1"].with_status("clean"), provider, cfg, root,
                   "phase2/student1")
         frozen_ok &= provider.image_embeddings.tobytes() == emb0
         frozen_ok &= provider.class_anchors.tobytes() == anchors0

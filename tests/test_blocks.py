@@ -95,8 +95,8 @@ class TestBlockedEqualsWholeTable:
         model1, model2 = perturbed_models(provider)
         whole, blocked = whole_and_blocked(monkeypatch,
                                            lambda: collaborative_filter(model1, model2))
-        assert 0 < len(whole.clean_set()) < provider.num_samples
-        assert rows_of(blocked.labels) == rows_of(whole.labels)
+        assert 0 < len(whole.with_status("clean")) < provider.num_samples
+        assert rows_of(blocked) == rows_of(whole)
 
     def test_student_logits(self, monkeypatch, provider):
         student = init_fft_encoder(provider.dim, provider.num_classes, 2 * provider.dim,
@@ -162,11 +162,11 @@ class TestRowIsSampleId:
         model1, model2 = perturbed_models(provider)
         assert generate_labels(model1).sample_ids().tolist() == list(range(n))
         for result in collaborative_filter_both(model1, model2).values():
-            assert result.labels.sample_ids().tolist() == list(range(n))
-            status = np.array([r["status"] for r in rows_of(result.labels)])
+            assert result.sample_ids().tolist() == list(range(n))
+            status = np.array([r["status"] for r in rows_of(result)])
             assert 0 < np.count_nonzero(status == "clean") < n
             assert np.all((status == "clean") | (status == "noise"))
-            assert result.clean_set().sample_ids().tolist() == np.flatnonzero(
+            assert result.with_status("clean").sample_ids().tolist() == np.flatnonzero(
                 status == "clean").tolist()
 
 
@@ -183,7 +183,7 @@ def traced_filter():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(result.labels) == 20000
+    assert len(result) == 20000
     return result, peak, retained
 
 

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 from coft import core
 from coft.cli import (
+    CONFIG_KEYS,
     RESOLVED_CONFIG_NAME,
     RunConfig,
     apply_config_values,
+    build_parser,
     main,
     parse_config_file,
     resolved_config_text,
@@ -110,6 +112,32 @@ class TestRun:
                 assert filecmp.cmp(tmp_path / "plain" / "checkpoints" / name,
                                    tmp_path / "degenerate" / "checkpoints" / name,
                                    shallow=False), name
+
+    def test_coft_run_records_the_settings_it_trains_with(self, tmp_path, capsys):
+        # a coft run is one round without the contrastive term: the rounds and
+        # gamma it is given change nothing, so its record holds 1 and 0.0
+        manifest = make_dataset(tmp_path)
+        runs = {}
+        for name, flags in (("default", ()), ("given", ("--rounds", "3", "--gamma", "0.9"))):
+            runs[name] = tmp_path / name
+            assert run_cli("run", "--dataset", manifest, "--mode", "coft", "--seed", "5",
+                           "--out", str(runs[name]), *flags, *FAST_TRAIN) == 0
+        config = {name: (out / RESOLVED_CONFIG_NAME).read_text().splitlines()
+                  for name, out in runs.items()}
+        assert "train.rounds = 1" in config["given"]
+        assert "train.gamma = 0.0" in config["given"]
+        assert [line for line in config["given"] if not line.startswith("out = ")] == [
+            line for line in config["default"] if not line.startswith("out = ")]
+        files = sorted(os.path.relpath(os.path.join(d, f), runs["default"])
+                       for sub in ("checkpoints", "labels")
+                       for d, _, fs in os.walk(runs["default"] / sub) for f in fs)
+        assert len(files) == 13  # 8 checkpoint files, 5 label files
+        for name in files + ["metrics.jsonl"]:
+            assert filecmp.cmp(runs["default"] / name, runs["given"] / name,
+                               shallow=False), name
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(runs["given"])) == 0
+        assert any(r.get("metric") == "ensemble_accuracy" for r in read_records(capsys))
 
     def test_zero_shot_table_exported_once(self, tmp_path):
         # round 1 generates from the zero-shot table for both models, so only
@@ -285,12 +313,18 @@ def malform(manifest, case):
         with open(damaged, "wb") as f:
             f.write(raw)
         return damaged
-    else:  # payload length not a multiple of 8, under a matching checksum
+    else:  # under a matching checksum: a NaN in the first embedding row, or a
+        # payload length not a multiple of 8
         damaged = os.path.join(os.path.dirname(manifest), fields["payload_path"])
-        with open(damaged, "ab") as f:
-            f.write(b"\x00\x00\x00")
         with open(damaged, "rb") as f:
-            fields["checksum"] = hashlib.blake2b(f.read(), digest_size=8).hexdigest()
+            raw = f.read()
+        if case == "payload-nan":
+            raw = np.array([np.nan], dtype="<f8").tobytes() + raw[8:]
+        else:
+            raw += b"\x00\x00\x00"
+        with open(damaged, "wb") as f:
+            f.write(raw)
+        fields["checksum"] = hashlib.blake2b(raw, digest_size=8).hexdigest()
     with open(manifest, "w", encoding="utf-8") as f:
         json.dump(fields, f)
     return damaged
@@ -301,7 +335,8 @@ class TestMalformedDataset:
     @pytest.mark.parametrize("case", ["not-json", "num-samples-word", "class-names-int",
                                       "zero-classes", "zero-dim", "payload-path-int",
                                       "payload-odd-length", "payload-truncated",
-                                      "payload-plus8", "payload-byte-flipped"])
+                                      "payload-plus8", "payload-byte-flipped",
+                                      "payload-nan"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, case, command):
         manifest = make_dataset(tmp_path)
         damaged = malform(manifest, case)
@@ -379,6 +414,27 @@ class TestConfigRoundTrip:
                 f.write(text)
             back = apply_config_values(RunConfig(), parse_config_file(path))
             assert resolved_config_text(back) == text
+
+
+class TestConfigKeys:
+    @staticmethod
+    def subparser(name):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        return sub.choices[name]
+
+    @pytest.mark.parametrize("command, prefix, skip", [
+        ("run", "", ("help", "config")),
+        ("synth", "synth.", ("help", "out", "name")),
+    ])
+    def test_every_flag_sets_a_config_key_of_its_type(self, command, prefix, skip):
+        # a flag's dest is the key it sets, so it cannot drift from its field
+        flags = [a for a in self.subparser(command)._actions if a.dest not in skip]
+        assert len(flags) == {"run": 12, "synth": 7}[command]
+        for action in flags:
+            key = prefix + action.dest
+            assert key in CONFIG_KEYS, action.option_strings
+            assert action.type in (None, CONFIG_KEYS[key]), action.option_strings
+            assert action.type is not None or CONFIG_KEYS[key] is str, action.option_strings
 
 
 class TestConfigFiles:

@@ -16,27 +16,28 @@ from coft.core import (
     normalize_rows,
     row_blocks,
     softmax_rows,
-    softmax_temp,
     write_container,
 )
 from coft.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from coft.errors import DomainError, FormatError
 from coft.grad import load_checkpoint, param, save_checkpoint
 
+from oracles import softmax_temp
+
 
 class TestSoftmaxTemp:
     def test_equal_scores_uniform(self):
         for tau in (0.07, 1.0, 5.0):
-            p = softmax_temp([3.3, 3.3, 3.3], tau)
+            p = softmax_rows([[3.3, 3.3, 3.3]], tau)[0]
             np.testing.assert_allclose(p, [1 / 3] * 3, atol=1e-15)
 
     def test_closed_form_two_way(self):
-        p = softmax_temp([1.0, 0.0], 1.0)
+        p = softmax_rows([[1.0, 0.0]], 1.0)[0]
         e = math.e
         np.testing.assert_allclose(p, [e / (e + 1), 1 / (e + 1)], atol=1e-15)
 
     def test_low_temperature_limit(self):
-        p = softmax_temp([1.0, 0.0], 0.01)
+        p = softmax_rows([[1.0, 0.0]], 0.01)[0]
         assert p[0] > 1 - 1e-10
 
     def test_sums_to_one_random_dims(self):
@@ -44,7 +45,7 @@ class TestSoftmaxTemp:
         for d in (2, 3, 17, 128, 1024):
             for _ in range(5):
                 s = rng.normal(size=d) * 10
-                p = softmax_temp(s, float(rng.uniform(0.05, 3.0)))
+                p = softmax_rows([s], float(rng.uniform(0.05, 3.0)))[0]
                 assert abs(p.sum() - 1.0) <= 1e-12
                 assert np.all(p > 0)
 
@@ -54,21 +55,21 @@ class TestSoftmaxTemp:
             d = int(rng.integers(2, 100))
             s = rng.normal(size=d)
             c = float(rng.uniform(-50, 50))
-            p1 = softmax_temp(s, 0.5)
-            p2 = softmax_temp(s + c, 0.5)
+            p1 = softmax_rows([s], 0.5)
+            p2 = softmax_rows([s + c], 0.5)
             assert np.max(np.abs(p1 - p2)) <= 1e-12
 
     def test_bad_tau(self):
         with pytest.raises(DomainError):
-            softmax_temp([1.0, 2.0], 0.0)
+            softmax_rows([[1.0, 2.0]], 0.0)
         with pytest.raises(DomainError):
-            softmax_temp([1.0, 2.0], -1.0)
+            softmax_rows([[1.0, 2.0]], -1.0)
 
     def test_non_finite_scores(self):
         with pytest.raises(ValueError):
-            softmax_temp([1.0, float("nan")], 1.0)
+            softmax_rows([[1.0, float("nan")]], 1.0)
         with pytest.raises(ValueError):
-            softmax_temp([1.0, float("inf")], 1.0)
+            softmax_rows([[1.0, float("inf")]], 1.0)
 
     def test_rows_matches_vector_version(self):
         rng = np.random.default_rng(3)

@@ -238,6 +238,18 @@ class TestDatasetFiles:
         with pytest.raises(FormatError, match="t.f64le: zero-norm embedding row"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("table, row", [("embedding", 3), ("anchor", 1)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected_naming_the_payload(self, tmp_path, table, row, value):
+        # a NaN norm once passed the zero check and reached the provider's
+        # unit-norm check, whose error names no file
+        emb = normalize_rows(np.random.default_rng(0).normal(size=(4, 6)))
+        anchors = np.eye(6)[:2]
+        (emb if table == "embedding" else anchors)[row, 1] = value
+        manifest = write_dataset(tmp_path, emb, anchors)
+        with pytest.raises(FormatError, match=f"t.f64le: non-finite {table} row {row} "):
+            load_dataset(manifest)
+
     def test_blocked_load_equals_whole_table(self, tmp_path, monkeypatch):
         # rows far off unit norm, so every row's normalization is exercised;
         # 1,000 rows make five blocks of 200

@@ -201,8 +201,8 @@ class TestCollaborativeFilter:
         val.bank.neg_context.value[:] = val.bank.pos_context.value
         gen.trained = val.trained = True
         result = collaborative_filter(gen, val)
-        assert len(result.clean_set()) == 0
-        assert len(result.labels.with_status("noise")) == provider.num_samples
+        assert len(result.with_status("clean")) == 0
+        assert len(result.with_status("noise")) == provider.num_samples
 
     def test_hand_built_similarities(self):
         d = 4
@@ -221,19 +221,19 @@ class TestCollaborativeFilter:
         val.bank.neg_context.value[:] = 0.0
         val.bank.neg_context.value[0, 2] = 1.0
         result = collaborative_filter(gen, val)
-        assert result.clean_set().sample_ids().tolist() == [0]
-        assert result.labels.with_status("noise").sample_ids().tolist() == [1]
+        assert result.with_status("clean").sample_ids().tolist() == [0]
+        assert result.with_status("noise").sample_ids().tolist() == [1]
 
     def test_partition_and_oracle_sixty_samples(self):
         provider, _, m1, m2 = self.trained_pair(seed=1)
         result = collaborative_filter(m1, m2)
         ids = np.arange(provider.num_samples)
-        got_clean = set(result.clean_set().sample_ids().tolist())
-        got_noise = set(result.labels.with_status("noise").sample_ids().tolist())
+        got_clean = set(result.with_status("clean").sample_ids().tolist())
+        got_noise = set(result.with_status("noise").sample_ids().tolist())
         assert got_clean | got_noise == set(ids.tolist())
         assert got_clean & got_noise == set()
-        assert result.labels.sample_ids().tolist() == ids.tolist()
-        labels = result.labels.labels()
+        assert result.sample_ids().tolist() == ids.tolist()
+        labels = result.labels()
 
         # brute-force straight-line recomputation per sample
         gp = oracle_model_pieces(m1)
@@ -254,8 +254,8 @@ class TestCollaborativeFilter:
     def test_clean_iff_clean_probability_above_half(self):
         provider, _, m1, m2 = self.trained_pair(seed=2)
         result = collaborative_filter(m1, m2)
-        clean = set(result.clean_set().sample_ids().tolist())
-        for sid, label in zip(result.labels.sample_ids(), result.labels.labels()):
+        clean = set(result.with_status("clean").sample_ids().tolist())
+        for sid, label in zip(result.sample_ids(), result.labels()):
             p = clean_probability(m2, provider.image_embeddings[sid], label)
             if sid in clean:
                 assert p > 0.5
@@ -265,11 +265,10 @@ class TestCollaborativeFilter:
     def test_both_directions(self):
         provider, truth, m1, m2 = self.trained_pair(seed=3)
         both = collaborative_filter_both(m1, m2)
-        assert both["model1"].generator_id == "model1"
-        assert both["model1"].validator_id == "model2"
-        assert both["model2"].generator_id == "model2"
-        for r in both.values():
-            assert (len(r.clean_set()) + len(r.labels.with_status("noise"))
+        assert list(both) == ["model1", "model2"]
+        for mid, r in both.items():
+            assert {row["generator"] for row in rows_of(r)} == {mid}
+            assert (len(r.with_status("clean")) + len(r.with_status("noise"))
                     == provider.num_samples)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -293,12 +292,12 @@ class TestCollaborativeFilter:
         val.bank.neg_context.value[tied] = val.bank.pos_context.value[tied]
 
         result = collaborative_filter(gen, val)
-        clean = set(result.clean_set().sample_ids().tolist())
-        noise = set(result.labels.with_status("noise").sample_ids().tolist())
+        clean = set(result.with_status("clean").sample_ids().tolist())
+        noise = set(result.with_status("noise").sample_ids().tolist())
         assert clean.isdisjoint(noise)
         assert clean | noise == set(range(len(subset)))
-        assert len(result.labels) == len(subset)
-        for sid, label in zip(result.labels.sample_ids(), result.labels.labels()):
+        assert len(result) == len(subset)
+        for sid, label in zip(result.sample_ids(), result.labels()):
             if tied[label]:
                 assert sid in noise
 

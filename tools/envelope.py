@@ -12,9 +12,10 @@ thread; the two workers run side by side.
 It prints a markdown table with, per seed and for both checkouts next to each
 other, the zero-shot accuracy (%), the `coft` gain over zero-shot and
 `coft-plus` minus `coft` (points), then the medians over criterion 4's seeds
-(1-5) and over all seeds, and how many of the per-seed figures agree to 0.1
-point. A change that is not bit-identical reports this table to show that
-accuracy stays inside its envelope.
+(1-5) and over all seeds (one row when these are the same seeds), and how
+many of the per-seed figures agree to 0.1 point. A change that is not
+bit-identical reports this table to show that accuracy stays inside its
+envelope.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ def table(sides: list, seeds: list, criterion_seeds: tuple) -> str:
 
     for seed in seeds:
         row(str(seed), [(key, side[seed][key]) for _, key in FIGURES for side in sides])
-    for group in ([s for s in seeds if s in criterion_seeds], seeds):
+    # criterion 4's seeds present, then all seeds: one row when they are the same
+    for group in dict.fromkeys((tuple(s for s in seeds if s in criterion_seeds), tuple(seeds))):
         if group:
             row(f"median {group[0]}-{group[-1]}",
                 [(key, statistics.median(side[s][key] for s in group))
