@@ -212,13 +212,15 @@ def cmd_run(args) -> int:
     rc = _build_run_config(args)
     # every check that can refuse the run comes before its first write
     _check_run_config(rc)
-    rc.train = mode_config(rc.train, rc.mode)  # the record holds what the run uses
+    # the record holds what the run uses
+    rc.train = mode_config(rc.train, rc.mode)
+    rc.synth = dataclasses.replace(rc.synth, seed=rc.seed)
     resolved_config_text(rc)  # refuses a value holding '#'
     if rc.dataset and not os.path.exists(rc.dataset):
         raise ConfigError(f"dataset manifest not found: {rc.dataset}")
     if not rc.dataset:
         # empty config is a valid run: synthesize the default benchmark
-        ds, truth = generate_synthetic(dataclasses.replace(rc.synth, seed=rc.seed))
+        ds, truth = generate_synthetic(rc.synth)
         rc.dataset = save_dataset(ds, os.path.join(rc.out, "data"), truth=truth)
     os.makedirs(rc.out, exist_ok=True)
 

@@ -42,11 +42,13 @@ __all__ = [
     "read_payload",
 ]
 
-# Rows per block of a pass over a whole sample table. Never fewer: a matrix
-# product over a few dozen rows may take BLAS's small-matrix path and round
-# differently from the same rows inside the whole-table product, while from
-# 128 rows up a block's rows come out bit for bit as in the whole table.
-BLOCK_ROWS = 1024
+# Rows per block of a pass over a whole sample table, so a table of fewer than
+# 1,024 rows is one block. Never fewer: a matrix product over a few dozen rows
+# may take BLAS's small-matrix path and round differently from the same rows
+# inside the whole-table product, while from 128 rows up a block's rows come
+# out bit for bit as in the whole table. The ensemble's temporaries are
+# hidden-wide, so the block size sets their share of a wide run's peak memory.
+BLOCK_ROWS = 512
 
 
 def as_f64(x) -> np.ndarray:

@@ -202,6 +202,33 @@ class TestMemory:
         _, _, retained = traced_filter
         assert retained < 1.2e6
 
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_ensemble_peak_follows_the_block_size(self, with_truth):
+        """Two hidden-512 students over a 5,000 x 256 table (10.2 MB, not
+        traced). The ensemble's temporaries are about 8.8 kB a row of a block,
+        mostly hidden-wide: at the default block size (nine blocks of 555
+        rows) tracemalloc sees a 4.9 MB peak, while 1,024-row blocks (four of
+        1,250 rows) peaked at 10.8 MB."""
+        n, dim, classes = 5000, 256, 100
+        rng = np.random.default_rng(6)
+        emb = core.normalize_rows(rng.normal(size=(n, dim)))
+        students = []
+        for sid in ("student1", "student2"):
+            student = init_fft_encoder(dim, classes, 512, SeededRng(6), name_prefix=f"{sid}/")
+            for p in student.params():
+                p.value[:] = rng.normal(size=p.shape) * 0.1
+            students.append(student)
+        truth = rng.integers(0, classes, size=n) if with_truth else None
+        tracemalloc.start()
+        try:
+            predictions, _ = ensemble_predictions(students, emb, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert predictions.shape == (n,)
+        assert peak < 7e6
+        assert len(row_blocks(n)) == 9
+
     def test_marking_consecutive_ids_allocates_nothing_per_row(self):
         n = 50_000
         table = PseudoLabelSet(np.arange(n), np.zeros(n), np.zeros(n), "model1")

@@ -190,6 +190,20 @@ class TestRun:
         assert (out / "data").exists()
         assert (out / "labels" / "zeroshot.jsonl").exists()
 
+    def test_default_dataset_seed_is_recorded(self, tmp_path):
+        # the auto-generated dataset is drawn with the run's seed, so the
+        # record holds that seed, not the file's synth.seed
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("synth.seed = 5\nsynth.classes = 4\nsynth.per_class = 10\n"
+                           "synth.dim = 8\n")
+        out = tmp_path / "r"
+        assert run_cli("run", "--config", str(cfgfile), "--seed", "2", "--out", str(out),
+                       *FAST_TRAIN) == 0
+        lines = (out / RESOLVED_CONFIG_NAME).read_text().splitlines()
+        assert "synth.seed = 2" in lines
+        assert "synth.seed = 5" not in lines
+        assert (out / "data" / "synth-c4-n10-d8-s2.json").exists()
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         manifest = make_dataset(tmp_path)
         monkeypatch.setenv("COFT_SEED", "123")

@@ -3,10 +3,13 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import pairs  # noqa: E402
 from envelope import table  # noqa: E402  (the envelope tool's markdown table)
+from pairstats import compare, median_iqr, sign_test  # noqa: E402
 
 from test_acceptance import SEEDS  # noqa: E402  (criterion 4's seeds)
 
@@ -27,3 +30,68 @@ def median_rows(seeds):
 def test_envelope_prints_each_median_row_once(seeds, expected):
     # seeds 1-3 once printed two identical "median 1-3" rows
     assert median_rows(list(seeds)) == expected
+
+
+@pytest.mark.parametrize("wins, losses, p", [
+    (10, 0, 2 / 1024),     # 0.00195
+    (9, 1, 22 / 1024),     # 0.0215
+    (8, 2, 112 / 1024),    # 0.109
+    (1, 9, 22 / 1024),     # two-sided: either side's split counts
+    (5, 5, 1.0),
+    (0, 0, 1.0),           # no untied pair says nothing
+])
+def test_sign_test_is_exact_and_two_sided(wins, losses, p):
+    assert sign_test(wins, losses) == pytest.approx(p, rel=1e-12)
+
+
+def test_ties_count_for_neither_side():
+    a = [1.0] * 12
+    b = [0.5] * 9 + [1.0] * 3  # nine lower, three tied
+    c = compare(a, b, "lower")
+    assert (c["b_won"], c["a_won"], c["ties"]) == (9, 0, 3)
+    assert c["p"] == sign_test(9, 0) == pytest.approx(2 / 512)
+    assert not c["resolved"]  # 9 of 12 pairs is short of nine tenths
+    assert compare(a[:10], b[:10], "lower")["resolved"]  # 9 of 10
+
+
+@pytest.mark.parametrize("values", [[1, 2, 3, 4, 5], [1, 2, 3, 4], [4.2, 0.5, 3.3, 9.0, 7.1,
+                                                                   2.2, 8.8], [5.0]])
+def test_median_and_iqr_match_numpy(values):
+    median, iqr = median_iqr(values)
+    q1, q2, q3 = np.percentile(values, [25, 50, 75])
+    assert median == pytest.approx(q2)
+    assert iqr == pytest.approx(q3 - q1)
+
+
+def test_higher_is_better_turns_the_wins_around():
+    a = [0.70] * 10
+    b = [0.71] * 9 + [0.69]
+    up = compare(a, b, "higher")
+    assert (up["b_won"], up["a_won"], up["ties"]) == (9, 1, 0)
+    assert up["p"] == pytest.approx(22 / 1024)
+    assert up["change"] == pytest.approx(0.01 / 0.70)
+    assert up["resolved"]  # 9 of 10, and medians 0.01 apart against an IQR of 0
+    down = compare(a, b, "lower")
+    assert (down["b_won"], down["a_won"]) == (1, 9)
+
+
+def test_a_win_inside_the_spread_is_not_resolved():
+    a = [float(x) for x in range(1, 11)]  # IQR 4.5
+    c = compare(a, [x - 0.5 for x in a], "lower")
+    assert (c["b_won"], c["p"]) == (10, pytest.approx(2 / 1024))
+    assert not c["resolved"]
+
+
+def test_pairs_table_skips_a_pair_without_the_metric():
+    def result(mb):
+        return {"correct": True, "failed": 0, "metrics": {"peak_rss_mb": {"value": mb}}}
+
+    runs = [(result(84.5), result(78.8)) for _ in range(9)]
+    runs.append((result(84.5), {"error": "exit 1: boom"}))
+    [row] = pairs.table("scale-coft", runs, [{"name": "peak_rss_mb", "better": "lower"}])
+    cells = [cell.strip() for cell in row.strip("|").split("|")]
+    assert cells[:2] == ["scale-coft", "peak_rss_mb"]
+    assert cells[4:] == ["-6.7 %", "9/9", "0/9", "0", "0.00391", "yes"]
+    assert pairs.problem(runs[-1][1]) == "exit 1: boom"
+    assert pairs.problem({"correct": False, "failed": 1, "attempted": 4}) is not None
+    assert pairs.problem(result(1.0)) is None

@@ -4,6 +4,8 @@ The tools that compare two checkouts (`envelope.py`, `stepbench.py`) run each
 side in its own worker: the tool's script started again with
 ``--worker CHECKOUT``, `coft` importable from CHECKOUT's `src/` only, and
 BLAS at 1 thread so the two sides do not share or fight over cores.
+`pairs.py` runs each checkout's own benchmark instead, and shares only
+`require_sources`.
 """
 
 from __future__ import annotations

@@ -21,23 +21,25 @@ time, each running ``WARM`` untimed steps and then timing ``reps``
 consecutive ones; the side that goes first alternates from round to round.
 
 It prints a markdown table: per step and shape, each side's Python-level
-calls per step (counted once, warm, with ``sys.setprofile``), the median over
-rounds of each side's time per step (microseconds), the ratio B / A and the
-number of rounds in which B was faster. The call counts are deterministic, so
-they show a change to a step's code path that the times are too noisy to
-resolve.
+calls per step (counted once, warm, with ``sys.setprofile``), the median and
+IQR over rounds of each side's time per step (microseconds), the ratio
+B / A, the rounds each side was faster in, an exact two-sided sign test over
+the rounds and whether the change is resolved (``pairstats.compare``: one
+side faster in at least nine tenths of the rounds, and the medians further
+apart than A's IQR). The call counts are deterministic, so they show a change
+to a step's code path that the times are too noisy to resolve.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import subprocess
 import sys
 from time import perf_counter
 
 import checkout_worker
+import pairstats
 
 SHAPES = {"accept": (10, 64), "scale": (100, 256)}
 STEPS = ("phase1", "student", "coft-plus", "adam")
@@ -161,17 +163,21 @@ def timed(proc: subprocess.Popen, step: str, shape: str, reps: int) -> float:
     return json.loads(proc.stdout.readline())
 
 
-def table(times: list, calls: list, rounds: int) -> str:
+def table(times: list, calls: list) -> str:
     """``times`` holds one {(step, shape): [seconds per step, one per round]}
-    dict per checkout, ``calls`` one {(step, shape): calls per step}."""
-    lines = ["| step | shape | A calls | B calls | A median (us) | B median (us) | B / A "
-             "| rounds B faster |",
-             "|---|---|---|---|---|---|---|---|"]
+    dict per checkout, ``calls`` one {(step, shape): calls per step}. Round i
+    of A and of B are one pair (``pairstats.compare``)."""
+    lines = ["| step | shape | A calls | B calls | A median [IQR] (us) | B median [IQR] (us) "
+             "| B / A | rounds B faster | rounds A faster | sign test p | resolved |",
+             "|---|---|---|---|---|---|---|---|---|---|---|"]
     for key in times[0]:
-        a, b = (statistics.median(side[key]) for side in times)
-        won = sum(tb < ta for ta, tb in zip(times[0][key], times[1][key]))
+        c = pairstats.compare(times[0][key], times[1][key], "lower")
+        rounds = len(times[0][key])
+        (a, a_iqr), (b, b_iqr) = c["a"], c["b"]
         lines.append(f"| {key[0]} | {key[1]} | {calls[0][key]} | {calls[1][key]} "
-                     f"| {a * 1e6:.1f} | {b * 1e6:.1f} | {b / a:.3f} | {won}/{rounds} |")
+                     f"| {a * 1e6:.1f} [{a_iqr * 1e6:.1f}] | {b * 1e6:.1f} [{b_iqr * 1e6:.1f}] "
+                     f"| {b / a:.3f} | {c['b_won']}/{rounds} | {c['a_won']}/{rounds} "
+                     f"| {c['p']:.3g} | {'yes' if c['resolved'] else 'no'} |")
     return "\n".join(lines)
 
 
@@ -205,7 +211,7 @@ def main(argv=None) -> int:
             proc.wait()
     print(f"A = {checkouts[0]}\nB = {checkouts[1]}\n")
     print(f"{args.rounds} rounds of {args.reps} steps per side, batch {BATCH}\n")
-    print(table(times, calls, args.rounds))
+    print(table(times, calls))
     return 0
 
 
