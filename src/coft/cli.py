@@ -142,10 +142,11 @@ def apply_config_values(rc: RunConfig, values: dict) -> RunConfig:
     return rc
 
 
-def resolved_config_text(rc: RunConfig) -> str:
-    """One ``key = value`` line per field; ConfigError for a value holding
-    ``#``, which would read back as the start of a comment."""
-    lines = [f"{key} = {getattr(*_owner(rc, key))}" for key in CONFIG_KEYS]
+def resolved_config_text(rc: RunConfig, keys=CONFIG_KEYS) -> str:
+    """One ``key = value`` line per key of ``keys`` (default: every field);
+    ConfigError for a value holding ``#``, which would read back as the start
+    of a comment."""
+    lines = [f"{key} = {getattr(*_owner(rc, key))}" for key in keys]
     for line in lines:
         if "#" in line:
             raise ConfigError(f"a config value cannot hold '#': {line!r}")
@@ -212,10 +213,12 @@ def cmd_run(args) -> int:
     rc = _build_run_config(args)
     # every check that can refuse the run comes before its first write
     _check_run_config(rc)
-    # the record holds what the run uses
+    # the record holds what the run uses: a run on a given dataset drew no
+    # synthetic one, so its record names no synth spec
     rc.train = mode_config(rc.train, rc.mode)
     rc.synth = dataclasses.replace(rc.synth, seed=rc.seed)
-    resolved_config_text(rc)  # refuses a value holding '#'
+    keys = [key for key in CONFIG_KEYS if not (rc.dataset and key.startswith("synth."))]
+    resolved_config_text(rc, keys)  # refuses a value holding '#'
     if rc.dataset and not os.path.exists(rc.dataset):
         raise ConfigError(f"dataset manifest not found: {rc.dataset}")
     if not rc.dataset:
@@ -225,7 +228,7 @@ def cmd_run(args) -> int:
     os.makedirs(rc.out, exist_ok=True)
 
     with atomic_write(os.path.join(rc.out, RESOLVED_CONFIG_NAME)) as f:
-        f.write(resolved_config_text(rc))
+        f.write(resolved_config_text(rc, keys))
 
     summary = run_pipeline(rc.dataset, rc.train, rc.mode, rc.seed, rc.out)
     printable = {k: v for k, v in summary.items() if not isinstance(v, np.ndarray)}

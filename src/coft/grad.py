@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (as_f64, json_field, read_manifest, read_payload, row_blocks,
-                   write_container)
+from .core import (as_f64, checksum_field, json_field, read_manifest, read_payload,
+                   row_blocks, write_container)
 from .errors import ContractError, DomainError, FormatError, ShapeError, TrainingError
 
 __all__ = [
@@ -251,9 +251,10 @@ def check_gradients(loss_fn, params, eps: float = 1e-5, tol: float = 1e-4,
 # field is always null: no optimizer state is saved.
 # ---------------------------------------------------------------------------
 
-# v3 manifests carry the payload's checksum; v2 ones lack it, and v1 contexts
-# meant something else (they went through a random mixer). Both are rejected.
-_CKPT_FORMAT = "coft-checkpoint-v3"
+# v4 manifests carry the payload's SHA-256, v3 ones a blake2b, v2 ones no
+# checksum, and v1 contexts meant something else (they went through a random
+# mixer). All three are rejected.
+_CKPT_FORMAT = "coft-checkpoint-v4"
 
 
 def _paths(stem: str):
@@ -307,6 +308,6 @@ def load_checkpoint(stem: str) -> list:
     manifest = read_manifest(manifest_path)
     entries = _tensor_entries(manifest_path, manifest)
     values = read_payload(payload_path, [shape for _, shape in entries],
-                          manifest.get("checksum"))
+                          checksum_field(manifest_path, manifest))
     return [ParamTensor(name, value, np.zeros_like(value))
             for (name, _), value in zip(entries, values)]

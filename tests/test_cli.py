@@ -126,6 +126,9 @@ class TestRun:
                   for name, out in runs.items()}
         assert "train.rounds = 1" in config["given"]
         assert "train.gamma = 0.0" in config["given"]
+        # a run on a given dataset drew no synthetic one: the record once
+        # named the default synth.classes = 10 and synth.dim = 64
+        assert not [line for line in config["given"] if line.startswith("synth.")]
         assert [line for line in config["given"] if not line.startswith("out = ")] == [
             line for line in config["default"] if not line.startswith("out = ")]
         files = sorted(os.path.relpath(os.path.join(d, f), runs["default"])
@@ -338,7 +341,7 @@ def malform(manifest, case):
             raw += b"\x00\x00\x00"
         with open(damaged, "wb") as f:
             f.write(raw)
-        fields["checksum"] = hashlib.blake2b(raw, digest_size=8).hexdigest()
+        fields["checksum"] = hashlib.sha256(raw).hexdigest()
     with open(manifest, "w", encoding="utf-8") as f:
         json.dump(fields, f)
     return damaged
@@ -362,11 +365,12 @@ class TestMalformedDataset:
         ("num_samples", "100"), ("num_samples", 100.5), ("num_samples", 100.0),
         ("num_classes", True), ("dim", "16"), ("has_ground_truth", "no"),
         ("has_ground_truth", 1), ("class_names", "abcd"), ("class_names", [0, 1, 2, 3]),
-        ("name", 5), ("checksum", None)])
+        ("name", 5), ("checksum", None), ("checksum", "9f86d081884c7d65")])
     def test_wrong_json_type_exits_2_naming_the_field(self, tmp_path, capsys, field, value,
                                                       command):
         # int, bool and tuple once read "100" and 100.5 as 100, "no" as True
-        # and "abcd" as four class names
+        # and "abcd" as four class names; the last case is the 16-digit
+        # blake2b checksum a dataset carried before SHA-256
         manifest = make_dataset(tmp_path)
         with open(manifest, encoding="utf-8") as f:
             fields = json.load(f)
@@ -541,6 +545,21 @@ class TestEvalRefusesBadRunFiles:
         err = self.mutate_and_eval(tmp_path, capsys, finished_run_dir,
                                    RESOLVED_CONFIG_NAME, mutate)
         assert expected in err
+
+    @pytest.mark.parametrize("checksum", [None, 5, "0123456789abcdef", "missing"])
+    def test_checkpoint_checksum_field(self, tmp_path, capsys, finished_run_dir, checksum):
+        # a missing checksum once read as a checksum mismatch of the payload
+        def set_checksum(path):
+            manifest = json.loads(path.read_text())
+            if checksum == "missing":
+                del manifest["checksum"]
+            else:
+                manifest["checksum"] = checksum
+            path.write_text(json.dumps(manifest))
+
+        err = self.mutate_and_eval(tmp_path, capsys, finished_run_dir,
+                                   "checkpoints/phase2_student1.json", set_checksum)
+        assert "field 'checksum'" in err
 
     def test_non_finite_checkpoint_value(self, tmp_path, capsys, finished_run_dir):
         def one_nan(path):  # save_checkpoint recomputes the checksum
@@ -770,13 +789,14 @@ class TestEval:
         err = capsys.readouterr().err
         assert "phase1_model2.json" in err and "neg_context" in err and "(2, 16)" in err
 
-    def test_checkpoint_from_before_v3_exits_2(self, tmp_path, capsys):
-        # v2 manifests carry no checksum; v1 contexts went through a mixer
+    def test_checkpoint_from_before_v4_exits_2(self, tmp_path, capsys):
+        # v3 manifests carry a blake2b checksum, v2 ones none; v1 contexts
+        # went through a mixer
         _, out = self.finished_run(tmp_path)
         path = out / "checkpoints" / "phase1_model1.json"
         manifest = json.loads(path.read_text())
-        assert manifest["format"] == "coft-checkpoint-v3"
-        for old in ("coft-checkpoint-v2", "coft-checkpoint-v1"):
+        assert manifest["format"] == "coft-checkpoint-v4"
+        for old in ("coft-checkpoint-v3", "coft-checkpoint-v2", "coft-checkpoint-v1"):
             path.write_text(json.dumps(dict(manifest, format=old)))
             capsys.readouterr()
             assert run_cli("eval", "--run", str(out)) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -117,6 +118,15 @@ class TestSeededRng:
         assert a.integers(0, 1000, 50).tobytes() == b.integers(0, 1000, 50).tobytes()
         assert a.permutation(64).tobytes() == b.permutation(64).tobytes()
 
+    def test_fill_normal_draws_what_normal_draws(self):
+        out = np.empty((40, 7))
+        table = np.zeros((60, 7))
+        filled = SeededRng(42).stream("x").fill_normal(out)
+        SeededRng(42).stream("x").fill_normal(table[10:50])  # a row block, in place
+        expected = SeededRng(42).stream("x").normal((40, 7))
+        assert filled is out and out.tobytes() == expected.tobytes()
+        assert table[10:50].tobytes() == expected.tobytes() and not table[:10].any()
+
     def test_different_labels_differ(self):
         root = SeededRng(42)
         x = root.stream("x").normal((16,))
@@ -216,6 +226,37 @@ class TestContainer:
             with open(manifest, "w", encoding="utf-8") as f:
                 json.dump([1, 2], f)
         with pytest.raises(FormatError, match=re.escape(damaged)):
+            load()
+
+    @pytest.mark.parametrize("files", [_dataset_files, _checkpoint_files],
+                             ids=["dataset", "checkpoint"])
+    def test_checksum_is_the_payloads_sha256(self, tmp_path, files):
+        manifest, payload, _, _ = files(tmp_path)
+        with open(payload, "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()
+        with open(manifest, encoding="utf-8") as f:
+            assert json.load(f)["checksum"] == digest
+
+    @pytest.mark.parametrize("change", [
+        lambda fields, raw: fields.pop("checksum"),
+        lambda fields, raw: fields.update(checksum=None),
+        lambda fields, raw: fields.update(checksum=hashlib.blake2b(raw, digest_size=8)
+                                          .hexdigest()),
+        lambda fields, raw: fields.update(checksum=hashlib.sha256(raw).hexdigest().upper()),
+        lambda fields, raw: fields.update(checksum=hashlib.sha256(raw).hexdigest() + "\n"),
+    ], ids=["missing", "null", "blake2b", "upper-case", "newline"])
+    @pytest.mark.parametrize("files", [_dataset_files, _checkpoint_files],
+                             ids=["dataset", "checkpoint"])
+    def test_checksum_other_than_64_hex_digits_is_refused(self, tmp_path, files, change):
+        manifest, payload, load, _ = files(tmp_path)
+        with open(payload, "rb") as f:
+            raw = f.read()
+        with open(manifest, encoding="utf-8") as f:
+            fields = json.load(f)
+        change(fields, raw)
+        with open(manifest, "w", encoding="utf-8") as f:
+            json.dump(fields, f)
+        with pytest.raises(FormatError, match=re.escape(f"{manifest}: ") + ".*'checksum'"):
             load()
 
     def test_failed_write_keeps_the_previous_files(self, tmp_path):

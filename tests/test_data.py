@@ -110,10 +110,11 @@ class TestGenerateSynthetic:
         np.testing.assert_allclose(np.linalg.norm(ds.image_embeddings, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(ds.class_anchors, axis=1), 1.0, atol=1e-12)
 
-    def test_table_equals_per_class_stack(self):
+    @pytest.mark.parametrize("sigma", [0.4, 0.0])
+    def test_table_equals_per_class_stack(self, sigma):
         # reference: each class's rows drawn and normalized on their own,
         # then stacked, as the generator did before it filled one table
-        s = spec(per_class=30)
+        s = spec(per_class=30, noise_sigma=sigma)
         rng = SeededRng(s.seed)
         centers = _orthonormal_centers(s.classes, s.dim, rng.stream("synth/centers"))
         noise = rng.stream("synth/noise")
@@ -150,7 +151,7 @@ def write_dataset(directory, embeddings, anchors, name="t"):
         "name": name, "num_samples": len(embeddings), "num_classes": len(anchors),
         "dim": anchors.shape[1], "class_names": [f"c{k}" for k in range(len(anchors))],
         "payload_path": f"{name}.f64le",
-        "checksum": hashlib.blake2b(raw, digest_size=8).hexdigest(),
+        "checksum": hashlib.sha256(raw).hexdigest(),
         "has_ground_truth": False,
     }))
     return str(manifest)
@@ -292,10 +293,16 @@ class TestDatasetFiles:
         assert back.image_embeddings.tobytes() == normalize_rows(emb).tobytes()
         assert peak / emb.nbytes <= 1.3
 
-    def test_wrong_length_truth_writes_nothing(self, tmp_path):
+    @pytest.mark.parametrize("damage, expected", [
+        (lambda t: t[:5], "ground truth length"),
+        (lambda t: np.where(np.arange(t.size) == 7, -1, t), r"labels must lie in \[0, 5\)"),
+        (lambda t: np.where(np.arange(t.size) == 7, 5, t), r"labels must lie in \[0, 5\)"),
+    ], ids=["short", "negative", "num-classes"])
+    def test_bad_truth_writes_nothing(self, tmp_path, damage, expected):
+        # an out-of-range label once went into a sidecar that load_ground_truth refuses
         ds, truth = generate_synthetic(spec())
-        with pytest.raises(FormatError, match="ground truth length"):
-            save_dataset(ds, tmp_path / "d", truth=truth[:5])
+        with pytest.raises(FormatError, match=expected):
+            save_dataset(ds, tmp_path / "d", truth=damage(truth))
         assert not (tmp_path / "d").exists() or not os.listdir(tmp_path / "d")
 
 

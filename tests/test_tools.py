@@ -1,5 +1,6 @@
 """The comparison tools under ``tools/``, on made-up figures: no pipeline runs."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -95,3 +96,38 @@ def test_pairs_table_skips_a_pair_without_the_metric():
     assert pairs.problem(runs[-1][1]) == "exit 1: boom"
     assert pairs.problem({"correct": False, "failed": 1, "attempted": 4}) is not None
     assert pairs.problem(result(1.0)) is None
+
+
+def details_line(run_s, setup_median, ok=None):
+    """A made-up details line, as perfbench/run.py prints it before its result."""
+    ok = ok or [True] * len(run_s)
+    return json.dumps({"workload": "label-heavy", "problems": [],
+                       "runs": [{"ok": flag, "run_s": t, "run_ref_s": 2 * t, "trace": False}
+                                for t, flag in zip(run_s, ok)],
+                       "setup_wall_s": {"reps": 9, "median": setup_median, "min": 0.1,
+                                        "max": 0.3}})
+
+
+def test_raw_wall_reads_the_details_line():
+    metrics = pairs.raw_wall(details_line([2.0, 1.0, 5.0, 9.0], 0.17,
+                                          ok=[True, True, True, False]))
+    assert metrics == {"wall.run_s": {"value": 2.0, "unit": "s"},  # the failed run is out
+                       "wall.setup_s": {"value": 0.17, "unit": "s"}}
+    only_setup = pairs.raw_wall(details_line([3.0], 0.2, ok=[False]))
+    assert list(only_setup) == ["wall.setup_s"]
+    for line in ("not json", json.dumps({"runs": []})):
+        assert pairs.raw_wall(line) == {}
+
+
+def test_raw_wall_rows_use_the_paired_columns():
+    def result(run_s, setup):
+        metrics = {"run_s": {"value": 2 * run_s}}
+        metrics.update(pairs.raw_wall(details_line([run_s, run_s + 0.1], setup)))
+        return {"correct": True, "failed": 0, "metrics": metrics}
+
+    runs = [(result(2.0, 0.19), result(1.96 - 0.001 * i, 0.16)) for i in range(10)]
+    rows = pairs.table("label-heavy", runs, pairs.RAW_METRICS)
+    cells = [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+    assert [c[1] for c in cells] == ["wall.run_s", "wall.setup_s"]
+    assert cells[0][5:] == ["10/10", "0/10", "0", "0.00195", "yes"]
+    assert cells[1][2:5] == ["0.1900 [0.000]", "0.1600 [0.000]", "-15.8 %"]

@@ -15,7 +15,13 @@ side's median and IQR, B's median against A's, the pairs each side won (a tie
 counts for neither, and the metric's ``better`` sets the direction), an exact
 two-sided sign test, and whether the change is resolved (one side won at
 least nine tenths of the pairs and the medians are further apart than A's
-IQR; see ``pairstats.py``). At the end it
+IQR; see ``pairstats.py``). Two more rows follow in the same columns,
+``wall.run_s`` and ``wall.setup_s``: each invocation's raw wall-clock medians
+from the details line the benchmark prints before its result. They are no
+metrics of ``BENCHMARK.json`` and bound nothing. Being unscaled, they show
+whether a difference in the scaled ``run_s`` comes from the calibration, which
+the benchmark partly takes in its own process right after its setup code, so
+that it reads differently when setup gets lighter. At the end it
 lists every invocation that did not finish, reported ``failed > 0`` or was
 not ``correct``, and exits 1 if there was one. Progress goes to stderr.
 """
@@ -25,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -33,6 +40,9 @@ import pairstats
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join("perfbench", "run.py")
+# the raw wall-clock rows, which bound nothing
+RAW_METRICS = [{"name": "wall.run_s", "better": "lower"},
+               {"name": "wall.setup_s", "better": "lower"}]
 
 
 def load_benchmark() -> dict:
@@ -40,9 +50,30 @@ def load_benchmark() -> dict:
         return json.load(f)
 
 
+def raw_wall(details_line: str) -> dict:
+    """The raw wall-clock medians of one invocation's details line, as result
+    metrics: ``wall.run_s`` over the ``runs[].run_s`` of its runs that passed
+    their checks, and ``wall.setup_s`` from ``setup_wall_s.median``. A figure
+    the line does not hold, or a line that is not JSON, is left out."""
+    try:
+        details = json.loads(details_line)
+    except ValueError:
+        return {}
+    out = {}
+    runs = [r["run_s"] for r in details.get("runs", []) if r.get("ok") and "run_s" in r]
+    if runs:
+        out["wall.run_s"] = {"value": statistics.median(runs), "unit": "s"}
+    setup = details.get("setup_wall_s", {}).get("median")
+    if setup is not None:
+        out["wall.setup_s"] = {"value": setup, "unit": "s"}
+    return out
+
+
 def invoke(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark invocation from ``checkout``: its result record, or
-    ``{"error": ...}`` when it exits nonzero or prints no result."""
+    """One benchmark invocation from ``checkout``: its result record, with
+    the ``raw_wall`` figures of its details line added to a result that
+    reports metrics, or ``{"error": ...}`` when it exits nonzero or prints no
+    result."""
     proc = subprocess.run([sys.executable, BENCH, "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds)],
                           cwd=checkout, capture_output=True, text=True)
@@ -51,9 +82,12 @@ def invoke(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         tail = proc.stderr.strip().splitlines()[-1:] or ["no output"]
         return {"error": f"exit {proc.returncode}: {tail[0]}"}
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except ValueError:
         return {"error": f"unreadable result line: {lines[-1][:80]}"}
+    if result.get("metrics") and len(lines) > 1:
+        result["metrics"].update(raw_wall(lines[-2]))
+    return result
 
 
 def problem(result: dict):
@@ -132,7 +166,8 @@ def main(argv=None) -> int:
                     bad.append(f"{workload} seed {seed} {'AB'[side]}: {why}")
                 results[side] = result
             pairs.append((results[0], results[1]))
-        print("\n".join(table(workload, pairs, bench["end_to_end"])), flush=True)
+        print("\n".join(table(workload, pairs, bench["end_to_end"] + RAW_METRICS)),
+              flush=True)
     print(f"\ninvocations with a problem: {len(bad)}")
     for line in bad:
         print(f"- {line}")
