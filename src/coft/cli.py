@@ -20,6 +20,7 @@ are written into the output directory before anything trains.
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -145,11 +146,11 @@ def apply_config_values(rc: RunConfig, values: dict) -> RunConfig:
 def resolved_config_text(rc: RunConfig, keys=CONFIG_KEYS) -> str:
     """One ``key = value`` line per key of ``keys`` (default: every field);
     ConfigError for a value holding ``#``, which would read back as the start
-    of a comment."""
+    of a comment, or a line break, which would split its line."""
     lines = [f"{key} = {getattr(*_owner(rc, key))}" for key in keys]
-    for line in lines:
-        if "#" in line:
-            raise ConfigError(f"a config value cannot hold '#': {line!r}")
+    for line, char in itertools.product(lines, "#\n\r"):
+        if char in line:
+            raise ConfigError(f"a config value cannot hold {char!r}: {line!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -218,7 +219,7 @@ def cmd_run(args) -> int:
     rc.train = mode_config(rc.train, rc.mode)
     rc.synth = dataclasses.replace(rc.synth, seed=rc.seed)
     keys = [key for key in CONFIG_KEYS if not (rc.dataset and key.startswith("synth."))]
-    resolved_config_text(rc, keys)  # refuses a value holding '#'
+    resolved_config_text(rc, keys)  # refuses a value holding '#' or a line break
     if rc.dataset and not os.path.exists(rc.dataset):
         raise ConfigError(f"dataset manifest not found: {rc.dataset}")
     if not rc.dataset:
@@ -284,14 +285,15 @@ def cmd_eval(args) -> int:
     model_ids, student_ids = ("model1", "model2"), ("student1", "student2")
     models = [load_model_checkpoint(os.path.join(ckpt_dir, f"phase1_{mid}"),
                                     provider, rc.train, mid) for mid in model_ids]
-    filtered = [_load_filter(os.path.join(labels_dir, f"filter_{mid}.jsonl"), provider)
-                for mid in model_ids]
-    students = [load_student_checkpoint(os.path.join(ckpt_dir, f"phase2_{sid}"))
-                for sid in student_ids]
-    exports = {}
+    students = [load_student_checkpoint(os.path.join(ckpt_dir, f"phase2_{sid}"),
+                                        provider, rc.train, sid) for sid in student_ids]
+    # label tables by file name: the filter files, and with --with-truth every other one
+    tables = {name: _load_filter(os.path.join(labels_dir, name), provider)
+              for name in (f"filter_{mid}.jsonl" for mid in model_ids)}
     if args.with_truth:
-        exports = {fname: _load_labels(os.path.join(labels_dir, fname), provider)
-                   for fname in sorted(os.listdir(labels_dir)) if fname.endswith(".jsonl")}
+        for name in sorted(os.listdir(labels_dir)):
+            if name.endswith(".jsonl") and name not in tables:
+                tables[name] = _load_labels(os.path.join(labels_dir, name), provider)
 
     zero_shot = assign_pseudo_labels(provider.image_embeddings, provider.class_anchors,
                                      rc.train.tau)
@@ -301,8 +303,8 @@ def cmd_eval(args) -> int:
         acc = generate_labels(model).accuracy(truth)
         _emit({"metric": "phase1_model_accuracy", "model": mid, "value": acc})
 
-    for mid, labelset in zip(model_ids, filtered):
-        size, precision, recall = labelset.clean_quality(truth)
+    for mid in model_ids:
+        size, precision, recall = tables[f"filter_{mid}.jsonl"].clean_quality(truth)
         _emit({"metric": "clean_size", "direction": mid, "value": size})
         _emit({"metric": "clean_precision", "direction": mid, "value": precision})
         _emit({"metric": "clean_recall", "direction": mid, "value": recall})
@@ -316,8 +318,8 @@ def cmd_eval(args) -> int:
     if args.with_truth:
         export_dir = os.path.join(args.run, "labels_with_truth")
         os.makedirs(export_dir, exist_ok=True)
-        for fname, labelset in exports.items():
-            labelset.save(os.path.join(export_dir, fname), truth=truth)
+        for name, labelset in sorted(tables.items()):
+            labelset.save(os.path.join(export_dir, name), truth=truth)
         _emit({"metric": "labels_with_truth_dir", "value": export_dir})
     return EXIT_OK
 

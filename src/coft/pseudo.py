@@ -39,14 +39,9 @@ __all__ = [
 ]
 
 GENERATORS = ("zeroshot", "model1", "model2")
-STATUSES = ("unassigned", "candidate", "clean", "noise")
+STATUSES = ("candidate", "clean", "noise")
 
-_STATUS_CODE = {name: code for code, name in enumerate(STATUSES)}
-# (old, new) status codes of every legal move
-_LEGAL_MOVES = frozenset((_STATUS_CODE[old], _STATUS_CODE[new]) for old, new in (
-    ("unassigned", "candidate"), ("candidate", "clean"), ("candidate", "noise")))
-_CANDIDATE = _STATUS_CODE["candidate"]
-_CLEAN = _STATUS_CODE["clean"]
+_CANDIDATE, _CLEAN = STATUSES.index("candidate"), STATUSES.index("clean")
 
 # json.dumps of each name, for the export
 _GENERATOR_JSON = np.array([json.dumps(g) for g in GENERATORS], dtype=object)
@@ -129,7 +124,7 @@ class PseudoLabelSet:
         return self._ids.copy(), self._labels.copy(), self._conf.copy()
 
     def mark(self, row: int, new_status: str) -> None:
-        """Move one row's status: unassigned -> candidate -> clean or noise.
+        """Move one row's status from candidate to clean or noise.
         TypeError if ``row`` is not an integer, IndexError outside
         ``[0, len)`` (a negative row does not wrap)."""
         if type(row) is not int:
@@ -137,13 +132,12 @@ class PseudoLabelSet:
         if not 0 <= row < self._ids.size:
             raise IndexError(f"row {row} out of range for {self._ids.size} rows")
         old = self._status.item(row)
-        new = _STATUS_CODE.get(new_status)
-        if (old, new) not in _LEGAL_MOVES:
+        if old != _CANDIDATE or new_status not in ("clean", "noise"):
             raise ContractError(
                 f"illegal status transition {STATUSES[old]!r} -> {new_status!r} "
                 f"for sample {self._ids.item(row)}"
             )
-        self._status[row] = new
+        self._status[row] = STATUSES.index(new_status)
 
     def subset(self, rows) -> "PseudoLabelSet":
         """Copies of the given rows (distinct), in that order; TypeError for

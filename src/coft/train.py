@@ -42,6 +42,7 @@ differences.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -891,41 +892,45 @@ def save_model_checkpoint(stem: str, model: AdaptedModel | FFTEncoder) -> str:
     return save_checkpoint(stem, model.params())
 
 
-def _checkpoint_tensors(stem: str, names) -> dict:
-    """A checkpoint's tensors keyed by name without the owner prefix; a
-    missing one is a FormatError naming the manifest, a non-finite value
-    (which ``step`` never lets a run save) one naming the payload."""
-    by_suffix = {p.name.split("/", 1)[-1]: p for p in load_checkpoint(stem)}
-    for name in names:
-        if name not in by_suffix:
-            raise FormatError(f"{stem}.json: checkpoint lacks tensor {name!r}")
-        if not np.all(np.isfinite(by_suffix[name].value)):
-            raise FormatError(f"{stem}.f64le: tensor {name!r} holds a non-finite value")
-    return by_suffix
+def _fill_from_checkpoint(stem: str, model):
+    """``model`` with the values of the checkpoint at ``stem``, which must list
+    exactly ``model.params()`` (names past the owner prefix, shapes, order):
+    else a FormatError names the manifest and the first tensor that differs,
+    or the payload for a non-finite value, which ``step`` never lets a run save."""
+    def described(p):
+        return "no tensor" if p is None else f"{p.name.split('/', 1)[-1]!r} of shape {p.shape}"
+
+    params, loaded = model.params(), load_checkpoint(stem)
+    for i, (want, got) in enumerate(itertools.zip_longest(params, loaded)):
+        if described(got) != described(want):
+            raise FormatError(f"{stem}.json: tensor {i} is {described(got)}, "
+                              f"expected {described(want)}")
+    for p, saved in zip(params, loaded):
+        if not np.all(np.isfinite(saved.value)):
+            raise FormatError(f"{stem}.f64le: tensor {saved.name!r} holds a non-finite value")
+        p.value[...] = saved.value
+    return model
 
 
 def load_model_checkpoint(stem: str, provider: FrozenProvider, cfg: TrainConfig,
                           model_id: str) -> AdaptedModel:
-    t = _checkpoint_tensors(stem, ("pos_context", "neg_context", "adapter_down", "adapter_up"))
-    bank = PromptBank(pos_context=t["pos_context"], neg_context=t["neg_context"])
-    adapter = VisualAdapter(down=t["adapter_down"], up=t["adapter_up"],
-                            scale=cfg.adapter_scale)
-    want = (provider.num_classes, provider.dim)
-    for ctx in bank.params():
-        if ctx.shape != want:
-            raise FormatError(
-                f"{stem}.json: {ctx.name!r} has shape {ctx.shape}, expected "
-                f"{want} (one class-specific context row per class)")
-    return AdaptedModel(model_id=model_id, provider=provider, bank=bank,
-                        adapter=adapter, tau=cfg.tau, tau_pos=TAU_POS, trained=True)
+    """The trained phase-1 model saved under ``stem``, built by ``init_adapted_model``."""
+    model = init_adapted_model(provider, model_id, 1, cfg, SeededRng(0))
+    model.trained = True
+    return _fill_from_checkpoint(stem, model)
 
 
-_STUDENT_TENSORS = ("fft_w1", "fft_b1", "fft_w2", "fft_b2", "fft_w_fc", "fft_b_fc")
+def _init_student(provider: FrozenProvider, cfg: TrainConfig, student_id: str,
+                  rng: SeededRng) -> FFTEncoder:
+    """A fresh student of hidden width ``hidden_mult * dim``, named for ``student_id``."""
+    return init_fft_encoder(provider.dim, provider.num_classes, cfg.hidden_mult * provider.dim,
+                            rng, name_prefix=f"{student_id}/")
 
 
-def load_student_checkpoint(stem: str) -> FFTEncoder:
-    t = _checkpoint_tensors(stem, _STUDENT_TENSORS)
-    return FFTEncoder(*(t[name] for name in _STUDENT_TENSORS))
+def load_student_checkpoint(stem: str, provider: FrozenProvider, cfg: TrainConfig,
+                            student_id: str) -> FFTEncoder:
+    """The student saved under ``stem``, built as ``run_pipeline`` builds it."""
+    return _fill_from_checkpoint(stem, _init_student(provider, cfg, student_id, SeededRng(0)))
 
 # ---------------------------------------------------------------------------
 # End-to-end pipeline
@@ -1026,10 +1031,8 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
                 record["clean_precision"] = precision if size else float("nan")
             metrics.write(**record)
 
-            student = init_fft_encoder(
-                provider.dim, provider.num_classes, eff.hidden_mult * provider.dim,
-                root.stream(f"phase2/{student_id}"), name_prefix=f"{student_id}/",
-            )
+            student = _init_student(provider, eff, student_id,
+                                    root.stream(f"phase2/{student_id}"))
             train_fft(student, clean, provider, eff, root, f"phase2/{student_id}",
                       metrics=metrics)
             summary["checkpoints"][student_id] = os.path.join(ckpt_dir, f"phase2_{student_id}")

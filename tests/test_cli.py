@@ -20,6 +20,7 @@ from coft.cli import (
     RunConfig,
     apply_config_values,
     build_parser,
+    load_run_config,
     main,
     parse_config_file,
     resolved_config_text,
@@ -28,6 +29,7 @@ from coft.data import load_dataset, load_ground_truth
 from coft.errors import ConfigError, FormatError, IntegrityError
 from coft.encoders import logits_batch
 from coft.grad import load_checkpoint, param, save_checkpoint
+from coft.pseudo import PseudoLabelSet
 from coft.train import load_student_checkpoint
 
 
@@ -235,14 +237,17 @@ class TestRun:
 
     @pytest.mark.parametrize("name, flags, expected", [
         ("x#y", (), "a config value cannot hold '#'"),
+        # once written, then refused by eval as a line without '='
+        ("nl/a\nb", (), "a config value cannot hold '\\n'"),
+        ("cr\rb", (), "a config value cannot hold '\\r'"),
         ("r", ("--k", "0"), "k_per_class must be >= 1"),
         ("r", lambda tmp: ("--dataset", make_dataset(tmp), "--seed", "-1"),
          "seed must be a 64-bit unsigned integer, got -1"),
         ("r", lambda tmp: ("--dataset", make_dataset(tmp), "--seed", str(2**64)),
          "seed must be a 64-bit unsigned integer"),
         ("r", ("--templates", "t.txt"), "unrecognized arguments: --templates t.txt"),
-    ], ids=["hash-in-out", "k-zero", "dataset-seed-negative", "dataset-seed-2**64",
-            "templates-flag"])
+    ], ids=["hash-in-out", "newline-in-out", "return-in-out", "k-zero",
+            "dataset-seed-negative", "dataset-seed-2**64", "templates-flag"])
     def test_refused_run_writes_nothing(self, tmp_path, capsys, name, flags, expected):
         # each is refused before the default dataset is synthesized into the
         # output directory, or before anything is written beside a named
@@ -506,6 +511,14 @@ def finished_run_dir(tmp_path_factory):
     return manifest, out
 
 
+def _resized(**shapes):
+    """A checkpoint edit that makes each named tensor a zero table of its given shape."""
+    def edit(params):
+        return [param(p.name, np.zeros(shapes[p.name.split("/", 1)[1]]))
+                if p.name.split("/", 1)[1] in shapes else p for p in params]
+    return edit
+
+
 def _set_config_line(path, key, value):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} = ") else line
@@ -572,14 +585,43 @@ class TestEvalRefusesBadRunFiles:
                                    "checkpoints/phase2_student1.f64le", one_nan)
         assert "non-finite" in err
 
+    # 4 classes, 16-d, adapter rank 16, student hidden width 2 * 16
+    @pytest.mark.parametrize("stem, edit, tensor", [
+        ("phase2_student1", _resized(fft_b_fc=(1,)), "fft_b_fc"),
+        ("phase1_model1", _resized(adapter_up=(16, 3)), "adapter_up"),
+        ("phase1_model2", _resized(adapter_down=(16, 9)), "adapter_down"),
+        ("phase2_student2", lambda ps: ps + [param(ps[0].name, ps[0].value + 1.0)], "fft_w1"),
+        ("phase2_student1", lambda ps: ps + [param("student1/extra", np.zeros(3))], "extra"),
+        ("phase2_student1", _resized(fft_w1=(8, 16), fft_b1=(8,), fft_w2=(16, 8)), "fft_w1"),
+        ("phase2_student2", _resized(fft_w_fc=(5, 16), fft_b_fc=(5,)), "fft_w_fc"),
+        ("phase2_student1", _resized(fft_b1=(7,)), "fft_b1"),
+        ("phase2_student1", _resized(fft_w2=(16, 8)), "fft_w2"),
+    ], ids=["head-bias-broadcasts", "adapter-up", "adapter-down", "repeated-tensor",
+            "extra-tensor", "hidden-width-8", "five-class-head", "hidden-bias-7",
+            "second-layer-16x8"])
+    def test_checkpoint_tensors_must_be_the_models(self, tmp_path, capsys, finished_run_dir,
+                                                   stem, edit, tensor):
+        # the first six once exited 0, the repeated tensor's second copy
+        # winning; the last three printed nine records, then a numpy traceback
+        def rewrite(path):  # save_checkpoint recomputes the checksum
+            stem_path = str(path)[:-len(".json")]
+            save_checkpoint(stem_path, edit(load_checkpoint(stem_path)))
+
+        err = self.mutate_and_eval(tmp_path, capsys, finished_run_dir,
+                                   f"checkpoints/{stem}.json", rewrite)
+        assert repr(tensor) in err
+
     @pytest.mark.parametrize("mutate, expected", [
         (lambda p: p.write_text("".join(p.read_text().splitlines(keepends=True)[1:])),
          "sample ids are not 0..99 in order"),
         (lambda p: p.write_text(re.sub('"status": "(clean|noise)"', '"status": "candidate"',
                                        p.read_text(), count=1)),
          "neither 'clean' nor 'noise'"),
+        (lambda p: p.write_text(re.sub('"status": "(clean|noise)"', '"status": "unassigned"',
+                                       p.read_text(), count=1)),
+         "unknown status 'unassigned'"),
         (lambda p: p.write_text(""), "sample ids are not 0..99 in order"),
-    ], ids=["first-row-deleted", "candidate", "empty"])
+    ], ids=["first-row-deleted", "candidate", "unassigned", "empty"])
     def test_filter_file_must_cover_the_dataset(self, tmp_path, capsys, finished_run_dir,
                                                 mutate, expected):
         err = self.mutate_and_eval(tmp_path, capsys, finished_run_dir,
@@ -715,10 +757,11 @@ class TestEval:
         with open(out / "metrics.jsonl", encoding="utf-8") as f:
             final = next(r for r in map(json.loads, f) if r.get("event") == "final")
         assert ens == final["ensemble_accuracy"]
-        emb = load_dataset(manifest).image_embeddings
+        provider, cfg = load_dataset(manifest), load_run_config(out).train
         truth = load_ground_truth(manifest)
         logits = {sid: logits_batch(load_student_checkpoint(
-                      str(out / "checkpoints" / f"phase2_{sid}")), emb)[0]
+                      str(out / "checkpoints" / f"phase2_{sid}"), provider, cfg, sid),
+                      provider.image_embeddings)[0]
                   for sid in ("student1", "student2")}
         assert {r["student"]: r["value"] for r in records
                 if r["metric"] == "student_accuracy"} == {
@@ -748,7 +791,7 @@ class TestEval:
 
     @pytest.mark.parametrize("resize", ["half", "plus8", "flip"])
     def test_corrupt_student_payload_exits_2(self, tmp_path, capsys, resize):
-        _, out = self.finished_run(tmp_path)
+        manifest, out = self.finished_run(tmp_path)
         payload = out / "checkpoints" / "phase2_student1.f64le"
         raw = bytearray(payload.read_bytes())
         if resize == "flip":  # same size: only the checksum catches it
@@ -757,7 +800,9 @@ class TestEval:
                              "flip": raw}[resize])
         with pytest.raises(IntegrityError if resize == "flip" else FormatError,
                            match="phase2_student1.f64le"):
-            load_student_checkpoint(str(out / "checkpoints" / "phase2_student1"))
+            load_student_checkpoint(str(out / "checkpoints" / "phase2_student1"),
+                                    load_dataset(manifest), load_run_config(out).train,
+                                    "student1")
         capsys.readouterr()
         assert run_cli("eval", "--run", str(out)) == 2
         err = capsys.readouterr().err
@@ -848,6 +893,22 @@ class TestEval:
             assert rows and all(r["ground_truth"] == truth[r["sample_id"]] for r in rows)
         # the default exports stay truth-free
         assert '"ground_truth"' not in (out / "labels" / "zeroshot.jsonl").read_text()
+
+    def test_with_truth_reads_each_label_file_once(self, tmp_path, capsys, monkeypatch,
+                                                   finished_run_dir):
+        # the two filter files were once parsed twice
+        out = tmp_path / "run"
+        shutil.copytree(finished_run_dir[1], out)
+        loaded, load = [], PseudoLabelSet.load
+
+        def counted(path):
+            loaded.append(os.path.basename(path))
+            return load(path)
+
+        monkeypatch.setattr(PseudoLabelSet, "load", staticmethod(counted))
+        assert run_cli("eval", "--run", str(out), "--with-truth") == 0
+        assert sorted(loaded) == sorted(name for name in os.listdir(out / "labels")
+                                        if name.endswith(".jsonl"))
 
 
 class TestCheckGrads:

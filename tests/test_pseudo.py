@@ -281,12 +281,18 @@ class TestPseudoLabelSet:
         with pytest.raises(ContractError):
             ps.mark(0, "noise")
 
-    def test_illegal_jump(self):
-        ps = PseudoLabelSet([0], [1], [0.6], "zeroshot", status="unassigned")
-        with pytest.raises(ContractError):
-            ps.mark(0, "clean")
-        ps.mark(0, "candidate")
-        ps.mark(0, "noise")
+    def test_unassigned_status_is_refused(self, tmp_path):
+        # no row is ever unassigned: rows start as candidates
+        with pytest.raises(ContractError, match="unknown status 'unassigned'"):
+            PseudoLabelSet([0], [1], [0.6], "zeroshot", status="unassigned")
+        ps = _records([(0, 1, 0.6)])
+        with pytest.raises(ContractError, match="'candidate' -> 'unassigned'"):
+            ps.mark(0, "unassigned")
+        path = tmp_path / "labels.jsonl"
+        ps.save(path)
+        path.write_text(path.read_text().replace('"candidate"', '"unassigned"'))
+        with pytest.raises(FormatError, match="unknown status 'unassigned'"):
+            PseudoLabelSet.load(path)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ContractError):
@@ -418,7 +424,7 @@ def json_oracle(records):
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
-LEGAL_MOVES = {("unassigned", "candidate"), ("candidate", "clean"), ("candidate", "noise")}
+LEGAL_MOVES = {("candidate", "clean"), ("candidate", "noise")}
 
 
 class TestLabelTableProperties:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -744,5 +745,33 @@ class TestModelCheckpoint:
         stale = [param(p.name, np.zeros((4, provider.dim))) if "context" in p.name else p
                  for p in model.params()]
         save_checkpoint(str(tmp_path / "old"), stale)
-        with pytest.raises(FormatError, match="old.json.*class-specific"):
+        c, d = provider.num_classes, provider.dim
+        with pytest.raises(FormatError, match=re.escape(
+                f"old.json: tensor 0 is 'pos_context' of shape (4, {d}), "
+                f"expected 'pos_context' of shape ({c}, {d})")):
             load_model_checkpoint(str(tmp_path / "old"), provider, cfg, "model1")
+
+    def test_student_round_trip_and_other_width_rejected(self, tmp_path):
+        from coft.train import load_student_checkpoint, save_model_checkpoint
+
+        provider, _ = synthetic_provider()
+        cfg = small_cfg()
+        d = provider.dim
+        student = init_fft_encoder(d, provider.num_classes, cfg.hidden_mult * d,
+                                   SeededRng(8), name_prefix="student2/")
+        rng = np.random.default_rng(8)
+        for p in student.params():
+            p.value[...] = rng.normal(size=p.shape)
+        stem = str(tmp_path / "s")
+        save_model_checkpoint(stem, student)
+        back = load_student_checkpoint(stem, provider, cfg, "student2")
+        assert [p.name for p in back.params()] == [p.name for p in student.params()]
+        for a, b in zip(student.params(), back.params()):
+            assert a.value.tobytes() == b.value.tobytes()
+
+        # the run's hidden_mult sets the width the checkpoint must have
+        wider = dataclasses.replace(cfg, hidden_mult=cfg.hidden_mult + 1)
+        with pytest.raises(FormatError, match=re.escape(
+                f"s.json: tensor 0 is 'fft_w1' of shape ({cfg.hidden_mult * d}, {d}), "
+                f"expected 'fft_w1' of shape ({wider.hidden_mult * d}, {d})")):
+            load_student_checkpoint(stem, provider, wider, "student2")
