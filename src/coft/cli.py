@@ -20,7 +20,6 @@ are written into the output directory before anything trains.
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -146,11 +145,18 @@ def apply_config_values(rc: RunConfig, values: dict) -> RunConfig:
 def resolved_config_text(rc: RunConfig, keys=CONFIG_KEYS) -> str:
     """One ``key = value`` line per key of ``keys`` (default: every field);
     ConfigError for a value holding ``#``, which would read back as the start
-    of a comment, or a line break, which would split its line."""
-    lines = [f"{key} = {getattr(*_owner(rc, key))}" for key in keys]
-    for line, char in itertools.product(lines, "#\n\r"):
-        if char in line:
-            raise ConfigError(f"a config value cannot hold {char!r}: {line!r}")
+    of a comment, a line break, which would split its line, or leading or
+    trailing whitespace, which ``parse_config_file`` would strip."""
+    lines = []
+    for key in keys:
+        value = str(getattr(*_owner(rc, key)))
+        line = f"{key} = {value}"
+        for char in "#\n\r":
+            if char in value:
+                raise ConfigError(f"a config value cannot hold {char!r}: {line!r}")
+        if value != value.strip():
+            raise ConfigError(f"a config value cannot start or end with whitespace: {line!r}")
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -219,7 +225,7 @@ def cmd_run(args) -> int:
     rc.train = mode_config(rc.train, rc.mode)
     rc.synth = dataclasses.replace(rc.synth, seed=rc.seed)
     keys = [key for key in CONFIG_KEYS if not (rc.dataset and key.startswith("synth."))]
-    resolved_config_text(rc, keys)  # refuses a value holding '#' or a line break
+    resolved_config_text(rc, keys)  # refuses a value that would not read back as it is
     if rc.dataset and not os.path.exists(rc.dataset):
         raise ConfigError(f"dataset manifest not found: {rc.dataset}")
     if not rc.dataset:

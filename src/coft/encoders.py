@@ -322,8 +322,10 @@ def init_fft_encoder(dim: int, num_classes: int, hidden: int, rng: SeededRng,
 
 
 def clone_encoder_values(enc: FFTEncoder, name_prefix: str) -> FFTEncoder:
-    """Deep copy of parameter values (fresh grads); used for the momentum twin."""
-    return FFTEncoder(*[param(name_prefix + p.name, p.value.copy()) for p in enc.params()])
+    """Deep copy of parameter values, holding no grads; used for the momentum
+    twin, which is only read and EMA-updated, never trained."""
+    return FFTEncoder(*[ParamTensor(name_prefix + p.name, p.value.copy(), None)
+                        for p in enc.params()])
 
 
 @dataclass

@@ -4,6 +4,10 @@ verifier, and the checkpoint file format.
 Gradients in this package are hand-derived per loss; the verifier here is the
 independent check that keeps them honest. Losses accumulate into
 ``ParamTensor.grad`` and an optimizer ``step`` consumes and zeroes the grads.
+A model's grads exist only while it trains: when its last epoch ends,
+``train._train_epochs`` releases them (``grad = None``), so a trained model,
+a momentum twin and a loaded checkpoint hold values only, and accumulating
+into, zeroing or stepping a released tensor raises ContractError naming it.
 
 ``Adam`` keeps its moments rescaled and folds the bias corrections into two
 per-step scalars (Kingma & Ba 2015, arXiv 1412.6980, section 2, last
@@ -51,19 +55,30 @@ STEP_CHUNK = 32_768
 
 @dataclass(eq=False)
 class ParamTensor:
-    """A named trainable array with an accumulated gradient of the same shape.
-    Two tensors are equal only when they are the same object."""
+    """A named trainable array with an accumulated gradient of the same shape,
+    or ``None`` once the gradient is released. Two tensors are equal only when
+    they are the same object."""
 
     name: str
     value: np.ndarray
-    grad: np.ndarray
+    grad: np.ndarray | None
 
     @property
     def shape(self):
         return self.value.shape
 
     def zero_grad(self):
+        if self.grad is None:
+            raise _released(self)
         self.grad[...] = 0.0
+
+
+def _released(p: ParamTensor) -> ContractError:
+    """The error for writing, zeroing or stepping the grad of ``p`` after its
+    release. Callers check ``p.grad is None`` inline: a step's time at small
+    shapes is its count of Python calls."""
+    return ContractError(f"{p.name!r} holds values only: its gradient was released "
+                         "when its training ended")
 
 
 def param(name: str, value) -> ParamTensor:
@@ -73,6 +88,8 @@ def param(name: str, value) -> ParamTensor:
 
 def accumulate_grad(p: ParamTensor, contribution) -> ParamTensor:
     """grad += contribution, elementwise. Shapes must match exactly."""
+    if p.grad is None:
+        raise _released(p)
     c = as_f64(contribution)
     if c.shape != p.grad.shape:
         raise ShapeError(
@@ -109,7 +126,10 @@ class Adam:
     values and grads into one flat value buffer and one flat grad buffer, in
     param order, and rebinds each tensor's ``value`` and ``grad`` to a view of
     them. In-place writes to a bound tensor reach the optimizer; assigning a
-    new array to ``value`` or ``grad`` does not.
+    new array to ``value`` or ``grad`` does not. A model's grads exist only
+    while it trains: its trainer releases each ``grad`` and drops the
+    optimizer when training ends, which frees the flat grad buffer. Binding
+    or stepping a released tensor raises ContractError naming it.
 
     The moments are kept rescaled, m~ = m / (1 - b1) and v~ = v / (1 - b2),
     so they update as m~ <- b1 m~ + g and v~ <- b2 v~ + g^2. Step t applies
@@ -130,6 +150,9 @@ class Adam:
         self._params: tuple | None = None
 
     def _bind(self, params) -> None:
+        for p in params:
+            if p.grad is None:
+                raise _released(p)
         if self._params is not None:
             if tuple(params) != self._params:
                 raise ContractError(
@@ -301,7 +324,8 @@ def _tensor_entries(manifest_path: str, manifest: dict) -> list:
 
 
 def load_checkpoint(stem: str) -> list:
-    """Read a checkpoint pair; returns its params in manifest order. Raises
+    """Read a checkpoint pair; returns its params in manifest order, holding
+    values only (no grads). Raises
     FormatError, naming the file, when the manifest is malformed or the payload
     size differs from the listed tensors', IntegrityError on a checksum mismatch."""
     manifest_path, payload_path = _paths(stem)
@@ -309,5 +333,4 @@ def load_checkpoint(stem: str) -> list:
     entries = _tensor_entries(manifest_path, manifest)
     values = read_payload(payload_path, [shape for _, shape in entries],
                           checksum_field(manifest_path, manifest))
-    return [ParamTensor(name, value, np.zeros_like(value))
-            for (name, _), value in zip(entries, values)]
+    return [ParamTensor(name, value, None) for (name, _), value in zip(entries, values)]

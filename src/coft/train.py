@@ -31,7 +31,8 @@ would read another class or the other polarity.
 Both phases train through one epoch loop, ``_train_epochs``: it owns the
 optimizer, the batch walk, the failure rules (a non-finite forward pass, or
 an epoch loss above 10x the first epoch's for 3 consecutive epochs, raises
-TrainingError) and the per-epoch metrics record.
+TrainingError), the per-epoch metrics record, and the release of the trained
+tensors' grads when the last epoch ends.
 
 Losses return their scalar value and accumulate hand-derived gradients into
 the owning parameters (scaled by their composite weight where applicable);
@@ -405,6 +406,10 @@ def _train_epochs(params, lr, epochs, batch_size, plan, terms, metrics, tags,
     weighted means under ``tags``; their ``terms``-weighted sum is the loss
     the divergence rule watches. A ValueError in a forward pass (other than a
     ShapeError) becomes a TrainingError naming the phase and epoch.
+
+    When the last epoch ends, every tensor of ``params`` releases its grad,
+    and the optimizer's flat grad buffer goes with the optimizer: a trained
+    model holds values only.
     """
     opt = Adam(lr)
     initial = None
@@ -435,6 +440,8 @@ def _train_epochs(params, lr, epochs, batch_size, plan, terms, metrics, tags,
         _check_divergence(history, initial, epoch)
         if metrics is not None:
             metrics.write(**tags, epoch=epoch, **means)
+    for p in params:
+        p.grad = None
 
 
 def train_phase1(model: AdaptedModel, selected: PseudoLabelSet, cfg: TrainConfig,

@@ -260,6 +260,22 @@ class TestRun:
         assert expected in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, out", [
+        (("--dataset", " data/ds.json"), "r"),
+        (("--dataset", "data/ds.json"), "r "),
+    ], ids=["leading-space-in-dataset", "trailing-space-in-out"])
+    def test_value_with_surrounding_whitespace_writes_nothing(self, tmp_path, capsys,
+                                                              monkeypatch, flags, out):
+        # the record would name " data/ds.json" and read back "data/ds.json":
+        # the run would succeed, and eval on it would not find its dataset
+        monkeypatch.chdir(tmp_path)
+        make_dataset(tmp_path)
+        shutil.copytree(tmp_path / "data", tmp_path / " data")
+        capsys.readouterr()
+        assert run_cli("run", "--out", out, *flags, *FAST_TRAIN) == 2
+        assert "cannot start or end with whitespace" in capsys.readouterr().err
+        assert not (tmp_path / out).exists()
+
     @pytest.mark.parametrize("flag, value", [("--lam", "nan"), ("--tau", "inf"),
                                              ("--gamma", "nan")])
     def test_non_finite_flag_exits_2(self, tmp_path, capsys, flag, value):

@@ -18,6 +18,7 @@ from coft.grad import (
     param,
     save_checkpoint,
     step,
+    zero_grads,
 )
 
 
@@ -235,6 +236,49 @@ class TestStep:
         assert exc.value.param_name == "w2"
 
 
+class TestReleasedGrad:
+    """A tensor whose grad was released (``grad = None``) holds values only:
+    every path that would write its grad raises ContractError naming it."""
+
+    @staticmethod
+    def released():
+        kept, gone = param("kept", [1.0, 2.0]), param("gone", [[3.0], [4.0]])
+        gone.grad = None
+        return kept, gone
+
+    def test_accumulate_and_zero_name_the_tensor(self):
+        _, gone = self.released()
+        with pytest.raises(ContractError, match="'gone' holds values only"):
+            accumulate_grad(gone, [[1.0], [1.0]])
+        with pytest.raises(ContractError, match="'gone' holds values only"):
+            gone.zero_grad()
+        with pytest.raises(ContractError, match="'gone' holds values only"):
+            zero_grads([param("x", [0.0]), gone])
+        assert gone.grad is None
+
+    def test_first_step_binds_nothing(self):
+        kept, gone = self.released()
+        before = [p.value.copy() for p in (kept, gone)]
+        with pytest.raises(ContractError, match="'gone' holds values only"):
+            step(Adam(0.1), [kept, gone])
+        assert kept.value.base is None and kept.grad.base is None
+        for p, v in zip((kept, gone), before):
+            np.testing.assert_array_equal(p.value, v)
+
+    def test_step_after_release_moves_nothing(self):
+        a, b = param("a", [1.0, 2.0]), param("b", [3.0])
+        opt = Adam(0.1)
+        a.grad[:] = 1.0
+        step(opt, [a, b])
+        before = [p.value.copy() for p in (a, b)]
+        b.grad = None
+        with pytest.raises(ContractError, match="'b' holds values only"):
+            step(opt, [a, b])
+        assert opt.step_count == 1
+        for p, v in zip((a, b), before):
+            np.testing.assert_array_equal(p.value, v)
+
+
 class TestCheckGradients:
     def test_quadratic(self):
         p = param("p", [1.0, 2.0])
@@ -291,7 +335,7 @@ class TestCheckpoint:
         for orig, back in zip(params, loaded):
             assert back.name == orig.name
             assert back.value.tobytes() == orig.value.tobytes()
-            assert np.all(back.grad == 0.0)
+            assert back.grad is None  # a loaded checkpoint holds values only
 
     def test_same_params_write_identical_files(self, tmp_path):
         params = [param("x", [1.0, 2.0])]
@@ -376,7 +420,7 @@ class TestCheckpointProperties:
         for orig, back in zip(params, loaded):
             assert back.shape == orig.shape
             assert back.value.tobytes() == orig.value.tobytes()
-            assert back.grad.shape == orig.shape and not np.any(back.grad)
+            assert back.grad is None
 
     @PROPERTY
     @given(tensor_lists())

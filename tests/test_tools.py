@@ -131,3 +131,27 @@ def test_raw_wall_rows_use_the_paired_columns():
     assert [c[1] for c in cells] == ["wall.run_s", "wall.setup_s"]
     assert cells[0][5:] == ["10/10", "0/10", "0", "0.00195", "yes"]
     assert cells[1][2:5] == ["0.1900 [0.000]", "0.1600 [0.000]", "-15.8 %"]
+
+
+@pytest.mark.parametrize("names, warned", [(("a", "b"), False), (("a", "bb"), True)])
+def test_pairs_warns_on_checkout_paths_of_unequal_length(tmp_path, monkeypatch, capsys,
+                                                         names, warned):
+    checkouts = [tmp_path / name for name in names]
+    for checkout in checkouts:
+        for rel in ("src/coft/__init__.py", pairs.BENCH):
+            (checkout / rel).parent.mkdir(parents=True, exist_ok=True)
+            (checkout / rel).touch()
+    ran = []
+
+    def invoke(checkout, workload, seed, seconds):
+        ran.append(checkout)
+        return {"correct": True, "failed": 0, "metrics": {"run_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(pairs, "invoke", invoke)
+    assert pairs.main([str(c) for c in checkouts]
+                      + ["--pairs", "1", "--workloads", "accept-coft"]) == 0
+    assert sorted(ran) == sorted(str(c) for c in checkouts)  # it still runs
+    err = capsys.readouterr().err
+    a, b = (len(str(c)) for c in checkouts)
+    assert ("warning" in err) == warned
+    assert not warned or f"warning: the checkout paths are {a} and {b} characters long" in err

@@ -659,6 +659,92 @@ class TestLoopFailureRules:
             assert all(np.isfinite(r[f]) for f in fields)
 
 
+class TestGradRelease:
+    """Training ends by releasing every trained tensor's grad, so a trained
+    model holds values only and the optimizer's flat grad buffer is freed."""
+
+    @staticmethod
+    def student(gamma):
+        provider, _ = synthetic_provider(per_class=15)
+        cfg = small_cfg(phase2_epochs=3, gamma=gamma)
+        labelset = assign_pseudo_labels(provider.image_embeddings, provider.class_anchors,
+                                        cfg.tau)
+        student = init_fft_encoder(provider.dim, provider.num_classes,
+                                   cfg.hidden_mult * provider.dim, SeededRng(33))
+        return train_fft(student, labelset, provider, cfg, SeededRng(33), "phase2/s1")
+
+    def test_phase1_model_holds_values_only(self):
+        provider, _ = synthetic_provider()
+        cfg = small_cfg(phase1_epochs=3)
+        model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(33))
+        train_phase1(model, zero_shot_selection(provider, cfg), cfg, SeededRng(33))
+        assert all(p.grad is None for p in model.params())
+        # forward passes still work; a backward pass names the released tensor
+        generate_labels(model)
+        with pytest.raises(ContractError, match="'model1/pos_context' holds values only"):
+            loss_positive(model, provider.image_embeddings[:4], np.zeros(4, dtype=np.int64))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_student_holds_values_only(self, gamma):
+        student = self.student(gamma)
+        assert all(p.grad is None for p in student.params())
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_optimizer_grad_buffer_is_freed(self, monkeypatch, gamma):
+        import weakref
+
+        import coft.grad
+
+        buffers = []
+        bind_flat = coft.grad.bind_flat
+
+        def recording(params, attr):
+            flat = bind_flat(params, attr)
+            if attr == "grad":
+                buffers.append(weakref.ref(flat))
+            return flat
+
+        monkeypatch.setattr(coft.grad, "bind_flat", recording)
+        student = self.student(gamma)  # held: only its values may outlive training
+        assert len(buffers) == 1
+        assert buffers[0]() is None
+        assert all(p.value.base is not None for p in student.params())
+
+    def test_pipeline_outputs_match_a_run_that_keeps_its_grads(self, tmp_path, monkeypatch):
+        """coft-plus (two rounds, momentum contrast) on the acceptance
+        dataset, seed 1, with shortened training: releasing the grads changes
+        no file of the run."""
+        import coft.train
+        from coft.data import save_dataset
+        from coft.train import run_pipeline
+
+        from test_acceptance import ACCEPTANCE_SPEC
+
+        ds, truth = generate_synthetic(SyntheticSpec(seed=1, **ACCEPTANCE_SPEC))
+        manifest = save_dataset(ds, tmp_path / "data", truth=truth)
+        cfg = TrainConfig(phase1_epochs=20, phase2_epochs=15)
+        run_pipeline(manifest, cfg, "coft-plus", 1, str(tmp_path / "released"))
+
+        train_epochs = coft.train._train_epochs
+
+        def keeping(params, *args, **kwargs):
+            train_epochs(params, *args, **kwargs)
+            for p in params:
+                p.grad = np.zeros_like(p.value)  # as a finished step leaves them
+
+        monkeypatch.setattr(coft.train, "_train_epochs", keeping)
+        run_pipeline(manifest, cfg, "coft-plus", 1, str(tmp_path / "kept"))
+
+        def files(run):
+            root = tmp_path / run
+            return {path.relative_to(root): path.read_bytes()
+                    for path in root.rglob("*") if path.is_file()}
+
+        released = files("released")
+        assert len([name for name in released if name.suffix == ".f64le"]) == 4
+        assert released == files("kept")
+
+
 class TestIteratePeft:
     def test_single_round_matches_manual_phase1(self):
         provider, _ = synthetic_provider()
