@@ -200,11 +200,25 @@ def _build_run_config(args) -> RunConfig:
     return apply_config_values(rc, flag_values)
 
 
+def _check_directory(flag: str, path: str) -> None:
+    """ConfigError naming ``flag`` and ``path`` unless ``path`` is nonempty
+    and nothing at it or above it is an existing non-directory, so it names a
+    directory or a place to make one."""
+    if not path:
+        raise ConfigError(f"{flag} is empty: it must name a directory")
+    existing = path
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ConfigError(f"{flag} {path!r}: {existing!r} is not a directory")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    _check_directory("--out", args.out)
     # each flag's dest is a SyntheticSpec field; a flag not given keeps RunConfig's value
     rc = apply_config_values(RunConfig(), {
         f"synth.{name}": value for name, value in vars(args).items()
@@ -220,6 +234,7 @@ def cmd_run(args) -> int:
     rc = _build_run_config(args)
     # every check that can refuse the run comes before its first write
     _check_run_config(rc)
+    _check_directory("--out", rc.out)
     # the record holds what the run uses: a run on a given dataset drew no
     # synthetic one, so its record names no synth spec
     rc.train = mode_config(rc.train, rc.mode)
@@ -272,6 +287,7 @@ def _load_filter(path, provider) -> PseudoLabelSet:
 
 
 def cmd_eval(args) -> int:
+    _check_directory("--run", args.run)
     rc = load_run_config(args.run)
     manifest = args.dataset or rc.dataset
     if not manifest or not os.path.exists(manifest):

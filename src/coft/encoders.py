@@ -28,15 +28,18 @@ import numpy as np
 
 from .core import SeededRng, as_f64, map_row_blocks, row_norms
 from .errors import DomainError, ShapeError, TrainingError
-from .grad import ParamTensor, accumulate_grad, param
+from .grad import ParamTensor, accumulate_grad, flat_buffer, flat_params, flat_views
 
 __all__ = [
     "FrozenProvider",
     "PromptBank",
+    "build_params",
+    "prompt_bank_spec",
     "init_prompt_bank",
     "compose_texts",
     "compose_texts_backward",
     "VisualAdapter",
+    "visual_adapter_spec",
     "init_visual_adapter",
     "adapt_batch",
     "adapt_batch_backward",
@@ -50,6 +53,18 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-9
+
+
+def build_params(spec: dict) -> list:
+    """The tensors of ``spec`` (name -> (shape, stream, scale)) laid out by
+    ``grad.flat_params``, in order: ``scale`` times the stream's Gaussian
+    draws, drawn in place, or zeros where the stream is None."""
+    tensors = flat_params({name: shape for name, (shape, _, _) in spec.items()})
+    for p, (_, stream, scale) in zip(tensors, spec.values()):
+        if stream is not None:
+            stream.fill_normal(p.value)
+            p.value *= scale
+    return tensors
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:
@@ -139,16 +154,19 @@ class PromptBank:
         return [self.pos_context, self.neg_context]
 
 
+def prompt_bank_spec(provider: FrozenProvider, rng: SeededRng, sigma: float,
+                     name_prefix: str) -> dict:
+    """``build_params`` spec of a bank: Gaussian contexts from distinct
+    pos/neg streams."""
+    shape = (provider.num_classes, provider.dim)
+    return {name_prefix + name: (shape, rng.stream(name), sigma)
+            for name in ("pos_context", "neg_context")}
+
+
 def init_prompt_bank(provider: FrozenProvider, rng: SeededRng, sigma: float = 0.02,
                      name_prefix: str = "") -> PromptBank:
-    """Fresh bank with Gaussian contexts from distinct pos/neg streams."""
-    shape = (provider.num_classes, provider.dim)
-    pos = rng.stream("pos_context").normal(shape, scale=sigma)
-    neg = rng.stream("neg_context").normal(shape, scale=sigma)
-    return PromptBank(
-        pos_context=param(name_prefix + "pos_context", pos),
-        neg_context=param(name_prefix + "neg_context", neg),
-    )
+    """Fresh bank, its two contexts one flat buffer."""
+    return PromptBank(*build_params(prompt_bank_spec(provider, rng, sigma, name_prefix)))
 
 
 @dataclass
@@ -214,15 +232,19 @@ class VisualAdapter:
         return self.scale == 0.0 or not np.logical_or.reduce(self.up.value, axis=None)
 
 
+def visual_adapter_spec(dim: int, rank: int, rng: SeededRng, sigma: float,
+                        name_prefix: str) -> dict:
+    """``build_params`` spec of an adapter: a Gaussian down-projection and a
+    zero up-projection, so adaptation starts from the exact identity."""
+    return {name_prefix + "adapter_down": ((rank, dim), rng.stream("adapter_down"), sigma),
+            name_prefix + "adapter_up": ((dim, rank), None, 0.0)}
+
+
 def init_visual_adapter(dim: int, rank: int, scale: float, rng: SeededRng,
                         sigma: float = 0.02, name_prefix: str = "") -> VisualAdapter:
-    """Zero up-projection at init so adaptation starts from the exact identity."""
-    down = rng.stream("adapter_down").normal((rank, dim), scale=sigma)
-    return VisualAdapter(
-        down=param(name_prefix + "adapter_down", down),
-        up=param(name_prefix + "adapter_up", np.zeros((dim, rank))),
-        scale=float(scale),
-    )
+    """Fresh adapter, its two projections one flat buffer."""
+    return VisualAdapter(*build_params(visual_adapter_spec(dim, rank, rng, sigma, name_prefix)),
+                         scale=float(scale))
 
 
 @dataclass
@@ -310,22 +332,25 @@ class FFTEncoder:
 
 def init_fft_encoder(dim: int, num_classes: int, hidden: int, rng: SeededRng,
                      name_prefix: str = "") -> FFTEncoder:
-    w1 = rng.stream("fft_w1").normal((hidden, dim), scale=1.0)
-    return FFTEncoder(
-        w1=param(name_prefix + "fft_w1", w1),
-        b1=param(name_prefix + "fft_b1", np.zeros(hidden)),
-        w2=param(name_prefix + "fft_w2", np.zeros((dim, hidden))),
-        b2=param(name_prefix + "fft_b2", np.zeros(dim)),
-        w_fc=param(name_prefix + "fft_w_fc", np.zeros((num_classes, dim))),
-        b_fc=param(name_prefix + "fft_b_fc", np.zeros(num_classes)),
-    )
+    """Fresh encoder, its six tensors one flat buffer."""
+    return FFTEncoder(*build_params({
+        name_prefix + "fft_w1": ((hidden, dim), rng.stream("fft_w1"), 1.0),
+        name_prefix + "fft_b1": ((hidden,), None, 0.0),
+        name_prefix + "fft_w2": ((dim, hidden), None, 0.0),
+        name_prefix + "fft_b2": ((dim,), None, 0.0),
+        name_prefix + "fft_w_fc": ((num_classes, dim), None, 0.0),
+        name_prefix + "fft_b_fc": ((num_classes,), None, 0.0),
+    }))
 
 
 def clone_encoder_values(enc: FFTEncoder, name_prefix: str) -> FFTEncoder:
-    """Deep copy of parameter values, holding no grads; used for the momentum
-    twin, which is only read and EMA-updated, never trained."""
-    return FFTEncoder(*[ParamTensor(name_prefix + p.name, p.value.copy(), None)
-                        for p in enc.params()])
+    """A copy of the encoder's flat value buffer, viewed as its tensors and
+    holding no grads; used for the momentum twin, which is only read and
+    EMA-updated, never trained."""
+    params = enc.params()
+    values = flat_views(flat_buffer(params, "value").copy(), [p.shape for p in params])
+    return FFTEncoder(*[ParamTensor(name_prefix + p.name, v, None)
+                        for p, v in zip(params, values)])
 
 
 @dataclass

@@ -4,6 +4,10 @@ verifier, and the checkpoint file format.
 Gradients in this package are hand-derived per loss; the verifier here is the
 independent check that keeps them honest. Losses accumulate into
 ``ParamTensor.grad`` and an optimizer ``step`` consumes and zeroes the grads.
+A model's tensors are built by ``flat_params`` as views of one flat value
+buffer and one flat grad buffer, in ``params()`` order, and ``Adam`` steps
+those buffers in place: no tensor's ``value`` or ``grad`` is ever copied or
+replaced by the optimizer.
 A model's grads exist only while it trains: when its last epoch ends,
 ``train._train_epochs`` releases them (``grad = None``), so a trained model,
 a momentum twin and a loaded checkpoint hold values only, and accumulating
@@ -30,6 +34,9 @@ from .errors import ContractError, DomainError, FormatError, ShapeError, Trainin
 
 __all__ = [
     "ParamTensor",
+    "flat_views",
+    "flat_params",
+    "flat_buffer",
     "param",
     "accumulate_grad",
     "zero_grads",
@@ -81,9 +88,45 @@ def _released(p: ParamTensor) -> ContractError:
                          "when its training ended")
 
 
+def flat_views(flat: np.ndarray, shapes) -> list:
+    """Views of the 1-D ``flat``, one per shape, laid end to end in order."""
+    views, offset = [], 0
+    for shape in shapes:
+        end = offset + math.prod(shape)
+        views.append(flat[offset:end].reshape(shape))
+        offset = end
+    return views
+
+
+def flat_params(shapes: dict) -> list:
+    """One zeroed ParamTensor per entry of ``shapes`` (name -> shape), in
+    order: the values are views of one new flat buffer and the grads views of
+    one zeroed flat grad buffer of the same layout. Every model is built this
+    way, so ``Adam`` steps the buffers in place."""
+    total = sum(math.prod(shape) for shape in shapes.values())
+    values, grads = (flat_views(np.zeros(total), shapes.values()) for _ in range(2))
+    return [ParamTensor(name, v, g) for name, v, g in zip(shapes, values, grads)]
+
+
+def flat_buffer(params, attr: str) -> np.ndarray:
+    """The one flat buffer whose views the ``attr`` arrays ("value" or
+    "grad") of ``params`` are. ContractError unless they tile it exactly, as
+    ``flat_params`` lays them out."""
+    arrays = [getattr(p, attr) for p in params]
+    flat = arrays[0].base if arrays else None
+    if (flat is None or flat.ndim != 1 or any(a.base is not flat for a in arrays)
+            or sum(a.size for a in arrays) != flat.size):
+        raise ContractError(f"the {attr}s of {[p.name for p in params]} are not "
+                            "views of one flat buffer they tile")
+    return flat
+
+
 def param(name: str, value) -> ParamTensor:
-    v = np.array(value, dtype=np.float64)
-    return ParamTensor(name=name, value=v, grad=np.zeros_like(v))
+    """A one-tensor ``flat_params`` holding a copy of ``value``."""
+    v = np.asarray(value, dtype=np.float64)
+    p, = flat_params({name: v.shape})
+    p.value[...] = v
+    return p
 
 
 def accumulate_grad(p: ParamTensor, contribution) -> ParamTensor:
@@ -99,21 +142,6 @@ def accumulate_grad(p: ParamTensor, contribution) -> ParamTensor:
     return p
 
 
-def bind_flat(params, attr: str) -> np.ndarray:
-    """One new flat buffer holding the ``attr`` arrays ("value" or "grad") of
-    ``params`` end to end, in order; each tensor's ``attr`` is rebound to its
-    view of the buffer."""
-    flat = np.empty(sum(getattr(p, attr).size for p in params))
-    offset = 0
-    for p in params:
-        array = getattr(p, attr)
-        end = offset + array.size
-        flat[offset:end] = array.reshape(-1)
-        setattr(p, attr, flat[offset:end].reshape(array.shape))
-        offset = end
-    return flat
-
-
 def zero_grads(params) -> None:
     for p in params:
         p.zero_grad()
@@ -122,12 +150,12 @@ def zero_grads(params) -> None:
 class Adam:
     """Adam with bias correction; one shared step counter for all params.
 
-    The first ``step`` binds the optimizer to its param list: it copies the
-    values and grads into one flat value buffer and one flat grad buffer, in
-    param order, and rebinds each tensor's ``value`` and ``grad`` to a view of
-    them. In-place writes to a bound tensor reach the optimizer; assigning a
-    new array to ``value`` or ``grad`` does not. A model's grads exist only
-    while it trains: its trainer releases each ``grad`` and drops the
+    The first ``step`` binds the optimizer to its param list, whose values
+    and grads must tile one flat value buffer and one flat grad buffer, as
+    ``flat_params`` lays out every model; the optimizer steps those buffers
+    in place. In-place writes to a tensor reach the optimizer; assigning a
+    new array to its ``value`` or ``grad`` does not. A model's grads exist
+    only while it trains: its trainer releases each ``grad`` and drops the
     optimizer when training ends, which frees the flat grad buffer. Binding
     or stepping a released tensor raises ContractError naming it.
 
@@ -160,7 +188,7 @@ class Adam:
                     "pass the same tensors in the same order")
             return
         params = tuple(params)
-        self._value, self._grad = bind_flat(params, "value"), bind_flat(params, "grad")
+        self._value, self._grad = flat_buffer(params, "value"), flat_buffer(params, "grad")
         total = self._value.size
         m, v = np.zeros(total), np.zeros(total)
         self._chunks = [(self._value[s], self._grad[s], m[s], v[s])

@@ -66,16 +66,17 @@ from .encoders import (
     VisualAdapter,
     adapt_batch,
     adapt_batch_backward,
+    build_params,
     clone_encoder_values,
     compose_texts,
     compose_texts_backward,
     encode_batch,
     encode_batch_backward,
     init_fft_encoder,
-    init_prompt_bank,
-    init_visual_adapter,
     logits_batch,
     logits_batch_backward,
+    prompt_bank_spec,
+    visual_adapter_spec,
 )
 from .errors import (
     ConfigError,
@@ -86,7 +87,7 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
-from .grad import Adam, bind_flat, load_checkpoint, save_checkpoint, step
+from .grad import Adam, flat_buffer, load_checkpoint, save_checkpoint, step
 from .pseudo import (
     PseudoLabelSet,
     assign_pseudo_labels,
@@ -212,13 +213,16 @@ class AdaptedModel:
 
 def init_adapted_model(provider: FrozenProvider, model_id: str, round_idx: int,
                        cfg: TrainConfig, root_rng: SeededRng) -> AdaptedModel:
-    """Fresh attached parameters from round- and model-specific streams."""
+    """Fresh attached parameters from round- and model-specific streams, the
+    bank's and the adapter's tensors one flat buffer in ``params()`` order."""
     rng = root_rng.stream(f"round{round_idx}/{model_id}")
-    bank = init_prompt_bank(provider, rng, sigma=cfg.init_sigma, name_prefix=f"{model_id}/")
-    adapter = init_visual_adapter(provider.dim, cfg.adapter_rank, cfg.adapter_scale,
-                                  rng, sigma=cfg.init_sigma, name_prefix=f"{model_id}/")
-    return AdaptedModel(model_id=model_id, provider=provider, bank=bank,
-                        adapter=adapter, tau=cfg.tau, tau_pos=TAU_POS)
+    prefix = f"{model_id}/"
+    pos, neg, down, up = build_params({
+        **prompt_bank_spec(provider, rng, cfg.init_sigma, prefix),
+        **visual_adapter_spec(provider.dim, cfg.adapter_rank, rng, cfg.init_sigma, prefix)})
+    return AdaptedModel(model_id=model_id, provider=provider, bank=PromptBank(pos, neg),
+                        adapter=VisualAdapter(down, up, float(cfg.adapter_scale)),
+                        tau=cfg.tau, tau_pos=TAU_POS)
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +559,10 @@ class MomentumState:
     """EMA twin of the student encoder plus a FIFO queue of key embeddings.
 
     The twin's values are views of one flat buffer laid out like the
-    optimizer's (``grad.bind_flat``), so ``momentum_update`` is one scale and
-    one scaled add over it. In-place writes to a twin tensor reach the
-    buffer; assigning a new array to its ``value`` does not.
+    student's (``encoders.clone_encoder_values``), so ``momentum_update`` is
+    one scale and one scaled add of the student's value buffer into it.
+    In-place writes to a twin tensor reach the buffer; assigning a new array
+    to its ``value`` does not.
 
     The queue is a preallocated ``(2 * capacity, dim)`` buffer in which every
     key is written twice, ``capacity`` rows apart, so the held keys, oldest
@@ -573,7 +578,8 @@ class MomentumState:
         if capacity < 1:
             raise ConfigError("queue capacity must be >= 1")
         self.momentum = clone_encoder_values(encoder, "momentum/")
-        self._flat = bind_flat(self.momentum.params(), "value")
+        self._flat = flat_buffer(self.momentum.params(), "value")
+        self._source = flat_buffer(encoder.params(), "value")
         self.mu = float(mu)
         self.tau_prime = float(tau_prime)
         self.capacity = int(capacity)
@@ -610,17 +616,14 @@ class MomentumState:
 
 def momentum_update(state: MomentumState, primary: FFTEncoder) -> MomentumState:
     """theta_m <- mu * theta_m + (1 - mu) * theta over every parameter at once:
-    one scale and one scaled add over the twin's flat buffer, against one
-    concatenation of the primary's values in the same order."""
-    params = primary.params()
-    for mp, pp in zip(state.momentum.params(), params):
-        if mp.value.shape != pp.value.shape:
-            raise ContractError(
-                f"momentum/primary shape mismatch for {pp.name!r}: "
-                f"{mp.value.shape} vs {pp.value.shape}"
-            )
+    one scale of the twin's flat buffer and one scaled add of the value
+    buffer of ``primary``, which must be the encoder ``state`` was built from
+    (ContractError otherwise)."""
+    if primary.w1.value.base is not state._source:
+        raise ContractError(f"{primary.w1.name!r} is not a tensor of the encoder "
+                            "the momentum state was built from")
     state._flat *= state.mu
-    state._flat += (1.0 - state.mu) * np.concatenate([p.value.reshape(-1) for p in params])
+    state._flat += (1.0 - state.mu) * state._source
     return state
 
 

@@ -85,6 +85,14 @@ class TestSynth:
                        "--out", str(tmp_path))
         assert code == 2
 
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        assert run_cli("synth", "--out", str(taken)) == 2
+        assert f"--out {str(taken)!r}: {str(taken)!r} is not a directory" in (
+            capsys.readouterr().err)
+        assert sorted(os.listdir(tmp_path)) == ["taken"] and taken.read_text() == "x"
+
 
 class TestRun:
     def test_determinism_bit_identical_checkpoints(self, tmp_path):
@@ -259,6 +267,20 @@ class TestRun:
         assert run_cli("run", "--out", str(out), *flags) == 2
         assert expected in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("out, expected", [
+        ("taken", "--out 'taken': 'taken' is not a directory"),
+        ("taken/run", "--out 'taken/run': 'taken' is not a directory"),
+        ("", "--out is empty: it must name a directory"),
+    ], ids=["file", "below-a-file", "empty"])
+    def test_out_that_cannot_be_a_directory_writes_nothing(self, tmp_path, capsys,
+                                                           monkeypatch, out, expected):
+        # refused before the default dataset is synthesized under it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("x")
+        assert run_cli("run", "--out", out, *FAST_TRAIN) == 2
+        assert expected in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
 
     @pytest.mark.parametrize("flags, out", [
         (("--dataset", " data/ds.json"), "r"),
@@ -685,6 +707,13 @@ class TestEval:
         assert run_cli("run", "--dataset", manifest, "--seed", "7",
                        "--out", str(out), *train_args) == 0
         return manifest, out
+
+    def test_run_naming_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        assert run_cli("eval", "--run", str(taken)) == 2
+        assert f"--run {str(taken)!r}: {str(taken)!r} is not a directory" in (
+            capsys.readouterr().err)
 
     def test_missing_sidecar_exits_2(self, tmp_path, capsys):
         manifest, out = self.finished_run(tmp_path)

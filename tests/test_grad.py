@@ -14,6 +14,8 @@ from coft.grad import (
     Adam,
     accumulate_grad,
     check_gradients,
+    flat_buffer,
+    flat_params,
     load_checkpoint,
     param,
     save_checkpoint,
@@ -38,6 +40,16 @@ class TestAccumulate:
         p = param("w", [0.0, 0.0])
         with pytest.raises(ShapeError):
             accumulate_grad(p, [1.0, 2.0, 3.0])
+
+
+def model(*named):
+    """Tensors holding copies of the (name, value) pairs, laid out as
+    ``flat_params`` lays out every model: views of one flat value buffer and
+    one flat grad buffer."""
+    tensors = flat_params({name: np.shape(value) for name, value in named})
+    for p, (_, value) in zip(tensors, named):
+        p.value[...] = value
+    return tensors
 
 
 class AdamReference:
@@ -82,7 +94,7 @@ CHUNKED_SHAPES = [(3, 5), (50_000,), (7, 7_001), (13,)]
 def chunked_params(rng):
     sizes = [int(np.prod(s)) for s in CHUNKED_SHAPES]
     assert sum(sizes) >= 3 * STEP_CHUNK and sum(sizes) % STEP_CHUNK
-    return [param(f"w{i}", rng.normal(size=s)) for i, s in enumerate(CHUNKED_SHAPES)]
+    return model(*[(f"w{i}", rng.normal(size=s)) for i, s in enumerate(CHUNKED_SHAPES)])
 
 
 class TestStep:
@@ -148,7 +160,8 @@ class TestStep:
         assert p.value.tobytes() == before
 
     def test_in_place_writes_reach_the_optimizer(self):
-        a, b = param("a", [1.0, 2.0]), param("b", [[3.0], [4.0]])
+        a, b = model(("a", [1.0, 2.0]), ("b", [[3.0], [4.0]]))
+        arrays = [a.value, a.grad, b.value, b.grad]
         opt = Adam(1e-2)
         step(opt, [a, b])  # zero grads: binds the tensors without moving them
         a.value[1] = 20.0
@@ -166,15 +179,31 @@ class TestStep:
         with pytest.raises(TrainingError) as exc:
             step(opt, [a, b])
         assert exc.value.param_name == "b"
+        # the optimizer stepped the tensors' own buffers and replaced no array
+        assert all(x is y for x, y in zip([a.value, a.grad, b.value, b.grad], arrays))
 
     def test_different_tensor_list_rejected(self):
-        a, b = param("a", [1.0]), param("b", [2.0])
+        a, b = model(("a", [1.0]), ("b", [2.0]))
         opt = Adam(1e-3)
         step(opt, [a, b])
         step(opt, [a, b])  # a fresh list of the same tensors is fine
         for other in ([b, a], [a], [a, b, param("c", [0.0])], [a, param("b", [2.0])]):
             with pytest.raises(ContractError):
                 step(opt, other)
+
+    def test_tensors_must_tile_one_buffer(self):
+        # a first step steps the buffers its tensors view, so they must be
+        # exactly one model's: not a part of one, nor tensors of two
+        a, b = model(("a", [1.0]), ("b", [2.0, 3.0]))
+        c = param("c", [4.0])
+        b.grad[:] = 1.0
+        for tensors in ([a], [b], [a, c], [a, b, c]):
+            opt = Adam(1e-3)
+            with pytest.raises(ContractError, match="not views of one flat buffer"):
+                step(opt, tensors)
+            assert opt.step_count == 0
+        assert [a.value[0], *b.value, c.value[0]] == [1.0, 2.0, 3.0, 4.0]
+        assert flat_buffer([b, a], "value") is a.value.base  # order is free
 
     def test_non_finite_grad_names_param(self):
         p = param("bad_param", [1.0])
@@ -184,8 +213,8 @@ class TestStep:
         assert exc.value.param_name == "bad_param"
 
     def test_non_finite_grad_names_the_second_of_three(self):
-        params = [param("first", [1.0, 2.0]), param("second", np.zeros((2, 2))),
-                  param("third", [3.0])]
+        params = model(("first", [1.0, 2.0]), ("second", np.zeros((2, 2))),
+                       ("third", [3.0]))
         params[1].grad[1, 0] = np.nan
         params[2].grad[0] = np.inf
         opt = Adam(1e-3)
@@ -195,7 +224,7 @@ class TestStep:
         assert opt.step_count == 0
 
     def test_non_finite_value_names_param(self):
-        params = [param("ok", [1.0]), param("huge", [1.0, np.inf])]
+        params = model(("ok", [1.0]), ("huge", [1.0, np.inf]))
         with pytest.raises(TrainingError, match="non-finite value in 'huge' after step") as exc:
             step(Adam(1e-3), params)
         assert exc.value.param_name == "huge"
@@ -242,7 +271,7 @@ class TestReleasedGrad:
 
     @staticmethod
     def released():
-        kept, gone = param("kept", [1.0, 2.0]), param("gone", [[3.0], [4.0]])
+        kept, gone = model(("kept", [1.0, 2.0]), ("gone", [[3.0], [4.0]]))
         gone.grad = None
         return kept, gone
 
@@ -259,14 +288,17 @@ class TestReleasedGrad:
     def test_first_step_binds_nothing(self):
         kept, gone = self.released()
         before = [p.value.copy() for p in (kept, gone)]
+        opt = Adam(0.1)
         with pytest.raises(ContractError, match="'gone' holds values only"):
-            step(Adam(0.1), [kept, gone])
-        assert kept.value.base is None and kept.grad.base is None
+            step(opt, [kept, gone])
+        with pytest.raises(ContractError, match="'gone' holds values only"):
+            step(opt, [kept, gone])  # still unbound: the release is named again
+        assert opt.step_count == 0
         for p, v in zip((kept, gone), before):
             np.testing.assert_array_equal(p.value, v)
 
     def test_step_after_release_moves_nothing(self):
-        a, b = param("a", [1.0, 2.0]), param("b", [3.0])
+        a, b = model(("a", [1.0, 2.0]), ("b", [3.0]))
         opt = Adam(0.1)
         a.grad[:] = 1.0
         step(opt, [a, b])
@@ -426,14 +458,14 @@ class TestCheckpointProperties:
     @given(tensor_lists())
     def test_tensors_bound_to_adam_save_the_same_bytes(self, tmp_path_factory, params):
         root = tmp_path_factory.mktemp("ck")
-        copies = [param(p.name, p.value) for p in params]
-        # a step binds the tensors (their values become views of one flat
-        # buffer) even when an infinite value makes it raise afterwards
+        # one model's tensors, views of one flat buffer, against one buffer
+        # per tensor; a step binds them even when an infinite value makes it
+        # raise afterwards
+        bound = model(*[(p.name, p.value) for p in params])
         with contextlib.suppress(TrainingError):
-            step(Adam(0.0), params)
-        assert all(p.value.base is not None for p in params)
-        save_checkpoint(str(root / "bound"), params)
-        save_checkpoint(str(root / "copies"), copies)
+            step(Adam(0.0), bound)
+        save_checkpoint(str(root / "bound"), bound)
+        save_checkpoint(str(root / "copies"), params)
         for suffix in (".json", ".f64le"):
             assert filecmp.cmp(str(root / "bound") + suffix, str(root / "copies") + suffix,
                                shallow=False)

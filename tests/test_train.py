@@ -17,7 +17,7 @@ from coft.errors import (
     ShapeError,
     TrainingError,
 )
-from coft.grad import Adam, step
+from coft.grad import Adam, flat_buffer, step
 from coft.pseudo import (
     assign_pseudo_labels,
     centroid_confidences,
@@ -386,9 +386,10 @@ class TestMomentum:
         assert rel <= 1e-9
 
     def test_flat_twin_matches_per_tensor_loop_bitwise(self):
-        # the flat EMA against the per-tensor loop it replaced, over 60 steps:
-        # the first 5 before an optimizer binds the primary, then bound to one
-        # optimizer, and from step 30 to a second one (new value arrays)
+        # the EMA of the student's value buffer against the per-tensor loop it
+        # replaced, over 60 steps: the first 5 after in-place writes to the
+        # student's tensors, then after steps of one optimizer, and from step
+        # 30 of a second one; no array of either encoder is ever replaced
         from coft.grad import accumulate_grad
 
         enc = init_fft_encoder(6, 3, 12, SeededRng(10))
@@ -396,6 +397,7 @@ class TestMomentum:
         for p in enc.params():
             p.value[:] = rng.normal(size=p.shape)
         state = MomentumState(enc, mu=0.9, tau_prime=0.2, capacity=4)
+        arrays = [p.value for p in enc.params() + state.momentum.params()]
         reference = [mp.value.copy() for mp in state.momentum.params()]
         opt = Adam(0.01)
         for i in range(60):
@@ -414,6 +416,7 @@ class TestMomentum:
                 ref += (1.0 - 0.9) * pp.value
         for mp, ref in zip(state.momentum.params(), reference):
             assert mp.value.tobytes() == ref.tobytes()
+        assert all(p.value is a for p, a in zip(enc.params() + state.momentum.params(), arrays))
 
     def test_mu_one_excluded(self):
         enc = init_fft_encoder(4, 2, 6, SeededRng(3))
@@ -424,10 +427,16 @@ class TestMomentum:
 
     def test_shape_mismatch_rejected(self):
         enc = init_fft_encoder(4, 2, 6, SeededRng(4))
-        other = init_fft_encoder(5, 2, 6, SeededRng(5))
         state = MomentumState(enc, mu=0.5, tau_prime=0.2, capacity=4)
-        with pytest.raises(ContractError):
-            momentum_update(state, other)
+        before = [mp.value.copy() for mp in state.momentum.params()]
+        # another encoder, of other shapes or of the same ones, is not the
+        # one the twin follows
+        for other in (init_fft_encoder(5, 2, 6, SeededRng(5)),
+                      init_fft_encoder(4, 2, 6, SeededRng(4))):
+            with pytest.raises(ContractError, match="not a tensor of the encoder"):
+                momentum_update(state, other)
+        for mp, b in zip(state.momentum.params(), before):
+            np.testing.assert_array_equal(mp.value, b)
 
     def test_fifo_queue_oracle_fifty_steps(self):
         d, batch, capacity = 6, 5, 12
@@ -664,14 +673,19 @@ class TestGradRelease:
     model holds values only and the optimizer's flat grad buffer is freed."""
 
     @staticmethod
-    def student(gamma):
+    def untrained(gamma):
+        """A fresh student and a function that trains it."""
         provider, _ = synthetic_provider(per_class=15)
         cfg = small_cfg(phase2_epochs=3, gamma=gamma)
         labelset = assign_pseudo_labels(provider.image_embeddings, provider.class_anchors,
                                         cfg.tau)
         student = init_fft_encoder(provider.dim, provider.num_classes,
                                    cfg.hidden_mult * provider.dim, SeededRng(33))
-        return train_fft(student, labelset, provider, cfg, SeededRng(33), "phase2/s1")
+        return student, lambda: train_fft(student, labelset, provider, cfg, SeededRng(33),
+                                          "phase2/s1")
+
+    def student(self, gamma):
+        return self.untrained(gamma)[1]()
 
     def test_phase1_model_holds_values_only(self):
         provider, _ = synthetic_provider()
@@ -690,25 +704,15 @@ class TestGradRelease:
         assert all(p.grad is None for p in student.params())
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
-    def test_optimizer_grad_buffer_is_freed(self, monkeypatch, gamma):
+    def test_optimizer_grad_buffer_is_freed(self, gamma):
         import weakref
 
-        import coft.grad
-
-        buffers = []
-        bind_flat = coft.grad.bind_flat
-
-        def recording(params, attr):
-            flat = bind_flat(params, attr)
-            if attr == "grad":
-                buffers.append(weakref.ref(flat))
-            return flat
-
-        monkeypatch.setattr(coft.grad, "bind_flat", recording)
-        student = self.student(gamma)  # held: only its values may outlive training
-        assert len(buffers) == 1
-        assert buffers[0]() is None
-        assert all(p.value.base is not None for p in student.params())
+        student, train = self.untrained(gamma)
+        grads = weakref.ref(flat_buffer(student.params(), "grad"))
+        values = flat_buffer(student.params(), "value")
+        train()  # the student is held: only its values may outlive training
+        assert grads() is None
+        assert flat_buffer(student.params(), "value") is values
 
     def test_pipeline_outputs_match_a_run_that_keeps_its_grads(self, tmp_path, monkeypatch):
         """coft-plus (two rounds, momentum contrast) on the acceptance
@@ -743,6 +747,56 @@ class TestGradRelease:
         released = files("released")
         assert len([name for name in released if name.suffix == ".f64le"]) == 4
         assert released == files("kept")
+
+
+class TestFlatLayout:
+    """Each model's tensors are views of one flat value buffer and one flat
+    grad buffer from construction; the momentum twin's values are one flat
+    buffer too. Training steps and blends those buffers in place, so no
+    tensor's array is ever replaced."""
+
+    @staticmethod
+    def arrays(params, grads=True):
+        """Each tensor's value (and grad) array, after checking that they tile
+        one flat value buffer (and one flat grad buffer)."""
+        flat_buffer(params, "value")
+        if grads:
+            flat_buffer(params, "grad")
+            return [p.value for p in params] + [p.grad for p in params]
+        return [p.value for p in params]
+
+    def test_phase1_model_keeps_its_arrays(self):
+        provider, _ = synthetic_provider()
+        cfg = small_cfg(phase1_epochs=3)
+        model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(33))
+        assert [p.name.split("/")[1] for p in model.params()] == [
+            "pos_context", "neg_context", "adapter_down", "adapter_up"]
+        values = self.arrays(model.params())[:4]
+        train_phase1(model, zero_shot_selection(provider, cfg), cfg, SeededRng(33))
+        assert all(p.value is v for p, v in zip(model.params(), values))
+        assert flat_buffer(model.params(), "value") is values[0].base
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_student_and_twin_keep_their_arrays(self, monkeypatch, gamma):
+        import coft.train
+
+        twins = []
+
+        class Recording(MomentumState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                twins.append((self.momentum, TestFlatLayout.arrays(self.momentum.params(),
+                                                                   grads=False)))
+
+        monkeypatch.setattr(coft.train, "MomentumState", Recording)
+        student, train = TestGradRelease.untrained(gamma)
+        values = self.arrays(student.params())[:6]
+        train()
+        assert all(p.value is v for p, v in zip(student.params(), values))
+        assert len(twins) == (gamma > 0)
+        for twin, arrays in twins:
+            assert all(p.value is v for p, v in zip(twin.params(), arrays))
+            assert all(p.grad is None for p in twin.params())
 
 
 class TestIteratePeft:
