@@ -15,7 +15,8 @@ may appear once per file. ``CONFIG_KEYS`` holds every key with its type;
 a ``run`` flag's dest is the key it sets, a ``synth`` flag's a ``synth.``
 field. Flags override file values, and ``COFT_SEED`` provides the seed when
 neither flag nor file does. The settings the mode trains with (``mode_config``)
-are written into the output directory before anything trains.
+are written into the output directory before anything trains. ``run``
+writes only into a new or empty output directory.
 """
 
 import argparse
@@ -187,6 +188,7 @@ def _build_run_config(args) -> RunConfig:
     rc = RunConfig()
     file_values = {}
     if args.config:
+        _check_file("--config", args.config)
         file_values = parse_config_file(args.config)
         try:
             apply_config_values(rc, file_values)
@@ -213,6 +215,14 @@ def _check_directory(flag: str, path: str) -> None:
         raise ConfigError(f"{flag} {path!r}: {existing!r} is not a directory")
 
 
+def _check_file(flag: str, path: str) -> None:
+    """ConfigError naming ``flag`` and ``path`` unless ``path`` is an existing
+    file (a directory there would fail the read with IsADirectoryError)."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"{flag} {path!r}: "
+                          + ("is a directory" if os.path.isdir(path) else "not found"))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -235,15 +245,18 @@ def cmd_run(args) -> int:
     # every check that can refuse the run comes before its first write
     _check_run_config(rc)
     _check_directory("--out", rc.out)
+    if os.path.isdir(rc.out) and os.listdir(rc.out):
+        # a second run would mix its files with the first's
+        raise ConfigError(f"--out {rc.out!r} is not empty")
     # the record holds what the run uses: a run on a given dataset drew no
     # synthetic one, so its record names no synth spec
     rc.train = mode_config(rc.train, rc.mode)
     rc.synth = dataclasses.replace(rc.synth, seed=rc.seed)
     keys = [key for key in CONFIG_KEYS if not (rc.dataset and key.startswith("synth."))]
     resolved_config_text(rc, keys)  # refuses a value that would not read back as it is
-    if rc.dataset and not os.path.exists(rc.dataset):
-        raise ConfigError(f"dataset manifest not found: {rc.dataset}")
-    if not rc.dataset:
+    if rc.dataset:
+        _check_file("--dataset", rc.dataset)
+    else:
         # empty config is a valid run: synthesize the default benchmark
         ds, truth = generate_synthetic(rc.synth)
         rc.dataset = save_dataset(ds, os.path.join(rc.out, "data"), truth=truth)
@@ -290,8 +303,7 @@ def cmd_eval(args) -> int:
     _check_directory("--run", args.run)
     rc = load_run_config(args.run)
     manifest = args.dataset or rc.dataset
-    if not manifest or not os.path.exists(manifest):
-        raise ConfigError(f"dataset manifest not found: {manifest!r}")
+    _check_file("--dataset" if args.dataset else f"{RESOLVED_CONFIG_NAME} dataset", manifest)
     provider = load_dataset(manifest)
     try:
         truth = load_ground_truth(manifest)

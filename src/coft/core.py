@@ -199,10 +199,14 @@ def checksum_field(path, manifest: dict) -> str:
     return value
 
 
-def read_payload(path, shapes, checksum) -> list:
-    """One new float64 array per shape, read in place from the payload. The
-    byte length is checked before anything is allocated (FormatError naming
-    the payload), the checksum after the read (IntegrityError)."""
+def read_payload(path, tables, checksum) -> list:
+    """``tables`` filled in place from the payload, in order, and returned.
+    Each entry is a C-contiguous float64 array to fill, or a shape, for which
+    a new array is made only once the byte length has been checked
+    (FormatError naming the payload), so a manifest that lists too much
+    allocates nothing. The checksum is checked after the read
+    (IntegrityError); by then the given arrays have been written."""
+    shapes = [t if isinstance(t, tuple) else t.shape for t in tables]
     expected = sum(8 * math.prod(shape) for shape in shapes)
     digest = hashlib.sha256()
     with open(path, "rb") as f:
@@ -210,7 +214,7 @@ def read_payload(path, shapes, checksum) -> list:
         if size != expected:
             raise FormatError(f"{path}: payload holds {size} bytes, "
                               f"the manifest implies {expected}")
-        tables = [np.empty(shape, dtype="<f8") for shape in shapes]
+        tables = [np.empty(t, dtype="<f8") if isinstance(t, tuple) else t for t in tables]
         for table in tables:
             raw = memoryview(table.reshape(-1)).cast("B")
             for start in range(0, raw.nbytes, 1 << 20):  # 1 MiB per read

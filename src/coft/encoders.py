@@ -4,15 +4,16 @@ The frozen backbone is the run's dataset, held by one FrozenProvider: named
 unit-norm image embeddings and one unit-norm anchor per class.
 ``data.load_dataset`` builds it from a payload, L2-normalizing every row once;
 ``data.generate_synthetic`` builds it from the tables it draws. On top of it
-live:
+live the two trainable model types:
 
-  * PromptBank    - class-specific positive/negative contexts composed into
-                    one stacked (2C, d) text table, positive rows first
-                    (anchor k + context row k -> renormalize)
-  * VisualAdapter - low-rank residual over a frozen image embedding,
-                    renormalized; exact identity while its up-projection is 0
-  * FFTEncoder    - residual two-layer MLP over raw embeddings plus a linear
-                    class head; exact identity perturbation at init
+  * AdaptedModel - one phase-1 model: class-specific positive/negative
+                   contexts composed into one stacked (2C, d) text table,
+                   positive rows first (anchor k + context row k ->
+                   renormalize), plus a low-rank residual adapter over a
+                   frozen image embedding, renormalized; exact identity while
+                   its up-projection is 0
+  * FFTEncoder   - residual two-layer MLP over raw embeddings plus a linear
+                   class head; exact identity perturbation at init
 
 Each forward returns a cache; the matching ``*_backward`` consumes the
 upstream gradient and accumulates into the owning ParamTensors, so losses can
@@ -32,15 +33,10 @@ from .grad import ParamTensor, accumulate_grad, flat_buffer, flat_params, flat_v
 
 __all__ = [
     "FrozenProvider",
-    "PromptBank",
     "build_params",
-    "prompt_bank_spec",
-    "init_prompt_bank",
+    "AdaptedModel",
     "compose_texts",
     "compose_texts_backward",
-    "VisualAdapter",
-    "visual_adapter_spec",
-    "init_visual_adapter",
     "adapt_batch",
     "adapt_batch_backward",
     "FFTEncoder",
@@ -133,68 +129,70 @@ class FrozenProvider:
 
 
 # ---------------------------------------------------------------------------
-# Prompt bank
+# Phase-1 model: class prompts plus a visual adapter
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PromptBank:
-    """Learnable class-specific positive and negative contexts, shape
-    (C, d) each: row k shifts class k's anchor (CoOp's class-specific
-    context variant), so each class's text can move on its own.
+class AdaptedModel:
+    """One collaborative phase-1 model over the shared frozen provider; the
+    two models of a run share the provider and no trainable tensor.
 
-    The per-class anchors are read from the shared provider; only the two
-    context tables train. ``compose_texts`` turns both into one stacked
-    (2C, d) text table, positive rows first.
+    ``pos_context`` and ``neg_context`` (C, d) are class-specific contexts:
+    row k shifts class k's anchor (CoOp's class-specific context variant), so
+    each class's text can move on its own; ``compose_texts`` turns both into
+    one stacked (2C, d) text table, positive rows first. ``adapter_down``
+    (rank, d) and ``adapter_up`` (d, rank) are a low-rank residual over a
+    frozen embedding, renormalized by ``adapt_batch``.
+
+    The positive texts classify the frozen image embedding at ``tau_pos``
+    (``train.TAU_POS`` for every model the pipeline builds); the adapter
+    serves the positive-vs-negative cleanliness comparison at ``tau``, so it
+    is trained by the negative-prompt loss alone. ``train.init_adapted_model``
+    builds every model.
     """
 
+    model_id: str  # "model1" | "model2"
+    provider: FrozenProvider
     pos_context: ParamTensor
     neg_context: ParamTensor
+    adapter_down: ParamTensor
+    adapter_up: ParamTensor
+    adapter_scale: float
+    tau: float
+    tau_pos: float
+    trained: bool = False
 
     def params(self):
-        return [self.pos_context, self.neg_context]
-
-
-def prompt_bank_spec(provider: FrozenProvider, rng: SeededRng, sigma: float,
-                     name_prefix: str) -> dict:
-    """``build_params`` spec of a bank: Gaussian contexts from distinct
-    pos/neg streams."""
-    shape = (provider.num_classes, provider.dim)
-    return {name_prefix + name: (shape, rng.stream(name), sigma)
-            for name in ("pos_context", "neg_context")}
-
-
-def init_prompt_bank(provider: FrozenProvider, rng: SeededRng, sigma: float = 0.02,
-                     name_prefix: str = "") -> PromptBank:
-    """Fresh bank, its two contexts one flat buffer."""
-    return PromptBank(*build_params(prompt_bank_spec(provider, rng, sigma, name_prefix)))
+        return [self.pos_context, self.neg_context, self.adapter_down, self.adapter_up]
 
 
 @dataclass
 class _ComposeCache:
-    bank: PromptBank
+    model: AdaptedModel
     texts: np.ndarray   # (2C, d) normalized
     norms: np.ndarray   # (2C,) pre-normalization row norms
 
 
-def compose_texts(bank: PromptBank, provider: FrozenProvider):
+def compose_texts(model: AdaptedModel):
     """Both polarities' text embeddings as one (2C, d) table: row k is
     normalize(anchor_k + pos_k), row C + k is normalize(anchor_k + neg_k).
     Returns (texts, cache for the backward pass)."""
-    anchors = provider.class_anchors
+    anchors = model.provider.class_anchors
     c = anchors.shape[0]
     pre = np.empty((2 * c, anchors.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add(anchors, bank.pos_context.value, out=pre[:c])
-        np.add(anchors, bank.neg_context.value, out=pre[c:])
+        np.add(anchors, model.pos_context.value, out=pre[:c])
+        np.add(anchors, model.neg_context.value, out=pre[c:])
         norms = row_norms(pre)
     if not np.logical_and.reduce(np.isfinite(norms)):
-        ctx = bank.params()[int(np.flatnonzero(~np.isfinite(norms))[0]) // c]
+        row = int(np.flatnonzero(~np.isfinite(norms))[0])
+        ctx = (model.pos_context, model.neg_context)[row // c]
         raise TrainingError(f"composed text embedding is non-finite: "
                             f"{ctx.name!r} overflowed", param_name=ctx.name)
     if np.logical_or.reduce(norms == 0.0):
         raise DomainError("composed text embedding collapsed to zero norm")
     texts = pre / norms[:, None]
-    return texts, _ComposeCache(bank=bank, texts=texts, norms=norms)
+    return texts, _ComposeCache(model=model, texts=texts, norms=norms)
 
 
 def compose_texts_backward(cache: _ComposeCache, d_texts) -> None:
@@ -205,78 +203,42 @@ def compose_texts_backward(cache: _ComposeCache, d_texts) -> None:
     proj = np.add.reduce(d_texts * t, axis=1, keepdims=True)
     d_pre = (d_texts - proj * t) / cache.norms[:, None]
     c = t.shape[0] // 2
-    accumulate_grad(cache.bank.pos_context, d_pre[:c])
-    accumulate_grad(cache.bank.neg_context, d_pre[c:])
-
-
-# ---------------------------------------------------------------------------
-# Visual adapter
-# ---------------------------------------------------------------------------
-
-@dataclass
-class VisualAdapter:
-    """Low-rank residual over a frozen embedding, renormalized.
-
-    adapted(e) = normalize(e + scale * up @ tanh(down @ e)); exactly the
-    identity while ``up`` is all zero or ``scale`` is 0.
-    """
-
-    down: ParamTensor  # (rank, d)
-    up: ParamTensor    # (d, rank)
-    scale: float
-
-    def params(self):
-        return [self.down, self.up]
-
-    def is_identity(self) -> bool:
-        return self.scale == 0.0 or not np.logical_or.reduce(self.up.value, axis=None)
-
-
-def visual_adapter_spec(dim: int, rank: int, rng: SeededRng, sigma: float,
-                        name_prefix: str) -> dict:
-    """``build_params`` spec of an adapter: a Gaussian down-projection and a
-    zero up-projection, so adaptation starts from the exact identity."""
-    return {name_prefix + "adapter_down": ((rank, dim), rng.stream("adapter_down"), sigma),
-            name_prefix + "adapter_up": ((dim, rank), None, 0.0)}
-
-
-def init_visual_adapter(dim: int, rank: int, scale: float, rng: SeededRng,
-                        sigma: float = 0.02, name_prefix: str = "") -> VisualAdapter:
-    """Fresh adapter, its two projections one flat buffer."""
-    return VisualAdapter(*build_params(visual_adapter_spec(dim, rank, rng, sigma, name_prefix)),
-                         scale=float(scale))
+    accumulate_grad(cache.model.pos_context, d_pre[:c])
+    accumulate_grad(cache.model.neg_context, d_pre[c:])
 
 
 @dataclass
 class _AdaptCache:
-    adapter: VisualAdapter
+    model: AdaptedModel
     base: np.ndarray     # (n, d)
     hidden: np.ndarray   # (n, rank) post-tanh
     adapted: np.ndarray  # (n, d) normalized
     norms: np.ndarray    # (n,)
 
 
-def adapt_batch(adapter: VisualAdapter, base):
-    """Adapt a batch of frozen embeddings; returns (adapted, cache)."""
+def adapt_batch(model: AdaptedModel, base):
+    """The model's adapted view of a batch of frozen embeddings,
+    normalize(e + scale * up @ tanh(down @ e)); exactly the identity while
+    ``adapter_up`` is all zero or ``adapter_scale`` is 0. Returns (adapted,
+    cache)."""
     e = as_f64(base)
+    down, up, scale = model.adapter_down.value, model.adapter_up.value, model.adapter_scale
     if e.ndim != 2:
         raise ShapeError(f"expected a batch (n, d), got shape {e.shape}")
-    if e.shape[1] != adapter.down.value.shape[1]:
-        raise ShapeError(
-            f"embedding dim {e.shape[1]} != adapter dim {adapter.down.value.shape[1]}"
-        )
-    hidden = np.tanh(e @ adapter.down.value.T)
-    if adapter.is_identity():
+    if e.shape[1] != down.shape[1]:
+        raise ShapeError(f"embedding dim {e.shape[1]} != adapter dim {down.shape[1]}")
+    hidden = np.tanh(e @ down.T)
+    if scale == 0.0 or not np.logical_or.reduce(up, axis=None):
         # exact identity contract: no renormalization of already-unit rows
         adapted = e.copy()
         norms = row_norms(e)
     else:
-        z = e + adapter.scale * (hidden @ adapter.up.value.T)
+        z = e + scale * (hidden @ up.T)
         norms = row_norms(z)
         if np.logical_or.reduce(norms == 0.0):
             raise DomainError("adapted embedding collapsed to zero norm")
         adapted = z / norms[:, None]
-    return adapted, _AdaptCache(adapter=adapter, base=e, hidden=hidden,
+    return adapted, _AdaptCache(model=model, base=e, hidden=hidden,
                                 adapted=adapted, norms=norms)
 
 
@@ -286,13 +248,14 @@ def adapt_batch_backward(cache: _AdaptCache, d_adapted):
     v = cache.adapted
     proj = np.add.reduce(g * v, axis=1, keepdims=True)
     dz = (g - proj * v) / cache.norms[:, None]
-    s = cache.adapter.scale
+    model = cache.model
+    s = model.adapter_scale
     d_up = s * (dz.T @ cache.hidden)
-    d_hidden = s * (dz @ cache.adapter.up.value)
+    d_hidden = s * (dz @ model.adapter_up.value)
     d_pre = d_hidden * (1.0 - cache.hidden**2)
     d_down = d_pre.T @ cache.base
-    accumulate_grad(cache.adapter.down, d_down)
-    accumulate_grad(cache.adapter.up, d_up)
+    accumulate_grad(model.adapter_down, d_down)
+    accumulate_grad(model.adapter_up, d_up)
     return d_down, d_up
 
 

@@ -9,9 +9,11 @@ buffer and one flat grad buffer, in ``params()`` order, and ``Adam`` steps
 those buffers in place: no tensor's ``value`` or ``grad`` is ever copied or
 replaced by the optimizer.
 A model's grads exist only while it trains: when its last epoch ends,
-``train._train_epochs`` releases them (``grad = None``), so a trained model,
-a momentum twin and a loaded checkpoint hold values only, and accumulating
-into, zeroing or stepping a released tensor raises ContractError naming it.
+``train._train_epochs`` releases them (``grad = None``), so a trained model
+and a momentum twin hold values only, and accumulating into, zeroing or
+stepping a released tensor raises ContractError naming it. A checkpoint is
+read back into a model's own tensors: ``load_checkpoint`` checks the manifest
+against them, then reads the payload straight into their flat value buffer.
 
 ``Adam`` keeps its moments rescaled and folds the bias corrections into two
 per-step scalars (Kingma & Ba 2015, arXiv 1412.6980, section 2, last
@@ -23,6 +25,7 @@ only, and stay byte-identical run to run.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -351,14 +354,31 @@ def _tensor_entries(manifest_path: str, manifest: dict) -> list:
     return out
 
 
-def load_checkpoint(stem: str) -> list:
-    """Read a checkpoint pair; returns its params in manifest order, holding
-    values only (no grads). Raises
-    FormatError, naming the file, when the manifest is malformed or the payload
-    size differs from the listed tensors', IntegrityError on a checksum mismatch."""
+def load_checkpoint(stem: str, params) -> None:
+    """Read the checkpoint pair at ``stem`` straight into the flat value
+    buffer of ``params`` (tensors laid out by ``flat_params``). Raises
+    FormatError, naming the manifest, when it is malformed or does not list
+    exactly ``params`` (their names past the owner prefix, shapes and order;
+    the message names the first tensor that differs); then, naming the
+    payload, when its size differs from the tensors' or it holds a value that
+    is not finite, which ``step`` never lets a run save. IntegrityError on a
+    checksum mismatch. On any error the values of ``params`` are undefined."""
     manifest_path, payload_path = _paths(stem)
     manifest = read_manifest(manifest_path)
     entries = _tensor_entries(manifest_path, manifest)
-    values = read_payload(payload_path, [shape for _, shape in entries],
-                          checksum_field(manifest_path, manifest))
-    return [ParamTensor(name, value, None) for (name, _), value in zip(entries, values)]
+    checksum = checksum_field(manifest_path, manifest)
+
+    def described(name, shape):
+        return f"{name.split('/', 1)[-1]!r} of shape {shape}"
+
+    listed = [described(name, shape) for name, shape in entries]
+    wanted = [described(p.name, p.shape) for p in params]
+    for i, (got, want) in enumerate(itertools.zip_longest(listed, wanted,
+                                                          fillvalue="no tensor")):
+        if got != want:
+            raise FormatError(f"{manifest_path}: tensor {i} is {got}, expected {want}")
+    flat = flat_buffer(params, "value")
+    read_payload(payload_path, [flat], checksum)
+    if not np.logical_and.reduce(np.isfinite(flat)):
+        bad = next(p for p in params if not np.isfinite(p.value).all())
+        raise FormatError(f"{payload_path}: tensor {bad.name!r} holds a non-finite value")

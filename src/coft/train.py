@@ -1,7 +1,8 @@
 """Two-phase collaborative training over frozen embeddings.
 
-Phase 1 fits two lightweight models (class-specific prompt contexts +
-low-rank visual adapter each) on per-class top-K high-confidence
+Phase 1 fits two lightweight models (``encoders.AdaptedModel``: class-specific
+prompt contexts + a low-rank visual adapter each, built by
+``init_adapted_model``) on per-class top-K high-confidence
 pseudo-labels, with a dual objective: cross-entropy of the positive texts
 against the frozen image embedding, plus a positive-vs-negative prompt margin
 on the adapted embedding that learns a per-sample cleanliness criterion. The
@@ -38,12 +39,15 @@ Losses return their scalar value and accumulate hand-derived gradients into
 the owning parameters (scaled by their composite weight where applicable);
 ``gradient_check_suite`` verifies every loss against central finite
 differences.
+
+``load_model_checkpoint`` and ``load_student_checkpoint`` build a model as a
+run builds it and read its checkpoint into its own tensors
+(``grad.load_checkpoint``).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -60,10 +64,9 @@ from .core import (
 )
 from .data import MetricsWriter, load_dataset, load_ground_truth, require_finite_floats
 from .encoders import (
+    AdaptedModel,
     FFTEncoder,
     FrozenProvider,
-    PromptBank,
-    VisualAdapter,
     adapt_batch,
     adapt_batch_backward,
     build_params,
@@ -75,8 +78,6 @@ from .encoders import (
     init_fft_encoder,
     logits_batch,
     logits_batch_backward,
-    prompt_bank_spec,
-    visual_adapter_spec,
 )
 from .errors import (
     ConfigError,
@@ -98,7 +99,6 @@ from .pseudo import (
 __all__ = [
     "TrainConfig",
     "mode_config",
-    "AdaptedModel",
     "init_adapted_model",
     "loss_positive",
     "loss_negative",
@@ -187,42 +187,20 @@ class TrainConfig:
                               f"init_sigma={self.init_sigma}, aug_noise={self.aug_noise}")
 
 
-@dataclass
-class AdaptedModel:
-    """One collaborative model: prompt bank + visual adapter over the shared
-    frozen provider. The two models of a run share the provider and no
-    trainable tensor.
-
-    The positive texts classify the frozen image embedding at ``tau_pos``
-    (``TAU_POS`` for every model the pipeline builds);
-    the adapter serves the positive-vs-negative cleanliness comparison at
-    ``tau``, so it is trained by the negative-prompt loss alone.
-    """
-
-    model_id: str  # "model1" | "model2"
-    provider: FrozenProvider
-    bank: PromptBank
-    adapter: VisualAdapter
-    tau: float
-    tau_pos: float
-    trained: bool = False
-
-    def params(self):
-        return self.bank.params() + self.adapter.params()
-
-
 def init_adapted_model(provider: FrozenProvider, model_id: str, round_idx: int,
                        cfg: TrainConfig, root_rng: SeededRng) -> AdaptedModel:
-    """Fresh attached parameters from round- and model-specific streams, the
-    bank's and the adapter's tensors one flat buffer in ``params()`` order."""
+    """A fresh phase-1 model from round- and model-specific streams, its four
+    tensors one flat buffer in ``params()`` order: Gaussian contexts from
+    distinct pos/neg streams, a Gaussian down-projection and a zero
+    up-projection, so adaptation starts from the exact identity."""
     rng = root_rng.stream(f"round{round_idx}/{model_id}")
-    prefix = f"{model_id}/"
-    pos, neg, down, up = build_params({
-        **prompt_bank_spec(provider, rng, cfg.init_sigma, prefix),
-        **visual_adapter_spec(provider.dim, cfg.adapter_rank, rng, cfg.init_sigma, prefix)})
-    return AdaptedModel(model_id=model_id, provider=provider, bank=PromptBank(pos, neg),
-                        adapter=VisualAdapter(down, up, float(cfg.adapter_scale)),
-                        tau=cfg.tau, tau_pos=TAU_POS)
+    shape, rank, sigma = (provider.num_classes, provider.dim), cfg.adapter_rank, cfg.init_sigma
+    return AdaptedModel(model_id, provider, *build_params({
+        f"{model_id}/pos_context": (shape, rng.stream("pos_context"), sigma),
+        f"{model_id}/neg_context": (shape, rng.stream("neg_context"), sigma),
+        f"{model_id}/adapter_down": ((rank, provider.dim), rng.stream("adapter_down"), sigma),
+        f"{model_id}/adapter_up": ((provider.dim, rank), None, 0.0),
+    }), adapter_scale=float(cfg.adapter_scale), tau=cfg.tau, tau_pos=TAU_POS)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +238,8 @@ def clean_probability(model: AdaptedModel, embedding, label: int) -> float:
     num_classes = model.provider.num_classes
     _check_classes("clean_probability", "label", np.array([label]), num_classes)
     emb = as_f64(embedding)
-    texts, _ = compose_texts(model.bank, model.provider)
-    visual, _ = adapt_batch(model.adapter, emb[None, :])
+    texts, _ = compose_texts(model)
+    visual, _ = adapt_batch(model, emb[None, :])
     sp = float(visual[0] @ texts[label])
     sn = float(visual[0] @ texts[num_classes + label])
     return float(1.0 / (1.0 + np.exp(-(sp - sn) / model.tau)))
@@ -366,12 +344,12 @@ def _phase1_terms(model, embeddings, labels, complements, w_pos, w_neg, name):
     if complements is not None:
         comp = np.asarray(complements, dtype=np.int64)
         _check_complements(name, num_classes, labels, comp)
-    texts, tcache = compose_texts(model.bank, model.provider)
+    texts, tcache = compose_texts(model)
     pos = neg = None
     if complements is None:
         d_texts = np.zeros(texts.shape)
     else:
-        visual, acache = adapt_batch(model.adapter, emb)
+        visual, acache = adapt_batch(model, emb)
         neg, d_visual, d_texts = _negative_terms(visual, texts, labels, comp, model.tau, w_neg)
         adapt_batch_backward(acache, d_visual)
     if w_pos is not None:
@@ -487,7 +465,7 @@ def train_phase1(model: AdaptedModel, selected: PseudoLabelSet, cfg: TrainConfig
 def generate_labels(model: AdaptedModel) -> PseudoLabelSet:
     """The model's own pseudo-labels over every sample: its positive texts
     against the frozen embeddings, with softmax-at-tau_pos confidences."""
-    texts, _ = compose_texts(model.bank, model.provider)
+    texts, _ = compose_texts(model)
     positive = texts[:model.provider.num_classes]
     return assign_pseudo_labels(model.provider.image_embeddings, positive, model.tau_pos,
                                 generator=model.model_id)
@@ -510,9 +488,9 @@ def collaborative_filter(generator: AdaptedModel, validator: AdaptedModel) -> Ps
     labelset = generate_labels(generator)  # row == sample id
     labels = labelset.labels()
 
-    texts, _ = compose_texts(validator.bank, provider)
+    texts, _ = compose_texts(validator)
     for rows in row_blocks(labels.size):
-        visual, _ = adapt_batch(validator.adapter, provider.image_embeddings[rows])
+        visual, _ = adapt_batch(validator, provider.image_embeddings[rows])
         sim_pos = np.sum(visual * texts[labels[rows]], axis=1)
         sim_neg = np.sum(visual * texts[labels[rows] + provider.num_classes], axis=1)
         for row, clean in zip(range(rows.start, rows.stop), (sim_pos > sim_neg).tolist()):
@@ -902,32 +880,14 @@ def save_model_checkpoint(stem: str, model: AdaptedModel | FFTEncoder) -> str:
     return save_checkpoint(stem, model.params())
 
 
-def _fill_from_checkpoint(stem: str, model):
-    """``model`` with the values of the checkpoint at ``stem``, which must list
-    exactly ``model.params()`` (names past the owner prefix, shapes, order):
-    else a FormatError names the manifest and the first tensor that differs,
-    or the payload for a non-finite value, which ``step`` never lets a run save."""
-    def described(p):
-        return "no tensor" if p is None else f"{p.name.split('/', 1)[-1]!r} of shape {p.shape}"
-
-    params, loaded = model.params(), load_checkpoint(stem)
-    for i, (want, got) in enumerate(itertools.zip_longest(params, loaded)):
-        if described(got) != described(want):
-            raise FormatError(f"{stem}.json: tensor {i} is {described(got)}, "
-                              f"expected {described(want)}")
-    for p, saved in zip(params, loaded):
-        if not np.all(np.isfinite(saved.value)):
-            raise FormatError(f"{stem}.f64le: tensor {saved.name!r} holds a non-finite value")
-        p.value[...] = saved.value
-    return model
-
-
 def load_model_checkpoint(stem: str, provider: FrozenProvider, cfg: TrainConfig,
                           model_id: str) -> AdaptedModel:
-    """The trained phase-1 model saved under ``stem``, built by ``init_adapted_model``."""
+    """The trained phase-1 model saved under ``stem``, built by
+    ``init_adapted_model`` and filled by ``grad.load_checkpoint``."""
     model = init_adapted_model(provider, model_id, 1, cfg, SeededRng(0))
+    load_checkpoint(stem, model.params())
     model.trained = True
-    return _fill_from_checkpoint(stem, model)
+    return model
 
 
 def _init_student(provider: FrozenProvider, cfg: TrainConfig, student_id: str,
@@ -940,7 +900,9 @@ def _init_student(provider: FrozenProvider, cfg: TrainConfig, student_id: str,
 def load_student_checkpoint(stem: str, provider: FrozenProvider, cfg: TrainConfig,
                             student_id: str) -> FFTEncoder:
     """The student saved under ``stem``, built as ``run_pipeline`` builds it."""
-    return _fill_from_checkpoint(stem, _init_student(provider, cfg, student_id, SeededRng(0)))
+    student = _init_student(provider, cfg, student_id, SeededRng(0))
+    load_checkpoint(stem, student.params())
+    return student
 
 # ---------------------------------------------------------------------------
 # End-to-end pipeline

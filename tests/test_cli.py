@@ -28,9 +28,11 @@ from coft.cli import (
 from coft.data import load_dataset, load_ground_truth
 from coft.errors import ConfigError, FormatError, IntegrityError
 from coft.encoders import logits_batch
-from coft.grad import load_checkpoint, param, save_checkpoint
+from coft.grad import param, save_checkpoint
 from coft.pseudo import PseudoLabelSet
 from coft.train import load_student_checkpoint
+
+from test_grad import read_checkpoint
 
 
 def run_cli(*argv):
@@ -339,6 +341,42 @@ class TestRun:
         assert "seed must be a 64-bit unsigned integer, got -5" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("flag", ["--dataset", "--config"])
+    def test_directory_for_a_file_flag_writes_nothing(self, tmp_path, capsys, flag):
+        # each once ended in an IsADirectoryError traceback with exit 1, and
+        # --dataset had created --out by then
+        (tmp_path / "d").mkdir()
+        capsys.readouterr()
+        assert run_cli("run", flag, str(tmp_path / "d"), "--out", str(tmp_path / "r"),
+                       *FAST_TRAIN) == 2
+        assert f"{flag} {str(tmp_path / 'd')!r}: is a directory" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["d"]
+
+    def test_run_into_a_finished_run_exits_2_and_leaves_it_whole(self, tmp_path, capsys):
+        # a coft run here once exited 0 and left the first run's four round-2
+        # label files beside its own, for eval to score as this run's
+        manifest = make_dataset(tmp_path)
+        out = tmp_path / "r"
+        assert run_cli("run", "--dataset", manifest, "--mode", "coft-plus", "--seed", "5",
+                       "--out", str(out), "--phase1-epochs", "3",
+                       "--phase2-epochs", "2") == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert any(p.name.startswith("round2_") for p in before)
+        capsys.readouterr()
+        assert run_cli("run", "--dataset", manifest, "--mode", "coft", "--seed", "5",
+                       "--out", str(out), "--phase1-epochs", "3",
+                       "--phase2-epochs", "2") == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert f"--out {str(out)!r} is not empty" in printed.err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_run_into_an_empty_directory(self, tmp_path):
+        manifest = make_dataset(tmp_path)
+        (tmp_path / "r").mkdir()
+        assert run_cli("run", "--dataset", manifest, "--out", str(tmp_path / "r"),
+                       *FAST_TRAIN) == 0
+
 
 def malform(manifest, case):
     """Damage the dataset at ``manifest`` as ``case`` names; returns the path
@@ -615,7 +653,7 @@ class TestEvalRefusesBadRunFiles:
     def test_non_finite_checkpoint_value(self, tmp_path, capsys, finished_run_dir):
         def one_nan(path):  # save_checkpoint recomputes the checksum
             stem = str(path)[:-len(".f64le")]
-            params = load_checkpoint(stem)
+            params = read_checkpoint(stem)
             params[0].value.flat[3] = np.nan
             save_checkpoint(stem, params)
 
@@ -643,7 +681,7 @@ class TestEvalRefusesBadRunFiles:
         # winning; the last three printed nine records, then a numpy traceback
         def rewrite(path):  # save_checkpoint recomputes the checksum
             stem_path = str(path)[:-len(".json")]
-            save_checkpoint(stem_path, edit(load_checkpoint(stem_path)))
+            save_checkpoint(stem_path, edit(read_checkpoint(stem_path)))
 
         err = self.mutate_and_eval(tmp_path, capsys, finished_run_dir,
                                    f"checkpoints/{stem}.json", rewrite)
@@ -714,6 +752,15 @@ class TestEval:
         assert run_cli("eval", "--run", str(taken)) == 2
         assert f"--run {str(taken)!r}: {str(taken)!r} is not a directory" in (
             capsys.readouterr().err)
+
+    def test_dataset_naming_a_directory_exits_2(self, tmp_path, capsys):
+        # once an IsADirectoryError traceback with exit 1
+        _, out = self.finished_run(tmp_path)
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out), "--dataset", str(tmp_path / "data")) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert f"--dataset {str(tmp_path / 'data')!r}: is a directory" in printed.err
 
     def test_missing_sidecar_exits_2(self, tmp_path, capsys):
         manifest, out = self.finished_run(tmp_path)
@@ -872,7 +919,7 @@ class TestEval:
         _, out = self.finished_run(tmp_path)
         stem = str(out / "checkpoints" / "phase1_model2")
         params = [param(p.name, p.value[:2]) if p.name.endswith("/neg_context") else p
-                  for p in load_checkpoint(stem)]
+                  for p in read_checkpoint(stem)]
         save_checkpoint(stem, params)
         capsys.readouterr()
         assert run_cli("eval", "--run", str(out)) == 2

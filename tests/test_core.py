@@ -21,7 +21,7 @@ from coft.core import (
 )
 from coft.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from coft.errors import DomainError, FormatError
-from coft.grad import load_checkpoint, param, save_checkpoint
+from coft.grad import flat_params, load_checkpoint, param, save_checkpoint
 
 from oracles import softmax_temp
 
@@ -197,8 +197,12 @@ def _checkpoint_files(directory):
     params = [param("scalar", 2.5), param("empty", np.zeros(0)),
               param("w", np.arange(6.0).reshape(2, 3))]
     manifest = save_checkpoint(stem, params)
-    return manifest, stem + ".f64le", lambda: [p.value for p in load_checkpoint(stem)], [
-        p.value for p in params]
+
+    def load():  # into zeroed tensors of the saved names and shapes
+        back = flat_params({p.name: p.shape for p in params})
+        load_checkpoint(stem, back)
+        return [p.value for p in back]
+    return manifest, stem + ".f64le", load, [p.value for p in params]
 
 
 class TestContainer:

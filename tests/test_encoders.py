@@ -10,13 +10,12 @@ from coft.encoders import (
     compose_texts_backward,
     encode_batch,
     init_fft_encoder,
-    init_prompt_bank,
-    init_visual_adapter,
     logits_batch,
     logits_batch_backward,
 )
 from coft.errors import DomainError, ShapeError
-from coft.grad import check_gradients, param
+from coft.grad import check_gradients
+from coft.train import TrainConfig, init_adapted_model
 
 
 def make_provider(n=6, c=3, d=5, seed=0):
@@ -96,21 +95,28 @@ def halves(texts, p):
     return texts[:p.num_classes], texts[p.num_classes:]
 
 
+def make_model(p, seed, model_id="model1", **cfg):
+    """A phase-1 model over ``p`` as the pipeline builds it (adapter rank 2
+    unless ``cfg`` says otherwise)."""
+    return init_adapted_model(p, model_id, 1, TrainConfig(**{"adapter_rank": 2, **cfg}),
+                              SeededRng(seed))
+
+
 class TestComposeText:
     def test_zero_context_returns_anchor(self):
         p = make_provider()
-        bank = init_prompt_bank(p, SeededRng(1).stream("m1"))
-        bank.pos_context.value[:] = 0.0
-        bank.neg_context.value[:] = 0.0
-        texts, _ = compose_texts(bank, p)
+        model = make_model(p, 1)
+        model.pos_context.value[:] = 0.0
+        model.neg_context.value[:] = 0.0
+        texts, _ = compose_texts(model)
         for half in halves(texts, p):
             np.testing.assert_allclose(half, p.class_anchors, atol=1e-12)
 
     def test_identical_contexts_identical_embeddings(self):
         p = make_provider()
-        bank = init_prompt_bank(p, SeededRng(2).stream("m1"))
-        bank.neg_context.value[:] = bank.pos_context.value
-        tp, tn = halves(compose_texts(bank, p)[0], p)
+        model = make_model(p, 2)
+        model.neg_context.value[:] = model.pos_context.value
+        tp, tn = halves(compose_texts(model)[0], p)
         np.testing.assert_array_equal(tp, tn)
 
     def test_one_token_hand_case(self):
@@ -118,12 +124,12 @@ class TestComposeText:
         emb = np.eye(d)[:2]
         anchors = np.eye(d)[:2]  # anchor of class 1 = e2
         p = FrozenProvider(emb, anchors)
-        bank = init_prompt_bank(p, SeededRng(3))
-        bank.pos_context.value[:] = 0.0
-        bank.pos_context.value[1, 0] = 1.0  # class 1's positive context token e1
-        bank.neg_context.value[:] = 0.0
-        bank.neg_context.value[0, 2] = 1.0  # class 0's negative context token e3
-        tp, tn = halves(compose_texts(bank, p)[0], p)
+        model = make_model(p, 3)
+        model.pos_context.value[:] = 0.0
+        model.pos_context.value[1, 0] = 1.0  # class 1's positive context token e1
+        model.neg_context.value[:] = 0.0
+        model.neg_context.value[0, 2] = 1.0  # class 0's negative context token e3
+        tp, tn = halves(compose_texts(model)[0], p)
         expected = np.zeros(d)
         expected[0] = expected[1] = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(tp[1], expected, atol=1e-12)
@@ -136,12 +142,12 @@ class TestComposeText:
     def test_class_specific_rows(self):
         # row k of a context table moves its polarity's class-k text and no other
         p = make_provider(c=4, seed=5)
-        bank = init_prompt_bank(p, SeededRng(12).stream("m1"), sigma=0.3)
-        for i, ctx in enumerate(bank.params()):
+        model = make_model(p, 12, init_sigma=0.3)
+        for i, ctx in enumerate((model.pos_context, model.neg_context)):
             assert ctx.shape == (p.num_classes, p.dim)
-            before, _ = compose_texts(bank, p)
+            before, _ = compose_texts(model)
             ctx.value[2] += 0.5
-            after, _ = compose_texts(bank, p)
+            after, _ = compose_texts(model)
             changed = np.any(before != after, axis=1)
             assert np.flatnonzero(changed).tolist() == [i * p.num_classes + 2]
             want = p.class_anchors[2] + ctx.value[2]
@@ -153,10 +159,10 @@ class TestComposeText:
 
         p = make_provider()
         for tensor in ("pos_context", "neg_context"):
-            bank = init_prompt_bank(p, SeededRng(13), name_prefix="m/")
-            getattr(bank, tensor).value[1] = 1e308
+            model = make_model(p, 13, model_id="m")
+            getattr(model, tensor).value[1] = 1e308
             with pytest.raises(TrainingError) as exc:
-                compose_texts(bank, p)
+                compose_texts(model)
             assert exc.value.param_name == f"m/{tensor}"
             assert f"'m/{tensor}'" in str(exc.value)
 
@@ -164,96 +170,96 @@ class TestComposeText:
         # each half is normalize(anchor + ctx) of its polarity, bit for bit
         p = make_provider(seed=4)
         for i in range(20):
-            bank = init_prompt_bank(p, SeededRng(10 + i).stream("m1"), sigma=0.5)
-            texts, _ = compose_texts(bank, p)
+            model = make_model(p, 10 + i, init_sigma=0.5)
+            texts, _ = compose_texts(model)
             np.testing.assert_allclose(np.linalg.norm(texts, axis=1), 1.0, atol=1e-9)
-            for half, ctx in zip(halves(texts, p), bank.params()):
+            for half, ctx in zip(halves(texts, p), (model.pos_context, model.neg_context)):
                 pre = p.class_anchors + ctx.value
                 want = pre / np.linalg.norm(pre, axis=1, keepdims=True)
                 assert half.tobytes() == want.tobytes()
 
     def test_distinct_pos_neg_at_init(self):
-        p = make_provider()
-        bank = init_prompt_bank(p, SeededRng(6).stream("m1"))
-        assert not np.array_equal(bank.pos_context.value, bank.neg_context.value)
+        model = make_model(make_provider(), 6)
+        assert not np.array_equal(model.pos_context.value, model.neg_context.value)
 
     def test_gradient_matches_fd(self):
         p = make_provider(c=4, d=6, seed=8)
-        bank = init_prompt_bank(p, SeededRng(9).stream("m1"), sigma=0.3)
+        model = make_model(p, 9, init_sigma=0.3)
         w = np.random.default_rng(0).normal(size=(8, 6))  # fixed projection of all 2C rows
 
         def loss():
-            texts, cache = compose_texts(bank, p)
+            texts, cache = compose_texts(model)
             compose_texts_backward(cache, w * 2.0 * (texts - 0.1))
             return float(np.sum((texts - 0.1) ** 2 * w))
 
-        report = check_gradients(loss, [bank.pos_context, bank.neg_context], tol=1e-4)
+        report = check_gradients(loss, [model.pos_context, model.neg_context], tol=1e-4)
         assert report.ok, report.failures[:5]
 
 
 class TestVisualAdapter:
     def test_zero_up_exact_identity(self):
         p = make_provider()
-        adapter = init_visual_adapter(p.dim, rank=2, scale=0.1, rng=SeededRng(1))
-        out, _ = adapt_batch(adapter, p.image_embeddings[:1])
+        model = make_model(p, 1, adapter_scale=0.1)
+        out, _ = adapt_batch(model, p.image_embeddings[:1])
         assert out.tobytes() == p.image_embeddings[:1].tobytes()
 
     def test_zero_scale_exact_identity(self):
         p = make_provider()
-        adapter = init_visual_adapter(p.dim, rank=2, scale=0.0, rng=SeededRng(2))
-        adapter.up.value[:] = np.random.default_rng(0).normal(size=adapter.up.shape)
-        out, _ = adapt_batch(adapter, p.image_embeddings)
+        model = make_model(p, 2, adapter_scale=0.0)
+        up = model.adapter_up
+        up.value[:] = np.random.default_rng(0).normal(size=up.shape)
+        out, _ = adapt_batch(model, p.image_embeddings)
         assert out.tobytes() == p.image_embeddings.tobytes()
 
     def test_nonzero_up_not_identity_and_normalized(self):
         p = make_provider()
-        adapter = init_visual_adapter(p.dim, rank=2, scale=0.1, rng=SeededRng(3))
-        adapter.up.value[:] = 0.5
-        out, _ = adapt_batch(adapter, p.image_embeddings)
+        model = make_model(p, 3, adapter_scale=0.1)
+        model.adapter_up.value[:] = 0.5
+        out, _ = adapt_batch(model, p.image_embeddings)
         assert not np.array_equal(out, p.image_embeddings)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
     def test_rank_one_hand_fixture_matches_direct_arithmetic(self):
         # independent oracle: straight matrix arithmetic on hand-set weights
-        d = 3
         base = normalize_rows(np.array([[1.0, 2.0, 2.0]]))[0]
         down = np.array([[0.5, -0.25, 0.1]])
         up = np.array([[0.2], [-0.3], [0.4]])
         scale = 0.7
-        adapter = init_visual_adapter(d, rank=1, scale=scale, rng=SeededRng(4))
-        adapter.down.value[:] = down
-        adapter.up.value[:] = up
+        model = make_model(make_provider(d=3), 4, adapter_rank=1, adapter_scale=scale)
+        model.adapter_down.value[:] = down
+        model.adapter_up.value[:] = up
 
         h = np.tanh(down @ base)
         z = base + scale * (up @ h)
         expected = z / np.linalg.norm(z)
-        np.testing.assert_allclose(adapt_batch(adapter, base[None, :])[0][0], expected,
+        np.testing.assert_allclose(adapt_batch(model, base[None, :])[0][0], expected,
                                    atol=1e-14)
 
     def test_dim_mismatch(self):
-        adapter = init_visual_adapter(5, rank=2, scale=0.1, rng=SeededRng(5))
+        model = make_model(make_provider(d=5), 5, adapter_scale=0.1)
         with pytest.raises(ShapeError):
-            adapt_batch(adapter, np.ones((1, 4)))
+            adapt_batch(model, np.ones((1, 4)))
 
     def test_gradient_matches_fd(self):
         p = make_provider(n=5, d=6, seed=11)
-        adapter = init_visual_adapter(6, rank=2, scale=0.3, rng=SeededRng(12))
-        adapter.up.value[:] = np.random.default_rng(1).normal(size=adapter.up.shape) * 0.3
+        model = make_model(p, 12, adapter_scale=0.3)
+        up = model.adapter_up
+        up.value[:] = np.random.default_rng(1).normal(size=up.shape) * 0.3
         target = normalize_rows(np.random.default_rng(2).normal(size=(5, 6)))
 
         def loss():
-            out, cache = adapt_batch(adapter, p.image_embeddings[:5])
+            out, cache = adapt_batch(model, p.image_embeddings[:5])
             adapt_batch_backward(cache, 2.0 * (out - target))
             return float(np.sum((out - target) ** 2))
 
-        report = check_gradients(loss, adapter.params(), tol=1e-4)
+        report = check_gradients(loss, [model.adapter_down, up], tol=1e-4)
         assert report.ok, report.failures[:5]
 
     def test_gradient_at_zero_up_reaches_up(self):
         # signal must reach the zero-initialized up projection
         p = make_provider(n=4, d=6, seed=13)
-        adapter = init_visual_adapter(6, rank=2, scale=0.5, rng=SeededRng(14))
-        out, cache = adapt_batch(adapter, p.image_embeddings[:4])
+        model = make_model(p, 14, adapter_scale=0.5)
+        out, cache = adapt_batch(model, p.image_embeddings[:4])
         d_down, d_up = adapt_batch_backward(cache, np.ones_like(out))
         assert np.any(d_up != 0.0)
         assert np.all(d_down == 0.0)  # blocked until up moves

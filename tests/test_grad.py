@@ -2,13 +2,16 @@ import contextlib
 import filecmp
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coft.errors import ContractError, DomainError, FormatError, ShapeError, TrainingError
+from coft.errors import (ContractError, DomainError, FormatError, IntegrityError, ShapeError,
+                         TrainingError)
 from coft.grad import (
     STEP_CHUNK,
     Adam,
@@ -357,17 +360,82 @@ class TestCheckGradients:
             check_gradients(lambda: 0.0, [p], eps=1e-2)
 
 
+def read_checkpoint(stem):
+    """The tensors a checkpoint's manifest lists, laid out by ``flat_params``
+    and filled by ``load_checkpoint``: how a test reads a checkpoint whose
+    tensors it does not build itself."""
+    with open(stem + ".json", encoding="utf-8") as f:
+        entries = json.load(f)["params"]
+    params = flat_params({e["name"]: tuple(e["shape"]) for e in entries})
+    load_checkpoint(stem, params)
+    return params
+
+
+def zeros_like(params):
+    """Zeroed tensors of the names and shapes of ``params``, one flat buffer."""
+    return flat_params({p.name: p.shape for p in params})
+
+
 class TestCheckpoint:
     def test_param_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         params = [param("a", rng.normal(size=(3, 4))), param("b", rng.normal(size=5))]
         stem = str(tmp_path / "ck")
         save_checkpoint(stem, params)
-        loaded = load_checkpoint(stem)
-        for orig, back in zip(params, loaded):
+        loaded = zeros_like(params)
+        flat, arrays = flat_buffer(loaded, "value"), [p.value for p in loaded]
+        load_checkpoint(stem, loaded)
+        for orig, back, array in zip(params, loaded, arrays):
             assert back.name == orig.name
             assert back.value.tobytes() == orig.value.tobytes()
-            assert back.grad is None  # a loaded checkpoint holds values only
+            assert back.value is array  # read in place: nothing rebound
+        assert flat_buffer(loaded, "value") is flat
+
+    @pytest.mark.parametrize("listed, expected", [
+        ((("m/a", (2,)), ("m/b", (3,))),
+         "tensor 1 is 'b' of shape (3,), expected 'b' of shape (2,)"),
+        ((("m/b", (2,)), ("m/a", (2,))),
+         "tensor 0 is 'b' of shape (2,), expected 'a' of shape (2,)"),
+        ((("m/a", (2,)),), "tensor 1 is no tensor, expected 'b' of shape (2,)"),
+        ((("m/a", (2,)), ("m/b", (2,)), ("m/c", (1,))),
+         "tensor 2 is 'c' of shape (1,), expected no tensor"),
+        ((("m/a", (2,)), ("m/b", (1, 2))),
+         "tensor 1 is 'b' of shape (1, 2), expected 'b' of shape (2,)"),
+    ], ids=["shape", "order", "missing", "extra", "rank"])
+    def test_manifest_must_list_the_tensors(self, tmp_path, listed, expected):
+        # names compare past the owner prefix; the payload is never opened
+        stem = str(tmp_path / "ck")
+        save_checkpoint(stem, [param(name, np.ones(shape)) for name, shape in listed])
+        os.remove(stem + ".f64le")
+        target = model(("other/a", [5.0, 6.0]), ("other/b", [7.0, 8.0]))
+        with pytest.raises(FormatError, match=re.escape(f"ck.json: {expected}")):
+            load_checkpoint(stem, target)
+
+    def test_names_compare_past_the_owner_prefix(self, tmp_path):
+        stem = str(tmp_path / "ck")
+        save_checkpoint(stem, model(("model1/a", [1.0]), ("model1/b", [2.0, 3.0])))
+        target = model(("model2/a", [0.0]), ("model2/b", [0.0, 0.0]))
+        load_checkpoint(stem, target)
+        assert [p.value.tolist() for p in target] == [[1.0], [2.0, 3.0]]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_payload_and_tensor(self, tmp_path, value):
+        stem = str(tmp_path / "ck")
+        saved = model(("m/a", [1.0]), ("m/b", [2.0, value]))
+        save_checkpoint(stem, saved)
+        with pytest.raises(FormatError, match=re.escape("ck.f64le: tensor 'm/b' holds a "
+                                                        "non-finite value")):
+            load_checkpoint(stem, zeros_like(saved))
+
+    def test_checksum_mismatch(self, tmp_path):
+        stem = str(tmp_path / "ck")
+        save_checkpoint(stem, [param("x", [1.0, 2.0])])
+        with open(stem + ".f64le", "r+b") as f:
+            flipped = f.read(4)[3] ^ 1
+            f.seek(3)
+            f.write(bytes([flipped]))
+        with pytest.raises(IntegrityError, match="ck.f64le"):
+            load_checkpoint(stem, [param("x", [0.0, 0.0])])
 
     def test_same_params_write_identical_files(self, tmp_path):
         params = [param("x", [1.0, 2.0])]
@@ -399,7 +467,7 @@ class TestCheckpoint:
             with open(stem + ".json", "w") as f:
                 json.dump(bad, f)
             with pytest.raises(FormatError, match="ck.json"):
-                load_checkpoint(stem)
+                load_checkpoint(stem, [param("x", [0.0])])
 
     def test_malformed_manifest_rejected(self, tmp_path):
         stem = str(tmp_path / "ck")
@@ -410,7 +478,7 @@ class TestCheckpoint:
             with open(stem + ".json", "w") as f:
                 f.write(text)
             with pytest.raises(FormatError, match="ck.json"):
-                load_checkpoint(stem)
+                load_checkpoint(stem, model(("x", [0.0]), ("y", [0.0])))
 
     @pytest.mark.parametrize("delta", [-8, -1, 1, 8])
     def test_payload_size_must_match_manifest(self, tmp_path, delta):
@@ -420,20 +488,22 @@ class TestCheckpoint:
         with open(stem + ".f64le", "wb") as f:
             f.write(raw[:delta] if delta < 0 else raw + bytes(delta))
         with pytest.raises(FormatError, match="ck.f64le"):
-            load_checkpoint(stem)
+            load_checkpoint(stem, model(("x", [0.0, 0.0]), ("y", 0.0)))
 
 
 SPECIAL_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 1.5, -1e300])
 
 
 @st.composite
-def tensor_lists(draw):
+def tensor_lists(draw, finite=False):
     shapes = draw(st.lists(st.lists(st.integers(0, 3), max_size=3).map(tuple),
                            min_size=1, max_size=5))
+    values = st.one_of(SPECIAL_VALUES, st.floats(allow_nan=False))
+    if finite:
+        values = values.filter(math.isfinite)
     return [
         param(f"t{i}/w", np.array(draw(st.lists(
-            st.one_of(SPECIAL_VALUES, st.floats(allow_nan=False)),
-            min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
+            values, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
             dtype=np.float64).reshape(shape))
         for i, shape in enumerate(shapes)
     ]
@@ -443,16 +513,30 @@ class TestCheckpointProperties:
     PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
     @PROPERTY
-    @given(tensor_lists())
+    @given(tensor_lists(finite=True))
     def test_round_trip_keeps_names_shapes_and_bytes(self, tmp_path_factory, params):
+        # -0.0 and subnormals keep their bits; non-finite values are refused
+        # on load (test_non_finite_value_is_refused)
         stem = str(tmp_path_factory.mktemp("ck") / "ck")
         save_checkpoint(stem, params)
-        loaded = load_checkpoint(stem)
-        assert [p.name for p in loaded] == [p.name for p in params]
+        assert [(p.name, p.shape) for p in read_checkpoint(stem)] == [
+            (p.name, p.shape) for p in params]
+        loaded = zeros_like(params)
+        load_checkpoint(stem, loaded)
         for orig, back in zip(params, loaded):
-            assert back.shape == orig.shape
             assert back.value.tobytes() == orig.value.tobytes()
-            assert back.grad is None
+
+    @PROPERTY
+    @given(tensor_lists())
+    def test_non_finite_value_is_refused(self, tmp_path_factory, params):
+        stem = str(tmp_path_factory.mktemp("ck") / "ck")
+        save_checkpoint(stem, params)
+        bad = [p for p in params if not np.isfinite(p.value).all()]
+        if not bad:
+            load_checkpoint(stem, zeros_like(params))
+            return
+        with pytest.raises(FormatError, match=re.escape(f"ck.f64le: tensor {bad[0].name!r}")):
+            load_checkpoint(stem, zeros_like(params))
 
     @PROPERTY
     @given(tensor_lists())

@@ -58,11 +58,11 @@ def oracle_model_pieces(model):
     p = model.provider
     return {
         "anchors": p.class_anchors.tolist(),
-        "pos": model.bank.pos_context.value.tolist(),
-        "neg": model.bank.neg_context.value.tolist(),
-        "down": model.adapter.down.value.tolist(),
-        "up": model.adapter.up.value.tolist(),
-        "scale": model.adapter.scale,
+        "pos": model.pos_context.value.tolist(),
+        "neg": model.neg_context.value.tolist(),
+        "down": model.adapter_down.value.tolist(),
+        "up": model.adapter_up.value.tolist(),
+        "scale": model.adapter_scale,
         "tau": model.tau,
         "tau_pos": model.tau_pos,
     }
@@ -167,9 +167,9 @@ def aligned_fixture(c=3, d=4):
     cfg = TrainConfig(adapter_rank=2, tau=0.07)
     model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(3))
     model.tau_pos = 0.07
-    model.bank.pos_context.value[:] = 0.0
-    model.bank.neg_context.value[:] = 0.0
-    model.adapter.up.value[:] = 0.0
+    model.pos_context.value[:] = 0.0
+    model.neg_context.value[:] = 0.0
+    model.adapter_up.value[:] = 0.0
     return provider, model
 
 
@@ -198,8 +198,8 @@ class TestLossPositive:
         provider = FrozenProvider(emb, anchors)
         cfg = TrainConfig(adapter_rank=2, tau=0.07)
         model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(4))
-        model.bank.pos_context.value[:] = 0.0
-        model.adapter.up.value[:] = 0.0
+        model.pos_context.value[:] = 0.0
+        model.adapter_up.value[:] = 0.0
         loss = loss_positive(model, emb, np.array([1]))
         assert loss == pytest.approx(math.log(c), abs=1e-12)
 
@@ -246,13 +246,13 @@ class TestCleanProbability:
         provider = FrozenProvider(emb, anchors)
         cfg = TrainConfig(adapter_rank=2, tau=0.07)
         model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(5))
-        model.bank.pos_context.value[:] = 0.0
-        model.adapter.up.value[:] = 0.0
+        model.pos_context.value[:] = 0.0
+        model.adapter_up.value[:] = 0.0
         # steer the negative text of class 0 onto e2: ctx = c*e2 - e0
         c = 4.0
-        model.bank.neg_context.value[:] = 0.0
-        model.bank.neg_context.value[0, 0] = -1.0
-        model.bank.neg_context.value[0, 1] = c
+        model.neg_context.value[:] = 0.0
+        model.neg_context.value[0, 0] = -1.0
+        model.neg_context.value[0, 1] = c
         p = clean_probability(model, emb[0], 0)
         assert p == pytest.approx(1.0 / (1.0 + math.exp(-1.0 / 0.07)), rel=1e-12)
 
@@ -299,11 +299,11 @@ class TestLossNegative:
         provider = FrozenProvider(v[None, :], anchors)
         cfg = TrainConfig(adapter_rank=2, tau=0.01)
         model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(8))
-        model.adapter.up.value[:] = 0.0
-        model.bank.pos_context.value[:] = 0.0
-        model.bank.pos_context.value[:, 2] = 2.0
-        model.bank.neg_context.value[:] = 0.0
-        model.bank.neg_context.value[:, 3] = 2.0
+        model.adapter_up.value[:] = 0.0
+        model.pos_context.value[:] = 0.0
+        model.pos_context.value[:, 2] = 2.0
+        model.neg_context.value[:] = 0.0
+        model.neg_context.value[:, 3] = 2.0
         assert clean_probability(model, v, 1) > 1 - 1e-9
         assert clean_probability(model, v, 0) < 1e-9
         loss = loss_negative(model, v[None, :], np.array([1]), np.array([0]))

@@ -32,7 +32,9 @@ def steps():
 # made 54 and 137 before the ufunc change. The coft-plus step made 83 while
 # its EMA gathered the student's values from its tensors (two params() calls,
 # a list comprehension and np.concatenate) instead of reading their buffer.
-PINNED = {"phase1": 42, "student": 35, "coft-plus": 79}
+# Phase 1 made 42 while the adapter's identity test was a method of its own
+# class rather than one expression in adapt_batch.
+PINNED = {"phase1": 41, "student": 35, "coft-plus": 79}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

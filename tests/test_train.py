@@ -24,7 +24,6 @@ from coft.pseudo import (
     select_top_k,
 )
 from coft.train import (
-    AdaptedModel,
     MomentumState,
     TrainConfig,
     augment_two_views,
@@ -130,10 +129,10 @@ class TestTrainPhase1:
                 batch = order[start:start + cfg.batch_size]
                 loss_positive(twin, emb_all[batch], labels[batch])
                 step(opt, twin.params())
-        assert model.bank.pos_context.value.tobytes() == twin.bank.pos_context.value.tobytes()
-        assert model.adapter.up.value.tobytes() == twin.adapter.up.value.tobytes()
+        assert model.pos_context.value.tobytes() == twin.pos_context.value.tobytes()
+        assert model.adapter_up.value.tobytes() == twin.adapter_up.value.tobytes()
         # negative contexts went untrained in both runs
-        assert model.bank.neg_context.value.tobytes() == twin.bank.neg_context.value.tobytes()
+        assert model.neg_context.value.tobytes() == twin.neg_context.value.tobytes()
 
     def test_loss_non_increasing_after_smoothing(self, tmp_path):
         from coft.data import MetricsWriter
@@ -199,7 +198,7 @@ class TestCollaborativeFilter:
         cfg = small_cfg()
         gen = init_adapted_model(provider, "model1", 1, cfg, SeededRng(1))
         val = init_adapted_model(provider, "model2", 1, cfg, SeededRng(2))
-        val.bank.neg_context.value[:] = val.bank.pos_context.value
+        val.neg_context.value[:] = val.pos_context.value
         gen.trained = val.trained = True
         result = collaborative_filter(gen, val)
         assert len(result.with_status("clean")) == 0
@@ -214,13 +213,13 @@ class TestCollaborativeFilter:
         gen = init_adapted_model(provider, "model1", 1, cfg, SeededRng(3))
         val = init_adapted_model(provider, "model2", 1, cfg, SeededRng(4))
         for m in (gen, val):
-            m.bank.pos_context.value[:] = 0.0
-            m.adapter.up.value[:] = 0.0
+            m.pos_context.value[:] = 0.0
+            m.adapter_up.value[:] = 0.0
             m.trained = True
         # validator's negative texts lean onto e2: sim-(a)=0.707 < sim+(a)=1,
         # sim-(b)=0.707 > sim+(b)=0
-        val.bank.neg_context.value[:] = 0.0
-        val.bank.neg_context.value[0, 2] = 1.0
+        val.neg_context.value[:] = 0.0
+        val.neg_context.value[0, 2] = 1.0
         result = collaborative_filter(gen, val)
         assert result.with_status("clean").sample_ids().tolist() == [0]
         assert result.with_status("noise").sample_ids().tolist() == [1]
@@ -290,7 +289,7 @@ class TestCollaborativeFilter:
                 p.value[:] = rng.normal(size=p.shape) * 0.3
             m.trained = True
         tied = np.array(data.draw(st.lists(st.booleans(), min_size=c, max_size=c)))
-        val.bank.neg_context.value[tied] = val.bank.pos_context.value[tied]
+        val.neg_context.value[tied] = val.pos_context.value[tied]
 
         result = collaborative_filter(gen, val)
         clean = set(result.with_status("clean").sample_ids().tolist())
