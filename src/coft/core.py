@@ -73,10 +73,11 @@ def softmax_rows(scores, tau: float) -> np.ndarray:
     return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
-def row_norms(m: np.ndarray, keepdims: bool = False) -> np.ndarray:
+def row_norms(m: np.ndarray, keepdims: bool = False, work=None) -> np.ndarray:
     """L2 norm of every row of a 2-D float64 array: the sum that
-    ``np.linalg.norm(m, axis=1)`` computes, bit for bit, without its wrapper."""
-    return np.sqrt(np.add.reduce(m * m, axis=1, keepdims=keepdims))
+    ``np.linalg.norm(m, axis=1)`` computes, bit for bit, without its wrapper.
+    The squares go into ``work`` (shaped like ``m``) when it is given."""
+    return np.sqrt(np.add.reduce(np.multiply(m, m, out=work), axis=1, keepdims=keepdims))
 
 
 def normalize_rows(m, out=None) -> np.ndarray:

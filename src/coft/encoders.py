@@ -11,7 +11,8 @@ live the two trainable model types:
                    positive rows first (anchor k + context row k ->
                    renormalize), plus a low-rank residual adapter over a
                    frozen image embedding, renormalized; exact identity while
-                   its up-projection is 0
+                   its up-projection is 0; a TextScratch holds the tables
+                   its training steps write into
   * FFTEncoder   - residual two-layer MLP over raw embeddings plus a linear
                    class head; exact identity perturbation at init
 
@@ -35,6 +36,7 @@ __all__ = [
     "FrozenProvider",
     "build_params",
     "AdaptedModel",
+    "TextScratch",
     "compose_texts",
     "compose_texts_backward",
     "adapt_batch",
@@ -166,24 +168,44 @@ class AdaptedModel:
         return [self.pos_context, self.neg_context, self.adapter_down, self.adapter_up]
 
 
+class TextScratch:
+    """The tables one model's phase-1 steps write into, so a warm step
+    allocates none of them: the (2C, d) pre-normalization table ``pre``, the
+    normalized ``texts``, the text gradient ``grad`` and a ``work`` table,
+    plus ``rows``, the (batch, 4, d) gather of each sample's four text rows
+    (a shorter batch uses its leading rows). ``train.train_phase1`` makes one
+    per training run and drops it when the run ends, so a trained model holds
+    none; ``compose_texts`` and the losses called without one allocate a
+    fresh one per call, so their results alias nothing."""
+
+    def __init__(self, provider: FrozenProvider, batch: int):
+        shape = (2 * provider.num_classes, provider.dim)
+        self.pre, self.texts, self.grad, self.work = (np.empty(shape) for _ in range(4))
+        self.rows = np.empty((batch, 4, provider.dim))
+
+
 @dataclass
 class _ComposeCache:
     model: AdaptedModel
     texts: np.ndarray   # (2C, d) normalized
     norms: np.ndarray   # (2C,) pre-normalization row norms
+    work: np.ndarray    # (2C, d) the backward pass's table
 
 
-def compose_texts(model: AdaptedModel):
+def compose_texts(model: AdaptedModel, scratch: TextScratch | None = None):
     """Both polarities' text embeddings as one (2C, d) table: row k is
     normalize(anchor_k + pos_k), row C + k is normalize(anchor_k + neg_k).
-    Returns (texts, cache for the backward pass)."""
+    Returns (texts, cache for the backward pass); the texts and the backward
+    pass's table are ``scratch``'s when it is given."""
+    if scratch is None:
+        scratch = TextScratch(model.provider, 0)
     anchors = model.provider.class_anchors
     c = anchors.shape[0]
-    pre = np.empty((2 * c, anchors.shape[1]))
+    pre = scratch.pre
     with np.errstate(over="ignore", invalid="ignore"):
         np.add(anchors, model.pos_context.value, out=pre[:c])
         np.add(anchors, model.neg_context.value, out=pre[c:])
-        norms = row_norms(pre)
+        norms = row_norms(pre, work=scratch.work)
     if not np.logical_and.reduce(np.isfinite(norms)):
         row = int(np.flatnonzero(~np.isfinite(norms))[0])
         ctx = (model.pos_context, model.neg_context)[row // c]
@@ -191,17 +213,19 @@ def compose_texts(model: AdaptedModel):
                             f"{ctx.name!r} overflowed", param_name=ctx.name)
     if np.logical_or.reduce(norms == 0.0):
         raise DomainError("composed text embedding collapsed to zero norm")
-    texts = pre / norms[:, None]
-    return texts, _ComposeCache(model=model, texts=texts, norms=norms)
+    texts = np.divide(pre, norms[:, None], out=scratch.texts)
+    return texts, _ComposeCache(model=model, texts=texts, norms=norms, work=scratch.work)
 
 
 def compose_texts_backward(cache: _ComposeCache, d_texts) -> None:
     """Accumulate d(loss)/d(contexts) given d(loss)/d(texts), both (2C, d)."""
     d_texts = as_f64(d_texts)
-    t = cache.texts
-    # back through row-wise normalize: (g - (g.t) t) / |pre|
-    proj = np.add.reduce(d_texts * t, axis=1, keepdims=True)
-    d_pre = (d_texts - proj * t) / cache.norms[:, None]
+    t, d_pre = cache.texts, cache.work
+    # back through row-wise normalize: (g - (g.t) t) / |pre|, in the work table
+    proj = np.add.reduce(np.multiply(d_texts, t, out=d_pre), axis=1, keepdims=True)
+    np.multiply(proj, t, out=d_pre)
+    np.subtract(d_texts, d_pre, out=d_pre)
+    np.divide(d_pre, cache.norms[:, None], out=d_pre)
     c = t.shape[0] // 2
     accumulate_grad(cache.model.pos_context, d_pre[:c])
     accumulate_grad(cache.model.neg_context, d_pre[c:])

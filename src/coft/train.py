@@ -24,7 +24,11 @@ A model's texts are one stacked (2C, d) table, positive rows over negative
 ones, composed and back-propagated once per phase-1 step. The positive term
 reads the top C rows; the negative-prompt term takes each sample's four rows
 (both polarities of its label and of its complement) in one gather, and one
-(n, 2C)-transposed product scatters their gradients. The losses and
+(n, 2C)-transposed product scatters their gradients. Each ``train_phase1``
+call gives its steps one ``encoders.TextScratch`` to write those tables and
+the gather into, dropped when training ends; a warm step then allocates
+nothing table-sized, whose release at the heap's top would hand the pages
+back to the kernel, to be faulted in again the next step. The losses and
 ``clean_probability`` (the paper's p_clean, above 1/2 exactly where the filter
 keeps a label) refuse labels and complements outside [0, C): a wrong index
 would read another class or the other polarity.
@@ -67,6 +71,7 @@ from .encoders import (
     AdaptedModel,
     FFTEncoder,
     FrozenProvider,
+    TextScratch,
     adapt_batch,
     adapt_batch_backward,
     build_params,
@@ -214,22 +219,23 @@ def _check_batch(name, emb, n_labels):
         raise ShapeError(f"{name}: {n_labels} labels for {emb.shape[0]} samples")
 
 
-def _positive_terms(emb, texts, labels, tau_pos, weight):
-    """Cross-entropy value and its weighted gradient w.r.t. the text table."""
+def _positive_terms(emb, texts, labels, tau_pos, weight, out):
+    """Cross-entropy value and its weighted gradient w.r.t. the text table,
+    written into ``out``."""
     n = emb.shape[0]
     probs = softmax_rows(emb @ texts.T, tau_pos)
     loss = -float(np.add.reduce(np.log(probs[np.arange(n), labels]))) / n
     d_sims = probs
     d_sims[np.arange(n), labels] -= 1.0
     d_sims *= weight / (tau_pos * n)
-    return loss, d_sims.T @ emb
+    return loss, np.matmul(d_sims.T, emb, out=out)
 
 
 def loss_positive(model: AdaptedModel, embeddings, labels) -> float:
     """Mean cross-entropy of softmax(cos(frozen image, positive texts) / tau_pos)
     against the pseudo-labels. Its gradients reach the positive context only.
     """
-    return _phase1_terms(model, embeddings, labels, None, 1.0, None, "loss_positive")[0]
+    return _phase1_terms(model, embeddings, labels, None, 1.0, None, "loss_positive", None)[0]
 
 
 def clean_probability(model: AdaptedModel, embedding, label: int) -> float:
@@ -260,9 +266,11 @@ def draw_complements(labels, num_classes: int, rng: SeededRng) -> np.ndarray:
 _MARGIN_SIGNS = np.array([-1.0, 1.0])
 
 
-def _negative_terms(visual, texts, labels, comp, tau, weight):
+def _negative_terms(visual, texts, labels, comp, tau, weight, rows, out):
     """Negative-prompt value and its weighted gradients w.r.t. the adapted
-    embeddings and the stacked (2C, d) text table, positive rows first.
+    embeddings and the stacked (2C, d) text table, positive rows first; the
+    gather goes into ``rows`` (n, 4, d) and the text gradient into ``out``,
+    fresh arrays where they are None.
 
     One gather takes each sample's four text rows (positive and negative of
     its label y, then of its complement h); the per-sample objective
@@ -271,7 +279,8 @@ def _negative_terms(visual, texts, labels, comp, tau, weight):
     """
     n, c = visual.shape[0], texts.shape[0] // 2
     cols = np.array((labels, labels + c, comp, comp + c)).T  # (n, 4)
-    rows = texts[cols]  # (n, 4, d)
+    # the columns are in range, so "clip" only spares take() a buffered copy
+    rows = texts.take(cols, axis=0, out=rows, mode="clip")  # (n, 4, d)
     sims = np.matmul(rows, visual[:, :, None])[:, :, 0]
     u = (sims[:, 0::2] - sims[:, 1::2]) / tau  # (n, 2): x_y, x_h
     u *= _MARGIN_SIGNS
@@ -287,7 +296,7 @@ def _negative_terms(visual, texts, labels, comp, tau, weight):
     # scatters every sample's four gradients into its text rows
     scatter = np.zeros((n, 2 * c))
     scatter[np.arange(n)[:, None], cols] = d_sims
-    return loss, d_visual, scatter.T @ visual
+    return loss, d_visual, np.matmul(scatter.T, visual, out=out)
 
 
 def _check_classes(name, what, column, num_classes):
@@ -319,23 +328,27 @@ def loss_negative(model: AdaptedModel, embeddings, labels, complements) -> float
     if complements is None:
         raise ContractError("loss_negative needs complement labels")
     return _phase1_terms(model, embeddings, labels, complements, None, 1.0,
-                         "loss_negative")[1]
+                         "loss_negative", None)[1]
 
 
-def loss_phase1(model: AdaptedModel, embeddings, labels, complements, lam: float) -> float:
+def loss_phase1(model: AdaptedModel, embeddings, labels, complements, lam: float,
+                scratch: TextScratch | None = None) -> float:
     """loss_positive + lam * loss_negative, composing and back-propagating
-    each text table once. With ``complements`` None the negative term is not
-    evaluated and this is exactly loss_positive."""
-    pos, neg = _phase1_terms(model, embeddings, labels, complements, 1.0, lam, "loss_phase1")
+    each text table once, in ``scratch``'s tables when it is given. With
+    ``complements`` None the negative term is not evaluated and this is
+    exactly loss_positive."""
+    pos, neg = _phase1_terms(model, embeddings, labels, complements, 1.0, lam, "loss_phase1",
+                             scratch)
     return pos if neg is None else pos + lam * neg
 
 
-def _phase1_terms(model, embeddings, labels, complements, w_pos, w_neg, name):
+def _phase1_terms(model, embeddings, labels, complements, w_pos, w_neg, name, scratch):
     """Shared body of the phase-1 losses: the positive cross-entropy unless
     ``w_pos`` is None, the negative-prompt objective unless ``complements`` is
     None, with their gradients scaled by ``w_pos`` and ``w_neg``. Returns the
     unweighted (positive, negative) values, None for a term not evaluated.
-    Labels and complements must lie in [0, C) (ContractError otherwise)."""
+    Labels and complements must lie in [0, C) (ContractError otherwise).
+    The text tables and the gather are ``scratch``'s (fresh ones if None)."""
     emb = as_f64(embeddings)
     labels = np.asarray(labels, dtype=np.int64)
     _check_batch(name, emb, labels.shape[0])
@@ -344,16 +357,22 @@ def _phase1_terms(model, embeddings, labels, complements, w_pos, w_neg, name):
     if complements is not None:
         comp = np.asarray(complements, dtype=np.int64)
         _check_complements(name, num_classes, labels, comp)
-    texts, tcache = compose_texts(model)
+    if scratch is None:
+        scratch = TextScratch(model.provider, emb.shape[0])
+    texts, tcache = compose_texts(model, scratch)
     pos = neg = None
     if complements is None:
-        d_texts = np.zeros(texts.shape)
+        d_texts = scratch.grad
+        d_texts.fill(0.0)
     else:
         visual, acache = adapt_batch(model, emb)
-        neg, d_visual, d_texts = _negative_terms(visual, texts, labels, comp, model.tau, w_neg)
+        neg, d_visual, d_texts = _negative_terms(visual, texts, labels, comp, model.tau, w_neg,
+                                                 scratch.rows[:emb.shape[0]], scratch.grad)
         adapt_batch_backward(acache, d_visual)
     if w_pos is not None:
-        pos, d_pos = _positive_terms(emb, texts[:num_classes], labels, model.tau_pos, w_pos)
+        # the work table is free until the backward pass
+        pos, d_pos = _positive_terms(emb, texts[:num_classes], labels, model.tau_pos, w_pos,
+                                     scratch.work[:num_classes])
         d_texts[:num_classes] += d_pos
     compose_texts_backward(tcache, d_texts)
     return pos, neg
@@ -438,6 +457,8 @@ def train_phase1(model: AdaptedModel, selected: PseudoLabelSet, cfg: TrainConfig
     ids, labels, _ = selected.training_view()
     emb = model.provider.image_embeddings
     num_classes = model.provider.num_classes
+    # every step writes into these tables; they go when training ends
+    scratch = TextScratch(model.provider, min(cfg.batch_size, ids.shape[0]))
 
     def plan(epoch):
         prefix = f"round{round_idx}/{model.model_id}/epoch{epoch}"
@@ -448,7 +469,7 @@ def train_phase1(model: AdaptedModel, selected: PseudoLabelSet, cfg: TrainConfig
 
         def losses(start, batch):
             return (loss_phase1(model, emb[ids[batch]], labels[batch],
-                                None if comp is None else comp[batch], cfg.lam),)
+                                None if comp is None else comp[batch], cfg.lam, scratch),)
 
         return order, losses
 

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coft.core import SeededRng, normalize_rows
-from coft.encoders import FrozenProvider, init_fft_encoder
+from coft.encoders import FrozenProvider, TextScratch, compose_texts, init_fft_encoder
 from coft.errors import ContractError, DomainError
 from coft.grad import check_gradients
 from coft.train import (
@@ -285,7 +287,7 @@ class TestLossNegative:
     def test_perfect_separation_limit(self):
         # formula-level limit: margins +inf on the label, -inf on the complement
         loss, *_ = _negative_terms(*margin_fixture(40.0, -40.0, -40.0, 40.0),
-                                   tau=1.0, weight=1.0)
+                                   tau=1.0, weight=1.0, rows=None, out=None)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_perfect_separation_limit_on_operation(self):
@@ -316,7 +318,7 @@ class TestLossNegative:
         s = rng.uniform(-1, 1, size=(4, 50))
         for sp_y, sn_y, sp_h, sn_h in s.T:
             _, _, d_sims = _negative_terms(*margin_fixture(sp_y, sn_y, sp_h, sn_h),
-                                           tau=0.2, weight=1.0)
+                                           tau=0.2, weight=1.0, rows=None, out=None)
             assert d_sims[2, 0] > 0  # negative similarity of the assigned label
             assert d_sims[3, 0] < 0  # negative similarity of the complement
 
@@ -430,6 +432,39 @@ class TestLossPhase1:
         with pytest.raises(ContractError):
             loss_negative(model, provider.image_embeddings[:4], labels, None)
         assert not any(np.any(p.grad) for p in model.params())
+
+
+class TestTextScratch:
+    """Training writes every step's text tables and gather into one
+    TextScratch; the values must be bit for bit those of fresh tables."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**16), c=st.integers(2, 5), d=st.integers(2, 8),
+           batch=st.integers(2, 8), data=st.data())
+    def test_steps_match_fresh_tables(self, seed, c, d, batch, data):
+        last = data.draw(st.integers(1, batch - 1), label="ragged last batch")
+        negative = data.draw(st.booleans(), label="negative term")
+        runs = []
+        for reuse in (False, True):
+            provider, model, rng = random_model(seed, c=c, d=d)
+            scratch = TextScratch(provider, batch) if reuse else None
+            take = rng.integers(0, provider.num_samples, size=batch + last)
+            labels = rng.integers(0, c, size=batch + last)
+            comps = (draw_complements(labels, c, SeededRng(seed).stream("comp"))
+                     if negative else None)
+            losses = [loss_phase1(model, provider.image_embeddings[take[rows]], labels[rows],
+                                  None if comps is None else comps[rows], 0.7, scratch)
+                      for rows in (slice(0, batch), slice(batch, None))]
+            texts, _ = compose_texts(model, scratch)
+            runs.append((losses, texts.tobytes(), [p.grad.tobytes() for p in model.params()]))
+        assert runs[0] == runs[1]
+
+    def test_calls_without_scratch_alias_nothing(self):
+        provider, model, _ = random_model(5)
+        first, second = compose_texts(model)[0], compose_texts(model)[0]
+        assert not np.shares_memory(first, second)
+        scratch = TextScratch(provider, 4)
+        assert compose_texts(model, scratch)[0] is scratch.texts
 
 
 class TestClassRange:

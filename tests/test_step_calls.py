@@ -1,5 +1,6 @@
 """Python-level calls made by one training step at the acceptance shape
-(10 classes x 64-d, batch 32), counted with ``sys.setprofile``.
+(10 classes x 64-d, batch 32), counted with ``sys.setprofile``, and the
+traced allocations of a phase-1 step at the scale shape.
 
 At this shape a step does little arithmetic, so the interpreter's per-call
 overhead sets its time; timings are too noisy to guard that, while the call
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from stepbench import build_steps, python_calls  # noqa: E402  (what tools/stepbench.py times)
+from stepbench import build_steps, python_calls, traced_peak  # noqa: E402  (what stepbench times)
 
 CLASSES, DIM = 10, 64
 # numpy's Python wrappers around ufunc reductions; no step may call them
@@ -51,3 +52,13 @@ def test_phase1_composes_the_text_table_once(steps):
              if c.co_filename.endswith("encoders.py")]
     assert names.count("compose_texts") == 1
     assert names.count("compose_texts_backward") == 1
+
+
+def test_warm_phase1_step_allocates_no_text_table():
+    # At 100 classes x 256-d one (2C, d) text table is 400 KiB. A step that
+    # allocates its texts, their gradient and the backward pass's temporaries
+    # peaks at 2.05 MB; writing them into the run's TextScratch leaves the
+    # batch-sized arrays, about 0.33 MB. Freed at the heap's top, the 2 MB of
+    # tables were handed back to the kernel and faulted in again every step.
+    step = build_steps(100, 256)["phase1"]
+    assert traced_peak(step) < 512 * 1024

@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import pairs  # noqa: E402
+import stepbench  # noqa: E402
 from envelope import table  # noqa: E402  (the envelope tool's markdown table)
 from pairstats import compare, median_iqr, sign_test  # noqa: E402
 
@@ -96,6 +97,19 @@ def test_pairs_table_skips_a_pair_without_the_metric():
     assert pairs.problem(runs[-1][1]) == "exit 1: boom"
     assert pairs.problem({"correct": False, "failed": 1, "attempted": 4}) is not None
     assert pairs.problem(result(1.0)) is None
+
+
+def test_stepbench_table_prints_calls_and_peaks_beside_the_times():
+    key = ("phase1", "scale")
+    times = [{key: [2e-3] * 10}, {key: [1e-3] * 10}]
+    counts = [{key: (41, 2_050_144)}, {key: (41, 336_320)}]
+    header, _, row = stepbench.table(times, counts).splitlines()
+    columns = [cell.strip() for cell in header.strip("|").split("|")]
+    cells = dict(zip(columns, (cell.strip() for cell in row.strip("|").split("|"))))
+    assert (cells["A calls"], cells["B calls"]) == ("41", "41")
+    assert (cells["A peak (KiB)"], cells["B peak (KiB)"]) == ("2002.1", "328.4")
+    assert (cells["B / A"], cells["rounds B faster"], cells["resolved"]) == ("0.500", "10/10",
+                                                                              "yes")
 
 
 def details_line(run_s, setup_median, ok=None):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coft.core import SeededRng, normalize_rows
 from coft.data import SyntheticSpec, generate_synthetic
-from coft.encoders import FrozenProvider, encode_batch, init_fft_encoder
+from coft.encoders import FrozenProvider, TextScratch, encode_batch, init_fft_encoder
 from coft.errors import (
     ConfigError,
     ContractError,
@@ -696,6 +696,26 @@ class TestGradRelease:
         generate_labels(model)
         with pytest.raises(ContractError, match="'model1/pos_context' holds values only"):
             loss_positive(model, provider.image_embeddings[:4], np.zeros(4, dtype=np.int64))
+
+    def test_phase1_scratch_dies_with_training(self, monkeypatch):
+        import weakref
+
+        import coft.train
+
+        made = []
+
+        class Recorded(TextScratch):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.extend(weakref.ref(obj) for obj in (self, *vars(self).values()))
+
+        monkeypatch.setattr(coft.train, "TextScratch", Recorded)
+        provider, _ = synthetic_provider()
+        cfg = small_cfg(phase1_epochs=3)
+        model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(33))
+        train_phase1(model, zero_shot_selection(provider, cfg), cfg, SeededRng(33))
+        assert len(made) == 6  # one scratch, of five tables, for the whole run
+        assert [ref() for ref in made] == [None] * 6
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     def test_student_holds_values_only(self, gamma):

@@ -5,7 +5,9 @@
 It times four training steps at two shapes, batch 32:
 
 * ``phase1``: ``loss_phase1`` then an optimizer ``step`` of one prompt+adapter
-  model;
+  model, writing into one ``TextScratch`` as ``train_phase1`` does (a
+  checkout from before the scratch allocates its tables per step, as its
+  ``train_phase1`` does);
 * ``student``: ``loss_fft`` then ``step`` of one student;
 * ``coft-plus``: a coft-plus student step: ``loss_fft``, ``augment_two_views``,
   ``loss_contrastive``, ``step`` and ``momentum_update``;
@@ -21,13 +23,15 @@ time, each running ``WARM`` untimed steps and then timing ``reps``
 consecutive ones; the side that goes first alternates from round to round.
 
 It prints a markdown table: per step and shape, each side's Python-level
-calls per step (counted once, warm, with ``sys.setprofile``), the median and
+calls per step (counted once, warm, with ``sys.setprofile``), its peak of
+traced allocations in one warm step (KiB, ``tracemalloc``), the median and
 IQR over rounds of each side's time per step (microseconds), the ratio
 B / A, the rounds each side was faster in, an exact two-sided sign test over
 the rounds and whether the change is resolved (``pairstats.compare``: one
 side faster in at least nine tenths of the rounds, and the medians further
-apart than A's IQR). The call counts are deterministic, so they show a change
-to a step's code path that the times are too noisy to resolve.
+apart than A's IQR). The call counts and peaks are deterministic, so they
+show a change to a step's code path or its temporaries that the times are
+too noisy to resolve.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import argparse
 import json
 import subprocess
 import sys
+import tracemalloc
 from time import perf_counter
 
 import checkout_worker
@@ -64,10 +69,21 @@ def python_calls(fn) -> list:
     return codes[1:]  # codes[0] is fn itself
 
 
+def traced_peak(fn) -> int:
+    """Peak bytes of the allocations ``fn()`` makes, held at once, as
+    ``tracemalloc`` traces them (numpy reports its array data to it)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def build_steps(classes: int, dim: int) -> dict:
     """One zero-argument function per entry of ``STEPS``, at this shape, each
     already run 10 times. `tests/test_step_calls.py` counts the calls of the
-    same steps."""
+    same steps and bounds the phase-1 step's traced peak."""
     import numpy as np
 
     from coft.core import SeededRng, normalize_rows
@@ -91,9 +107,14 @@ def build_steps(classes: int, dim: int) -> dict:
 
     model = init_adapted_model(provider, "model1", 1, cfg, SeededRng(3))
     model_params, model_opt = model.params(), Adam(cfg.lr_peft)
+    try:
+        from coft.encoders import TextScratch
+        scratch = (TextScratch(provider, BATCH),)
+    except ImportError:  # a checkout whose steps allocate their own tables
+        scratch = ()
 
     def phase1():
-        loss_phase1(model, emb, labels, comps, cfg.lam)
+        loss_phase1(model, emb, labels, comps, cfg.lam, *scratch)
         step(model_opt, model_params)
 
     enc, enc_params, enc_opt = student()
@@ -126,13 +147,14 @@ def build_steps(classes: int, dim: int) -> dict:
 
 
 def worker(checkout: str) -> None:
-    """Build every step and print one line, the calls per step as
-    [[step, shape, calls], ...]; then answer each request line {"step",
+    """Build every step and print one line, the calls and traced peak bytes
+    per step as [[step, shape, calls, peak], ...]; then answer each request
+    line {"step",
     "shape", "reps"} with the seconds per step of ``reps`` consecutive calls,
     made after ``WARM`` untimed ones."""
     checkout_worker.check_import(checkout)
     fns = {shape: build_steps(*dims) for shape, dims in SHAPES.items()}
-    print(json.dumps([[step, shape, len(python_calls(fn))]
+    print(json.dumps([[step, shape, len(python_calls(fn)), traced_peak(fn)]
                       for shape, steps in fns.items() for step, fn in steps.items()]),
           flush=True)
     for line in sys.stdin:
@@ -147,14 +169,15 @@ def worker(checkout: str) -> None:
 
 
 def start_worker(checkout: str):
-    """The worker process and its {(step, shape): calls per step}."""
+    """The worker process and its {(step, shape): (calls, peak bytes) per step}."""
     proc = checkout_worker.start(__file__, checkout, stdin=subprocess.PIPE,
                                  stdout=subprocess.PIPE)
     try:
-        calls = {(step, shape): n for step, shape, n in json.loads(proc.stdout.readline())}
+        counts = {(step, shape): (n, peak)
+                  for step, shape, n, peak in json.loads(proc.stdout.readline())}
     except ValueError:
         raise SystemExit(f"stepbench: worker for {checkout} failed to start") from None
-    return proc, calls
+    return proc, counts
 
 
 def timed(proc: subprocess.Popen, step: str, shape: str, reps: int) -> float:
@@ -163,18 +186,22 @@ def timed(proc: subprocess.Popen, step: str, shape: str, reps: int) -> float:
     return json.loads(proc.stdout.readline())
 
 
-def table(times: list, calls: list) -> str:
+def table(times: list, counts: list) -> str:
     """``times`` holds one {(step, shape): [seconds per step, one per round]}
-    dict per checkout, ``calls`` one {(step, shape): calls per step}. Round i
-    of A and of B are one pair (``pairstats.compare``)."""
-    lines = ["| step | shape | A calls | B calls | A median [IQR] (us) | B median [IQR] (us) "
+    dict per checkout, ``counts`` one {(step, shape): (calls, traced peak
+    bytes) per step}. Round i of A and of B are one pair
+    (``pairstats.compare``)."""
+    lines = ["| step | shape | A calls | B calls | A peak (KiB) | B peak (KiB) "
+             "| A median [IQR] (us) | B median [IQR] (us) "
              "| B / A | rounds B faster | rounds A faster | sign test p | resolved |",
-             "|---|---|---|---|---|---|---|---|---|---|---|"]
+             "|---|---|---|---|---|---|---|---|---|---|---|---|---|"]
     for key in times[0]:
         c = pairstats.compare(times[0][key], times[1][key], "lower")
         rounds = len(times[0][key])
         (a, a_iqr), (b, b_iqr) = c["a"], c["b"]
-        lines.append(f"| {key[0]} | {key[1]} | {calls[0][key]} | {calls[1][key]} "
+        (a_calls, a_peak), (b_calls, b_peak) = counts[0][key], counts[1][key]
+        lines.append(f"| {key[0]} | {key[1]} | {a_calls} | {b_calls} "
+                     f"| {a_peak / 1024:.1f} | {b_peak / 1024:.1f} "
                      f"| {a * 1e6:.1f} [{a_iqr * 1e6:.1f}] | {b * 1e6:.1f} [{b_iqr * 1e6:.1f}] "
                      f"| {b / a:.3f} | {c['b_won']}/{rounds} | {c['a_won']}/{rounds} "
                      f"| {c['p']:.3g} | {'yes' if c['resolved'] else 'no'} |")
@@ -196,7 +223,7 @@ def main(argv=None) -> int:
     if args.rounds < 1 or args.reps < 1:
         parser.error("--rounds and --reps must be at least 1")
     checkouts = checkout_worker.require_sources(parser, args.checkouts)
-    procs, calls = zip(*(start_worker(c) for c in checkouts))
+    procs, counts = zip(*(start_worker(c) for c in checkouts))
     keys = [(step, shape) for shape in SHAPES for step in STEPS]
     times = [{key: [] for key in keys} for _ in procs]
     try:
@@ -211,7 +238,7 @@ def main(argv=None) -> int:
             proc.wait()
     print(f"A = {checkouts[0]}\nB = {checkouts[1]}\n")
     print(f"{args.rounds} rounds of {args.reps} steps per side, batch {BATCH}\n")
-    print(table(times, calls))
+    print(table(times, counts))
     return 0
 
 
