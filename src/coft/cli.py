@@ -12,11 +12,12 @@ gradient-verification failure, 4 empty filtered clean set.
 Configuration files are flat UTF-8 ``key = value`` lines with dotted keys
 (``train.gamma = 0.5``); ``#`` starts a comment anywhere on a line, and a key
 may appear once per file. ``CONFIG_KEYS`` holds every key with its type;
-a ``run`` flag's dest is the key it sets, a ``synth`` flag's a ``synth.``
-field. Flags override file values, and ``COFT_SEED`` provides the seed when
-neither flag nor file does. The settings the mode trains with (``mode_config``)
-are written into the output directory before anything trains. ``run``
-writes only into a new or empty output directory.
+a ``run`` flag's dest is the key it sets, a ``synth`` flag's a
+``SyntheticSpec`` field. Flags override file values. The settings the mode
+trains with (``mode_config``) are written into the output directory before
+anything trains. ``run`` reads the dataset that ``--dataset`` or the config
+file's ``dataset`` key names, and writes only into a new or empty output
+directory.
 """
 
 import argparse
@@ -75,9 +76,6 @@ class RunConfig:
     dataset: str = ""
     out: str = "coft-run"
     train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
-    synth: SyntheticSpec = dataclasses.field(
-        default_factory=lambda: SyntheticSpec(classes=10, per_class=100, dim=64)
-    )
 
 
 def _config_keys() -> dict:
@@ -143,13 +141,13 @@ def apply_config_values(rc: RunConfig, values: dict) -> RunConfig:
     return rc
 
 
-def resolved_config_text(rc: RunConfig, keys=CONFIG_KEYS) -> str:
-    """One ``key = value`` line per key of ``keys`` (default: every field);
-    ConfigError for a value holding ``#``, which would read back as the start
-    of a comment, a line break, which would split its line, or leading or
-    trailing whitespace, which ``parse_config_file`` would strip."""
+def resolved_config_text(rc: RunConfig) -> str:
+    """One ``key = value`` line per config key; ConfigError for a value
+    holding ``#``, which would read back as the start of a comment, a line
+    break, which would split its line, or leading or trailing whitespace,
+    which ``parse_config_file`` would strip."""
     lines = []
-    for key in keys:
+    for key in CONFIG_KEYS:
         value = str(getattr(*_owner(rc, key)))
         line = f"{key} = {value}"
         for char in "#\n\r":
@@ -183,23 +181,16 @@ def load_run_config(run_dir) -> RunConfig:
 
 
 def _build_run_config(args) -> RunConfig:
-    """Defaults, then the config file, then the flags; ``COFT_SEED`` gives the
-    seed when neither flag nor file does."""
+    """Defaults, then the config file, then the flags."""
     rc = RunConfig()
-    file_values = {}
     if args.config:
         _check_file("--config", args.config)
-        file_values = parse_config_file(args.config)
         try:
-            apply_config_values(rc, file_values)
+            apply_config_values(rc, parse_config_file(args.config))
         except ConfigError as e:
             raise ConfigError(f"{args.config}: {e}") from None
-    flag_values = {key: value for key, value in vars(args).items()
-                   if key in CONFIG_KEYS and value is not None}
-    env_seed = os.environ.get("COFT_SEED")
-    if env_seed is not None and "seed" not in file_values and "seed" not in flag_values:
-        flag_values["seed"] = _coerce("COFT_SEED", env_seed, int)
-    return apply_config_values(rc, flag_values)
+    return apply_config_values(rc, {key: value for key, value in vars(args).items()
+                                    if key in CONFIG_KEYS and value is not None})
 
 
 def _check_directory(flag: str, path: str) -> None:
@@ -229,11 +220,11 @@ def _check_file(flag: str, path: str) -> None:
 
 def cmd_synth(args) -> int:
     _check_directory("--out", args.out)
-    # each flag's dest is a SyntheticSpec field; a flag not given keeps RunConfig's value
-    rc = apply_config_values(RunConfig(), {
-        f"synth.{name}": value for name, value in vars(args).items()
-        if value is not None and f"synth.{name}" in CONFIG_KEYS})
-    ds, truth = generate_synthetic(rc.synth)
+    # each flag's dest is a SyntheticSpec field; a flag not given keeps the field's default
+    fields = {f.name for f in dataclasses.fields(SyntheticSpec)}
+    ds, truth = generate_synthetic(SyntheticSpec(**{
+        name: value for name, value in vars(args).items()
+        if name in fields and value is not None}))
     manifest = save_dataset(ds, args.out, truth=truth, name=args.name)
     print(manifest)
     print(f"checksum {read_manifest(manifest)['checksum']}")
@@ -248,22 +239,16 @@ def cmd_run(args) -> int:
     if os.path.isdir(rc.out) and os.listdir(rc.out):
         # a second run would mix its files with the first's
         raise ConfigError(f"--out {rc.out!r} is not empty")
-    # the record holds what the run uses: a run on a given dataset drew no
-    # synthetic one, so its record names no synth spec
     rc.train = mode_config(rc.train, rc.mode)
-    rc.synth = dataclasses.replace(rc.synth, seed=rc.seed)
-    keys = [key for key in CONFIG_KEYS if not (rc.dataset and key.startswith("synth."))]
-    resolved_config_text(rc, keys)  # refuses a value that would not read back as it is
-    if rc.dataset:
-        _check_file("--dataset", rc.dataset)
-    else:
-        # empty config is a valid run: synthesize the default benchmark
-        ds, truth = generate_synthetic(rc.synth)
-        rc.dataset = save_dataset(ds, os.path.join(rc.out, "data"), truth=truth)
+    resolved_config_text(rc)  # refuses a value that would not read back as it is
+    if not rc.dataset:
+        raise ConfigError("no dataset: name its manifest with --dataset or the config "
+                          "file's dataset key (coft synth makes one)")
+    _check_file("--dataset", rc.dataset)
     os.makedirs(rc.out, exist_ok=True)
 
     with atomic_write(os.path.join(rc.out, RESOLVED_CONFIG_NAME)) as f:
-        f.write(resolved_config_text(rc, keys))
+        f.write(resolved_config_text(rc))
 
     summary = run_pipeline(rc.dataset, rc.train, rc.mode, rc.seed, rc.out)
     printable = {k: v for k, v in summary.items() if not isinstance(v, np.ndarray)}
@@ -398,9 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--per-class", dest="per_class", type=int)
-    p.add_argument("--dim", type=int)
+    p.add_argument("--classes", type=int, default=10)
+    p.add_argument("--per-class", dest="per_class", type=int, default=100)
+    p.add_argument("--dim", type=int, default=64)
     p.add_argument("--separation", type=float)
     p.add_argument("--sigma", dest="noise_sigma", type=float)
     p.add_argument("--alignment", dest="anchor_alignment", type=float)

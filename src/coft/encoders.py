@@ -378,24 +378,19 @@ def encode_batch_backward(cache: _EncodeCache, d_encoded) -> None:
     accumulate_grad(enc.b1, np.add.reduce(d_pre, axis=0))
 
 
-@dataclass
-class _LogitsCache:
-    enc: FFTEncoder
-    encode_cache: _EncodeCache
-
-
 def logits_batch(enc: FFTEncoder, x):
-    """Class logits w_fc @ encode(x) + b_fc; returns (logits (n, C), cache)."""
-    encoded, ecache = encode_batch(enc, x)
+    """Class logits w_fc @ encode(x) + b_fc; returns (logits (n, C), the
+    encode cache, which holds all the backward pass reads)."""
+    encoded, cache = encode_batch(enc, x)
     logits = encoded @ enc.w_fc.value.T + enc.b_fc.value
-    return logits, _LogitsCache(enc=enc, encode_cache=ecache)
+    return logits, cache
 
 
-def logits_batch_backward(cache: _LogitsCache, d_logits) -> None:
+def logits_batch_backward(cache: _EncodeCache, d_logits) -> None:
     g = as_f64(d_logits)
     enc = cache.enc
-    accumulate_grad(enc.w_fc, g.T @ cache.encode_cache.encoded)
+    accumulate_grad(enc.w_fc, g.T @ cache.encoded)
     accumulate_grad(enc.b_fc, np.add.reduce(g, axis=0))
     d_encoded = g @ enc.w_fc.value
-    encode_batch_backward(cache.encode_cache, d_encoded)
+    encode_batch_backward(cache, d_encoded)
 

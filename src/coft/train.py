@@ -1020,8 +1020,8 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
                           noise_size=len(filtered) - len(clean))
             if truth is not None:
                 record["generated_accuracy"] = filtered.accuracy(truth)
-                size, precision, _ = filtered.clean_quality(truth)
-                record["clean_precision"] = precision if size else float("nan")
+                # None, not NaN, for an empty clean set: metrics.jsonl stays strict JSON
+                record["clean_precision"] = filtered.clean_quality(truth)[1]
             metrics.write(**record)
 
             student = _init_student(provider, eff, student_id,

@@ -25,7 +25,7 @@ from coft.cli import (
     parse_config_file,
     resolved_config_text,
 )
-from coft.data import load_dataset, load_ground_truth
+from coft.data import SyntheticSpec, load_dataset, load_ground_truth
 from coft.errors import ConfigError, FormatError, IntegrityError
 from coft.encoders import logits_batch
 from coft.grad import param, save_checkpoint
@@ -138,9 +138,6 @@ class TestRun:
                   for name, out in runs.items()}
         assert "train.rounds = 1" in config["given"]
         assert "train.gamma = 0.0" in config["given"]
-        # a run on a given dataset drew no synthetic one: the record once
-        # named the default synth.classes = 10 and synth.dim = 64
-        assert not [line for line in config["given"] if line.startswith("synth.")]
         assert [line for line in config["given"] if not line.startswith("out = ")] == [
             line for line in config["default"] if not line.startswith("out = ")]
         files = sorted(os.path.relpath(os.path.join(d, f), runs["default"])
@@ -173,16 +170,48 @@ class TestRun:
         assert run_cli("run", "--dataset", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "r")) == 2
 
-    def test_empty_clean_set_exits_4(self, tmp_path):
+    @staticmethod
+    def empty_clean_run(tmp_path):
+        """A run whose filter marks no sample clean: (exit code, run directory)."""
         manifest = make_dataset(tmp_path)
         cfgfile = tmp_path / "degenerate.cfg"
         cfgfile.write_text(
             "train.init_sigma = 0\ntrain.phase1_epochs = 0\n"
             "train.k_per_class = 8\ntrain.phase2_epochs = 2\n"
         )
-        code = run_cli("run", "--dataset", manifest, "--config", str(cfgfile),
-                       "--out", str(tmp_path / "r"))
-        assert code == 4
+        out = tmp_path / "r"
+        return run_cli("run", "--dataset", manifest, "--config", str(cfgfile),
+                       "--out", str(out)), out
+
+    def test_empty_clean_set_exits_4(self, tmp_path):
+        assert self.empty_clean_run(tmp_path)[0] == 4
+
+    def test_empty_clean_set_keeps_metrics_strict_json(self, tmp_path):
+        # the filter record once held a bare NaN precision, which strict
+        # JSON parsers reject; clean_quality gives None for it
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        _, out = self.empty_clean_run(tmp_path)
+        with open(out / "metrics.jsonl", encoding="utf-8") as f:
+            records = [json.loads(line, parse_constant=refuse) for line in f]
+        first = next(r for r in records if r.get("event") == "filter")
+        assert (first["clean_size"], first["clean_precision"]) == (0, None)
+
+    @pytest.mark.parametrize("config", [None, "", "seed = 3\n"],
+                             ids=["no-config", "empty-config", "config-without-dataset"])
+    def test_run_without_a_dataset_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                               config):
+        # coft synth makes a dataset; run once synthesized one into the run
+        # directory when given none
+        flags = ()
+        if config is not None:
+            (tmp_path / "c.cfg").write_text(config)
+            flags = ("--config", str(tmp_path / "c.cfg"))
+        capsys.readouterr()
+        assert run_cli("run", "--out", str(tmp_path / "r"), *flags, *FAST_TRAIN) == 2
+        assert "--dataset" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_resolved_config_written_before_training(self, tmp_path):
         manifest = make_dataset(tmp_path)
@@ -193,39 +222,6 @@ class TestRun:
         assert "seed = 9" in text
         assert "train.k_per_class = 8" in text
         assert "mode = coft" in text
-
-    def test_empty_config_file_yields_valid_run(self, tmp_path):
-        cfgfile = tmp_path / "empty.cfg"
-        cfgfile.write_text("")
-        out = tmp_path / "r"
-        code = run_cli("run", "--config", str(cfgfile), "--out", str(out),
-                       *FAST_TRAIN, "--seed", "2")
-        assert code == 0
-        # auto-generated default dataset lands inside the run dir
-        assert (out / "data").exists()
-        assert (out / "labels" / "zeroshot.jsonl").exists()
-
-    def test_default_dataset_seed_is_recorded(self, tmp_path):
-        # the auto-generated dataset is drawn with the run's seed, so the
-        # record holds that seed, not the file's synth.seed
-        cfgfile = tmp_path / "c.cfg"
-        cfgfile.write_text("synth.seed = 5\nsynth.classes = 4\nsynth.per_class = 10\n"
-                           "synth.dim = 8\n")
-        out = tmp_path / "r"
-        assert run_cli("run", "--config", str(cfgfile), "--seed", "2", "--out", str(out),
-                       *FAST_TRAIN) == 0
-        lines = (out / RESOLVED_CONFIG_NAME).read_text().splitlines()
-        assert "synth.seed = 2" in lines
-        assert "synth.seed = 5" not in lines
-        assert (out / "data" / "synth-c4-n10-d8-s2.json").exists()
-
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        manifest = make_dataset(tmp_path)
-        monkeypatch.setenv("COFT_SEED", "123")
-        out = tmp_path / "r"
-        assert run_cli("run", "--dataset", manifest, "--out", str(out),
-                       *FAST_TRAIN) == 0
-        assert "seed = 123" in (out / "config.resolved.cfg").read_text()
 
     def test_flag_overrides_config_file(self, tmp_path):
         manifest = make_dataset(tmp_path)
@@ -246,10 +242,13 @@ class TestRun:
                        "--out", str(tmp_path / "r")) == 2
 
     @pytest.mark.parametrize("name, flags, expected", [
-        ("x#y", (), "a config value cannot hold '#'"),
+        ("x#y", lambda tmp: ("--dataset", make_dataset(tmp)),
+         "a config value cannot hold '#'"),
         # once written, then refused by eval as a line without '='
-        ("nl/a\nb", (), "a config value cannot hold '\\n'"),
-        ("cr\rb", (), "a config value cannot hold '\\r'"),
+        ("nl/a\nb", lambda tmp: ("--dataset", make_dataset(tmp)),
+         "a config value cannot hold '\\n'"),
+        ("cr\rb", lambda tmp: ("--dataset", make_dataset(tmp)),
+         "a config value cannot hold '\\r'"),
         ("r", ("--k", "0"), "k_per_class must be >= 1"),
         ("r", lambda tmp: ("--dataset", make_dataset(tmp), "--seed", "-1"),
          "seed must be a 64-bit unsigned integer, got -1"),
@@ -259,8 +258,7 @@ class TestRun:
     ], ids=["hash-in-out", "newline-in-out", "return-in-out", "k-zero",
             "dataset-seed-negative", "dataset-seed-2**64", "templates-flag"])
     def test_refused_run_writes_nothing(self, tmp_path, capsys, name, flags, expected):
-        # each is refused before the default dataset is synthesized into the
-        # output directory, or before anything is written beside a named
+        # each is refused before anything is written beside the named
         # dataset, so no run directory without a run is left behind
         out = tmp_path / name
         if callable(flags):
@@ -277,12 +275,13 @@ class TestRun:
     ], ids=["file", "below-a-file", "empty"])
     def test_out_that_cannot_be_a_directory_writes_nothing(self, tmp_path, capsys,
                                                            monkeypatch, out, expected):
-        # refused before the default dataset is synthesized under it
         monkeypatch.chdir(tmp_path)
+        manifest = make_dataset(tmp_path)
         (tmp_path / "taken").write_text("x")
-        assert run_cli("run", "--out", out, *FAST_TRAIN) == 2
+        capsys.readouterr()
+        assert run_cli("run", "--dataset", manifest, "--out", out, *FAST_TRAIN) == 2
         assert expected in capsys.readouterr().err
-        assert sorted(os.listdir(tmp_path)) == ["taken"]
+        assert sorted(os.listdir(tmp_path)) == ["data", "taken"]
 
     @pytest.mark.parametrize("flags, out", [
         (("--dataset", " data/ds.json"), "r"),
@@ -332,14 +331,6 @@ class TestRun:
         cfgfile.write_text("train.lr_peft = 1e308\ntrain.phase1_epochs = 3\n")
         assert run_cli("run", "--dataset", manifest, "--config", str(cfgfile),
                        "--out", str(tmp_path / "r"), "--k", "8") == 3
-
-    def test_out_of_range_env_seed_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        manifest = make_dataset(tmp_path)
-        monkeypatch.setenv("COFT_SEED", "-5")
-        capsys.readouterr()
-        assert run_cli("run", "--dataset", manifest, "--out", str(tmp_path / "r")) == 2
-        assert "seed must be a 64-bit unsigned integer, got -5" in capsys.readouterr().err
-        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("flag", ["--dataset", "--config"])
     def test_directory_for_a_file_flag_writes_nothing(self, tmp_path, capsys, flag):
@@ -521,19 +512,19 @@ class TestConfigKeys:
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         return sub.choices[name]
 
-    @pytest.mark.parametrize("command, prefix, skip", [
-        ("run", "", ("help", "config")),
-        ("synth", "synth.", ("help", "out", "name")),
-    ])
-    def test_every_flag_sets_a_config_key_of_its_type(self, command, prefix, skip):
-        # a flag's dest is the key it sets, so it cannot drift from its field
+    @pytest.mark.parametrize("command, fields, skip", [
+        ("run", CONFIG_KEYS, ("help", "config")),
+        ("synth", typing.get_type_hints(SyntheticSpec), ("help", "out", "name")),
+    ], ids=["run", "synth"])
+    def test_every_flag_sets_a_config_key_of_its_type(self, command, fields, skip):
+        # a run flag's dest is the config key it sets, a synth flag's the
+        # SyntheticSpec field, so neither can drift from its field
         flags = [a for a in self.subparser(command)._actions if a.dest not in skip]
         assert len(flags) == {"run": 12, "synth": 7}[command]
         for action in flags:
-            key = prefix + action.dest
-            assert key in CONFIG_KEYS, action.option_strings
-            assert action.type in (None, CONFIG_KEYS[key]), action.option_strings
-            assert action.type is not None or CONFIG_KEYS[key] is str, action.option_strings
+            assert action.dest in fields, action.option_strings
+            assert action.type in (None, fields[action.dest]), action.option_strings
+            assert action.type is not None or fields[action.dest] is str, action.option_strings
 
 
 class TestConfigFiles:
@@ -547,7 +538,6 @@ class TestConfigFiles:
         rc = apply_config_values(RunConfig(), parse_config_file(path))
         assert (rc.mode, rc.seed, rc.dataset) == ("coft-plus", 7, "data/bench.json")
         assert (rc.train.k_per_class, rc.train.lam, rc.train.adapter_scale) == (48, 0.05, 0.5)
-        assert (rc.synth.classes, rc.synth.per_class, rc.synth.dim) == (10, 100, 64)
         rc.train.validate()
 
     def test_inline_comment_in_a_run_config(self, tmp_path):
@@ -625,11 +615,14 @@ class TestEvalRefusesBadRunFiles:
         (lambda p: _set_config_line(p, "train.adapter_rank", "0"), "adapter_rank"),
         (lambda p: _set_config_line(p, "train.adapter_scale", "nan"), "must be finite"),
         (lambda p: _set_config_line(p, "seed", "-1"), "seed must be a 64-bit unsigned integer"),
-        # the resolved config of a run that predates the removal of templates
+        # the resolved configs of runs that predate the removal of templates
+        # and of run's own synthetic dataset
         (lambda p: p.write_text(p.read_text() + "templates = \n"),
          "unknown config key 'templates'"),
+        (lambda p: p.write_text(p.read_text() + "synth.classes = 10\n"),
+         "unknown config key 'synth.classes'"),
     ], ids=["repeated-key", "not-utf8", "mode", "adapter-rank", "nan-scale", "seed",
-            "templates-key"])
+            "templates-key", "synth-key"])
     def test_resolved_config(self, tmp_path, capsys, finished_run_dir, mutate, expected):
         err = self.mutate_and_eval(tmp_path, capsys, finished_run_dir,
                                    RESOLVED_CONFIG_NAME, mutate)
