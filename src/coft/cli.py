@@ -7,7 +7,8 @@ Subcommands:
   check-grads  verify every loss gradient against finite differences
 
 Exit codes: 0 success, 2 configuration or input-file error, 3 training or
-gradient-verification failure, 4 empty filtered clean set.
+gradient-verification failure, 4 empty filtered clean set, 5 a file or
+memory the system refused (a full disk or a permission, say).
 
 Configuration files are flat UTF-8 ``key = value`` lines with dotted keys
 (``train.gamma = 0.5``); ``#`` starts a comment anywhere on a line, and a key
@@ -26,6 +27,7 @@ import json
 import math
 import os
 import sys
+import traceback
 import typing
 
 import numpy as np
@@ -53,6 +55,7 @@ from .train import (
     ensemble_predictions,
     generate_labels,
     gradient_check_suite,
+    label_records,
     load_model_checkpoint,
     load_student_checkpoint,
     mode_config,
@@ -63,6 +66,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TRAINING = 3
 EXIT_EMPTY_CLEAN = 4
+EXIT_RESOURCE = 5
 
 RESOLVED_CONFIG_NAME = "config.resolved.cfg"
 
@@ -256,10 +260,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _emit(record) -> None:
-    print(json.dumps(record, sort_keys=True))
-
-
 def _load_labels(path, provider) -> PseudoLabelSet:
     """A run's label file; FormatError naming it when a sample id or label is
     outside the dataset's range."""
@@ -293,12 +293,10 @@ def cmd_eval(args) -> int:
     try:
         truth = load_ground_truth(manifest)
     except (FileNotFoundError, FormatError) as e:
-        print(f"error: evaluation needs the ground-truth sidecar ({e})",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise FormatError(f"evaluation needs the ground-truth sidecar ({e})") from None
 
-    # every run file is read before the first record is printed, so a run
-    # that cannot be read prints nothing
+    # every run file is read and checked before the first record is printed,
+    # so a run that cannot be read prints nothing
     ckpt_dir = os.path.join(args.run, "checkpoints")
     labels_dir = os.path.join(args.run, "labels")
     model_ids, student_ids = ("model1", "model2"), ("student1", "student2")
@@ -306,40 +304,30 @@ def cmd_eval(args) -> int:
                                     provider, rc.train, mid) for mid in model_ids]
     students = [load_student_checkpoint(os.path.join(ckpt_dir, f"phase2_{sid}"),
                                         provider, rc.train, sid) for sid in student_ids]
-    # label tables by file name: the filter files, and with --with-truth every other one
-    tables = {name: _load_filter(os.path.join(labels_dir, name), provider)
-              for name in (f"filter_{mid}.jsonl" for mid in model_ids)}
-    if args.with_truth:
-        for name in sorted(os.listdir(labels_dir)):
-            if name.endswith(".jsonl") and name not in tables:
-                tables[name] = _load_labels(os.path.join(labels_dir, name), provider)
-
-    zero_shot = assign_pseudo_labels(provider.image_embeddings, provider.class_anchors,
-                                     rc.train.tau)
-    _emit({"metric": "zero_shot_accuracy", "value": zero_shot.accuracy(truth)})
-
-    for mid, model in zip(model_ids, models):
-        acc = generate_labels(model).accuracy(truth)
-        _emit({"metric": "phase1_model_accuracy", "model": mid, "value": acc})
-
-    for mid in model_ids:
-        size, precision, recall = tables[f"filter_{mid}.jsonl"].clean_quality(truth)
-        _emit({"metric": "clean_size", "direction": mid, "value": size})
-        _emit({"metric": "clean_precision", "direction": mid, "value": precision})
-        _emit({"metric": "clean_recall", "direction": mid, "value": recall})
+    # every label table by file name; the ones eval can rebuild must be there,
+    # holding the labels it rebuilds
+    rebuilt = {"zeroshot.jsonl": assign_pseudo_labels(provider.image_embeddings,
+                                                      provider.class_anchors, rc.train.tau)}
+    rebuilt.update((f"filter_{m.model_id}.jsonl", generate_labels(m)) for m in models)
+    names = set(rebuilt).union(n for n in os.listdir(labels_dir) if n.endswith(".jsonl"))
+    tables = {name: (_load_filter if name.startswith("filter_") else _load_labels)(
+                  os.path.join(labels_dir, name), provider) for name in sorted(names)}
+    for name, table in rebuilt.items():
+        if not (np.array_equal(tables[name].sample_ids(), table.sample_ids())
+                and np.array_equal(tables[name].labels(), table.labels())):
+            raise IntegrityError(f"{os.path.join(labels_dir, name)}: its labels differ from "
+                                 "those the run's dataset, config and checkpoints give")
 
     ens, hits = ensemble_predictions(students, provider.image_embeddings, truth)
-    for sid, count in zip(student_ids, hits):
-        _emit({"metric": "student_accuracy", "student": sid,
-               "value": count / provider.num_samples})
-    _emit({"metric": "ensemble_accuracy", "value": float(np.mean(ens == truth))})
+    for record in label_records(tables, truth, ens, hits):
+        print(json.dumps(record, sort_keys=True))
 
     if args.with_truth:
         export_dir = os.path.join(args.run, "labels_with_truth")
         os.makedirs(export_dir, exist_ok=True)
-        for name, labelset in sorted(tables.items()):
+        for name, labelset in tables.items():
             labelset.save(os.path.join(export_dir, name), truth=truth)
-        _emit({"metric": "labels_with_truth_dir", "value": export_dir})
+        print(json.dumps({"dir": export_dir, "event": "labels_with_truth"}))
     return EXIT_OK
 
 
@@ -427,22 +415,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each failure the commands report: the first entry that matches
+EXIT_CODES = ((PipelineError, EXIT_EMPTY_CLEAN),
+              ((TrainingError, ContractError), EXIT_TRAINING),
+              ((CoftError, FileNotFoundError), EXIT_CONFIG),  # a missing file is an input error
+              ((OSError, MemoryError), EXIT_RESOURCE))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FormatError, IntegrityError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PipelineError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_EMPTY_CLEAN
-    except (TrainingError, ContractError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_TRAINING
-    except CoftError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (CoftError, OSError, MemoryError) as e:
+        message = str(e)
+        if isinstance(e, MemoryError):  # named by the innermost coft function it passed through
+            where = [frame.name for frame in traceback.extract_tb(e.__traceback__)
+                     if f"{os.sep}coft{os.sep}" in frame.filename] or ["coft"]
+            message = f"out of memory in {where[-1]}: {e}"
+        print(f"error: {message}", file=sys.stderr)
+        return next(code for kinds, code in EXIT_CODES if isinstance(e, kinds))
 
 
 if __name__ == "__main__":

@@ -119,14 +119,17 @@ def atomic_write(path, mode: str = "w"):
     """A file opened for writing at ``<path>.tmp`` (text mode is UTF-8). When
     the block ends normally it is moved onto ``path`` with ``os.replace``;
     when it raises, the temp file is deleted. Either way no partial file is
-    left under the final name (no fsync)."""
+    left under the final name (no fsync). An OSError from the system that
+    names no file, as a failed write's does, is given ``path``."""
     tmp = os.fspath(path) + ".tmp"
     f = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
     try:
         with f:
             yield f
-    except BaseException:
+    except BaseException as e:
         os.remove(tmp)
+        if isinstance(e, OSError) and e.errno is not None and e.filename is None:
+            e.filename = os.fspath(path)
         raise
     os.replace(tmp, path)
 

@@ -334,10 +334,20 @@ class MetricsWriter:
         self._file = open(self.path, "w", encoding="utf-8", buffering=1)
 
     def write(self, **record) -> None:
-        self._file.write(json.dumps(record, sort_keys=True) + "\n")
+        self._named(self._file.write, json.dumps(record, sort_keys=True) + "\n")
 
     def close(self) -> None:
-        self._file.close()
+        self._named(self._file.close)  # retries the line of a failed write
+
+    def _named(self, io, *args) -> None:
+        """``io(*args)``; an OSError from the system that names no file, as a
+        failed write's does, is given the file's path (as in atomic_write)."""
+        try:
+            io(*args)
+        except OSError as e:
+            if e.errno is not None and e.filename is None:
+                e.filename = self.path
+            raise
 
     def __enter__(self):
         return self

@@ -310,7 +310,7 @@ def _check_classes(name, what, column, num_classes):
 
 def _check_complements(name, num_classes, labels, comp):
     if num_classes < 2:
-        raise ConfigError("loss_negative needs at least 2 classes")
+        raise ConfigError(f"{name} needs at least 2 classes")
     if comp.shape != labels.shape:
         raise ShapeError(f"{comp.shape[0]} complements for {labels.shape[0]} labels")
     _check_classes(name, "complement", comp, num_classes)
@@ -741,7 +741,7 @@ def train_fft(student: FFTEncoder, clean: PseudoLabelSet, provider: FrozenProvid
 # ---------------------------------------------------------------------------
 
 def iterate_peft(provider: FrozenProvider, cfg: TrainConfig, root_rng: SeededRng,
-                 metrics: MetricsWriter | None = None, truth=None):
+                 metrics: MetricsWriter | None = None):
     """R rounds of (generate -> per-model top-K -> re-init -> phase-1 train).
 
     Round 1 generates from zero-shot inference against the provider's class
@@ -752,45 +752,29 @@ def iterate_peft(provider: FrozenProvider, cfg: TrainConfig, root_rng: SeededRng
     from pristine frozen state with fresh round-labeled streams every round.
     With rounds == 1 this is plain single-shot phase 1.
 
-    Returns (model1, model2, per-round records); ``truth`` is evaluation-only
-    and feeds the metrics log.
+    Returns (model1, model2, label tables), the tables keyed by the file
+    names a run saves them under: ``zeroshot.jsonl``,
+    ``round<r>_<model>_selected.jsonl`` and, from round 2 on,
+    ``round<r>_<model>.jsonl``.
     """
     cfg.validate()
-    num_classes = provider.num_classes
-    models = {"model1": None, "model2": None}
-    rounds_log = []
+    # round 0 state is the pristine frozen model: zero-shot inference, round
+    # 1's generation for both models
+    zero_shot = assign_pseudo_labels(provider.image_embeddings, provider.class_anchors, cfg.tau)
+    tables = {"zeroshot.jsonl": zero_shot}
+    models = {}
     for r in range(1, cfg.rounds + 1):
-        generations = {}
-        if r == 1:
-            # round 0 state is the pristine frozen model: zero-shot inference,
-            # shared by both models
-            shared = assign_pseudo_labels(provider.image_embeddings, provider.class_anchors,
-                                          cfg.tau)
-            generations["model1"] = shared
-            generations["model2"] = shared
-        else:
-            for mid in ("model1", "model2"):
-                generations[mid] = generate_labels(models[mid])
-        round_entry = {"round": r, "selected": {}, "generated": {}}
         for mid in ("model1", "model2"):
-            gen = generations[mid]
+            gen = zero_shot
+            if r > 1:
+                gen = tables[f"round{r}_{mid}.jsonl"] = generate_labels(models[mid])
             ranked = gen if mid == "model1" else centroid_confidences(
                 gen, provider.image_embeddings, cfg.tau)
-            selected = select_top_k(ranked, cfg.k_per_class, num_classes)
-            model = init_adapted_model(provider, mid, r, cfg, root_rng)
-            train_phase1(model, selected, cfg, root_rng, metrics=metrics, round_idx=r)
-            models[mid] = model
-            round_entry["generated"][mid] = gen
-            round_entry["selected"][mid] = selected
-            if metrics is not None and truth is not None:
-                metrics.write(
-                    phase=1, round=r, model=mid, event="selection",
-                    selected_size=len(selected),
-                    selected_accuracy=selected.accuracy(truth),
-                    generated_accuracy=gen.accuracy(truth),
-                )
-        rounds_log.append(round_entry)
-    return models["model1"], models["model2"], rounds_log
+            selected = select_top_k(ranked, cfg.k_per_class, provider.num_classes)
+            tables[f"round{r}_{mid}_selected.jsonl"] = selected
+            models[mid] = train_phase1(init_adapted_model(provider, mid, r, cfg, root_rng),
+                                       selected, cfg, root_rng, metrics=metrics, round_idx=r)
+    return models["model1"], models["model2"], tables
 
 # ---------------------------------------------------------------------------
 # Gradient verification harness
@@ -959,6 +943,29 @@ def ensemble_predictions(students, embeddings, truth=None):
     return predictions, (hits if truth is not None else None)
 
 
+def label_records(tables: dict, truth, ensemble, hits) -> list:
+    """The one scoring of label tables (file name -> table) against
+    ``truth``, which a run writes last and ``coft eval`` prints: a ``labels``
+    record per table in file-name order, a ``filter_*`` one with its
+    ``clean_quality``, then the ``final`` record of the ``ensemble``,
+    ``zeroshot.jsonl`` and each student's ``hits``. Out of ``__all__``, like
+    ``ensemble_predictions``: no training function takes truth."""
+    records = []
+    for name in sorted(tables):
+        table = tables[name]
+        record = {"event": "labels", "file": name, "size": len(table),
+                  "accuracy": table.accuracy(truth)}
+        if name.startswith("filter_"):
+            # None, not NaN, for an empty clean set: metrics.jsonl stays strict JSON
+            record.update(zip(("clean_size", "clean_precision", "clean_recall"),
+                              table.clean_quality(truth)))
+        records.append(record)
+    final = {"event": "final", "ensemble_accuracy": float(np.mean(ensemble == truth)),
+             "zero_shot_accuracy": tables["zeroshot.jsonl"].accuracy(truth)}
+    final.update((f"student{i}_accuracy", count / truth.size) for i, count in enumerate(hits, 1))
+    return records + [final]
+
+
 def mode_config(cfg: TrainConfig, mode: str) -> TrainConfig:
     """The settings a ``mode`` run trains with: coft is one phase-1 round without
     the contrastive term, whatever ``cfg`` says; coft-plus uses ``cfg`` as given."""
@@ -974,7 +981,8 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
     ``mode`` is "coft" or "coft-plus"; the run trains with ``mode_config``.
     Writes config-derived artifacts under ``out_dir``: metrics.jsonl, label
     exports, and checkpoints; returns a summary dict. Ground truth, when the
-    dataset ships it, feeds only the metrics log and the returned summary.
+    dataset ships it, feeds only the ``label_records`` that end the metrics
+    log and the returned summary.
     """
     eff = mode_config(cfg, mode)
     cfg.validate()
@@ -991,17 +999,7 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
     os.makedirs(labels_dir, exist_ok=True)
     os.makedirs(ckpt_dir, exist_ok=True)
     with MetricsWriter(os.path.join(out_dir, "metrics.jsonl")) as metrics:
-        model1, model2, rounds_log = iterate_peft(provider, eff, root, metrics=metrics,
-                                                  truth=truth)
-        rounds_log[0]["generated"]["model1"].save(os.path.join(labels_dir, "zeroshot.jsonl"))
-        for entry in rounds_log:
-            r = entry["round"]
-            for mid in ("model1", "model2"):
-                if r > 1:  # round 1 generated the zero-shot table saved above
-                    entry["generated"][mid].save(
-                        os.path.join(labels_dir, f"round{r}_{mid}.jsonl"))
-                entry["selected"][mid].save(
-                    os.path.join(labels_dir, f"round{r}_{mid}_selected.jsonl"))
+        model1, model2, tables = iterate_peft(provider, eff, root, metrics=metrics)
         summary = {"mode": mode, "seed": seed, "num_samples": provider.num_samples,
                    "num_classes": provider.num_classes, "clean_sizes": {}, "checkpoints": {}}
         for mid, model in (("model1", model1), ("model2", model2)):
@@ -1009,20 +1007,15 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
             save_model_checkpoint(summary["checkpoints"][mid], model)
 
         both = collaborative_filter_both(model1, model2)
+        tables.update((f"filter_{mid}.jsonl", filtered) for mid, filtered in both.items())
+        for name, table in tables.items():
+            table.save(os.path.join(labels_dir, name))
         students = []
         for mid, student_id in (("model1", "student1"), ("model2", "student2")):
-            filtered = both[mid]
-            filtered.save(os.path.join(labels_dir, f"filter_{mid}.jsonl"))
-            clean = filtered.with_status("clean")
+            clean = both[mid].with_status("clean")
             summary["clean_sizes"][mid] = len(clean)
-            record = dict(phase=2, event="filter", direction=mid,
-                          clean_size=len(clean),
-                          noise_size=len(filtered) - len(clean))
-            if truth is not None:
-                record["generated_accuracy"] = filtered.accuracy(truth)
-                # None, not NaN, for an empty clean set: metrics.jsonl stays strict JSON
-                record["clean_precision"] = filtered.clean_quality(truth)[1]
-            metrics.write(**record)
+            metrics.write(phase=2, event="filter", direction=mid, clean_size=len(clean),
+                          noise_size=len(both[mid]) - len(clean))
 
             student = _init_student(provider, eff, student_id,
                                     root.stream(f"phase2/{student_id}"))
@@ -1032,12 +1025,12 @@ def run_pipeline(manifest_path: str, cfg: TrainConfig, mode: str, seed: int,
             save_model_checkpoint(summary["checkpoints"][student_id], student)
             students.append(student)
 
-        ensemble, _ = ensemble_predictions(students, provider.image_embeddings)
+        ensemble, hits = ensemble_predictions(students, provider.image_embeddings, truth)
         summary["ensemble_predictions"] = ensemble
         if truth is not None:
-            summary["ensemble_accuracy"] = float(np.mean(ensemble == truth))
-            summary["zero_shot_accuracy"] = rounds_log[0]["generated"]["model1"].accuracy(truth)
-            metrics.write(phase=2, event="final",
-                          ensemble_accuracy=summary["ensemble_accuracy"],
-                          zero_shot_accuracy=summary["zero_shot_accuracy"])
+            records = label_records(tables, truth, ensemble, hits)
+            for record in records:
+                metrics.write(**record)
+            for key in ("ensemble_accuracy", "zero_shot_accuracy"):
+                summary[key] = records[-1][key]
         return summary

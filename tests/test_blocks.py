@@ -70,13 +70,13 @@ class TestBlockedEqualsWholeTable:
         cfg = TrainConfig(phase1_epochs=0, rounds=1)
 
         def round_one():
-            _, _, log = iterate_peft(provider, cfg, SeededRng(1))
-            return log[0]
+            return iterate_peft(provider, cfg, SeededRng(1))[2]
 
         whole, blocked = whole_and_blocked(monkeypatch, round_one)
-        assert rows_of(blocked["generated"]["model1"]) == rows_of(whole["generated"]["model1"])
-        for mid in ("model1", "model2"):
-            assert rows_of(blocked["selected"][mid]) == rows_of(whole["selected"][mid])
+        assert list(whole) == ["zeroshot.jsonl", "round1_model1_selected.jsonl",
+                               "round1_model2_selected.jsonl"]
+        for name in whole:
+            assert rows_of(blocked[name]) == rows_of(whole[name])
 
     def test_generate_labels(self, monkeypatch, provider):
         model, _ = perturbed_models(provider)

@@ -4,7 +4,11 @@ import hashlib
 import json
 import os
 import re
+import resource
 import shutil
+import signal
+import subprocess
+import sys
 import tempfile
 import typing
 
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coft.train
 from coft import core
 from coft.cli import (
     CONFIG_KEYS,
@@ -30,7 +35,7 @@ from coft.errors import ConfigError, FormatError, IntegrityError
 from coft.encoders import logits_batch
 from coft.grad import param, save_checkpoint
 from coft.pseudo import PseudoLabelSet
-from coft.train import load_student_checkpoint
+from coft.train import label_records, load_student_checkpoint
 
 from test_grad import read_checkpoint
 
@@ -149,7 +154,7 @@ class TestRun:
                                shallow=False), name
         capsys.readouterr()
         assert run_cli("eval", "--run", str(runs["given"])) == 0
-        assert any(r.get("metric") == "ensemble_accuracy" for r in read_records(capsys))
+        assert "ensemble_accuracy" in read_records(capsys)[-1]
 
     def test_zero_shot_table_exported_once(self, tmp_path):
         # round 1 generates from the zero-shot table for both models, so only
@@ -187,8 +192,9 @@ class TestRun:
         assert self.empty_clean_run(tmp_path)[0] == 4
 
     def test_empty_clean_set_keeps_metrics_strict_json(self, tmp_path):
-        # the filter record once held a bare NaN precision, which strict
-        # JSON parsers reject; clean_quality gives None for it
+        # the filter's precision was once a bare NaN, which strict JSON
+        # parsers reject; clean_quality gives None for it. The run stops
+        # before its label records, so they are made from its label files.
         def refuse(constant):
             raise ValueError(f"{constant} is not JSON")
 
@@ -196,7 +202,16 @@ class TestRun:
         with open(out / "metrics.jsonl", encoding="utf-8") as f:
             records = [json.loads(line, parse_constant=refuse) for line in f]
         first = next(r for r in records if r.get("event") == "filter")
-        assert (first["clean_size"], first["clean_precision"]) == (0, None)
+        assert first["clean_size"] == 0
+        tables = {name: PseudoLabelSet.load(out / "labels" / name)
+                  for name in os.listdir(out / "labels")}
+        truth = load_ground_truth(tmp_path / "data" / "ds.json")
+        line = next(json.dumps(r, sort_keys=True) for r in label_records(
+            tables, truth, np.zeros(truth.size, dtype=int), [0, 0])
+            if r.get("file") == "filter_model1.jsonl")
+        assert '"clean_precision": null' in line
+        filtered = json.loads(line, parse_constant=refuse)
+        assert (filtered["clean_size"], filtered["clean_precision"]) == (0, None)
 
     @pytest.mark.parametrize("config", [None, "", "seed = 3\n"],
                              ids=["no-config", "empty-config", "config-without-dataset"])
@@ -766,8 +781,7 @@ class TestEval:
         manifest, out = self.finished_run(tmp_path)
         capsys.readouterr()
         assert run_cli("eval", "--run", str(out)) == 0
-        records = read_records(capsys)
-        zs = next(r["value"] for r in records if r["metric"] == "zero_shot_accuracy")
+        zs = read_records(capsys)[-1]["zero_shot_accuracy"]
         ds = load_dataset(manifest)
         truth = load_ground_truth(manifest)
         pred = np.argmax(ds.image_embeddings @ ds.class_anchors.T, axis=1)
@@ -780,8 +794,7 @@ class TestEval:
         manifest, out = self.finished_run(tmp_path, **{"per-class": 125})
         capsys.readouterr()
         assert run_cli("eval", "--run", str(out)) == 0
-        zs = next(r["value"] for r in read_records(capsys)
-                  if r["metric"] == "zero_shot_accuracy")
+        zs = read_records(capsys)[-1]["zero_shot_accuracy"]
         with open(out / "metrics.jsonl", encoding="utf-8") as f:
             final = next(r for r in map(json.loads, f) if r.get("event") == "final")
         truth = load_ground_truth(manifest)
@@ -800,8 +813,8 @@ class TestEval:
         capsys.readouterr()
         assert run_cli("eval", "--run", str(out)) == 0
         records = read_records(capsys)
-        precisions = [r["value"] for r in records if r["metric"] == "clean_precision"]
-        assert precisions and all(p == 1.0 for p in precisions)
+        precisions = [r["clean_precision"] for r in records if "clean_precision" in r]
+        assert len(precisions) == 2 and all(p == 1.0 for p in precisions)
 
     def test_report_matches_label_file_recount(self, tmp_path, capsys):
         manifest, out = self.finished_run(tmp_path)
@@ -815,8 +828,7 @@ class TestEval:
             clean = [r for r in full if r["status"] == "clean"]
             hits_clean = sum(1 for r in clean if r["label"] == truth[r["sample_id"]])
             hits_all = sum(1 for r in full if r["label"] == truth[r["sample_id"]])
-            got = {r["metric"]: r["value"] for r in records
-                   if r.get("direction") == mid}
+            got = next(r for r in records if r.get("file") == f"filter_{mid}.jsonl")
             assert got["clean_size"] == len(clean)
             assert got["clean_precision"] == pytest.approx(hits_clean / len(clean))
             assert got["clean_recall"] == pytest.approx(hits_all and hits_clean / hits_all)
@@ -826,9 +838,12 @@ class TestEval:
         capsys.readouterr()
         assert run_cli("eval", "--run", str(out)) == 0
         records = read_records(capsys)
-        metrics = {r["metric"] for r in records}
-        assert {"zero_shot_accuracy", "phase1_model_accuracy", "student_accuracy",
-                "ensemble_accuracy"} <= metrics
+        assert [r["event"] for r in records] == ["labels"] * 5 + ["final"]
+        assert {"zero_shot_accuracy", "student1_accuracy", "student2_accuracy",
+                "ensemble_accuracy"} <= set(records[-1])
+        # a phase-1 model's generation accuracy is its filter file's
+        assert {"filter_model1.jsonl", "filter_model2.jsonl"} <= {
+            r["file"] for r in records[:-1] if "accuracy" in r}
 
     def test_ensemble_accuracy_equals_run_final_record(self, tmp_path, capsys, monkeypatch):
         # 500 rows in two blocks of 250, for the run's passes and eval's alike;
@@ -837,8 +852,8 @@ class TestEval:
         manifest, out = self.finished_run(tmp_path, **{"per-class": 125})
         capsys.readouterr()
         assert run_cli("eval", "--run", str(out)) == 0
-        records = read_records(capsys)
-        ens = next(r["value"] for r in records if r["metric"] == "ensemble_accuracy")
+        final_eval = read_records(capsys)[-1]
+        ens = final_eval["ensemble_accuracy"]
         with open(out / "metrics.jsonl", encoding="utf-8") as f:
             final = next(r for r in map(json.loads, f) if r.get("event") == "final")
         assert ens == final["ensemble_accuracy"]
@@ -848,16 +863,44 @@ class TestEval:
                       str(out / "checkpoints" / f"phase2_{sid}"), provider, cfg, sid),
                       provider.image_embeddings)[0]
                   for sid in ("student1", "student2")}
-        assert {r["student"]: r["value"] for r in records
-                if r["metric"] == "student_accuracy"} == {
+        assert {sid: final_eval[f"{sid}_accuracy"] for sid in logits} == {
             sid: float(np.mean(np.argmax(l, axis=1) == truth)) for sid, l in logits.items()}
         whole = (logits["student1"] + logits["student2"]) / 2.0
         assert ens == float(np.mean(np.argmax(whole, axis=1) == truth))
 
+    @pytest.mark.parametrize("mode, records", [("coft", 6), ("coft-plus", 10)])
+    def test_prints_the_runs_trailing_records_byte_for_byte(self, tmp_path, capsys, mode,
+                                                            records):
+        # one labels record per label file, then the final record
+        _, out = self.finished_run(tmp_path, train_args=["--mode", mode, *FAST_TRAIN])
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 0
+        printed = capsys.readouterr().out.splitlines(keepends=True)
+        lines = (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(printed) == records
+        assert printed == lines[-records:]
+
+    @pytest.mark.parametrize("name", ["zeroshot.jsonl", "filter_model1.jsonl"])
+    def test_relabelled_table_exits_2_naming_it(self, tmp_path, capsys, finished_run_dir,
+                                                name):
+        # a label moved to another class in range once scored as the run's own
+        out = tmp_path / "run"
+        shutil.copytree(finished_run_dir[1], out)
+        path = out / "labels" / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[3])
+        lines[3] = json.dumps(dict(row, label=(row["label"] + 1) % 4), sort_keys=True) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert f"{path}: its labels differ from" in printed.err
+
     @pytest.mark.parametrize("case", ["truncated-line", "label-99", "export-truncated-line"])
     def test_bad_label_file_exits_2_naming_it(self, tmp_path, capsys, case):
         _, out = self.finished_run(tmp_path)
-        export = case.startswith("export-")  # a file only --with-truth reads
+        export = case.startswith("export-")  # zeroshot.jsonl, which --with-truth re-exports
         path = out / "labels" / ("zeroshot.jsonl" if export else "filter_model1.jsonl")
         lines = path.read_text().splitlines(keepends=True)
         if case.endswith("truncated-line"):
@@ -994,6 +1037,50 @@ class TestEval:
         assert run_cli("eval", "--run", str(out), "--with-truth") == 0
         assert sorted(loaded) == sorted(name for name in os.listdir(out / "labels")
                                         if name.endswith(".jsonl"))
+
+
+class TestSystemFailures:
+    """An OSError or MemoryError ends the command with exit 5 and one line on
+    stderr, never a traceback."""
+
+    def test_file_size_limit_exits_5_naming_the_file(self, tmp_path):
+        # the limit acts on the child process only; with SIGXFSZ ignored a
+        # write past it fails with EFBIG, which names no file by itself
+        manifest = make_dataset(tmp_path)
+        out = tmp_path / "run"
+
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+        src = os.path.dirname(os.path.dirname(core.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coft.cli", "run", "--dataset", manifest, "--seed", "7",
+             "--out", str(out), *FAST_TRAIN],
+            capture_output=True, text=True, env=env, preexec_fn=limit_file_size, timeout=300)
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stdout == ""
+        # the first file past 4 KiB: phase-1 model1's checkpoint payload
+        assert proc.stderr.splitlines() == [
+            "error: [Errno 27] File too large: "
+            f"{str(out / 'checkpoints' / 'phase1_model1.f64le')!r}"]
+
+    def test_memory_error_exits_5_naming_where(self, tmp_path, capsys, monkeypatch):
+        manifest = make_dataset(tmp_path)
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setattr(coft.train, "train_fft", exhausted)
+        capsys.readouterr()
+        assert run_cli("run", "--dataset", manifest, "--out", str(tmp_path / "run"),
+                       *FAST_TRAIN) == 5
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == ("error: out of memory in run_pipeline: "
+                               "Unable to allocate 8.00 TiB for an array\n")
 
 
 class TestCheckGrads:

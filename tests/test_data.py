@@ -318,6 +318,14 @@ class TestMetricsWriter:
             {"epoch": 1, "extra": "x", "loss": 1.2, "phase": 1},
         ]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_names_the_file(self):
+        # /dev/full refuses every write with ENOSPC, an error that names no file
+        w = MetricsWriter("/dev/full")
+        for call in (lambda: w.write(step=0), w.close):  # close retries the buffered line
+            with pytest.raises(OSError, match=r"^\[Errno 28\] .*: '/dev/full'$"):
+                call()
+
     def test_truncates_on_open_and_closes_in_with(self, tmp_path):
         p = tmp_path / "metrics.jsonl"
         p.write_text('{"stale": 1}\n')

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coft.core import SeededRng, normalize_rows
 from coft.encoders import FrozenProvider, TextScratch, compose_texts, init_fft_encoder
-from coft.errors import ContractError, DomainError
+from coft.errors import ConfigError, ContractError, DomainError
 from coft.grad import check_gradients
 from coft.train import (
     MomentumState,
@@ -501,6 +501,16 @@ class TestClassRange:
             fn(model, provider.image_embeddings[:3], labels, comps)
         assert not any(np.any(p.grad) for p in model.params())
 
+    @pytest.mark.parametrize("loss", ["loss_negative", "loss_phase1"])
+    def test_one_class_names_the_loss_called(self, loss):
+        # loss_phase1 once said "loss_negative needs at least 2 classes"
+        provider, model, _ = random_model(24, c=1)
+        fn = loss_negative if loss == "loss_negative" else (
+            lambda m, e, y, h: loss_phase1(m, e, y, h, 0.5))
+        with pytest.raises(ConfigError, match=f"^{loss} needs at least 2 classes$"):
+            fn(model, provider.image_embeddings[:3], np.zeros(3, dtype=int),
+               np.ones(3, dtype=int))
+
     def test_wrapped_label_no_longer_aliases(self):
         provider, model, _ = random_model(23, c=3)
         emb = provider.image_embeddings[:2]
@@ -525,8 +535,6 @@ class TestDrawComplements:
         assert set(np.unique(comps)) == set(range(5))
 
     def test_needs_two_classes(self):
-        from coft.errors import ConfigError
-
         with pytest.raises(ConfigError):
             draw_complements(np.array([0]), 1, SeededRng(1))
 

@@ -169,3 +169,44 @@ def test_pairs_warns_on_checkout_paths_of_unequal_length(tmp_path, monkeypatch, 
     a, b = (len(str(c)) for c in checkouts)
     assert ("warning" in err) == warned
     assert not warned or f"warning: the checkout paths are {a} and {b} characters long" in err
+
+
+def test_identity_names_equal_seeds_and_differing_files():
+    same = {"checkpoints/phase1_model1.f64le": "aa", "labels/zeroshot.jsonl": "bb"}
+    moved = dict(same, **{"labels/zeroshot.jsonl": "cc"})
+    extra = dict(same, **{"labels/round2_model1.jsonl": "dd"})
+
+    def result(digests):
+        return {"correct": True, "failed": 0, "metrics": {}, "digests": digests}
+
+    runs = [(result(same), result(same)), (result(same), result(moved)),
+            (result(same), result(same)), (result(extra), result(same)),
+            (result(same), {"error": "exit 1: boom"})]
+    assert pairs.identity("accept-coft", runs) == [
+        "- accept-coft: equal on 2 of 5 seeds: seeds 1 3",
+        "- accept-coft seed 2 differs in labels/zeroshot.jsonl",
+        "- accept-coft seed 4 differs in labels/round2_model1.jsonl",
+        "- accept-coft seed 5: no digests from B",
+    ]
+
+
+def test_digests_read_from_the_details_line_reach_the_report(monkeypatch, capsys, tmp_path):
+    line = json.dumps({"workload": "accept-coft", "digests": {"labels/zeroshot.jsonl": "ab"}})
+    assert pairs.digests(line) == {"labels/zeroshot.jsonl": "ab"}
+    assert pairs.digests("not json") is None and pairs.digests("[1]") is None
+    assert pairs.digests(details_line([1.0], 0.1)) is None
+
+    checkouts = [tmp_path / name for name in ("a", "b")]
+    for checkout in checkouts:
+        for rel in ("src/coft/__init__.py", pairs.BENCH):
+            (checkout / rel).parent.mkdir(parents=True, exist_ok=True)
+            (checkout / rel).touch()
+
+    def invoke(checkout, workload, seed, seconds):
+        return {"correct": True, "failed": 0, "metrics": {"run_s": {"value": 1.0}},
+                "digests": pairs.digests(line)}
+
+    monkeypatch.setattr(pairs, "invoke", invoke)
+    assert pairs.main([str(c) for c in checkouts]
+                      + ["--pairs", "2", "--workloads", "accept-coft"]) == 0
+    assert "- accept-coft: equal on 2 of 2 seeds: seeds 1 2\n" in capsys.readouterr().out

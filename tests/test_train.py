@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -818,12 +819,24 @@ class TestFlatLayout:
             assert all(p.grad is None for p in twin.params())
 
 
+def test_no_training_function_takes_truth():
+    # ground truth reaches a run only through label_records, kept out of __all__
+    import coft.train
+
+    takes = {name: list(inspect.signature(getattr(coft.train, name)).parameters)
+             for name in coft.train.__all__ if callable(getattr(coft.train, name))}
+    assert "iterate_peft" in takes and "run_pipeline" in takes
+    assert [name for name, params in takes.items() if "truth" in params] == []
+    assert "label_records" not in coft.train.__all__
+
+
 class TestIteratePeft:
     def test_single_round_matches_manual_phase1(self):
         provider, _ = synthetic_provider()
         cfg = small_cfg(phase1_epochs=6, rounds=1)
-        m1, m2, log = iterate_peft(provider, cfg, SeededRng(21))
-        assert len(log) == 1
+        m1, m2, tables = iterate_peft(provider, cfg, SeededRng(21))
+        assert sorted(tables) == ["round1_model1_selected.jsonl", "round1_model2_selected.jsonl",
+                                  "zeroshot.jsonl"]
 
         # model1 ranks the zero-shot labels by their own confidence, model2 by
         # their image-side confidence
@@ -836,7 +849,9 @@ class TestIteratePeft:
                 cfg.k_per_class, provider.num_classes),
         }
         assert set(selections["model1"].sample_ids()) != set(selections["model2"].sample_ids())
+        assert rows_of(tables["zeroshot.jsonl"]) == rows_of(candidates)
         for mid, got in (("model1", m1), ("model2", m2)):
+            assert rows_of(tables[f"round1_{mid}_selected.jsonl"]) == rows_of(selections[mid])
             manual = init_adapted_model(provider, mid, 1, cfg, SeededRng(21))
             train_phase1(manual, selections[mid], cfg, SeededRng(21))
             for a, b in zip(got.params(), manual.params()):
@@ -845,11 +860,14 @@ class TestIteratePeft:
     def test_round_two_uses_model_generations(self):
         provider, _ = synthetic_provider()
         cfg = small_cfg(phase1_epochs=6, rounds=2)
-        m1, m2, log = iterate_peft(provider, cfg, SeededRng(22))
-        assert [entry["round"] for entry in log] == [1, 2]
-        for entry, mid, generator in ((0, "model1", "zeroshot"), (1, "model1", "model1"),
-                                      (1, "model2", "model2")):
-            assert {r["generator"] for r in rows_of(log[entry]["generated"][mid])} == {generator}
+        m1, m2, tables = iterate_peft(provider, cfg, SeededRng(22))
+        assert sorted(tables) == [
+            "round1_model1_selected.jsonl", "round1_model2_selected.jsonl",
+            "round2_model1.jsonl", "round2_model1_selected.jsonl",
+            "round2_model2.jsonl", "round2_model2_selected.jsonl", "zeroshot.jsonl"]
+        for name, generator in (("zeroshot.jsonl", "zeroshot"), ("round2_model1.jsonl", "model1"),
+                                ("round2_model2.jsonl", "model2")):
+            assert {r["generator"] for r in rows_of(tables[name])} == {generator}
 
     def test_training_moved_params_and_tables_frozen(self):
         provider, _ = synthetic_provider()
@@ -877,11 +895,11 @@ class TestIteratedSelectionQuality:
             root = SeededRng(seed)
             cfg = TrainConfig(rounds=3, k_per_class=12, phase1_epochs=40,
                               adapter_rank=8)
-            _, _, log = iterate_peft(provider, cfg, root)
-            for entry in log:
-                accs = [entry["selected"][mid].accuracy(truth)
+            tables = iterate_peft(provider, cfg, root)[2]
+            for r in per_round:
+                accs = [tables[f"round{r}_{mid}_selected.jsonl"].accuracy(truth)
                         for mid in ("model1", "model2")]
-                per_round[entry["round"]].append(float(np.mean(accs)))
+                per_round[r].append(float(np.mean(accs)))
         medians = [float(np.median(per_round[r])) for r in (1, 2, 3)]
         assert all(b >= a for a, b in zip(medians, medians[1:])), medians
 

@@ -21,9 +21,14 @@ from the details line the benchmark prints before its result. They are no
 metrics of ``BENCHMARK.json`` and bound nothing. Being unscaled, they show
 whether a difference in the scaled ``run_s`` comes from the calibration, which
 the benchmark partly takes in its own process right after its setup code, so
-that it reads differently when setup gets lighter. At the end it
-lists every invocation that did not finish, reported ``failed > 0`` or was
-not ``correct``, and exits 1 if there was one. Progress goes to stderr.
+that it reads differently when setup gets lighter.
+
+At the end it reports byte identity: per workload, the seeds whose
+checkpoint and label files have the same SHA-256 on both sides (the
+``"digests"`` of each details line), then, for every other seed, the files
+that differ. Last it lists every invocation that did not finish, reported
+``failed > 0`` or was not ``correct``, and exits 1 if there was one.
+Progress goes to stderr.
 
 Run the two checkouts from paths of equal length: ``peak_rss_mb`` follows
 glibc's heap layout, which the path alone moves (by about 0.4 MB on
@@ -74,11 +79,20 @@ def raw_wall(details_line: str) -> dict:
     return out
 
 
+def digests(details_line: str):
+    """The output digests of one invocation's details line (file under the
+    run directory -> SHA-256), or None when the line holds none."""
+    try:
+        return json.loads(details_line).get("digests")
+    except (ValueError, AttributeError):
+        return None
+
+
 def invoke(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark invocation from ``checkout``: its result record, with
     the ``raw_wall`` figures of its details line added to a result that
-    reports metrics, or ``{"error": ...}`` when it exits nonzero or prints no
-    result."""
+    reports metrics and the line's ``digests`` under ``"digests"``, or
+    ``{"error": ...}`` when it exits nonzero or prints no result."""
     proc = subprocess.run([sys.executable, BENCH, "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds)],
                           cwd=checkout, capture_output=True, text=True)
@@ -90,8 +104,10 @@ def invoke(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(lines[-1])
     except ValueError:
         return {"error": f"unreadable result line: {lines[-1][:80]}"}
-    if result.get("metrics") and len(lines) > 1:
-        result["metrics"].update(raw_wall(lines[-2]))
+    if len(lines) > 1:
+        if result.get("metrics"):
+            result["metrics"].update(raw_wall(lines[-2]))
+        result["digests"] = digests(lines[-2])
     return result
 
 
@@ -131,6 +147,25 @@ def table(workload: str, pairs: list, metrics: list) -> list:
     return rows
 
 
+def identity(workload: str, pairs: list) -> list:
+    """Byte-identity lines for ``workload``, ``pairs`` holding one (A result,
+    B result) per seed from 1 on: the seeds whose digests are equal on both
+    sides, then one line per other seed naming the files that differ, or the
+    side that reported no digests."""
+    same, lines = [], []
+    for seed, (ra, rb) in enumerate(pairs, start=1):
+        da, db = ra.get("digests"), rb.get("digests")
+        if not (da and db):
+            lines.append(f"- {workload} seed {seed}: no digests from {'A' if not da else 'B'}")
+        elif da == db:
+            same.append(seed)
+        else:
+            differ = sorted(f for f in da.keys() | db.keys() if da.get(f) != db.get(f))
+            lines.append(f"- {workload} seed {seed} differs in {', '.join(differ)}")
+    seeds = f": seeds {' '.join(map(str, same))}" if same else ""
+    return [f"- {workload}: equal on {len(same)} of {len(pairs)} seeds{seeds}"] + lines
+
+
 HEADER = ["| workload | metric | A median [IQR] | B median [IQR] | B vs A | B better "
           "| A better | ties | sign test p | resolved |",
           "|---|---|---|---|---|---|---|---|---|---|"]
@@ -162,7 +197,7 @@ def main(argv=None) -> int:
     print(f"{args.pairs} pairs per workload, seeds 1-{args.pairs}, {args.seconds:g} s "
           "per invocation, A first on odd seeds\n", flush=True)
     print("\n".join(HEADER), flush=True)
-    bad = []
+    bad, identical = [], []
     for workload in args.workloads:
         pairs = []
         for seed in range(1, args.pairs + 1):
@@ -178,6 +213,9 @@ def main(argv=None) -> int:
             pairs.append((results[0], results[1]))
         print("\n".join(table(workload, pairs, bench["end_to_end"] + RAW_METRICS)),
               flush=True)
+        identical += identity(workload, pairs)
+    print("\nbyte identity of the checkpoint and label files (SHA-256, A vs B):")
+    print("\n".join(identical))
     print(f"\ninvocations with a problem: {len(bad)}")
     for line in bad:
         print(f"- {line}")
